@@ -15,9 +15,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import exprlang, verify
+from .clifford import delta
 from .errors import DiracinvError, ParameterOnSingularLocus
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField
+from .fields import SampleDomain, SpinorField, bilinear, squared_norm
 from .inversion import FourPotential
 
 SINGULAR_MARGIN = 1e-6
@@ -55,21 +56,23 @@ def _selftest_residual(instance: CatalogInstance) -> None:
 
 
 def _selftest_indicator(instance: CatalogInstance) -> None:
-    pts = _SELFTEST_DOMAIN.points()
-    values = instance.spinor.values(pts)
-    norm_sq = np.einsum("ni,ni->n", values.conj(), values).real
-    from .clifford import delta
-    ind = np.abs(np.einsum("ni,ij,nj->n", values.conj(), delta(4), values))
-    if np.any(ind > 1e-10 * norm_sq):
+    values = instance.spinor.values(_SELFTEST_DOMAIN.points())
+    ind = np.abs(bilinear(values.conj(), delta(4), values))
+    if np.any(ind > 1e-10 * squared_norm(values)):
         raise CatalogSelfTestError(
             f"{instance.name}: indicator bilinear is not null on the sample "
             f"(max {float(ind.max()):.3e})")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def rest_plane_wave(kappa: float) -> CatalogInstance:
     """Constant-direction wave oscillating along x0 only; zero potential."""
-    if not math.isfinite(kappa):
-        raise ValueError("mass must be finite")
+    _require_finite(kappa=kappa)
     spinor = SpinorField.from_strings(
         ["exp(-i*kappa*x0)", "0", "0", "0"], {"kappa": kappa})
     instance = CatalogInstance(
@@ -105,6 +108,7 @@ def example_thetas(alpha: float, phi1: float, phi2: float) -> tuple[float, float
 def degenerate_example(kappa: float, alpha: float, phi1: float,
                        phi2: float) -> CatalogInstance:
     """Exponential spinor that solves the force-free system yet is degenerate."""
+    _require_finite(kappa=kappa, alpha=alpha, phi1=phi1, phi2=phi2)
     _check_margins(alpha, phi2)
     c = math.cos(alpha)
     s = math.sin(alpha)
@@ -140,6 +144,7 @@ def degenerate_example(kappa: float, alpha: float, phi1: float,
 def example_family(kappa: float, alpha: float, phi1: float, phi2: float,
                    f: Expr, f_params: Mapping[str, complex] | None = None) -> FourPotential:
     """Family member (f, f t1, f t2, f t3) for the exponential degenerate spinor."""
+    _require_finite(alpha=alpha, phi1=phi1, phi2=phi2)
     _check_margins(alpha, phi2)
     t1, t2, t3 = example_thetas(alpha, phi1, phi2)
     comps = [

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import __version__, degeneracy, exprlang, inversion, selftest, verify
 from .degeneracy import Classification
-from .errors import (DiracinvError, GuardViolated, MassInconsistent, NoSupportPoints,
-                     NonRealPotential, NonRealTheta, NotDegenerate, ParseError,
-                     ScenarioError)
+from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPotential,
+                     NonRealTheta, NotDegenerate, ParseError, ScenarioError)
 from .exprlang import EvaluationError
 from .report import CheckSet, render_report
 from .scenario import Scenario, build_scenario, demo_scenario, load_scenario
@@ -26,15 +25,18 @@ from .verify import tensor_gap
 _INVERT_TABLE_LIMIT = 200
 
 
-def _point_list(p) -> list[float]:
-    return [float(v) for v in p]
+def _classification(sc: Scenario, state: dict) -> Classification:
+    """The scenario's classification, computed by the first task that needs it."""
+    if "classification" not in state:
+        state["classification"] = degeneracy.classify(
+            sc.spinor, sc.domain, sc.tolerances["classify"],
+            kappa=sc.kappa, support_tol=sc.tolerances["support"])
+    return state["classification"]
 
 
 def _task_classify(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("classify")
-    cls = degeneracy.classify(sc.spinor, sc.domain, sc.tolerances["classify"],
-                              kappa=sc.kappa, support_tol=sc.tolerances["support"])
-    state["classification"] = cls
+    cls = _classification(sc, state)
     expected = sc.instance.expected_verdict if sc.instance else None
     if expected is not None:
         checks.add("verdict matches catalog expectation", cls.verdict == expected,
@@ -85,90 +87,74 @@ def _task_mass(sc: Scenario, state: dict) -> dict:
 
 def _task_invert(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("invert")
-    cls: Classification | None = state.get("classification")
-    if cls is None:
-        cls = degeneracy.classify(sc.spinor, sc.domain, sc.tolerances["classify"],
-                                  kappa=sc.kappa, support_tol=sc.tolerances["support"])
-        state["classification"] = cls
+    pts = _classification(sc, state).support_points[:_INVERT_TABLE_LIMIT]
     guard = sc.tolerances["guard"]
+    real_tol = sc.tolerances["real"]
+    combined = inversion.invert_combined(sc.spinor, sc.kappa, pts, guard=guard)
+    others = [route(sc.spinor, sc.kappa, pts, guard=guard)
+              for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4)]
+    ok = combined.ok
+
+    # Fail as a point-by-point walk would: at the lowest failing point, and
+    # there in the order combined route, known potential, other routes.
+    non_real = np.stack([combined.non_real(real_tol)]
+                        + [ok & route.non_real(real_tol) for route in others])
+    failed = np.flatnonzero(non_real.any(axis=0))
+    stop = int(failed[0]) if failed.size else len(pts)
+    known = None
+    if sc.potential is not None:
+        upto = stop if failed.size and non_real[0, stop] else stop + 1
+        known = np.array([sc.potential.values(p, real_tol=real_tol)
+                          for p in pts[:upto][ok[:upto]]])
+    if failed.size:
+        route = (combined, *others)[int(np.argmax(non_real[:, stop]))]
+        raise route.non_real_error(stop)
+
     rows = []
-    recovered = []
-    worst_vs_known = 0.0
-    worst_agreement = 0.0
-    worst_oracle = 0.0
-    for p in cls.support_points[:_INVERT_TABLE_LIMIT]:
-        row: dict = {"point": _point_list(p)}
-        try:
-            sample = inversion.invert_combined(sc.spinor, sc.kappa, p, guard=guard,
-                                               real_tol=sc.tolerances["real"])
-        except GuardViolated:
+    for p, a, residue, passed in zip(pts, combined.a, combined.imag_residue, ok):
+        row: dict = {"point": p.tolist()}
+        if passed:
+            row.update({"status": "ok", "a": a.tolist(), "imag_residue": float(residue)})
+        else:
             row["status"] = "degenerate-locus"
-            rows.append(row)
-            continue
-        row.update({"status": "ok", "a": list(sample.a),
-                    "imag_residue": sample.imag_residue})
         rows.append(row)
-        recovered.append(sample)
-        worst_oracle = max(worst_oracle, verify.residual_norm_at(
-            sc.spinor, sample.a, sc.kappa, p))
-        if sc.potential is not None:
-            known = sc.potential.values(p, real_tol=sc.tolerances["real"])
-            worst_vs_known = max(worst_vs_known,
-                                 float(np.abs(sample.as_array() - known).max()))
-        for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4):
-            try:
-                other = route(sc.spinor, sc.kappa, p, guard=guard,
-                              real_tol=sc.tolerances["real"])
-            except GuardViolated:
-                continue
-            worst_agreement = max(worst_agreement,
-                                  float(np.abs(sample.as_array() - other.as_array()).max()))
+    recovered = int(np.count_nonzero(ok))
     out = {
         "rows": rows,
-        "recovered_points": len(recovered),
-        "degenerate_locus_points": len(rows) - len(recovered),
+        "recovered_points": recovered,
+        "degenerate_locus_points": len(rows) - recovered,
     }
     if recovered:
+        a = combined.a[ok]
+        worst_oracle = float(verify.residual_norm_at(sc.spinor, a, sc.kappa, pts[ok]).max())
+        gaps = [np.abs(combined.a - route.a)[ok & route.ok] for route in others]
+        worst_agreement = float(max((g.max() for g in gaps if g.size), default=0.0))
         checks.add("recovered potential passes the residual oracle",
                    worst_oracle < sc.tolerances["residual"], value=worst_oracle)
         checks.add("inversion routes agree where guards pass",
                    worst_agreement < sc.tolerances["agreement"], value=worst_agreement)
-        if sc.potential is not None:
+        if known is not None:
+            worst_vs_known = float(np.abs(a - known).max())
             checks.add("recovered potential matches the known one",
                        worst_vs_known < sc.tolerances["invert"], value=worst_vs_known)
     out["checks"] = checks.as_dict()
     return out
 
 
-def _family_region(sc: Scenario, cls: Classification) -> np.ndarray:
-    """Support points where the transpose g2 bilinear passes the guard.
-
-    The family is defined exactly there; for nonzero mass that is the whole
-    support of a degenerate solution, for zero mass possibly less.
-    """
-    from .clifford import gamma
-
-    values = sc.spinor.values(cls.support_points)
-    norm_sq = np.einsum("ni,ni->n", values.conj(), values).real
-    tb = np.einsum("ni,ij,nj->n", values, gamma(2), values)
-    mask = np.abs(tb) > sc.tolerances["guard"] * norm_sq
-    return cls.support_points[mask]
-
-
 def _task_family(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("family")
-    cls: Classification | None = state.get("classification")
-    if cls is None:
-        cls = degeneracy.classify(sc.spinor, sc.domain, sc.tolerances["classify"],
-                                  kappa=sc.kappa, support_tol=sc.tolerances["support"])
-        state["classification"] = cls
+    cls = _classification(sc, state)
     out: dict = {"members": [], "region": "supp(transpose-g2-bilinear)"}
     base = sc.potential if sc.potential is not None else inversion.FourPotential.zero()
     directions: list[tuple[str, exprlang.Expr]] = [
         ("1", exprlang.ONE), ("x0", exprlang.Name("x0"))]
     if sc.f is not None:
         directions.append((exprlang.to_text(sc.f), sc.f))
-    region = _family_region(sc, cls)
+    # The family is defined where the transpose g2 bilinear passes the guard:
+    # for nonzero mass the whole support of a degenerate solution, for zero
+    # mass possibly less.
+    region = cls.support_points[np.abs(cls.transpose_g2)
+                                > sc.tolerances["guard"] * cls.norm_sq]
     out["region_points"] = len(region)
     checks.add("family region is nonempty on the sample", len(region) > 0,
                value=float(len(region)))
@@ -182,8 +168,7 @@ def _task_family(sc: Scenario, state: dict) -> dict:
             member = degeneracy.potential_family(sc.spinor, base, f, cls,
                                                  f_params=sc.f_params)
             members[label] = member
-            worst = max(verify.residual_norm_at(sc.spinor, member, sc.kappa, p)
-                        for p in pts)
+            worst = float(verify.residual_norm_at(sc.spinor, member, sc.kappa, pts).max())
             gap = verify.lightlike_gap_max(member, base, pts)
             out["members"].append({
                 "f": label,
@@ -224,7 +209,7 @@ def _task_verify(sc: Scenario, state: dict) -> dict:
         out.update({
             "residual_max": report.max_norm,
             "residual_relative_max": report.relative_max,
-            "argmax_point": _point_list(report.argmax_point),
+            "argmax_point": list(report.argmax_point),
             "points": report.count,
         })
         checks.add("forward residual within tolerance",

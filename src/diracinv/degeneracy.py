@@ -19,8 +19,8 @@ from .clifford import delta, gamma
 from .errors import (AmbiguousScale, GuardViolated, NonRealTheta, NotDegenerate,
                      NotRepresentable)
 from .exprlang import Expr
-from .fields import (CVector4, SampleDomain, SpinorField, as_point, bilinear_adjoint,
-                     require_support, sample_support, merge_params)
+from .fields import (CVector4, SampleDomain, SpinorField, bilinear, merge_params,
+                     require_support, sample_support, squared_norm)
 from .inversion import DEFAULT_GUARD, FourPotential
 
 _D4 = delta(4)
@@ -32,9 +32,10 @@ _G51 = gamma(5) @ gamma(1)
 DEFAULT_CLASSIFY_TOL = 1e-10
 
 
-def indicator(field: SpinorField, p) -> complex:
-    """psi* d4 psi at the point; zero exactly on the degenerate locus."""
-    return bilinear_adjoint(field, _D4, p)
+def indicator(field: SpinorField, points) -> np.ndarray:
+    """psi* d4 psi at each point; zero exactly on the degenerate locus."""
+    values = field.values(points)
+    return bilinear(values.conj(), _D4, values)
 
 
 @dataclass
@@ -43,7 +44,8 @@ class Classification:
 
     On exact data the dichotomy admits only the two clean verdicts; a sample
     whose support carries both indicator-zero and indicator-nonzero points is
-    reported honestly as "mixed".
+    reported honestly as "mixed".  `transpose_g2` and `norm_sq` hold
+    psiT g2 psi and |psi|^2 at every support point, whatever the verdict.
     """
 
     verdict: str  # "degenerate" | "non-degenerate" | "mixed"
@@ -51,6 +53,8 @@ class Classification:
     s_points: np.ndarray
     degenerate_points: np.ndarray
     tol: float
+    transpose_g2: np.ndarray
+    norm_sq: np.ndarray
     gamma2_covers_support: bool | None = None
     gamma2_cover_fraction: float | None = None
 
@@ -64,8 +68,9 @@ def classify(field: SpinorField, domain: SampleDomain,
         raise ValueError("classification tolerance must be positive")
     support = require_support(sample_support(field, domain, support_tol))
     values = field.values(support)
-    norm_sq = np.einsum("ni,ni->n", values.conj(), values).real
-    ind = np.einsum("ni,ij,nj->n", values.conj(), _D4, values)
+    norm_sq = squared_norm(values)
+    ind = bilinear(values.conj(), _D4, values)
+    tb = bilinear(values, _G2, values)
     nonzero = np.abs(ind) > tol * norm_sq
     s_points = support[nonzero]
     degenerate_points = support[~nonzero]
@@ -82,13 +87,12 @@ def classify(field: SpinorField, domain: SampleDomain,
         # Degenerate solutions with nonzero mass have the transpose g2
         # bilinear nonvanishing on the whole support; for zero mass the
         # covered fraction delimits the region where the family is defined.
-        tb = np.einsum("ni,ij,nj->n", values, _G2, values)
         covered = np.abs(tb) > tol * norm_sq
         fraction = float(np.count_nonzero(covered)) / len(support)
         if kappa is None or kappa != 0.0:
             covers = bool(np.all(covered))
     return Classification(verdict, support, s_points, degenerate_points, tol,
-                          covers, fraction)
+                          tb, norm_sq, covers, fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -96,38 +100,43 @@ def classify(field: SpinorField, domain: SampleDomain,
 
 @dataclass(frozen=True)
 class ThetaTriple:
-    theta1: float
-    theta2: float
-    theta3: float
-    imag_residue: float
+    """The three direction ratios at each of N points."""
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.theta3])
+    values: np.ndarray        # (N, 3) real
+    imag_residue: np.ndarray  # (N,)
 
     @property
-    def norm_sq(self) -> float:
-        return float(self.theta1 ** 2 + self.theta2 ** 2 + self.theta3 ** 2)
+    def norm_sq(self) -> np.ndarray:
+        return (self.values ** 2).sum(axis=1)
 
 
-def theta(field: SpinorField, p, guard: float = DEFAULT_GUARD,
+def theta(field: SpinorField, points, guard: float = DEFAULT_GUARD,
           real_tol: float = 1e-6) -> ThetaTriple:
-    """The three direction ratios of transpose bilinears at a point."""
-    p = as_point(p)
-    v = field.value(p)
-    den = complex(v @ (_G2 @ v))
-    norm_sq = float(np.vdot(v, v).real)
-    if abs(den) <= guard * norm_sq:
-        raise GuardViolated(
-            f"|psiT g2 psi| = {abs(den):.3e} <= guard at {tuple(p)}: theta undefined")
-    t1 = -1j * complex(v @ (_G53 @ v)) / den
-    t2 = -1j * complex(v @ (_G4 @ v)) / den
-    t3 = 1j * complex(v @ (_G51 @ v)) / den
-    residue = max(abs(t1.imag), abs(t2.imag), abs(t3.imag))
-    if residue > real_tol * (1.0 + max(abs(t1), abs(t2), abs(t3))):
+    """The three direction ratios of transpose bilinears at each point.
+
+    Raises for the first point, in the given order, where the denominator
+    psiT g2 psi misses the guard or a ratio is not real.
+    """
+    v = field.values(points)
+    den = bilinear(v, _G2, v)
+    miss = np.abs(den) <= guard * squared_norm(v)
+    safe = np.where(miss, 1.0, den)
+    t = np.stack([-1j * bilinear(v, _G53, v) / safe,
+                  -1j * bilinear(v, _G4, v) / safe,
+                  1j * bilinear(v, _G51, v) / safe], axis=1)
+    residue = np.abs(t.imag).max(axis=1)
+    non_real = ~miss & (residue > real_tol * (1.0 + np.abs(t).max(axis=1)))
+    bad = np.flatnonzero(miss | non_real)
+    if bad.size:
+        i = bad[0]
+        where = tuple(np.asarray(points, dtype=float)[i].tolist())
+        if miss[i]:
+            raise GuardViolated(
+                f"|psiT g2 psi| = {abs(den[i]):.3e} <= guard at {where}: theta undefined")
         raise NonRealTheta(
-            f"theta has imaginary residue {residue:.3e} at {tuple(p)}; "
+            f"theta has imaginary residue {residue[i]:.3e} at {where}; "
             f"the spinor is not a degenerate Dirac solution there")
-    return ThetaTriple(t1.real, t2.real, t3.real, residue)
+    return ThetaTriple(t.real, residue)
 
 
 def _transpose_bilinear_expr(field: SpinorField, matrix: np.ndarray) -> Expr:

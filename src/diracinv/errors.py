@@ -29,10 +29,6 @@ class GuardViolated(DiracinvError):
     """A pointwise denominator bilinear fell below its guard threshold."""
 
 
-class DegeneratePoint(GuardViolated):
-    """The combined-route denominator vanished: the point lies on the degenerate locus."""
-
-
 class ZeroNorm(DiracinvError):
     """The spinor vanishes at the requested point."""
 

@@ -1,19 +1,25 @@
-"""Spinor fields, bilinear covariants, the bidirectional derivative, sampling.
+"""Spinor fields, batched frames, the fixed-order bilinear kernel, sampling.
 
 A spinor field holds four closed-form complex components over (x0, x1, x2,
 x3) plus shared parameter bindings.  Component partial derivatives are
 differentiated symbolically once and cached per (component, axis); caching
 is semantically invisible.
+
+Every spinor-side kernel works on a batch of N points at once: a `Frame`
+holds the values (N, 4) and the partials (4, N, 4) of the spinor, and every
+bilinear covariant, including the bidirectional derivative, is one call of
+`bilinear` over those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import exprlang
+from .clifford import IDENTITY
 from .errors import NoSupportPoints
 from .exprlang import Expr
 
@@ -35,6 +41,16 @@ def as_point(p) -> Point:
     if not all(np.isfinite(c) for c in p):
         raise ValueError(f"point coordinates must be finite, got {tuple(p)}")
     return p
+
+
+def as_points(points) -> np.ndarray:
+    """(N, 4) float array of finite point coordinates."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    return pts
 
 
 def merge_params(*maps: Mapping[str, complex] | None) -> dict[str, complex]:
@@ -72,22 +88,11 @@ class SpinorField:
             self._derivatives[key] = exprlang.differentiate(self.components[idx], axis)
         return self._derivatives[key]
 
-    def value(self, p) -> CVector4:
-        p = as_point(p)
-        return np.array([exprlang.evaluate(c, p, self.params) for c in self.components])
-
-    def derivative_value(self, p, axis: int) -> CVector4:
-        p = as_point(p)
-        return np.array([exprlang.evaluate(self.component_derivative(k, axis), p, self.params)
-                         for k in range(4)])
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Componentwise evaluation over (N, 4) points; returns (N, 4) complex."""
-        cols = [exprlang.evaluate_many(c, points, self.params) for c in self.components]
+    def values(self, points) -> np.ndarray:
+        """Componentwise evaluation over (N, 4) finite points; returns (N, 4) complex."""
+        pts = as_points(points)
+        cols = [exprlang.evaluate_many(c, pts, self.params) for c in self.components]
         return np.stack(cols, axis=1)
-
-    def map_components(self, fn) -> "SpinorField":
-        return SpinorField([fn(c) for c in self.components], self.params)
 
     def scaled_by(self, factor: Expr,
                   extra_params: Mapping[str, complex] | None = None) -> "SpinorField":
@@ -95,67 +100,52 @@ class SpinorField:
         return SpinorField([exprlang.mul(factor, c) for c in self.components], params)
 
 
-@dataclass
-class Frame:
-    """Spinor value and its four partial-derivative values at one point."""
+def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum over r, c of left[..., r] * matrix[r, c] * right[..., c].
 
-    value: CVector4
-    derivs: tuple[CVector4, CVector4, CVector4, CVector4]
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.value, self.value).real)
-
-
-def frame(field: SpinorField, p) -> Frame:
-    p = as_point(p)
-    return Frame(field.value(p), tuple(field.derivative_value(p, axis) for axis in range(4)))
-
-
-def spinor_eval(field: SpinorField, p) -> CVector4:
-    """Pointwise value of the spinor as a complex 4-vector."""
-    return field.value(p)
-
-
-def bilinear_value(v: CVector4, matrix: np.ndarray, conjugate_left: bool) -> complex:
-    """Fixed-order bilinear sum.
-
-    Sequential accumulation over nonzero entries makes algebraically cancelling
-    terms cancel exactly in floating point, which BLAS-blocked dot products do
-    not guarantee.
+    Terms are accumulated one nonzero matrix entry at a time in row-major
+    order, so algebraically cancelling terms cancel exactly in floating
+    point, which BLAS-blocked products do not guarantee.  Complex products
+    are spelled out in real arithmetic, (a+bi)(c+di) = (ac-bd) + (ad+bc)i,
+    because numpy's complex multiply may fuse a multiply-add and then give
+    a different last bit for a*b and b*a.  Pass `psi.conj()` as `left` for
+    the adjoint bilinear and `psi` for the transpose one.
     """
-    total = 0j
-    for r in range(4):
-        left = complex(v[r]).conjugate() if conjugate_left else complex(v[r])
-        for c in range(4):
-            m = complex(matrix[r, c])
-            if m != 0:
-                total += left * m * complex(v[c])
+    lr, li = np.real(left), np.imag(left)
+    rr, ri = np.real(right), np.imag(right)
+    total = np.zeros(left.shape[:-1], dtype=complex)
+    for r, c in zip(*np.nonzero(matrix)):
+        m = complex(matrix[r, c])
+        ar = lr[..., r] * m.real - li[..., r] * m.imag
+        ai = lr[..., r] * m.imag + li[..., r] * m.real
+        total.real += ar * rr[..., c] - ai * ri[..., c]
+        total.imag += ar * ri[..., c] + ai * rr[..., c]
     return total
 
 
-def bilinear_adjoint(field: SpinorField, matrix: np.ndarray, p) -> complex:
-    """(conjugate transpose of psi) . M . psi at the point."""
-    return bilinear_value(field.value(p), matrix, conjugate_left=True)
+def squared_norm(values: np.ndarray) -> np.ndarray:
+    """|psi|^2 at each point of an (..., 4) array of spinor values."""
+    return bilinear(values.conj(), IDENTITY, values).real
 
 
-def bilinear_transpose(field: SpinorField, matrix: np.ndarray, p) -> complex:
-    """(plain transpose of psi) . M . psi at the point, no conjugation."""
-    return bilinear_value(field.value(p), matrix, conjugate_left=False)
+@dataclass
+class Frame:
+    """Spinor values (N, 4) and partials (4, N, 4) over a batch of points."""
+
+    points: np.ndarray
+    value: np.ndarray
+    derivs: np.ndarray
 
 
-def bidirectional(field: SpinorField, matrix: np.ndarray, axis: int, p) -> complex:
-    """psi* M (d psi) - (d psi)* M psi with the exact symbolic partial."""
-    v = field.value(p)
-    dv = field.derivative_value(p, axis)
-    return complex(np.vdot(v, matrix @ dv) - np.vdot(dv, matrix @ v))
-
-
-def partial_bilinear_adjoint(field: SpinorField, matrix: np.ndarray, axis: int, p) -> complex:
-    """d_axis (psi* M psi) expanded through the product rule."""
-    v = field.value(p)
-    dv = field.derivative_value(p, axis)
-    return complex(np.vdot(dv, matrix @ v) + np.vdot(v, matrix @ dv))
+def frame(field: SpinorField, points) -> Frame:
+    value = field.values(points)  # checks the points
+    pts = np.asarray(points, dtype=float)
+    derivs = np.empty((4,) + value.shape, dtype=complex)
+    for axis in range(4):
+        for k in range(4):
+            derivs[axis, :, k] = exprlang.evaluate_many(
+                field.component_derivative(k, axis), pts, field.params)
+    return Frame(pts, value, derivs)
 
 
 @dataclass(frozen=True)

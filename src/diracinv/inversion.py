@@ -3,8 +3,12 @@
 All three inversion routes solve the same pointwise linear relations, each
 normalized by a different denominator bilinear: psi* g4 psi, psi* g5 g4 psi,
 or their sum psi* d4 psi (the combined route, whose denominator vanishes
-exactly on the degenerate locus).  Every recovered component is checked for
-realness; the guard thresholds are relative to |psi|^2 at the point.
+exactly on the degenerate locus).  Each route works on a batch of points
+through one `fields.frame` and the `fields.bilinear` kernel.  A point whose
+denominator falls below the guard, relative to |psi|^2 there, is marked in
+the route's `ok` mask rather than raised; every recovered component carries
+its imaginary residue, and `RecoveredPotential.non_real` flags the points
+where it is beyond tolerance.
 
 The temporal-slot matrices in the spatial-component relations are pinned by
 the residual oracle on manufactured solutions and hard-asserted in tests.
@@ -19,11 +23,10 @@ import numpy as np
 
 from . import exprlang
 from .clifford import IDENTITY, delta, gamma
-from .errors import (DegeneratePoint, GuardViolated, MassInconsistent, NonRealPotential,
-                     ZeroNorm)
+from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
-from .fields import (Frame, Point, SampleDomain, SpinorField, as_point, frame,
-                     require_support, sample_support, merge_params)
+from .fields import (Frame, SampleDomain, SpinorField, as_point, bilinear, frame,
+                     merge_params, require_support, sample_support, squared_norm)
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -75,21 +78,33 @@ class FourPotential:
 
 
 @dataclass
-class PotentialSample:
-    """Recovered potential values at one point, with the imaginary diagnostic."""
+class RecoveredPotential:
+    """The potential one inversion route recovers at N points.
 
-    point: Point
-    a: tuple[float, float, float, float]
-    imag_residue: float
+    `ok` marks the points whose denominator bilinear passes the guard; `a`
+    and `imag_residue` are NaN at the others.
+    """
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.a)
+    points: np.ndarray        # (N, 4)
+    a: np.ndarray             # (N, 4) real parts of the solved components
+    ok: np.ndarray            # (N,) bool
+    imag_residue: np.ndarray  # (N,) max |Im a| / (1 + max |Re a|)
+
+    def non_real(self, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
+        """Mask of guard-passing points whose imaginary residue exceeds real_tol."""
+        return self.ok & (self.imag_residue > real_tol)
+
+    def non_real_error(self, idx: int) -> NonRealPotential:
+        return NonRealPotential(
+            f"recovered potential has relative imaginary residue "
+            f"{self.imag_residue[idx]:.3e} at {tuple(self.points[idx].tolist())}; "
+            f"the spinor is not a Dirac solution for any real potential near this point")
 
 
 @dataclass
 class MassSample:
-    kappa: float
-    imag_residue: float
+    kappa: np.ndarray         # (N,)
+    imag_residue: np.ndarray  # (N,)
 
 
 @dataclass
@@ -108,119 +123,102 @@ _G5k = {k: _G[5] @ _G[k] for k in (1, 2, 3)}
 _Gk4 = {k: _G[k] @ _G[4] for k in (1, 2, 3)}
 
 
-def _bil(fr: Frame, m: np.ndarray) -> complex:
-    return complex(np.vdot(fr.value, m @ fr.value))
+def _bil(fr: Frame, m: np.ndarray) -> np.ndarray:
+    return bilinear(fr.value.conj(), m, fr.value)
 
 
-def _dbil(fr: Frame, m: np.ndarray, axis: int) -> complex:
+def _dbil(fr: Frame, m: np.ndarray, axis: int) -> np.ndarray:
+    """d_axis (psi* M psi) expanded through the product rule."""
     dv = fr.derivs[axis]
-    return complex(np.vdot(dv, m @ fr.value) + np.vdot(fr.value, m @ dv))
+    return bilinear(dv.conj(), m, fr.value) + bilinear(fr.value.conj(), m, dv)
 
 
-def _bidir(fr: Frame, m: np.ndarray, axis: int) -> complex:
+def _bidir(fr: Frame, m: np.ndarray, axis: int) -> np.ndarray:
+    """psi* M (d psi) - (d psi)* M psi with the exact symbolic partial."""
     dv = fr.derivs[axis]
-    return complex(np.vdot(fr.value, m @ dv) - np.vdot(dv, m @ fr.value))
+    return bilinear(fr.value.conj(), m, dv) - bilinear(dv.conj(), m, fr.value)
 
 
-def _finish(point: Point, raw: Sequence[complex], real_tol: float) -> PotentialSample:
-    raw = np.array(raw)
-    scale = 1.0 + float(np.abs(raw.real).max())
-    residue = float(np.abs(raw.imag).max()) / scale
-    if residue > real_tol:
-        raise NonRealPotential(
-            f"recovered potential has relative imaginary residue {residue:.3e} "
-            f"at {tuple(point)}; the spinor is not a Dirac solution for any real "
-            f"potential near this point")
-    return PotentialSample(point, tuple(float(x) for x in raw.real), residue)
+def _recover(fr: Frame, den: np.ndarray, guard: float, a0_num: np.ndarray,
+             spatial_nums: Sequence[np.ndarray]) -> RecoveredPotential:
+    """Divide the numerators by the guarded denominator; a0 by 2 den, ak by 2i den."""
+    ok = np.abs(den) > guard * squared_norm(fr.value)
+    den = np.where(ok, den, 1.0)
+    raw = np.stack([a0_num / (2.0 * den)] + [num / (2j * den) for num in spatial_nums],
+                   axis=1)
+    scale = 1.0 + np.abs(raw.real).max(axis=1)
+    residue = np.abs(raw.imag).max(axis=1) / scale
+    return RecoveredPotential(fr.points, np.where(ok[:, None], raw.real, np.nan), ok,
+                              np.where(ok, residue, np.nan))
 
 
-def invert_combined(field: SpinorField, kappa: float, p,
-                    guard: float = DEFAULT_GUARD,
-                    real_tol: float = DEFAULT_REAL_TOL) -> PotentialSample:
-    """Solve the summed relations, denominator psi* d4 psi."""
-    p = as_point(p)
-    fr = frame(field, p)
-    den = _bil(fr, _D[4])
-    if abs(den) <= guard * fr.norm_sq:
-        raise DegeneratePoint(
-            f"|psi* d4 psi| = {abs(den):.3e} <= guard at {tuple(p)}: degenerate locus")
+def invert_combined(field: SpinorField, kappa: float, points,
+                    guard: float = DEFAULT_GUARD) -> RecoveredPotential:
+    """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
+    fr = frame(field, points)
     a0 = (-sum(_dbil(fr, _D[k], k) for k in (1, 2, 3))
-          + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY)) / (2.0 * den)
+          + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _D[4], 1)
           - _dbil(fr, _D[3], 2) + _dbil(fr, _D[2], 3)
-          + 1j * _dbil(fr, _D[1], 0)) / (2j * den)
+          + 1j * _dbil(fr, _D[1], 0))
     a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _D[3], 1)
           + _bidir(fr, _D[4], 2) - _dbil(fr, _D[1], 3)
-          + 1j * _dbil(fr, _D[2], 0)) / (2j * den)
+          + 1j * _dbil(fr, _D[2], 0))
     a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _D[2], 1)
           + _dbil(fr, _D[1], 2) + _bidir(fr, _D[4], 3)
-          + 1j * _dbil(fr, _D[3], 0)) / (2j * den)
-    return _finish(p, (a0, a1, a2, a3), real_tol)
+          + 1j * _dbil(fr, _D[3], 0))
+    return _recover(fr, _bil(fr, _D[4]), guard, a0, (a1, a2, a3))
 
 
-def invert_gamma4(field: SpinorField, kappa: float, p,
-                  guard: float = DEFAULT_GUARD,
-                  real_tol: float = DEFAULT_REAL_TOL) -> PotentialSample:
+def invert_gamma4(field: SpinorField, kappa: float, points,
+                  guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    p = as_point(p)
-    fr = frame(field, p)
-    den = _bil(fr, _G[4])
-    if abs(den) <= guard * fr.norm_sq:
-        raise GuardViolated(
-            f"|psi* g4 psi| = {abs(den):.3e} <= guard at {tuple(p)}")
+    fr = frame(field, points)
     a0 = (-sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
-          + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY)) / (2.0 * den)
+          + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _G[4], 1)
           - _dbil(fr, _G5k[3], 2) + _dbil(fr, _G5k[2], 3)
-          + 1j * _dbil(fr, _G[1], 0)) / (2j * den)
+          + 1j * _dbil(fr, _G[1], 0))
     a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _G5k[3], 1)
           + _bidir(fr, _G[4], 2) - _dbil(fr, _G5k[1], 3)
-          + 1j * _dbil(fr, _G[2], 0)) / (2j * den)
+          + 1j * _dbil(fr, _G[2], 0))
     a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _G5k[2], 1)
           + _dbil(fr, _G5k[1], 2) + _bidir(fr, _G[4], 3)
-          + 1j * _dbil(fr, _G[3], 0)) / (2j * den)
-    return _finish(p, (a0, a1, a2, a3), real_tol)
+          + 1j * _dbil(fr, _G[3], 0))
+    return _recover(fr, _bil(fr, _G[4]), guard, a0, (a1, a2, a3))
 
 
-def invert_gamma5gamma4(field: SpinorField, kappa: float, p,
-                        guard: float = DEFAULT_GUARD,
-                        real_tol: float = DEFAULT_REAL_TOL) -> PotentialSample:
+def invert_gamma5gamma4(field: SpinorField, kappa: float, points,
+                        guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    p = as_point(p)
-    fr = frame(field, p)
-    den = _bil(fr, _G54)
-    if abs(den) <= guard * fr.norm_sq:
-        raise GuardViolated(
-            f"|psi* g5 g4 psi| = {abs(den):.3e} <= guard at {tuple(p)}")
+    fr = frame(field, points)
     a0 = (1j * _bidir(fr, _G54, 0)
-          - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3))) / (2.0 * den)
+          - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3)))
     a1 = (_bidir(fr, _G54, 1) - _dbil(fr, _G[3], 2) + _dbil(fr, _G[2], 3)
-          + 1j * _dbil(fr, _G5k[1], 0)) / (2j * den)
+          + 1j * _dbil(fr, _G5k[1], 0))
     a2 = (_dbil(fr, _G[3], 1) + _bidir(fr, _G54, 2) - _dbil(fr, _G[1], 3)
-          + 1j * _dbil(fr, _G5k[2], 0)) / (2j * den)
+          + 1j * _dbil(fr, _G5k[2], 0))
     a3 = (-_dbil(fr, _G[2], 1) + _dbil(fr, _G[1], 2) + _bidir(fr, _G54, 3)
-          + 1j * _dbil(fr, _G5k[3], 0)) / (2j * den)
-    return _finish(p, (a0, a1, a2, a3), real_tol)
+          + 1j * _dbil(fr, _G5k[3], 0))
+    return _recover(fr, _bil(fr, _G54), guard, a0, (a1, a2, a3))
 
 
 # ---------------------------------------------------------------------------
 # Mass extraction
 
-def extract_mass_at(field: SpinorField, a0: Expr | None, p,
+def extract_mass_at(field: SpinorField, a0: Expr | None, points,
                     a0_params: Mapping[str, complex] | None = None) -> MassSample:
     """Pointwise mass from the temporal relation; requires the a0 component."""
-    p = as_point(p)
-    fr = frame(field, p)
-    norm_sq = fr.norm_sq
-    if norm_sq == 0.0:
-        raise ZeroNorm(f"spinor vanishes at {tuple(p)}")
-    a0_value = 0j
-    if a0 is not None:
-        a0_value = exprlang.evaluate(a0, p, a0_params)
+    fr = frame(field, points)
+    norm_sq = squared_norm(fr.value)
+    zero = np.flatnonzero(norm_sq == 0.0)
+    if zero.size:
+        raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
+    a0_value = 0j if a0 is None else exprlang.evaluate_many(a0, fr.points, a0_params)
     value = (1j * _bidir(fr, _G[4], 0)
              - sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
              - 2.0 * a0_value * _bil(fr, _G[4])) / (2.0 * norm_sq)
-    return MassSample(float(value.real), abs(value.imag))
+    return MassSample(value.real, np.abs(value.imag))
 
 
 def extract_mass(field: SpinorField, a0: Expr | None, domain: SampleDomain,
@@ -234,11 +232,10 @@ def extract_mass(field: SpinorField, a0: Expr | None, domain: SampleDomain,
     be a Dirac solution; the same applies when the gauge-fixed route disagrees.
     """
     points = require_support(sample_support(field, domain, support_tol))
-    samples = [extract_mass_at(field, a0, p, a0_params) for p in points]
-    kappas = np.array([s.kappa for s in samples])
-    mean = float(kappas.mean())
-    spread = float(np.abs(kappas - mean).max())
-    max_imag = max(s.imag_residue for s in samples)
+    samples = extract_mass_at(field, a0, points, a0_params)
+    mean = float(samples.kappa.mean())
+    spread = float(np.abs(samples.kappa - mean).max())
+    max_imag = float(samples.imag_residue.max())
     if spread > spread_tol * (1.0 + abs(mean)):
         raise MassInconsistent(
             f"pointwise mass varies by {spread:.3e} around {mean:.6g} over "
@@ -250,8 +247,8 @@ def extract_mass(field: SpinorField, a0: Expr | None, domain: SampleDomain,
     gap = None
     if crosscheck and a0 is not None and a0 != exprlang.ZERO:
         fixed = gauge_fix_temporal(field, a0, k=0.0, a0_params=a0_params)
-        checks = [extract_mass_at(fixed, None, p).kappa for p in points[:3]]
-        gap = float(max(abs(k - mean) for k in checks))
+        checks = extract_mass_at(fixed, None, points[:3]).kappa
+        gap = float(np.abs(checks - mean).max())
         if gap > CROSSCHECK_TOL * (1.0 + abs(mean)):
             raise MassInconsistent(
                 f"gauge-fixed mass route disagrees by {gap:.3e} with the direct route")

@@ -19,11 +19,16 @@ A scenario is a JSON object::
 Parameter values are numbers or [re, im] pairs.  The catalog_family
 potential inherits alpha/phi1/phi2 from a degenerate_example spinor when
 they are not given explicitly.
+
+Bad numbers are rejected here, before any computation: kappa, parameters
+and box bounds must be finite, tolerances finite and positive, and the
+sample count at most MAX_SAMPLES.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +40,10 @@ from .fields import SampleDomain, SpinorField
 from .inversion import FourPotential
 
 TASKS = ("classify", "mass", "invert", "family", "verify", "selftest")
+
+# Every sampled point is evaluated, so a larger domain.count (or --samples)
+# is rejected as absurd before anything is allocated.
+MAX_SAMPLES = 100_000
 
 DEFAULT_TOLERANCES = {
     "support": 1e-12,        # spinor support threshold (relative)
@@ -73,12 +82,20 @@ def _fail(msg: str) -> ScenarioError:
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, bool):
         raise _fail(f"{where}: boolean is not a number")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        return complex(value[0], value[1])
-    raise _fail(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    pair = [value, 0] if isinstance(value, (int, float)) else value
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        raise _fail(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    if not all(math.isfinite(v) for v in pair):
+        raise _fail(f"{where}: expected a finite number, got {value!r}")
+    return complex(pair[0], pair[1])
+
+
+def _tolerance(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not (math.isfinite(value) and value > 0):
+        raise _fail(f"{where}: expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _parse_params(obj, where: str) -> dict[str, complex]:
@@ -115,7 +132,7 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
         params.setdefault("kappa", kappa)
         try:
             instance = catalog.build(name, params)
-        except DiracinvError as exc:
+        except (DiracinvError, ValueError) as exc:
             raise _fail(f"spinor.catalog: {exc}") from exc
         return instance.spinor, instance
     if "exprs" in obj:
@@ -151,7 +168,7 @@ def _build_potential(obj, kappa: float,
         try:
             return catalog.example_family(kappa, pick("alpha"), pick("phi1"),
                                           pick("phi2"), f, f_params)
-        except DiracinvError as exc:
+        except (DiracinvError, ValueError) as exc:
             raise _fail(f"potential.catalog_family: {exc}") from exc
     if "exprs" in obj:
         params = _parse_params(obj.get("params"), "potential.params")
@@ -159,7 +176,7 @@ def _build_potential(obj, kappa: float,
     raise _fail("potential: needs either 'exprs' or 'catalog_family'")
 
 
-def _build_domain(obj) -> SampleDomain:
+def _build_domain(obj, seed: int | None, samples: int | None) -> SampleDomain:
     obj = obj or {}
     if not isinstance(obj, dict):
         raise _fail("domain: expected an object")
@@ -170,10 +187,13 @@ def _build_domain(obj) -> SampleDomain:
     try:
         domain = SampleDomain(
             box=tuple((float(lo), float(hi)) for lo, hi in box),
-            count=int(obj.get("count", 100)),
-            seed=int(obj.get("seed", 0)))
-    except (TypeError, ValueError) as exc:
+            count=int(obj.get("count", 100)) if samples is None else samples,
+            seed=int(obj.get("seed", 0)) if seed is None else seed)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(f"domain: {exc}") from exc
+    if domain.count > MAX_SAMPLES:
+        raise _fail(f"domain.count: {domain.count} samples exceed the maximum "
+                    f"of {MAX_SAMPLES}")
     return domain
 
 
@@ -197,6 +217,20 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
         if t not in TASKS:
             raise _fail(f"unknown task {t!r}; available: {', '.join(TASKS)}")
 
+    # Domain and tolerances come before the spinor: a catalog spinor runs its
+    # self-test as soon as it is built.
+    domain = _build_domain(data.get("domain"), seed, samples)
+    tolerances = dict(DEFAULT_TOLERANCES)
+    overrides = data.get("tolerances") or {}
+    if not isinstance(overrides, dict):
+        raise _fail("tolerances: expected an object")
+    for key, value in overrides.items():
+        if key not in DEFAULT_TOLERANCES:
+            raise _fail(f"tolerances: unknown key {key!r}")
+        tolerances[key] = _tolerance(value, f"tolerances.{key}")
+    if tol is not None:
+        tolerances["classify"] = _tolerance(tol, "--tol")
+
     if "spinor" not in data:
         raise _fail("scenario needs 'spinor'")
     spinor, instance = _build_spinor(data["spinor"], kappa)
@@ -211,23 +245,6 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
             f = exprlang.parse(data["f"])
         except exprlang.ParseError as exc:
             raise _fail(f"f: {exc}") from exc
-
-    domain = _build_domain(data.get("domain"))
-    if seed is not None:
-        domain = SampleDomain(domain.box, domain.count, seed)
-    if samples is not None:
-        domain = SampleDomain(domain.box, samples, domain.seed)
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    overrides = data.get("tolerances") or {}
-    if not isinstance(overrides, dict):
-        raise _fail("tolerances: expected an object")
-    for key, value in overrides.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise _fail(f"tolerances: unknown key {key!r}")
-        tolerances[key] = float(value)
-    if tol is not None:
-        tolerances["classify"] = float(tol)
 
     return Scenario(data, kappa, spinor, instance, potential, f, f_params,
                     domain, tolerances, list(tasks))

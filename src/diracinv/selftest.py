@@ -16,6 +16,8 @@ from .report import CheckSet
 
 _FD_STEP = 1e-5
 _FD_REL_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
+_ORIGIN = np.zeros((1, 4))
 
 PRODUCTIONS = (
     "number", "variable", "constant", "parameter",
@@ -136,8 +138,12 @@ def derivative_fd_pairs(seed: int, n_pairs: int = 100):
         # Step-halving error estimate for the difference quotient itself: its
         # truncation error is ~4/3 of this gap, so the gate keeps only pairs
         # where the quotient is good to ~1e-7 relative, independent of the
-        # symbolic value being tested.
-        if abs(fd - fd_half) > 3e-7 * (1.0 + abs(fd_half)):
+        # symbolic value being tested.  Round-off in the quotient grows like
+        # eps * |value| / step, so pairs where that is not far below the
+        # same relative bound are rejected too.
+        if abs(fd - fd_half) > 3e-7 * abs(fd_half):
+            continue
+        if 16 * _EPS * abs(value) / (_FD_STEP / 2) > 1e-7 * abs(fd_half):
             continue
         if from_template:
             pending_templates.pop(0)
@@ -221,9 +227,8 @@ def identity_suite(seed: int) -> CheckSet:
         for _ in range(20):
             params = {"k1": complex(*rng.standard_normal(2)),
                       "k2": complex(*rng.standard_normal(2))}
-            field = SpinorField(shape.components, params)
-            worst_shape = max(worst_shape,
-                              abs(fields.bilinear_transpose(field, g2, (0, 0, 0, 0))))
+            v = SpinorField(shape.components, params).values(_ORIGIN)
+            worst_shape = max(worst_shape, float(np.abs(fields.bilinear(v, g2, v)).max()))
     suite.add("all six null shapes annihilate the transpose bilinear",
               worst_shape == 0.0, value=worst_shape)
 
@@ -270,12 +275,9 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
               value=cls.gamma2_cover_fraction)
 
     expected = np.array(deg.thetas)
-    worst_theta = 0.0
-    worst_norm = 0.0
-    for p in cls.support_points[:20]:
-        t = degeneracy.theta(deg.spinor, p)
-        worst_theta = max(worst_theta, float(np.abs(t.as_array() - expected).max()))
-        worst_norm = max(worst_norm, abs(t.norm_sq - 1.0))
+    t = degeneracy.theta(deg.spinor, cls.support_points[:20])
+    worst_theta = float(np.abs(t.values - expected).max())
+    worst_norm = float(np.abs(t.norm_sq - 1.0).max())
     suite.add("theta matches closed form", worst_theta < 1e-9, value=worst_theta)
     suite.add("theta has unit norm", worst_norm < 1e-9, value=worst_norm)
 

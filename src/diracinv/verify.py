@@ -2,9 +2,10 @@
 
 The residual of (psi, a, kappa) is the evaluated left-hand side of the
 coupled first-order system; its vanishing is the acceptance oracle for every
-claimed correspondence.  Potentials enter the residual through their values
-only, so a potential may be given as a FourPotential or as plain numeric
-component values at the point.
+claimed correspondence.  The residual is computed over a batch of points
+from one spinor frame.  Potentials enter it through their values only, so a
+potential may be given as a FourPotential or as (N, 4) numeric component
+values at the points.
 """
 
 from __future__ import annotations
@@ -16,38 +17,38 @@ import numpy as np
 
 from .clifford import gamma
 from .errors import NonRealPotential
-from .fields import (CVector4, Point, SampleDomain, SpinorField, as_point, frame,
-                     sample_support)
+from .fields import Point, SampleDomain, SpinorField, as_point, frame, sample_support
 from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
 
 
-def _potential_values(potential, p) -> np.ndarray:
+def _potential_values(potential, points: np.ndarray) -> np.ndarray:
+    """(N, 4) real potential values; FourPotential components are evaluated per point."""
     if potential is None:
-        return np.zeros(4)
+        return np.zeros((len(points), 4))
     if isinstance(potential, FourPotential):
-        return potential.values(p)
+        return np.array([potential.values(p) for p in points]).reshape(len(points), 4)
     values = np.asarray(potential, dtype=float)
-    if values.shape != (4,):
-        raise ValueError(f"potential values must be 4 reals, got shape {values.shape}")
+    if values.shape != (len(points), 4):
+        raise ValueError(f"potential values must be 4 reals per point, got shape "
+                         f"{values.shape} for {len(points)} points")
     return values
 
 
-def dirac_residual(field: SpinorField, potential, kappa: float, p) -> CVector4:
-    """Residual 4-vector of the coupled system at a point (exact derivatives)."""
-    p = as_point(p)
-    fr = frame(field, p)
-    a = _potential_values(potential, p)
+def dirac_residual(field: SpinorField, potential, kappa: float, points) -> np.ndarray:
+    """Residual 4-vectors (N, 4) of the coupled system at the points (exact derivatives)."""
+    fr = frame(field, points)
+    a = _potential_values(potential, fr.points)
     out = kappa * fr.value
     for k in (1, 2, 3):
-        out = out + _G[k] @ (fr.derivs[k] - 1j * a[k] * fr.value)
-    out = out - 1j * (_G[4] @ (fr.derivs[0] + 1j * a[0] * fr.value))
+        out = out + (fr.derivs[k] - 1j * a[:, k, None] * fr.value) @ _G[k].T
+    out = out - 1j * ((fr.derivs[0] + 1j * a[:, 0, None] * fr.value) @ _G[4].T)
     return out
 
 
-def residual_norm_at(field: SpinorField, potential, kappa: float, p) -> float:
-    return float(np.linalg.norm(dirac_residual(field, potential, kappa, p)))
+def residual_norm_at(field: SpinorField, potential, kappa: float, points) -> np.ndarray:
+    return np.linalg.norm(dirac_residual(field, potential, kappa, points), axis=1)
 
 
 @dataclass
@@ -72,17 +73,11 @@ def residual_norm(field: SpinorField, potential, kappa: float, domain: SampleDom
     sample = sample_support(field, domain, support_tol)
     if not sample.has_support:
         return ResidualReport(0.0, None, np.zeros(0), 0.0, 0, no_support=True)
-    norms = []
-    rel = []
-    for p in sample.support:
-        fr_norm = float(np.linalg.norm(field.value(p)))
-        n = residual_norm_at(field, potential, kappa, p)
-        norms.append(n)
-        rel.append(n / ((abs(kappa) + 1.0) * fr_norm))
-    norms = np.array(norms)
+    norms = residual_norm_at(field, potential, kappa, sample.support)
+    rel = norms / ((abs(kappa) + 1.0) * sample.norms[sample.norms > sample.threshold])
     worst = int(np.argmax(norms))
     return ResidualReport(float(norms[worst]), as_point(sample.support[worst]),
-                          norms, float(max(rel)), len(norms))
+                          norms, float(rel.max()), len(norms))
 
 
 @dataclass(frozen=True)

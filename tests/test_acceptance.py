@@ -11,7 +11,7 @@ import pytest
 import solutions
 
 from diracinv import catalog, cli, clifford, degeneracy, exprlang, inversion, selftest, verify
-from diracinv.fields import SampleDomain, SpinorField, bilinear_transpose
+from diracinv.fields import SampleDomain, SpinorField, bilinear
 
 SEED = 42
 TRIPLES = (
@@ -93,10 +93,9 @@ def test_criterion_4_theta_real_and_unit_norm(degenerate_instances):
     worst_norm = 0.0
     for inst in degenerate_instances:
         cls = degeneracy.classify(inst.spinor, DOMAIN, kappa=inst.kappa)
-        for p in cls.support_points:
-            t = degeneracy.theta(inst.spinor, p)
-            worst_imag = max(worst_imag, t.imag_residue)
-            worst_norm = max(worst_norm, abs(t.norm_sq - 1.0))
+        t = degeneracy.theta(inst.spinor, cls.support_points)
+        worst_imag = max(worst_imag, float(t.imag_residue.max()))
+        worst_norm = max(worst_norm, float(np.abs(t.norm_sq - 1.0).max()))
     ok = worst_imag < 1e-10 and worst_norm < 1e-9
     _verdict("criterion 4: theta ratios are real with unit norm on all support points",
              ok, f"max |Im| {worst_imag:.2e} (tol 1e-10), "
@@ -131,23 +130,23 @@ def test_criterion_6_inversion_round_trip():
     pairs = [solutions.gauge_rest_pair(float(rng.uniform(0.5, 2.0)), rng)
              for _ in range(10)]
     pairs.append(solutions.gauge_superposition_pair(1.1, rng))
+    pts = sample.points()
     for spinor, potential, kappa in pairs:
-        for p in sample.points():
-            try:
-                combined = inversion.invert_combined(spinor, kappa, p)
-            except inversion.DegeneratePoint:
-                continue  # criterion covers guard-passing points only
-            worst_known = max(worst_known, float(
-                np.abs(combined.as_array() - potential.values(p)).max()))
-            for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4):
-                try:
-                    other = route(spinor, kappa, p)
-                except inversion.GuardViolated:
-                    continue
-                if route is inversion.invert_gamma5gamma4:
-                    second_route_hits += 1
+        combined = inversion.invert_combined(spinor, kappa, pts)
+        ok = combined.ok  # criterion covers guard-passing points only
+        assert not combined.non_real().any()
+        if ok.any():
+            known = np.array([potential.values(p) for p in pts[ok]])
+            worst_known = max(worst_known, float(np.abs(combined.a[ok] - known).max()))
+        for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4):
+            other = route(spinor, kappa, pts)
+            both = ok & other.ok
+            assert not other.non_real()[both].any()
+            if route is inversion.invert_gamma5gamma4:
+                second_route_hits += int(np.count_nonzero(both))
+            if both.any():
                 worst_agree = max(worst_agree, float(
-                    np.abs(combined.as_array() - other.as_array()).max()))
+                    np.abs(combined.a[both] - other.a[both]).max()))
     ok = worst_known < 1e-8 and worst_agree < 1e-8 and second_route_hits > 0
     _verdict("criterion 6: inversion recovers manufactured potentials, routes agree "
              f"({len(pairs)} pairs x {sample.count} points)", ok,
@@ -230,8 +229,8 @@ def test_criterion_9_identity_suites():
         for _ in range(20):
             params = {"k1": complex(*rng.standard_normal(2)),
                       "k2": complex(*rng.standard_normal(2))}
-            field = SpinorField(shape.components, params)
-            worst_shape = max(worst_shape, abs(bilinear_transpose(field, g2, (0, 0, 0, 0))))
+            v = SpinorField(shape.components, params).values([(0, 0, 0, 0)])
+            worst_shape = max(worst_shape, float(np.abs(bilinear(v, g2, v)).max()))
     ok = (worst_det < 1e-12 and disagree == 0 and worst_ind <= 1e-12
           and worst_shape == 0.0)
     _verdict("criterion 9: determinant, equivalence, null-form and null-shape suites",

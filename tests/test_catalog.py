@@ -7,7 +7,7 @@ from diracinv import catalog, degeneracy, exprlang, inversion, verify
 from diracinv.catalog import CatalogSelfTestError
 from diracinv.clifford import gamma
 from diracinv.errors import ParameterOnSingularLocus
-from diracinv.fields import SampleDomain, bilinear_transpose
+from diracinv.fields import SampleDomain, bilinear
 
 
 class TestRestPlaneWave:
@@ -41,7 +41,7 @@ class TestDegenerateExample:
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
             expected = np.exp(p[2]) * np.array([1, 0, 0, 1])
-            assert inst.spinor.value(p) == pytest.approx(expected, rel=1e-12)
+            assert inst.spinor.values([p])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_singular_locus_rejected(self):
         for params in ({"alpha": np.pi / 2}, {"phi2": np.pi / 2},
@@ -63,9 +63,8 @@ class TestDegenerateExample:
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.3, "alpha": -0.5, "phi1": 0.7, "phi2": 0.4})
         expected = np.array(inst.thetas)
-        for _ in range(10):
-            t = degeneracy.theta(inst.spinor, rng.uniform(-1, 1, 4))
-            assert t.as_array() == pytest.approx(expected, abs=1e-9)
+        for values in degeneracy.theta(inst.spinor, rng.uniform(-1, 1, (10, 4))).values:
+            assert values == pytest.approx(expected, abs=1e-9)
 
     def test_construction_selftest_catches_bad_pairs(self, degenerate_default):
         broken = catalog.CatalogInstance(
@@ -108,19 +107,19 @@ class TestNullShapes:
                                             exprlang.parse("x2 + 2*i"))
         g2 = gamma(2)
         for shape in shapes:
-            for _ in range(100):
-                p = rng.uniform(-1, 1, 4)
-                assert bilinear_transpose(shape, g2, p) == 0
+            v = shape.values(rng.uniform(-1, 1, (100, 4)))
+            assert np.all(bilinear(v, g2, v) == 0)
 
     def test_member_catalog_addressing(self):
         inst = catalog.build("lset", {"member": 1, "psi1": "1"})
-        assert inst.spinor.value((0, 0, 0, 0)) == pytest.approx(np.array([1, 0, 1, 0]))
-        assert bilinear_transpose(inst.spinor, gamma(2), (0, 0, 0, 0)) == 0
+        v = inst.spinor.values([(0, 0, 0, 0)])
+        assert v[0] == pytest.approx(np.array([1, 0, 1, 0]))
+        assert bilinear(v, gamma(2), v)[0] == 0
 
     def test_zero_arguments_give_zero_member(self):
         shapes = catalog.gamma2_null_shapes(exprlang.ZERO, exprlang.ZERO)
         for shape in shapes:
-            assert np.array_equal(shape.value((0.1, 0.2, 0.3, 0.4)), np.zeros(4))
+            assert np.array_equal(shape.values([(0.1, 0.2, 0.3, 0.4)])[0], np.zeros(4))
 
     def test_member_range_is_validated(self):
         with pytest.raises(ValueError):

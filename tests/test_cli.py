@@ -1,10 +1,13 @@
 """Scenario runner, demo and selftest commands, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
-from diracinv import cli, clifford
+from diracinv import cli, clifford, scenario, selftest
+from diracinv.errors import ScenarioError
+from diracinv.fields import SampleDomain
 from diracinv.report import render_report
 
 
@@ -119,6 +122,29 @@ class TestRun:
         assert code == 2
         assert "division" in captured.err
 
+    @pytest.mark.parametrize("spinor, potential, message", [
+        # Both the combined route and the known potential are non-real at
+        # every point: the route comes first.
+        (["1", "0", "0.5*i", "0"], ["i*x1", "0", "0", "0"],
+         "recovered potential has relative imaginary residue"),
+        # The route recovers a real potential; the known one is non-real.
+        (["exp(-i*kappa*x0)", "0", "0", "0"], ["0", "0", "0", "i*x1"],
+         "potential has imaginary residue"),
+    ])
+    def test_invert_fails_at_the_first_point_in_route_order(self, tmp_path, capsys,
+                                                           spinor, potential, message):
+        domain = {"count": 20, "seed": 4}
+        payload = {"kappa": 1.3, "spinor": {"exprs": spinor, "params": {"kappa": 1.3}},
+                   "potential": {"exprs": potential}, "domain": domain,
+                   "tasks": ["classify", "invert"]}
+        code, out = _run(capsys, ["run", _write(tmp_path, payload)])
+        assert code == 1
+        invert = [t for t in json.loads(out)["tasks"] if t["task"] == "invert"][0]
+        assert invert["error"] == "NonRealPotential"
+        detail = invert["checks"]["checks"][0]["detail"]
+        first = tuple(SampleDomain(**domain).points()[0].tolist())
+        assert detail.startswith(message) and f"at {first}" in detail
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code = cli.main(["--out", str(out_path), "run", _write(tmp_path, GOOD_SCENARIO)])
@@ -220,6 +246,14 @@ class TestSelftest:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", [109300515, 1161092498, 1510276717, 369])
+    def test_derivative_suite_passes_on_seeds_that_once_failed(self, seed):
+        # The step-halving gate used to be absolute below |fd| ~ 1 and blind to
+        # round-off from a large |value|, so these seeds let through a pair
+        # whose difference quotient was worse than the relative check allows.
+        suite = selftest.derivative_suite(seed)
+        assert [c.passed for c in suite.checks] == [True, True, True]
+
     def test_corrupted_gamma_constant_fails_structure_suite(self, capsys, monkeypatch):
         # Flip one entry of the second matrix: the anticommutation table and
         # hermiticity checks must catch it and the exit code must flip to 1.
@@ -250,3 +284,52 @@ def test_reports_reject_non_finite_numbers():
         render_report({"value": float("nan")})
     with pytest.raises(ValueError):
         render_report({"nested": [{"x": float("inf")}]})
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("change, extra, message", [
+    ({"kappa": _NAN}, [], "kappa"),
+    ({"kappa": _INF}, [], "kappa"),
+    ({"spinor": {"exprs": ["exp(-i*k*x0)", "0", "0", "0"], "params": {"k": _NAN}}},
+     [], "spinor.params.k"),
+    ({"spinor": {"catalog": "degenerate_example", "params": {"alpha": _NAN}}},
+     [], "alpha must be finite"),
+    ({"potential": {"exprs": ["a", "0", "0", "0"], "params": {"a": [0.0, _INF]}}},
+     [], "potential.params.a"),
+    ({"tolerances": {"residual": -1e-9}}, [], "tolerances.residual"),
+    ({"tolerances": {"guard": 0.0}}, [], "tolerances.guard"),
+    ({"tolerances": {"real": _INF}}, [], "tolerances.real"),
+    ({"tolerances": {"mass": _NAN}}, [], "tolerances.mass"),
+    ({}, ["--tol", "nan"], "--tol"),
+    ({}, ["--tol", "0"], "--tol"),
+    ({"domain": {"count": scenario.MAX_SAMPLES + 1}}, [], "domain.count"),
+    ({"domain": {"count": _INF}}, [], "domain"),
+    ({}, ["--samples", str(scenario.MAX_SAMPLES + 1)], "domain.count"),
+    ({}, ["--samples", "0"], "domain"),
+])
+def test_bad_numbers_rejected_before_any_computation(tmp_path, capsys, monkeypatch,
+                                                     change, extra, message):
+    # Sampling is the first step of every task and of every catalog self-test;
+    # the rejection must come before it, so the probe allocates nothing.
+    def no_sampling(self):
+        raise AssertionError("a scenario with bad numbers reached sampling")
+
+    monkeypatch.setattr(SampleDomain, "points", no_sampling)
+    payload = {**GOOD_SCENARIO, "tasks": list(scenario.TASKS), **change}
+    path = _write(tmp_path, payload)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario.load_scenario(path, **_overrides(extra))
+    code = cli.main(["run", path, *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _overrides(extra: list[str]) -> dict:
+    flags = {"--tol": ("tol", float), "--samples": ("samples", int)}
+    return {flags[flag][0]: flags[flag][1](value)
+            for flag, value in zip(extra[::2], extra[1::2])}

@@ -16,6 +16,7 @@ from diracinv.fields import SpinorField
 from diracinv.inversion import FourPotential
 
 POINT = (0.21, -0.33, 0.54, -0.18)
+AT_POINT = [POINT]
 
 
 @pytest.fixture(scope="module")
@@ -26,33 +27,33 @@ def edge_wave():
 
 class TestIndicator:
     def test_edge_wave_is_null(self, edge_wave, rng):
-        for _ in range(10):
-            assert abs(indicator(edge_wave, rng.uniform(-1, 1, 4))) < 1e-14
+        assert np.abs(indicator(edge_wave, rng.uniform(-1, 1, (10, 4)))).max() < 1e-14
 
     def test_rest_wave_is_unity(self, rest_wave, rng):
-        for _ in range(10):
-            value = indicator(rest_wave.spinor, rng.uniform(-1, 1, 4))
+        for value in indicator(rest_wave.spinor, rng.uniform(-1, 1, (10, 4))):
             assert value == pytest.approx(1.0, abs=1e-13)
 
     def test_composed_null_form_random_uvw(self, rng):
         for _ in range(100):
             u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             field = compose_degenerate(u, v, w)
-            value = indicator(field, POINT)
-            norm_sq = float(np.vdot(field.value(POINT), field.value(POINT)).real)
+            value = indicator(field, AT_POINT)[0]
+            v = field.values(AT_POINT)[0]
+            norm_sq = float(np.vdot(v, v).real)
             assert abs(value) <= 1e-12 * max(norm_sq, 1.0)
 
     def test_splits_into_real_and_imaginary_bilinears(self, rng):
         # The indicator's real part is the hermitian bilinear and its
         # imaginary part the anti-hermitian one, so it vanishes iff both do.
-        from diracinv.fields import bilinear_adjoint
+        from diracinv.fields import bilinear
         g54 = gamma(5) @ gamma(4)
         for _ in range(50):
             values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             field = SpinorField([exprlang.Num(complex(c)) for c in values])
-            ind = indicator(field, POINT)
-            b4 = bilinear_adjoint(field, gamma(4), POINT)
-            b54 = bilinear_adjoint(field, g54, POINT)
+            ind = indicator(field, AT_POINT)[0]
+            v = field.values(AT_POINT)
+            b4 = bilinear(v.conj(), gamma(4), v)[0]
+            b54 = bilinear(v.conj(), g54, v)[0]
             assert ind == pytest.approx(b4 + b54, rel=1e-13, abs=1e-13)
             assert abs(b4.imag) < 1e-13 * abs(ind + 1)
             assert abs(b54.real) < 1e-13 * abs(ind + 1)
@@ -70,6 +71,16 @@ class TestClassify:
         cls = classify(rest_wave.spinor, unit_domain, kappa=1.0)
         assert cls.verdict == "non-degenerate"
         assert len(cls.degenerate_points) == 0
+
+    def test_keeps_transpose_bilinear_and_norm_for_every_verdict(self, rest_wave,
+                                                                  unit_domain):
+        # The rest wave is non-degenerate and its transpose g2 bilinear
+        # vanishes identically; |psi|^2 = 1 on the whole support.
+        cls = classify(rest_wave.spinor, unit_domain, kappa=1.0)
+        assert cls.gamma2_cover_fraction is None
+        assert cls.transpose_g2.shape == cls.norm_sq.shape == (len(cls.support_points),)
+        assert np.array_equal(cls.transpose_g2, np.zeros(len(cls.support_points)))
+        assert cls.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_spinor_raises(self, unit_domain):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
@@ -94,16 +105,16 @@ class TestTheta:
         # Signs fixed by the forward residual: (+cos a cos(p2-p1),
         # +cos a sin(p2-p1), -sin a) for the exponential example.
         expected = np.array(catalog.example_thetas(0.3, 0.2, -0.1))
-        for _ in range(10):
-            t = theta(degenerate_default.spinor, rng.uniform(-1, 1, 4))
-            assert t.as_array() == pytest.approx(expected, abs=1e-9)
-            assert t.imag_residue < 1e-10
+        t = theta(degenerate_default.spinor, rng.uniform(-1, 1, (10, 4)))
+        for values, residue in zip(t.values, t.imag_residue):
+            assert values == pytest.approx(expected, abs=1e-9)
+            assert residue < 1e-10
 
     def test_axis_aligned_parameters(self):
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
-        t = theta(inst.spinor, POINT)
-        assert t.as_array() == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
+        t = theta(inst.spinor, AT_POINT)
+        assert t.values[0] == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
 
     def test_unit_norm_over_random_parameters(self, rng):
         for _ in range(20):
@@ -113,18 +124,28 @@ class TestTheta:
             inst = catalog.build("degenerate_example",
                                  {"kappa": 1.0, "alpha": alpha,
                                   "phi1": phi1, "phi2": phi2})
-            t = theta(inst.spinor, POINT)
-            assert t.norm_sq == pytest.approx(1.0, abs=1e-9)
+            t = theta(inst.spinor, AT_POINT)
+            assert t.norm_sq[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_guard_violated_when_denominator_vanishes(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
         with pytest.raises(GuardViolated):
-            theta(field, POINT)
+            theta(field, AT_POINT)
 
     def test_nonreal_theta_flags_non_solutions(self):
         field = SpinorField.from_strings(["1", "2*i", "0.3", "0-1"])
         with pytest.raises(NonRealTheta):
-            theta(field, POINT)
+            theta(field, AT_POINT)
+
+    def test_batch_raises_for_the_first_bad_point(self):
+        # Non-real wherever x1 != 0; at x1 = 0 the spinor vanishes and the
+        # guard misses.  The first bad point in the given order decides.
+        field = SpinorField.from_strings(["x1", "2*i*x1", "0.3*x1", "0-x1"])
+        nonreal, vanishing = (0.1, 0.5, 0.2, 0.3), (0.1, 0.0, 0.2, 0.3)
+        with pytest.raises(NonRealTheta, match=r"at \(0\.1, 0\.5, 0\.2, 0\.3\)"):
+            theta(field, [nonreal, vanishing])
+        with pytest.raises(GuardViolated, match=r"at \(0\.1, 0\.0, 0\.2, 0\.3\)"):
+            theta(field, [vanishing, nonreal])
 
 
 class TestPotentialFamily:
@@ -163,11 +184,11 @@ class TestPotentialFamily:
     def test_theta_exprs_evaluate_like_theta(self, degenerate_default, rng):
         exprs = theta_exprs(degenerate_default.spinor)
         params = degenerate_default.spinor.params
-        for _ in range(5):
-            p = rng.uniform(-1, 1, 4)
-            t = theta(degenerate_default.spinor, p)
+        pts = rng.uniform(-1, 1, (5, 4))
+        t = theta(degenerate_default.spinor, pts)
+        for p, expected in zip(pts, t.values):
             values = [exprlang.evaluate(e, p, params) for e in exprs]
-            assert np.real(values) == pytest.approx(t.as_array(), abs=1e-12)
+            assert np.real(values) == pytest.approx(expected, abs=1e-12)
 
 
 class TestComposeDecompose:
@@ -188,7 +209,7 @@ class TestComposeDecompose:
                                    exprlang.parse("exp(i*x0)"))
         p = (0.3, 0.7, -0.4, 0.0)
         u, v, w = 0.7, -0.4j, np.exp(0.3j)
-        assert field.value(p) == pytest.approx(compose_values(u, v, w), rel=1e-12)
+        assert field.values([p])[0] == pytest.approx(compose_values(u, v, w), rel=1e-12)
 
     def test_round_trip_random(self, rng):
         for _ in range(100):
@@ -316,7 +337,7 @@ class TestZeroMass:
         assert cls.verdict == "degenerate"
         assert cls.gamma2_cover_fraction == 0.0
         with pytest.raises(GuardViolated):
-            theta(field, POINT)
+            theta(field, AT_POINT)
 
 
 class TestZeroMassSystemDet:

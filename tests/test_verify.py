@@ -12,13 +12,14 @@ from diracinv.verify import (dirac_residual, field_tensor, gauge_equivalent,
                              tensor_gap)
 
 POINT = (0.37, -0.11, 0.62, -0.48)
+AT_POINT = [POINT]
 
 
 class TestDiracResidual:
     def test_rest_wave_vanishes_exactly(self, rest_wave, rng):
-        for _ in range(10):
-            r = dirac_residual(rest_wave.spinor, None, 1.0, rng.uniform(-1, 1, 4))
-            assert np.abs(r).max() == 0.0
+        r = dirac_residual(rest_wave.spinor, None, 1.0, rng.uniform(-1, 1, (10, 4)))
+        assert r.shape == (10, 4)
+        assert np.abs(r).max() == 0.0
 
     def test_degenerate_example_force_free(self, degenerate_default, unit_domain):
         report = residual_norm(degenerate_default.spinor, None, 1.0, unit_domain)
@@ -32,16 +33,20 @@ class TestDiracResidual:
     def test_affine_in_mass(self, degenerate_default, rng):
         # Residual with mass kappa+d on a kappa-solution is exactly d*psi.
         for delta_kappa in (0.5, -0.25, 1e-3):
-            p = rng.uniform(-1, 1, 4)
+            p = [rng.uniform(-1, 1, 4)]
             r = dirac_residual(degenerate_default.spinor, None, 1.0 + delta_kappa, p)
-            expected = abs(delta_kappa) * np.linalg.norm(degenerate_default.spinor.value(p))
+            expected = abs(delta_kappa) * np.linalg.norm(degenerate_default.spinor.values(p))
             assert np.linalg.norm(r) == pytest.approx(expected, rel=1e-10)
 
     def test_accepts_numeric_potential_values(self, rest_wave):
-        r = dirac_residual(rest_wave.spinor, (0.0, 0.0, 0.0, 0.0), 1.0, POINT)
+        r = dirac_residual(rest_wave.spinor, [(0.0, 0.0, 0.0, 0.0)], 1.0, AT_POINT)
+        assert np.abs(r).max() == 0.0
+        r = dirac_residual(rest_wave.spinor, np.zeros((2, 4)), 1.0, [POINT, POINT])
         assert np.abs(r).max() == 0.0
         with pytest.raises(ValueError):
-            dirac_residual(rest_wave.spinor, (0.0, 0.0), 1.0, POINT)
+            dirac_residual(rest_wave.spinor, (0.0, 0.0), 1.0, AT_POINT)
+        with pytest.raises(ValueError):
+            dirac_residual(rest_wave.spinor, np.zeros((3, 4)), 1.0, [POINT, POINT])
 
 
 class TestResidualNorm:
