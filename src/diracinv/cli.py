@@ -19,7 +19,8 @@ from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPo
                      NonRealTheta, NotDegenerate, ParseError, ScenarioError)
 from .exprlang import EvaluationError
 from .report import CheckSet, render_report
-from .scenario import Scenario, build_scenario, demo_scenario, load_scenario
+from .scenario import (MAX_SAMPLES, Scenario, build_scenario, demo_scenario,
+                       load_scenario)
 from .verify import tensor_gap
 
 _INVERT_TABLE_LIMIT = 200
@@ -104,8 +105,7 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
     known = None
     if sc.potential is not None:
         upto = stop if failed.size and non_real[0, stop] else stop + 1
-        known = np.array([sc.potential.values(p, real_tol=real_tol)
-                          for p in pts[:upto][ok[:upto]]])
+        known = sc.potential.values(pts[:upto][ok[:upto]], real_tol=real_tol)
     if failed.size:
         route = (combined, *others)[int(np.argmax(non_real[:, stop]))]
         raise route.non_real_error(stop)
@@ -333,6 +333,8 @@ def main(argv=None) -> int:
         else:
             seed = 42 if args.seed is None else args.seed
             samples = 100 if args.samples is None else args.samples
+            if not 1 <= samples <= MAX_SAMPLES:
+                raise ScenarioError(f"--samples: {samples} is not in 1..{MAX_SAMPLES}")
             suites, passed = selftest.run_selftest(seed, samples)
             report = {
                 "tool": {"name": "diracinv", "version": __version__},

@@ -25,7 +25,7 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
-from .fields import (Frame, SampleDomain, SpinorField, as_point, bilinear, frame,
+from .fields import (Frame, SampleDomain, SpinorField, as_points, bilinear, frame,
                      merge_params, require_support, sample_support, squared_norm)
 
 DEFAULT_GUARD = 1e-10
@@ -60,16 +60,24 @@ class FourPotential:
             self._derivatives[key] = exprlang.differentiate(self.components[idx], axis)
         return self._derivatives[key]
 
-    def values(self, p, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
-        """Real component values at a point; realness is checked, not assumed."""
-        p = as_point(p)
-        raw = np.array([exprlang.evaluate(c, p, self.params) for c in self.components])
-        scale = 1.0 + float(np.abs(raw.real).max())
-        worst = float(np.abs(raw.imag).max())
-        if worst > real_tol * scale:
+    def values(self, points, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
+        """Real component values (N, 4) at (N, 4) points, or (4,) at one (4,) point.
+
+        Realness is checked, not assumed: raises NonRealPotential at the
+        first point, in order, whose imaginary residue exceeds real_tol
+        relative to 1 + max |Re a| there.
+        """
+        single = np.shape(points) == (4,)
+        pts = as_points([points] if single else points)
+        raw = np.stack([exprlang.evaluate_many(c, pts, self.params)
+                        for c in self.components], axis=1)
+        worst = np.abs(raw.imag).max(axis=1)
+        bad = np.flatnonzero(worst > real_tol * (1.0 + np.abs(raw.real).max(axis=1)))
+        if bad.size:
+            i = bad[0]
             raise NonRealPotential(
-                f"potential has imaginary residue {worst:.3e} at {tuple(p)}")
-        return raw.real.copy()
+                f"potential has imaginary residue {worst[i]:.3e} at {tuple(pts[i].tolist())}")
+        return raw.real[0] if single else raw.real
 
     def plus(self, other: "FourPotential") -> "FourPotential":
         params = merge_params(self.params, other.params)
@@ -282,8 +290,10 @@ def gauge_fix_temporal(field: SpinorField, a0: Expr, k: float,
                        a0_params: Mapping[str, complex] | None = None) -> SpinorField:
     """Remove the temporal component: psi0 = exp(+i * integral_k^{x0} a0 ds) psi.
 
-    The path integral is evaluated by adaptive quadrature (tolerance 1e-11)
-    at each requested point.
+    The path integral runs along x0 at fixed (x1, x2, x3).  It is evaluated
+    at all requested points at once by the composite Gauss-Legendre rule of
+    `exprlang` (tolerance 1e-11); non-convergence or an integrand that fails
+    to evaluate on the path raises QuadratureError.
     """
     integral = exprlang.path_integral(a0, k)
     factor = exprlang.call("exp", exprlang.mul(exprlang.Num(1j), integral))

@@ -6,29 +6,36 @@ claimed correspondence.  The residual is computed over a batch of points
 from one spinor frame.  Potentials enter it through their values only, so a
 potential may be given as a FourPotential or as (N, 4) numeric component
 values at the points.
+
+The potential-side checks work on the same batches: `field_tensor` gives
+the six gauge-invariant entries (N, 6) from the off-diagonal component
+partials, each evaluated once over all points, and `lightlike_gap` the
+Minkowski square (N,) of the difference of two potentials.  `tensor_gap` and
+`lightlike_gap_max` reduce them to the largest magnitude over the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from . import exprlang
 from .clifford import gamma
 from .errors import NonRealPotential
-from .fields import Point, SampleDomain, SpinorField, as_point, frame, sample_support
+from .fields import (Point, SampleDomain, SpinorField, as_point, as_points, frame,
+                     sample_support)
 from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
 
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
-    """(N, 4) real potential values; FourPotential components are evaluated per point."""
+    """(N, 4) real potential values at the points."""
     if potential is None:
         return np.zeros((len(points), 4))
     if isinstance(potential, FourPotential):
-        return np.array([potential.values(p) for p in points]).reshape(len(points), 4)
+        return potential.values(points)
     values = np.asarray(potential, dtype=float)
     if values.shape != (len(points), 4):
         raise ValueError(f"potential values must be 4 reals per point, got shape "
@@ -80,59 +87,43 @@ def residual_norm(field: SpinorField, potential, kappa: float, domain: SampleDom
                           norms, float(rel.max()), len(norms))
 
 
-@dataclass(frozen=True)
-class FieldTensor:
-    """The six independent entries of the gauge-invariant curl of a potential."""
-
-    f01: float
-    f02: float
-    f03: float
-    f12: float
-    f13: float
-    f23: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.f01, self.f02, self.f03, self.f12, self.f13, self.f23])
+# Index pairs (mu, nu) of the field tensor entries, in column order.
+_TENSOR_ENTRIES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def field_tensor(potential: FourPotential, p) -> FieldTensor:
-    """Gauge-invariant antisymmetrized derivative at a point.
+def field_tensor(potential: FourPotential, points) -> np.ndarray:
+    """Gauge-invariant antisymmetrized derivative (N, 6) at (N, 4) points.
 
-    The temporal component couples into the equation with the opposite sign
-    to the spatial ones, so a pure gauge shift moves (a0, ak) by
-    (+d0 f, -dk f).  The quantity annihilated by every such shift is the curl
-    of (-a0, a1, a2, a3): entries f_0i = d0 ai + di a0 and
-    f_ij = di aj - dj ai.  Up to overall sign the f_0i match the physical
-    electric-field components.
+    Columns are f01, f02, f03, f12, f13, f23; each of the 12 partials they
+    use is evaluated once over all points.  The temporal component
+    couples into the equation with the opposite sign to the spatial ones, so
+    a pure gauge shift moves (a0, ak) by (+d0 f, -dk f).  The quantity
+    annihilated by every such shift is the curl of (-a0, a1, a2, a3):
+    entries f_0i = d0 ai + di a0 and f_ij = di aj - dj ai.  Up to overall
+    sign the f_0i match the physical electric-field components.  An entry
+    with a non-negligible imaginary part raises NonRealPotential, at the
+    first such point and there at the first such entry.
     """
-    from . import exprlang
+    pts = as_points(points)
 
-    p = as_point(p)
-    grad = np.empty((4, 4), dtype=complex)  # grad[mu, nu] = d_mu a_nu
-    for nu in range(4):
-        for mu in range(4):
-            grad[mu, nu] = exprlang.evaluate(potential.component_derivative(nu, mu),
-                                             p, potential.params)
-    entries = []
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            value = grad[mu, nu] - grad[nu, mu]
-            if mu == 0:
-                value = grad[0, nu] + grad[nu, 0]
-            if abs(value.imag) > 1e-8 * (1.0 + abs(value.real)):
-                raise NonRealPotential(
-                    f"field tensor entry ({mu},{nu}) has imaginary part {value.imag:.3e}")
-            entries.append(float(value.real))
-    return FieldTensor(*entries)
+    def d(mu: int, nu: int) -> np.ndarray:  # d_mu a_nu at every point
+        return exprlang.evaluate_many(potential.component_derivative(nu, mu), pts,
+                                      potential.params)
+
+    entries = np.stack([d(0, nu) + d(nu, 0) if mu == 0 else d(mu, nu) - d(nu, mu)
+                        for mu, nu in _TENSOR_ENTRIES], axis=1)
+    bad = np.abs(entries.imag) > 1e-8 * (1.0 + np.abs(entries.real))
+    if bad.any():
+        i, j = divmod(int(np.flatnonzero(bad)[0]), len(_TENSOR_ENTRIES))
+        mu, nu = _TENSOR_ENTRIES[j]
+        raise NonRealPotential(
+            f"field tensor entry ({mu},{nu}) has imaginary part {entries[i, j].imag:.3e}")
+    return entries.real.copy()
 
 
-def tensor_gap(a: FourPotential, b: FourPotential, points: Sequence) -> float:
+def tensor_gap(a: FourPotential, b: FourPotential, points) -> float:
     """Max componentwise field-tensor difference over the given points."""
-    worst = 0.0
-    for p in points:
-        diff = field_tensor(a, p).as_array() - field_tensor(b, p).as_array()
-        worst = max(worst, float(np.abs(diff).max()))
-    return worst
+    return float(np.abs(field_tensor(a, points) - field_tensor(b, points)).max(initial=0.0))
 
 
 def gauge_equivalent(a: FourPotential, b: FourPotential, domain: SampleDomain,
@@ -141,12 +132,11 @@ def gauge_equivalent(a: FourPotential, b: FourPotential, domain: SampleDomain,
     return tensor_gap(a, b, domain.points()) < tol
 
 
-def lightlike_gap(a: FourPotential, b: FourPotential, p) -> float:
-    """(a0-b0)^2 - sum_k (ak-bk)^2 at the point."""
-    p = as_point(p)
-    da = a.values(p) - b.values(p)
-    return float(da[0] ** 2 - da[1] ** 2 - da[2] ** 2 - da[3] ** 2)
+def lightlike_gap(a: FourPotential, b: FourPotential, points) -> np.ndarray:
+    """(a0-b0)^2 - sum_k (ak-bk)^2 at each of the (N, 4) points."""
+    da = a.values(points) - b.values(points)
+    return da[:, 0] ** 2 - da[:, 1] ** 2 - da[:, 2] ** 2 - da[:, 3] ** 2
 
 
-def lightlike_gap_max(a: FourPotential, b: FourPotential, points: Sequence) -> float:
-    return max((abs(lightlike_gap(a, b, p)) for p in points), default=0.0)
+def lightlike_gap_max(a: FourPotential, b: FourPotential, points) -> float:
+    return float(np.abs(lightlike_gap(a, b, points)).max(initial=0.0))

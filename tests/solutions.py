@@ -62,7 +62,3 @@ def gauge_superposition_pair(kappa: float, rng) -> tuple[SpinorField, FourPotent
     f, params = random_gauge_function(rng)
     spinor, shift = gauge_transform(superposition_field(kappa), f, params)
     return spinor, FourPotential.zero().plus(shift), kappa
-
-
-def known_values(potential: FourPotential, p) -> np.ndarray:
-    return potential.values(p)

@@ -136,7 +136,7 @@ def test_criterion_6_inversion_round_trip():
         ok = combined.ok  # criterion covers guard-passing points only
         assert not combined.non_real().any()
         if ok.any():
-            known = np.array([potential.values(p) for p in pts[ok]])
+            known = potential.values(pts[ok])
             worst_known = max(worst_known, float(np.abs(combined.a[ok] - known).max()))
         for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4):
             other = route(spinor, kappa, pts)

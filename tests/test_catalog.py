@@ -77,13 +77,13 @@ class TestDegenerateExample:
 class TestExampleFamily:
     def test_zero_direction_is_zero_potential(self, rng):
         pot = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.ZERO)
-        assert np.abs(pot.values(rng.uniform(-1, 1, 4))).max() == 0.0
+        assert np.abs(pot.values([rng.uniform(-1, 1, 4)])[0]).max() == 0.0
 
     def test_axis_aligned_constant_member(self):
         # alpha = phi1 = phi2 = 0 with f = 1: (1, +1, 0, 0).  The second
         # component's sign is pinned by the forward residual.
         pot = catalog.example_family(1.0, 0.0, 0.0, 0.0, exprlang.ONE)
-        assert pot.values((0, 0, 0, 0)) == pytest.approx((1.0, 1.0, 0.0, 0.0))
+        assert pot.values([(0, 0, 0, 0)])[0] == pytest.approx((1.0, 1.0, 0.0, 0.0))
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
         report = verify.residual_norm(inst.spinor, pot, 1.0, SampleDomain(count=30, seed=3))

@@ -246,6 +246,14 @@ class TestSelftest:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("samples", ["0", "-3", str(scenario.MAX_SAMPLES + 1)])
+    def test_sample_count_out_of_range_exits_2(self, capsys, samples):
+        code = cli.main(["selftest", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--samples" in captured.err
+
     @pytest.mark.parametrize("seed", [109300515, 1161092498, 1510276717, 369])
     def test_derivative_suite_passes_on_seeds_that_once_failed(self, seed):
         # The step-halving gate used to be absolute below |fd| ~ 1 and blind to
@@ -277,6 +285,15 @@ def test_shipped_scenarios_pass(capsys):
         out = capsys.readouterr().out
         assert code == 0, path
         assert json.loads(out)["summary"]["status"] == "pass"
+
+
+def test_cli_import_does_not_load_scipy():
+    import subprocess
+    import sys
+    probe = "import sys, diracinv.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_reports_reject_non_finite_numbers():

@@ -155,7 +155,7 @@ class TestPotentialFamily:
         member = potential_family(degenerate_default.spinor, base, exprlang.ZERO, cls)
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
-            assert member.values(p) == pytest.approx(base.values(p), abs=1e-12)
+            assert member.values([p])[0] == pytest.approx(base.values([p])[0], abs=1e-12)
 
     def test_matches_catalog_closed_form(self, degenerate_default, unit_domain, rng):
         cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)
@@ -165,7 +165,7 @@ class TestPotentialFamily:
         closed = catalog.example_family(1.0, 0.3, 0.2, -0.1, f)
         for _ in range(10):
             p = rng.uniform(-1, 1, 4)
-            assert general.values(p) == pytest.approx(closed.values(p), abs=1e-9)
+            assert general.values([p])[0] == pytest.approx(closed.values([p])[0], abs=1e-9)
 
     def test_members_pass_the_residual_oracle(self, degenerate_default, unit_domain):
         cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)

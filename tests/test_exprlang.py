@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracinv import exprlang
-from diracinv.errors import EvaluationError, ParseError
+from diracinv import exprlang, selftest
+from diracinv.errors import EvaluationError, ParseError, QuadratureError
 from diracinv.exprlang import (differentiate, evaluate, evaluate_many, parse,
                                to_text)
 
@@ -183,6 +183,64 @@ class TestPathIntegral:
         d = differentiate(node, 1)
         p = (0.5, 2.0, 0.0, 0.0)
         assert evaluate(d, p) == pytest.approx(1 - math.cos(0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("text, closed_form", [
+        ("sin(x0)", lambda p: 1 - np.cos(p[:, 0])),
+        ("exp(0.3*x0)*x1", lambda p: (np.exp(0.3 * p[:, 0]) - 1) / 0.3 * p[:, 1]),
+        ("1/(x0+3)", lambda p: np.log((p[:, 0] + 3) / 3)),
+    ])
+    def test_closed_forms_at_fifty_points(self, rng, text, closed_form):
+        pts = rng.uniform(-1, 1, (50, 4))
+        values = evaluate(exprlang.path_integral(parse(text), 0.0), pts)
+        assert np.abs(values - closed_form(pts)).max() <= 1e-12
+
+    def test_unresolved_integrand_fails_at_the_panel_cap(self):
+        # A peak of width 1e-6 on the path is beyond 64 panels of 15 nodes.
+        node = exprlang.path_integral(parse("1/((x0 - 0.3)^2 + 1e-12)"), 0.0)
+        with pytest.raises(QuadratureError, match="no convergence"):
+            evaluate(node, (1.0, 0.0, 0.0, 0.0))
+
+
+def test_single_point_matches_its_batch_row_bit_for_bit():
+    rng = np.random.default_rng(5)
+    compared = failed = 0
+    for _ in range(800):
+        e = selftest._random_expr(rng, depth=int(rng.integers(2, 5)))
+        pts = rng.uniform(-0.8, 0.8, (5, 4))
+        params = {"k1": complex(rng.uniform(0.5, 1.5)), "k2": complex(rng.uniform(0.5, 1.5))}
+        singles = []
+        for p in pts:
+            try:
+                singles.append(evaluate(e, p, params))
+            except EvaluationError:
+                singles.append(None)
+        if None in singles:
+            failed += 1
+            with pytest.raises(EvaluationError):
+                evaluate(e, pts, params)
+            continue
+        batch = evaluate(e, pts, params)
+        assert np.array(singles).tobytes() == batch.tobytes()
+        compared += len(pts)
+    assert compared >= 3500 and failed > 0
+
+
+def test_differentiate_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+    names = {f"x{k}": xs[k] for k in range(4)}
+    names.update(i=sympy.I, pi=sympy.pi, e=sympy.E)
+    texts = ("sin(x0)*exp(i*x1) + x2^3/(x3 + 4)", "log(2 + x1^2)*cosh(x0) - sqrt(3 + x2)",
+             "tan(0.5*x3)^(-2) + sinh(x0*x1)", "exp(-i*(x0 - 0.3*x2))*(x1 + 2*i)^2")
+    for text in texts:
+        e = parse(text)
+        reference = sympy.sympify(text.replace("^", "**"), locals=names)
+        for axis in range(4):
+            want = sympy.lambdify(xs, sympy.diff(reference, xs[axis]), "numpy")
+            d = differentiate(e, axis)
+            for p in rng.uniform(-0.9, 0.9, (5, 4)):
+                assert evaluate(d, p) == pytest.approx(complex(want(*p)),
+                                                       rel=1e-12, abs=1e-12)
 
 
 def _random_ast(rng, depth):

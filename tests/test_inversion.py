@@ -5,7 +5,7 @@ import pytest
 import solutions
 
 from diracinv import exprlang, verify
-from diracinv.errors import MassInconsistent, ZeroNorm
+from diracinv.errors import MassInconsistent, NonRealPotential, ZeroNorm
 from diracinv.fields import SampleDomain, SpinorField
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at,
                                 gauge_fix_temporal, gauge_transform, invert_combined,
@@ -94,7 +94,7 @@ class TestInvertGamma5Gamma4:
             for a, b in ((combined.a, second.a[hit]), (combined.a, first.a[hit]),
                          (first.a[hit], second.a[hit])):
                 assert np.abs(a - b).max() < 1e-8
-            known = np.array([pot.values(p) for p in pts[hit]])
+            known = pot.values(pts[hit])
             assert np.abs(second.a[hit] - known).max() < 1e-8
 
 
@@ -107,7 +107,7 @@ class TestOracleSupremacy:
             sample = invert_combined(spinor, kappa, pts)
             assert sample.ok.all()
             assert verify.residual_norm_at(spinor, sample.a, kappa, pts).max() < 1e-9
-            known = np.array([pot.values(p) for p in pts])
+            known = pot.values(pts)
             assert np.abs(sample.a - known).max() < 1e-8
 
 
@@ -165,19 +165,37 @@ class TestExtractMass:
         assert estimate.crosscheck_gap < 1e-8
 
 
+class TestFourPotentialValues:
+    def test_batch_rows_match_single_points(self, rng):
+        pot = FourPotential.from_strings(["sin(x0)*x1", "k", "exp(x2)", "x3^2"], {"k": 0.5})
+        pts = rng.uniform(-1, 1, (7, 4))
+        batch = pot.values(pts)
+        assert batch.shape == (7, 4)
+        for p, row in zip(pts, batch):
+            assert np.array_equal(pot.values(p), row)
+
+    def test_non_real_raises_at_the_first_bad_point(self):
+        pot = FourPotential.from_strings(["i*x1", "0", "0", "i*x2"])
+        pts = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.9, 0.0)]
+        with pytest.raises(NonRealPotential) as err:
+            pot.values(pts)
+        assert str(err.value) == ("potential has imaginary residue 5.000e-01 "
+                                  "at (0.0, 0.5, 0.0, 0.0)")
+
+
 class TestGaugeTransform:
     def test_zero_function_is_identity(self, rest_wave, rng):
         spinor, shift = gauge_transform(rest_wave.spinor, exprlang.ZERO)
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
             assert spinor.values([p])[0] == pytest.approx(rest_wave.spinor.values([p])[0])
-            assert np.abs(shift.values(p)).max() == 0.0
+            assert np.abs(shift.values([p])[0]).max() == 0.0
 
     def test_shift_signs_against_the_forward_residual(self, rest_wave, rng):
         # a0 picks up +d0 f while the spatial components pick up -dk f.
         f = exprlang.parse("0.2*x0 - 0.5*x2")
         spinor, shift = gauge_transform(rest_wave.spinor, f)
-        assert shift.values(POINT) == pytest.approx((0.2, 0.0, 0.5, 0.0), abs=1e-15)
+        assert shift.values([POINT])[0] == pytest.approx((0.2, 0.0, 0.5, 0.0), abs=1e-15)
         pot = FourPotential.zero().plus(shift)
         report = verify.residual_norm(spinor, pot, 1.0, SampleDomain(count=30, seed=8))
         assert report.max_norm < 1e-12
@@ -191,7 +209,7 @@ class TestGaugeTransform:
             p = rng.uniform(-1, 1, 4)
             assert back.values([p])[0] == pytest.approx(rest_wave.spinor.values([p])[0],
                                                         rel=1e-12, abs=1e-12)
-            assert np.abs(total.values(p)).max() < 1e-12
+            assert np.abs(total.values([p])[0]).max() < 1e-12
 
 
 class TestGaugeFixTemporal:

@@ -5,6 +5,7 @@ import pytest
 import solutions
 
 from diracinv import catalog, exprlang
+from diracinv.errors import NonRealPotential
 from diracinv.fields import SampleDomain, SpinorField
 from diracinv.inversion import FourPotential, gauge_transform
 from diracinv.verify import (dirac_residual, field_tensor, gauge_equivalent,
@@ -82,21 +83,39 @@ class TestResidualNorm:
 class TestFieldTensor:
     def test_constant_potential(self):
         pot = FourPotential.from_strings(["2", "0-1", "0.5", "3"])
-        assert np.array_equal(field_tensor(pot, POINT).as_array(), np.zeros(6))
+        assert np.array_equal(field_tensor(pot, [POINT])[0], np.zeros(6))
 
     def test_linear_family_pattern(self):
         # (x0, x0*t1, x0*t2, x0*t3) with constant t: temporal rows carry t,
         # spatial rows vanish.
         pot = FourPotential.from_strings(["x0", "x0*0.4", "x0*(0-0.3)", "x0*0.8"])
-        t = field_tensor(pot, POINT)
-        assert t.as_array() == pytest.approx(np.array([0.4, -0.3, 0.8, 0, 0, 0]))
+        t = field_tensor(pot, [POINT])[0]
+        assert t == pytest.approx(np.array([0.4, -0.3, 0.8, 0, 0, 0]))
 
     def test_pure_gauge_shift_has_zero_tensor(self, rest_wave, rng):
         for _ in range(10):
             f, params = solutions.random_gauge_function(rng)
             _, shift = gauge_transform(rest_wave.spinor, f, params)
             p = rng.uniform(-1, 1, 4)
-            assert np.abs(field_tensor(shift, p).as_array()).max() < 1e-10
+            assert np.abs(field_tensor(shift, [p])[0]).max() < 1e-10
+
+
+    def test_batch_is_n_by_six_in_entry_order(self, rng):
+        pot = FourPotential.from_strings(["x1*x2", "x0*x3", "sin(x1)", "x2^2"])
+        pts = rng.uniform(-1, 1, (6, 4))
+        t = field_tensor(pot, pts)
+        x0, x1, x2, x3 = pts.T
+        # f01 = d0 a1 + d1 a0, f02 = d0 a2 + d2 a0, f03 = d0 a3 + d3 a0,
+        # f12 = d1 a2 - d2 a1, f13 = d1 a3 - d3 a1, f23 = d2 a3 - d3 a2.
+        expected = np.stack([x3 + x2, x1, np.zeros(6), np.cos(x1), -x0, 2 * x2], axis=1)
+        assert t == pytest.approx(expected, abs=1e-14)
+
+    def test_non_real_entry_raises_at_the_first_bad_point(self):
+        pot = FourPotential.from_strings(["0", "i*x0*x1", "0", "0"])
+        pts = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0)]
+        with pytest.raises(NonRealPotential) as err:
+            field_tensor(pot, pts)
+        assert str(err.value) == "field tensor entry (0,1) has imaginary part 5.000e-01"
 
 
 class TestGaugeEquivalent:
@@ -134,12 +153,12 @@ class TestLightlikeGap:
 
     def test_identical_potentials(self, unit_domain):
         a = FourPotential.from_strings(["x0", "x1", "0", "sin(x2)"])
-        assert lightlike_gap(a, a, POINT) == 0.0
+        assert lightlike_gap(a, a, [POINT])[0] == 0.0
 
     def test_unrelated_potentials(self):
         a = FourPotential.zero()
         b = FourPotential.from_strings(["1", "0", "0", "0"])
-        assert lightlike_gap(a, b, POINT) == pytest.approx(1.0)
+        assert lightlike_gap(a, b, [POINT])[0] == pytest.approx(1.0)
 
     def test_verified_pairs_satisfy_the_gap_bound(self, degenerate_default, unit_domain):
         # Any two potentials that both pass the residual oracle for one spinor
