@@ -13,11 +13,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, degeneracy, exprlang, inversion, selftest, verify
+from . import __version__, degeneracy, exprlang, fields, inversion, selftest, verify
 from .degeneracy import Classification
 from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPotential,
                      NonRealTheta, NotDegenerate, ParseError, ScenarioError)
 from .exprlang import EvaluationError
+from .fields import SupportSample
 from .report import CheckSet, render_report
 from .scenario import (MAX_SAMPLES, Scenario, build_scenario, demo_scenario,
                        load_scenario)
@@ -26,12 +27,18 @@ from .verify import tensor_gap
 _INVERT_TABLE_LIMIT = 200
 
 
+def _sample(sc: Scenario, state: dict) -> SupportSample:
+    """The run's one support sample, and through it one frame, shared by every task."""
+    if "sample" not in state:
+        state["sample"] = fields.sample_support(sc.spinor, sc.domain, sc.tolerances["support"])
+    return state["sample"]
+
+
 def _classification(sc: Scenario, state: dict) -> Classification:
     """The scenario's classification, computed by the first task that needs it."""
     if "classification" not in state:
         state["classification"] = degeneracy.classify(
-            sc.spinor, sc.domain, sc.tolerances["classify"],
-            kappa=sc.kappa, support_tol=sc.tolerances["support"])
+            _sample(sc, state), sc.tolerances["classify"], kappa=sc.kappa)
     return state["classification"]
 
 
@@ -67,8 +74,7 @@ def _task_mass(sc: Scenario, state: dict) -> dict:
     out: dict = {}
     try:
         estimate = inversion.extract_mass(
-            sc.spinor, a0, sc.domain, a0_params=a0_params,
-            support_tol=sc.tolerances["support"],
+            _sample(sc, state), a0, a0_params=a0_params,
             spread_tol=sc.tolerances["mass_spread"])
     except MassInconsistent as exc:
         checks.add("pointwise mass is consistent", False, detail=str(exc))
@@ -88,11 +94,12 @@ def _task_mass(sc: Scenario, state: dict) -> dict:
 
 def _task_invert(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("invert")
-    pts = _classification(sc, state).support_points[:_INVERT_TABLE_LIMIT]
+    fr = _sample(sc, state).frame.rows(slice(_INVERT_TABLE_LIMIT))
+    pts = fr.points
     guard = sc.tolerances["guard"]
     real_tol = sc.tolerances["real"]
-    combined = inversion.invert_combined(sc.spinor, sc.kappa, pts, guard=guard)
-    others = [route(sc.spinor, sc.kappa, pts, guard=guard)
+    combined = inversion.invert_combined(fr, sc.kappa, guard=guard)
+    others = [route(fr, sc.kappa, guard=guard)
               for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4)]
     ok = combined.ok
 
@@ -126,7 +133,7 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
     }
     if recovered:
         a = combined.a[ok]
-        worst_oracle = float(verify.residual_norm_at(sc.spinor, a, sc.kappa, pts[ok]).max())
+        worst_oracle = float(verify.residual_norm_at(fr.rows(ok), a, sc.kappa).max())
         gaps = [np.abs(combined.a - route.a)[ok & route.ok] for route in others]
         worst_agreement = float(max((g.max() for g in gaps if g.size), default=0.0))
         checks.add("recovered potential passes the residual oracle",
@@ -153,22 +160,22 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     # The family is defined where the transpose g2 bilinear passes the guard:
     # for nonzero mass the whole support of a degenerate solution, for zero
     # mass possibly less.
-    region = cls.support_points[np.abs(cls.transpose_g2)
-                                > sc.tolerances["guard"] * cls.norm_sq]
+    region = np.flatnonzero(np.abs(cls.transpose_g2) > sc.tolerances["guard"] * cls.norm_sq)
     out["region_points"] = len(region)
     checks.add("family region is nonempty on the sample", len(region) > 0,
                value=float(len(region)))
     if len(region) == 0:
         out["checks"] = checks.as_dict()
         return out
-    pts = region[:50]
+    fr = _sample(sc, state).frame.rows(region[:50])
+    pts = fr.points
     members = {}
     try:
         for label, f in directions:
             member = degeneracy.potential_family(sc.spinor, base, f, cls,
                                                  f_params=sc.f_params)
             members[label] = member
-            worst = float(verify.residual_norm_at(sc.spinor, member, sc.kappa, pts).max())
+            worst = float(verify.residual_norm_at(fr, member, sc.kappa).max())
             gap = verify.lightlike_gap_max(member, base, pts)
             out["members"].append({
                 "f": label,
@@ -199,8 +206,7 @@ def _task_family(sc: Scenario, state: dict) -> dict:
 
 def _task_verify(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("verify")
-    report = verify.residual_norm(sc.spinor, sc.potential, sc.kappa, sc.domain,
-                                  support_tol=sc.tolerances["support"])
+    report = verify.residual_norm(_sample(sc, state), sc.potential, sc.kappa)
     out: dict = {"no_support": report.no_support}
     if report.no_support:
         checks.add("sample contains support points", False,
@@ -219,14 +225,9 @@ def _task_verify(sc: Scenario, state: dict) -> dict:
 
 
 def _task_selftest(sc: Scenario, state: dict) -> dict:
-    suites, _ = selftest.run_selftest(sc.domain.seed, sc.domain.count)
-    return {
-        "sections": [s.as_dict() for s in suites],
-        "checks": {"name": "selftest",
-                   "total": sum(len(s.checks) for s in suites),
-                   "failed": sum(s.n_failed for s in suites),
-                   "checks": []},
-    }
+    sections, total, failed = selftest.run_selftest(sc.domain.seed, sc.domain.count)
+    return {"sections": sections,
+            "checks": {"name": "selftest", "total": total, "failed": failed, "checks": []}}
 
 
 _TASK_RUNNERS = {
@@ -266,10 +267,13 @@ def execute_scenario(sc: Scenario, command: str) -> tuple[dict, int]:
         "samples": sc.domain.count,
         "scenario": sc.raw,
         "tasks": task_reports,
-        "summary": {"checks": total, "failed": failed,
-                    "status": "pass" if failed == 0 else "fail"},
+        "summary": _summary(total, failed),
     }
     return report, 0 if failed == 0 else 1
+
+
+def _summary(total: int, failed: int) -> dict:
+    return {"checks": total, "failed": failed, "status": "pass" if failed == 0 else "fail"}
 
 
 def run_scenario(path: str, seed: int | None = None, samples: int | None = None,
@@ -335,20 +339,16 @@ def main(argv=None) -> int:
             samples = 100 if args.samples is None else args.samples
             if not 1 <= samples <= MAX_SAMPLES:
                 raise ScenarioError(f"--samples: {samples} is not in 1..{MAX_SAMPLES}")
-            suites, passed = selftest.run_selftest(seed, samples)
+            sections, total, failed = selftest.run_selftest(seed, samples)
             report = {
                 "tool": {"name": "diracinv", "version": __version__},
                 "command": "selftest",
                 "seed": seed,
                 "samples": samples,
-                "sections": [s.as_dict() for s in suites],
-                "summary": {
-                    "checks": sum(len(s.checks) for s in suites),
-                    "failed": sum(s.n_failed for s in suites),
-                    "status": "pass" if passed else "fail",
-                },
+                "sections": sections,
+                "summary": _summary(total, failed),
             }
-            code = 0 if passed else 1
+            code = 0 if failed == 0 else 1
     except (ScenarioError, ParseError, EvaluationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -5,6 +5,9 @@ vanishes; on the sampled box the verdict is always relative to the sample.
 For degenerate spinors the three theta ratios of transpose bilinears direct
 the potential family (a0 + f, a1 + f t1, a2 + f t2, a3 + f t3) for any real
 f on the support.
+
+`classify` reads psi at the support points from a `fields.SupportSample`,
+so it evaluates nothing itself.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .clifford import delta, gamma
 from .errors import (AmbiguousScale, GuardViolated, NonRealTheta, NotDegenerate,
                      NotRepresentable)
 from .exprlang import Expr
-from .fields import (CVector4, SampleDomain, SpinorField, bilinear, merge_params,
-                     require_support, sample_support, squared_norm)
+from .fields import (CVector4, SpinorField, SupportSample, bilinear, merge_params,
+                     require_support, squared_norm)
 from .inversion import DEFAULT_GUARD, FourPotential
 
 _D4 = delta(4)
@@ -59,15 +62,13 @@ class Classification:
     gamma2_cover_fraction: float | None = None
 
 
-def classify(field: SpinorField, domain: SampleDomain,
-             tol: float = DEFAULT_CLASSIFY_TOL,
-             kappa: float | None = None,
-             support_tol: float = 1e-12) -> Classification:
+def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
+             kappa: float | None = None) -> Classification:
     """Partition sampled support points by |psi* d4 psi| <= tol * |psi|^2."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    support = require_support(sample_support(field, domain, support_tol))
-    values = field.values(support)
+    support = require_support(sample)
+    values = sample.values
     norm_sq = squared_norm(values)
     ind = bilinear(values.conj(), _D4, values)
     tb = bilinear(values, _G2, values)

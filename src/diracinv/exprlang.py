@@ -38,6 +38,7 @@ panels, or an evaluation error of the integrand, raises ``QuadratureError``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -268,20 +269,26 @@ class _Parser:
                              self.current.pos, ("operator", "end of input"))
         return expr
 
+    @staticmethod
+    def _finite(node: Expr, pos: int) -> Expr:  # to_text prints inf as a parameter name
+        if isinstance(node, Num) and not cmath.isfinite(node.value):
+            raise ParseError("number is not finite", pos, ("finite number",))
+        return node
+
     def expr(self) -> Expr:
         node = self.term()
         while self.current.kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = self._finite(add(node, rhs) if op.kind == "+" else sub(node, rhs), op.pos)
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while self.current.kind in ("*", "/"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = self._finite(mul(node, rhs) if op.kind == "*" else div(node, rhs), op.pos)
         return node
 
     def unary(self) -> Expr:
@@ -299,14 +306,17 @@ class _Parser:
                     or exponent.value.real != int(exponent.value.real):
                 raise ParseError("exponent must be an integer constant", caret.pos,
                                  ("integer",))
-            return powi(base, int(exponent.value.real))
+            try:
+                return self._finite(powi(base, int(exponent.value.real)), caret.pos)
+            except (OverflowError, ZeroDivisionError):
+                raise ParseError("number is not finite", caret.pos, ("finite number",)) from None
         return base
 
     def atom(self) -> Expr:
         tok = self.current
         if tok.kind == "num":
             self.advance()
-            return Num(complex(float(tok.text)))
+            return self._finite(Num(complex(float(tok.text))), tok.pos)
         if tok.kind == "name":
             self.advance()
             if self.current.kind == "(":
@@ -440,7 +450,7 @@ def _diff(e: Expr, axis: int) -> Expr:
         return mul(rules[e.func](e.arg), inner)
     if isinstance(e, Conj):
         # Partials are along real coordinates, so they commute with conjugation.
-        return _conj(_diff(e.arg, axis))
+        return conjugate(_diff(e.arg, axis))
     if isinstance(e, PathIntegral):
         if axis == 0:
             return e.integrand
@@ -448,17 +458,13 @@ def _diff(e: Expr, axis: int) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _conj(e: Expr) -> Expr:
+def conjugate(e: Expr) -> Expr:
+    """Complex conjugate of an expression (internal node; not parseable)."""
     if isinstance(e, Num):
         return Num(e.value.conjugate())
     if isinstance(e, Conj):
         return e.arg
     return Conj(e)
-
-
-def conjugate(e: Expr) -> Expr:
-    """Complex conjugate of an expression (internal node; not parseable)."""
-    return _conj(e)
 
 
 def path_integral(integrand: Expr, lower: float) -> Expr:

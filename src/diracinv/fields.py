@@ -9,12 +9,18 @@ Every spinor-side kernel works on a batch of N points at once: a `Frame`
 holds the values (N, 4) and the partials (4, N, 4) of the spinor, and every
 bilinear covariant, including the bidirectional derivative, is one call of
 `bilinear` over those arrays.
+
+Only this module samples a spinor: `sample_support` evaluates psi once over
+the seeded domain and keeps its support values, `SupportSample.frame` adds
+the partials on first use, and a kernel that needs part of the support
+takes `Frame.rows` of that frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,21 +32,6 @@ from .exprlang import Expr
 CVector4 = np.ndarray  # shape (4,), complex128
 
 DEFAULT_SUPPORT_TOL = 1e-12
-
-
-class Point(NamedTuple):
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-
-def as_point(p) -> Point:
-    if not isinstance(p, Point):
-        p = Point(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
-    if not all(np.isfinite(c) for c in p):
-        raise ValueError(f"point coordinates must be finite, got {tuple(p)}")
-    return p
 
 
 def as_points(points) -> np.ndarray:
@@ -136,10 +127,15 @@ class Frame:
     value: np.ndarray
     derivs: np.ndarray
 
+    def rows(self, index) -> "Frame":
+        """The frame at points[index]: a slice, a boolean mask or row numbers."""
+        return Frame(self.points[index], self.value[index], self.derivs[:, index])
 
-def frame(field: SpinorField, points) -> Frame:
-    value = field.values(points)  # checks the points
-    pts = np.asarray(points, dtype=float)
+
+def frame(field: SpinorField, points, value: np.ndarray | None = None) -> Frame:
+    """The frame at (N, 4) finite points; `value` is psi there, if already evaluated."""
+    pts = as_points(points)
+    value = field.values(pts) if value is None else value
     derivs = np.empty((4,) + value.shape, dtype=complex)
     for axis in range(4):
         for k in range(4):
@@ -173,17 +169,23 @@ class SampleDomain:
 
 @dataclass
 class SupportSample:
-    """Partition of sampled points by spinor magnitude."""
+    """Sampled points partitioned by spinor magnitude, with psi on the support."""
 
+    field: SpinorField
     support: np.ndarray      # (n, 4) points where the spinor is resolved nonzero
+    values: np.ndarray       # (n, 4) spinor values at the support points
     null: np.ndarray         # (m, 4) remaining points
     norms: np.ndarray        # (count,) spinor norms in sampling order
     threshold: float
-    tol: float
 
     @property
     def has_support(self) -> bool:
         return len(self.support) > 0
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The support frame, built on first use; raises NoSupportPoints if empty."""
+        return frame(self.field, require_support(self), self.values)
 
 
 def sample_support(field: SpinorField, domain: SampleDomain,
@@ -196,7 +198,7 @@ def sample_support(field: SpinorField, domain: SampleDomain,
     norms = np.linalg.norm(values, axis=1)
     threshold = tol * (1.0 + float(norms.max()))
     mask = norms > threshold
-    return SupportSample(pts[mask], pts[~mask], norms, threshold, tol)
+    return SupportSample(field, pts[mask], values[mask], pts[~mask], norms, threshold)
 
 
 def require_support(sample: SupportSample) -> np.ndarray:

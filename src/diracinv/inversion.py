@@ -3,12 +3,16 @@
 All three inversion routes solve the same pointwise linear relations, each
 normalized by a different denominator bilinear: psi* g4 psi, psi* g5 g4 psi,
 or their sum psi* d4 psi (the combined route, whose denominator vanishes
-exactly on the degenerate locus).  Each route works on a batch of points
-through one `fields.frame` and the `fields.bilinear` kernel.  A point whose
-denominator falls below the guard, relative to |psi|^2 there, is marked in
-the route's `ok` mask rather than raised; every recovered component carries
-its imaginary residue, and `RecoveredPotential.non_real` flags the points
-where it is beyond tolerance.
+exactly on the degenerate locus).  Each route applies the `fields.bilinear`
+kernel to a `fields.Frame`; a run's routes take rows of one support frame
+and evaluate no spinor themselves.  A point whose denominator falls below
+the guard, relative to |psi|^2 there, is marked in the route's `ok` mask
+rather than raised; every recovered component carries its imaginary
+residue, and `RecoveredPotential.non_real` flags the points where it is
+beyond tolerance.
+
+`extract_mass` reads the support frame of a `fields.SupportSample`; only
+its gauge-fixed cross-check builds a frame, of another spinor.
 
 The temporal-slot matrices in the spatial-component relations are pinned by
 the residual oracle on manufactured solutions and hard-asserted in tests.
@@ -25,8 +29,8 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
-from .fields import (Frame, SampleDomain, SpinorField, as_points, bilinear, frame,
-                     merge_params, require_support, sample_support, squared_norm)
+from .fields import (Frame, SpinorField, SupportSample, as_points, bilinear, frame,
+                     merge_params, squared_norm)
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -160,10 +164,8 @@ def _recover(fr: Frame, den: np.ndarray, guard: float, a0_num: np.ndarray,
                               np.where(ok, residue, np.nan))
 
 
-def invert_combined(field: SpinorField, kappa: float, points,
-                    guard: float = DEFAULT_GUARD) -> RecoveredPotential:
+def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
-    fr = frame(field, points)
     a0 = (-sum(_dbil(fr, _D[k], k) for k in (1, 2, 3))
           + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _D[4], 1)
@@ -178,10 +180,8 @@ def invert_combined(field: SpinorField, kappa: float, points,
     return _recover(fr, _bil(fr, _D[4]), guard, a0, (a1, a2, a3))
 
 
-def invert_gamma4(field: SpinorField, kappa: float, points,
-                  guard: float = DEFAULT_GUARD) -> RecoveredPotential:
+def invert_gamma4(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    fr = frame(field, points)
     a0 = (-sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
           + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _G[4], 1)
@@ -196,10 +196,9 @@ def invert_gamma4(field: SpinorField, kappa: float, points,
     return _recover(fr, _bil(fr, _G[4]), guard, a0, (a1, a2, a3))
 
 
-def invert_gamma5gamma4(field: SpinorField, kappa: float, points,
+def invert_gamma5gamma4(fr: Frame, kappa: float,
                         guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    fr = frame(field, points)
     a0 = (1j * _bidir(fr, _G54, 0)
           - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3)))
     a1 = (_bidir(fr, _G54, 1) - _dbil(fr, _G[3], 2) + _dbil(fr, _G[2], 3)
@@ -214,10 +213,9 @@ def invert_gamma5gamma4(field: SpinorField, kappa: float, points,
 # ---------------------------------------------------------------------------
 # Mass extraction
 
-def extract_mass_at(field: SpinorField, a0: Expr | None, points,
+def extract_mass_at(fr: Frame, a0: Expr | None,
                     a0_params: Mapping[str, complex] | None = None) -> MassSample:
     """Pointwise mass from the temporal relation; requires the a0 component."""
-    fr = frame(field, points)
     norm_sq = squared_norm(fr.value)
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
@@ -229,18 +227,16 @@ def extract_mass_at(field: SpinorField, a0: Expr | None, points,
     return MassSample(value.real, np.abs(value.imag))
 
 
-def extract_mass(field: SpinorField, a0: Expr | None, domain: SampleDomain,
+def extract_mass(sample: SupportSample, a0: Expr | None,
                  a0_params: Mapping[str, complex] | None = None,
-                 support_tol: float = 1e-12,
-                 spread_tol: float = DEFAULT_SPREAD_TOL,
-                 crosscheck: bool = True) -> MassEstimate:
+                 spread_tol: float = DEFAULT_SPREAD_TOL) -> MassEstimate:
     """Mass over all support points: mean, max spread, and a gauge-fixed cross-check.
 
     A spread beyond tolerance contradicts mass uniqueness, so the input cannot
     be a Dirac solution; the same applies when the gauge-fixed route disagrees.
     """
-    points = require_support(sample_support(field, domain, support_tol))
-    samples = extract_mass_at(field, a0, points, a0_params)
+    points = sample.frame.points
+    samples = extract_mass_at(sample.frame, a0, a0_params)
     mean = float(samples.kappa.mean())
     spread = float(np.abs(samples.kappa - mean).max())
     max_imag = float(samples.imag_residue.max())
@@ -253,9 +249,9 @@ def extract_mass(field: SpinorField, a0: Expr | None, domain: SampleDomain,
             f"mass has imaginary residue {max_imag:.3e}; input is not a Dirac solution")
 
     gap = None
-    if crosscheck and a0 is not None and a0 != exprlang.ZERO:
-        fixed = gauge_fix_temporal(field, a0, k=0.0, a0_params=a0_params)
-        checks = extract_mass_at(fixed, None, points[:3]).kappa
+    if a0 is not None and a0 != exprlang.ZERO:
+        fixed = gauge_fix_temporal(sample.field, a0, k=0.0, a0_params=a0_params)
+        checks = extract_mass_at(frame(fixed, points[:3]), None).kappa
         gap = float(np.abs(checks - mean).max())
         if gap > CROSSCHECK_TOL * (1.0 + abs(mean)):
             raise MassInconsistent(

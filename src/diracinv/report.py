@@ -47,10 +47,6 @@ class CheckSet:
     def n_failed(self) -> int:
         return sum(1 for c in self.checks if not c.passed)
 
-    @property
-    def all_passed(self) -> bool:
-        return self.n_failed == 0
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,

@@ -75,26 +75,22 @@ class Scenario:
     tasks: list[str] = field(default_factory=list)
 
 
-def _fail(msg: str) -> ScenarioError:
-    return ScenarioError(msg)
-
-
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, bool):
-        raise _fail(f"{where}: boolean is not a number")
+        raise ScenarioError(f"{where}: boolean is not a number")
     pair = [value, 0] if isinstance(value, (int, float)) else value
     if not (isinstance(pair, list) and len(pair) == 2 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-        raise _fail(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
     if not all(math.isfinite(v) for v in pair):
-        raise _fail(f"{where}: expected a finite number, got {value!r}")
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
     return complex(pair[0], pair[1])
 
 
 def _tolerance(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not (math.isfinite(value) and value > 0):
-        raise _fail(f"{where}: expected a finite positive number, got {value!r}")
+        raise ScenarioError(f"{where}: expected a finite positive number, got {value!r}")
     return float(value)
 
 
@@ -102,43 +98,43 @@ def _parse_params(obj, where: str) -> dict[str, complex]:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
-        raise _fail(f"{where}: params must be an object")
+        raise ScenarioError(f"{where}: params must be an object")
     return {str(k): _as_complex(v, f"{where}.{k}") for k, v in obj.items()}
 
 
 def _parse_exprs(texts, where: str) -> list[Expr]:
     if not isinstance(texts, list) or len(texts) != 4:
-        raise _fail(f"{where}: expected a list of 4 expression strings")
+        raise ScenarioError(f"{where}: expected a list of 4 expression strings")
     out = []
     for idx, text in enumerate(texts):
         if not isinstance(text, str):
-            raise _fail(f"{where}[{idx}]: expected a string")
+            raise ScenarioError(f"{where}[{idx}]: expected a string")
         try:
             out.append(exprlang.parse(text))
         except exprlang.ParseError as exc:
-            raise _fail(f"{where}[{idx}]: {exc}") from exc
+            raise ScenarioError(f"{where}[{idx}]: {exc}") from exc
     return out
 
 
 def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | None]:
     if not isinstance(obj, dict):
-        raise _fail("spinor: expected an object")
+        raise ScenarioError("spinor: expected an object")
     if "catalog" in obj:
         name = obj["catalog"]
         if not isinstance(name, str) or name not in catalog.ENTRIES:
-            raise _fail(f"spinor.catalog: unknown entry {name!r}; "
+            raise ScenarioError(f"spinor.catalog: unknown entry {name!r}; "
                         f"available: {', '.join(sorted(catalog.ENTRIES))}")
         params = dict(obj.get("params") or {})
         params.setdefault("kappa", kappa)
         try:
             instance = catalog.build(name, params)
         except (DiracinvError, ValueError) as exc:
-            raise _fail(f"spinor.catalog: {exc}") from exc
+            raise ScenarioError(f"spinor.catalog: {exc}") from exc
         return instance.spinor, instance
     if "exprs" in obj:
         params = _parse_params(obj.get("params"), "spinor.params")
         return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None
-    raise _fail("spinor: needs either 'exprs' or 'catalog'")
+    raise ScenarioError("spinor: needs either 'exprs' or 'catalog'")
 
 
 def _build_potential(obj, kappa: float,
@@ -146,11 +142,11 @@ def _build_potential(obj, kappa: float,
     if obj is None:
         return None
     if not isinstance(obj, dict):
-        raise _fail("potential: expected an object")
+        raise ScenarioError("potential: expected an object")
     if "catalog_family" in obj:
         fam = obj["catalog_family"]
         if not isinstance(fam, dict) or "f" not in fam:
-            raise _fail("potential.catalog_family: needs an 'f' expression")
+            raise ScenarioError("potential.catalog_family: needs an 'f' expression")
         inherited = dict(instance.params or {}) if instance is not None \
             and instance.name == "degenerate_example" else {}
         def pick(key):
@@ -158,41 +154,41 @@ def _build_potential(obj, kappa: float,
                 return float(fam[key])
             if key in inherited:
                 return float(inherited[key])
-            raise _fail(f"potential.catalog_family: missing {key!r} and no "
+            raise ScenarioError(f"potential.catalog_family: missing {key!r} and no "
                         f"degenerate_example spinor to inherit it from")
         try:
             f = exprlang.parse(str(fam["f"]))
         except exprlang.ParseError as exc:
-            raise _fail(f"potential.catalog_family.f: {exc}") from exc
+            raise ScenarioError(f"potential.catalog_family.f: {exc}") from exc
         f_params = _parse_params(fam.get("params"), "potential.catalog_family.params")
         try:
             return catalog.example_family(kappa, pick("alpha"), pick("phi1"),
                                           pick("phi2"), f, f_params)
         except (DiracinvError, ValueError) as exc:
-            raise _fail(f"potential.catalog_family: {exc}") from exc
+            raise ScenarioError(f"potential.catalog_family: {exc}") from exc
     if "exprs" in obj:
         params = _parse_params(obj.get("params"), "potential.params")
         return FourPotential(_parse_exprs(obj["exprs"], "potential.exprs"), params)
-    raise _fail("potential: needs either 'exprs' or 'catalog_family'")
+    raise ScenarioError("potential: needs either 'exprs' or 'catalog_family'")
 
 
 def _build_domain(obj, seed: int | None, samples: int | None) -> SampleDomain:
     obj = obj or {}
     if not isinstance(obj, dict):
-        raise _fail("domain: expected an object")
+        raise ScenarioError("domain: expected an object")
     box = obj.get("box", [[-1.0, 1.0]] * 4)
     if not (isinstance(box, list) and len(box) == 4
             and all(isinstance(iv, list) and len(iv) == 2 for iv in box)):
-        raise _fail("domain.box: expected 4 [lo, hi] intervals")
+        raise ScenarioError("domain.box: expected 4 [lo, hi] intervals")
     try:
         domain = SampleDomain(
             box=tuple((float(lo), float(hi)) for lo, hi in box),
             count=int(obj.get("count", 100)) if samples is None else samples,
             seed=int(obj.get("seed", 0)) if seed is None else seed)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _fail(f"domain: {exc}") from exc
+        raise ScenarioError(f"domain: {exc}") from exc
     if domain.count > MAX_SAMPLES:
-        raise _fail(f"domain.count: {domain.count} samples exceed the maximum "
+        raise ScenarioError(f"domain.count: {domain.count} samples exceed the maximum "
                     f"of {MAX_SAMPLES}")
     return domain
 
@@ -201,21 +197,21 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
                    tol: float | None = None) -> Scenario:
     """Validate a scenario dict and construct run inputs; overrides are optional."""
     if not isinstance(data, dict):
-        raise _fail("scenario must be a JSON object")
+        raise ScenarioError("scenario must be a JSON object")
     unknown = set(data) - {"kappa", "spinor", "potential", "f", "domain",
                            "tolerances", "tasks"}
     if unknown:
-        raise _fail(f"unknown scenario fields: {', '.join(sorted(unknown))}")
+        raise ScenarioError(f"unknown scenario fields: {', '.join(sorted(unknown))}")
     if "kappa" not in data:
-        raise _fail("scenario needs 'kappa'")
+        raise ScenarioError("scenario needs 'kappa'")
     kappa = float(_as_complex(data["kappa"], "kappa").real)
 
     tasks = data.get("tasks")
     if not isinstance(tasks, list) or not tasks:
-        raise _fail("scenario needs a nonempty 'tasks' list")
+        raise ScenarioError("scenario needs a nonempty 'tasks' list")
     for t in tasks:
         if t not in TASKS:
-            raise _fail(f"unknown task {t!r}; available: {', '.join(TASKS)}")
+            raise ScenarioError(f"unknown task {t!r}; available: {', '.join(TASKS)}")
 
     # Domain and tolerances come before the spinor: a catalog spinor runs its
     # self-test as soon as it is built.
@@ -223,16 +219,16 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = data.get("tolerances") or {}
     if not isinstance(overrides, dict):
-        raise _fail("tolerances: expected an object")
+        raise ScenarioError("tolerances: expected an object")
     for key, value in overrides.items():
         if key not in DEFAULT_TOLERANCES:
-            raise _fail(f"tolerances: unknown key {key!r}")
+            raise ScenarioError(f"tolerances: unknown key {key!r}")
         tolerances[key] = _tolerance(value, f"tolerances.{key}")
     if tol is not None:
         tolerances["classify"] = _tolerance(tol, "--tol")
 
     if "spinor" not in data:
-        raise _fail("scenario needs 'spinor'")
+        raise ScenarioError("scenario needs 'spinor'")
     spinor, instance = _build_spinor(data["spinor"], kappa)
     potential = _build_potential(data.get("potential"), kappa, instance)
 
@@ -240,11 +236,11 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     f_params: dict = {}
     if data.get("f") is not None:
         if not isinstance(data["f"], str):
-            raise _fail("f: expected an expression string")
+            raise ScenarioError("f: expected an expression string")
         try:
             f = exprlang.parse(data["f"])
         except exprlang.ParseError as exc:
-            raise _fail(f"f: {exc}") from exc
+            raise ScenarioError(f"f: {exc}") from exc
 
     return Scenario(data, kappa, spinor, instance, potential, f, f_params,
                     domain, tolerances, list(tasks))
@@ -255,9 +251,9 @@ def load_scenario(path: str | Path, **overrides) -> Scenario:
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
-        raise _fail(f"cannot read scenario file: {exc}") from exc
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"scenario file is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return build_scenario(data, **overrides)
 
 

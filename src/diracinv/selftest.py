@@ -1,8 +1,8 @@
 """Invariant suites: structure checks, identity fuzzing, catalog verification.
 
-Each suite returns a CheckSet; the CLI aggregates them into the selftest
-report.  All randomness is seeded, so verdicts and values are reproducible
-for a fixed (seed, sample count) pair.
+Each suite returns a CheckSet; `run_selftest` turns them into the report
+sections and their totals.  All randomness is seeded, so verdicts and
+values are reproducible for a fixed (seed, sample count) pair.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import catalog, clifford, degeneracy, exprlang, fields, inversion, verify
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField
+from .fields import SampleDomain, SpinorField, sample_support
 from .report import CheckSet
 
 _FD_STEP = 1e-5
@@ -258,20 +258,22 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     domain = SampleDomain(count=samples, seed=seed)
 
     rest = catalog.build("rest_plane_wave", {"kappa": 1.0})
-    report = verify.residual_norm(rest.spinor, rest.base_potential, rest.kappa, domain)
+    sample = sample_support(rest.spinor, domain)
+    report = verify.residual_norm(sample, rest.base_potential, rest.kappa)
     suite.add("rest wave residual", report.max_norm < 1e-12, value=report.max_norm)
-    cls = degeneracy.classify(rest.spinor, domain, kappa=rest.kappa)
+    cls = degeneracy.classify(sample, kappa=rest.kappa)
     suite.add("rest wave classified non-degenerate", cls.verdict == "non-degenerate",
               detail=cls.verdict)
-    estimate = inversion.extract_mass(rest.spinor, None, domain)
+    estimate = inversion.extract_mass(sample, None)
     suite.add("rest wave mass recovered", abs(estimate.kappa - 1.0) < 1e-9,
               value=abs(estimate.kappa - 1.0))
 
     deg = catalog.build("degenerate_example")
-    report = verify.residual_norm(deg.spinor, deg.base_potential, deg.kappa, domain)
+    sample = sample_support(deg.spinor, domain)
+    report = verify.residual_norm(sample, deg.base_potential, deg.kappa)
     suite.add("degenerate example force-free residual", report.max_norm < 1e-10,
               value=report.max_norm)
-    cls = degeneracy.classify(deg.spinor, domain, kappa=deg.kappa)
+    cls = degeneracy.classify(sample, kappa=deg.kappa)
     suite.add("degenerate example classified degenerate", cls.verdict == "degenerate",
               detail=cls.verdict)
     suite.add("transpose bilinear covers support",
@@ -290,10 +292,10 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
         member = degeneracy.potential_family(
             deg.spinor, deg.base_potential, exprlang.parse(text), cls)
         members.append((text, member))
-        report = verify.residual_norm(deg.spinor, member, deg.kappa, domain)
+        report = verify.residual_norm(sample, member, deg.kappa)
         suite.add(f"family member f={text} residual", report.max_norm < 1e-9,
                   value=report.max_norm)
-        estimate = inversion.extract_mass(deg.spinor, member.components[0], domain,
+        estimate = inversion.extract_mass(sample, member.components[0],
                                           a0_params=member.params)
         suite.add(f"family member f={text} mass", abs(estimate.kappa - deg.kappa) < 1e-9,
                   value=abs(estimate.kappa - deg.kappa))
@@ -318,7 +320,8 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     return suite
 
 
-def run_selftest(seed: int = 42, samples: int = 100) -> tuple[list[CheckSet], bool]:
+def run_selftest(seed: int = 42, samples: int = 100) -> tuple[list[dict], int, int]:
+    """Run every suite; returns the report sections, the number of checks and of failures."""
     builders = (
         ("gamma-structure", gamma_structure_suite),
         ("expression-derivatives", lambda: derivative_suite(seed)),
@@ -333,4 +336,5 @@ def run_selftest(seed: int = 42, samples: int = 100) -> tuple[list[CheckSet], bo
             failed = CheckSet(name)
             failed.add("suite completed", False, detail=f"{type(exc).__name__}: {exc}")
             suites.append(failed)
-    return suites, all(s.all_passed for s in suites)
+    return ([s.as_dict() for s in suites], sum(len(s.checks) for s in suites),
+            sum(s.n_failed for s in suites))

@@ -2,10 +2,10 @@
 
 The residual of (psi, a, kappa) is the evaluated left-hand side of the
 coupled first-order system; its vanishing is the acceptance oracle for every
-claimed correspondence.  The residual is computed over a batch of points
-from one spinor frame.  Potentials enter it through their values only, so a
-potential may be given as a FourPotential or as (N, 4) numeric component
-values at the points.
+claimed correspondence.  The residual kernels take a `fields.Frame`, and
+`residual_norm` the run's `fields.SupportSample`, whose frame it shares.
+Potentials enter the residual through their values only, so a potential
+may be given as a FourPotential or as (N, 4) numeric component values.
 
 The potential-side checks work on the same batches: `field_tensor` gives
 the six gauge-invariant entries (N, 6) from the off-diagonal component
@@ -23,8 +23,9 @@ import numpy as np
 from . import exprlang
 from .clifford import gamma
 from .errors import NonRealPotential
-from .fields import (Point, SampleDomain, SpinorField, as_point, as_points, frame,
-                     sample_support)
+from .fields import Frame, SampleDomain, SupportSample, as_points
+# Unused; test_tracer_wraps_every_binding_and_restores_them in bench/tests reads it.
+from .fields import frame  # noqa: F401
 from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
@@ -43,9 +44,8 @@ def _potential_values(potential, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def dirac_residual(field: SpinorField, potential, kappa: float, points) -> np.ndarray:
-    """Residual 4-vectors (N, 4) of the coupled system at the points (exact derivatives)."""
-    fr = frame(field, points)
+def dirac_residual(fr: Frame, potential, kappa: float) -> np.ndarray:
+    """Residual 4-vectors (N, 4) of the coupled system at the frame's points."""
     a = _potential_values(potential, fr.points)
     out = kappa * fr.value
     for k in (1, 2, 3):
@@ -54,8 +54,8 @@ def dirac_residual(field: SpinorField, potential, kappa: float, points) -> np.nd
     return out
 
 
-def residual_norm_at(field: SpinorField, potential, kappa: float, points) -> np.ndarray:
-    return np.linalg.norm(dirac_residual(field, potential, kappa, points), axis=1)
+def residual_norm_at(fr: Frame, potential, kappa: float) -> np.ndarray:
+    return np.linalg.norm(dirac_residual(fr, potential, kappa), axis=1)
 
 
 @dataclass
@@ -63,7 +63,7 @@ class ResidualReport:
     """Residual norms over a sample, restricted to support points."""
 
     max_norm: float
-    argmax_point: Point | None
+    argmax_point: tuple[float, ...] | None
     norms: np.ndarray
     relative_max: float
     count: int
@@ -74,16 +74,14 @@ class ResidualReport:
         return not self.no_support
 
 
-def residual_norm(field: SpinorField, potential, kappa: float, domain: SampleDomain,
-                  support_tol: float = 1e-12) -> ResidualReport:
+def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualReport:
     """Max and per-point residual norms over the sampled support."""
-    sample = sample_support(field, domain, support_tol)
     if not sample.has_support:
         return ResidualReport(0.0, None, np.zeros(0), 0.0, 0, no_support=True)
-    norms = residual_norm_at(field, potential, kappa, sample.support)
+    norms = residual_norm_at(sample.frame, potential, kappa)
     rel = norms / ((abs(kappa) + 1.0) * sample.norms[sample.norms > sample.threshold])
     worst = int(np.argmax(norms))
-    return ResidualReport(float(norms[worst]), as_point(sample.support[worst]),
+    return ResidualReport(float(norms[worst]), tuple(sample.support[worst].tolist()),
                           norms, float(rel.max()), len(norms))
 
 

@@ -11,7 +11,7 @@ import pytest
 import solutions
 
 from diracinv import catalog, cli, clifford, degeneracy, exprlang, inversion, selftest, verify
-from diracinv.fields import SampleDomain, SpinorField, bilinear
+from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 
 SEED = 42
 TRIPLES = (
@@ -55,7 +55,7 @@ def test_criterion_2_degenerate_instances_are_force_free_and_null(degenerate_ins
     worst_ind = 0.0
     pts = DOMAIN.points()
     for inst in degenerate_instances:
-        report = verify.residual_norm(inst.spinor, None, inst.kappa, DOMAIN)
+        report = verify.residual_norm(sample_support(inst.spinor, DOMAIN), None, inst.kappa)
         worst_resid = max(worst_resid, report.max_norm)
         values = inst.spinor.values(pts)
         norm_sq = np.einsum("ni,ni->n", values.conj(), values).real
@@ -71,18 +71,20 @@ def test_criterion_2_degenerate_instances_are_force_free_and_null(degenerate_ins
 def test_criterion_3_family_correctness(degenerate_instances):
     worst = 0.0
     for (kappa, alpha, phi1, phi2), inst in zip(TRIPLES, degenerate_instances):
+        sample = sample_support(inst.spinor, DOMAIN)
         for text in FAMILY_DIRECTIONS:
             member = catalog.example_family(kappa, alpha, phi1, phi2,
                                             exprlang.parse(text))
-            report = verify.residual_norm(inst.spinor, member, kappa, DOMAIN)
+            report = verify.residual_norm(sample, member, kappa)
             worst = max(worst, report.max_norm)
     # The general route must agree with the closed form on the first triple.
     inst = degenerate_instances[0]
-    cls = degeneracy.classify(inst.spinor, DOMAIN, kappa=inst.kappa)
+    sample = sample_support(inst.spinor, DOMAIN)
+    cls = degeneracy.classify(sample, kappa=inst.kappa)
     for text in FAMILY_DIRECTIONS:
         member = degeneracy.potential_family(inst.spinor, inversion.FourPotential.zero(),
                                              exprlang.parse(text), cls)
-        report = verify.residual_norm(inst.spinor, member, inst.kappa, DOMAIN)
+        report = verify.residual_norm(sample, member, inst.kappa)
         worst = max(worst, report.max_norm)
     _verdict("criterion 3: family members solve the system for f in {1, x0, sin(x0+x1)}",
              worst < 1e-9, f"max residual {worst:.2e} (tol 1e-9)")
@@ -92,7 +94,7 @@ def test_criterion_4_theta_real_and_unit_norm(degenerate_instances):
     worst_imag = 0.0
     worst_norm = 0.0
     for inst in degenerate_instances:
-        cls = degeneracy.classify(inst.spinor, DOMAIN, kappa=inst.kappa)
+        cls = degeneracy.classify(sample_support(inst.spinor, DOMAIN), kappa=inst.kappa)
         t = degeneracy.theta(inst.spinor, cls.support_points)
         worst_imag = max(worst_imag, float(t.imag_residue.max()))
         worst_norm = max(worst_norm, float(np.abs(t.norm_sq - 1.0).max()))
@@ -132,14 +134,15 @@ def test_criterion_6_inversion_round_trip():
     pairs.append(solutions.gauge_superposition_pair(1.1, rng))
     pts = sample.points()
     for spinor, potential, kappa in pairs:
-        combined = inversion.invert_combined(spinor, kappa, pts)
+        fr = frame(spinor, pts)
+        combined = inversion.invert_combined(fr, kappa)
         ok = combined.ok  # criterion covers guard-passing points only
         assert not combined.non_real().any()
         if ok.any():
             known = potential.values(pts[ok])
             worst_known = max(worst_known, float(np.abs(combined.a[ok] - known).max()))
         for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4):
-            other = route(spinor, kappa, pts)
+            other = route(fr, kappa)
             both = ok & other.ok
             assert not other.non_real()[both].any()
             if route is inversion.invert_gamma5gamma4:
@@ -162,15 +165,15 @@ def test_criterion_7_mass_uniqueness(degenerate_instances):
     cases = [(catalog.build("rest_plane_wave", {"kappa": k}), None) for k in (1.0, 0.7)]
     cases += [(inst, None) for inst in degenerate_instances]
     for inst, _ in cases:
-        estimate = inversion.extract_mass(inst.spinor, None, domain)
+        estimate = inversion.extract_mass(sample_support(inst.spinor, domain), None)
         worst_err = max(worst_err, abs(estimate.kappa - inst.kappa))
         worst_spread = max(worst_spread, estimate.spread)
         # A gauge-transformed variant corresponds to the same mass.
         f, params = solutions.random_gauge_function(rng)
         variant, shift = inversion.gauge_transform(inst.spinor, f, params)
         pot = inversion.FourPotential.zero().plus(shift)
-        estimate = inversion.extract_mass(variant, pot.components[0], domain,
-                                          a0_params=pot.params)
+        estimate = inversion.extract_mass(sample_support(variant, domain),
+                                          pot.components[0], a0_params=pot.params)
         worst_err = max(worst_err, abs(estimate.kappa - inst.kappa))
         worst_spread = max(worst_spread, estimate.spread)
     ok = worst_err < 1e-9 and worst_spread < 1e-9
@@ -186,9 +189,10 @@ def test_criterion_8_lightlike_gap(degenerate_instances):
         members = [inversion.FourPotential.zero()]
         members += [catalog.example_family(kappa, alpha, phi1, phi2, exprlang.parse(t))
                     for t in FAMILY_DIRECTIONS]
-        cls = degeneracy.classify(inst.spinor, DOMAIN, kappa=kappa)
+        sample = sample_support(inst.spinor, DOMAIN)
+        cls = degeneracy.classify(sample, kappa=kappa)
         verified = [m for m in members
-                    if verify.residual_norm(inst.spinor, m, kappa, DOMAIN).max_norm < 1e-9]
+                    if verify.residual_norm(sample, m, kappa).max_norm < 1e-9]
         assert len(verified) == 4
         pts = cls.support_points[:25]
         for i in range(len(verified)):

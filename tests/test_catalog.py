@@ -7,20 +7,21 @@ from diracinv import catalog, degeneracy, exprlang, inversion, verify
 from diracinv.catalog import CatalogSelfTestError
 from diracinv.clifford import gamma
 from diracinv.errors import ParameterOnSingularLocus
-from diracinv.fields import SampleDomain, bilinear
+from diracinv.fields import SampleDomain, bilinear, sample_support
 
 
 class TestRestPlaneWave:
     def test_residual_at_hundred_points(self):
         inst = catalog.build("rest_plane_wave", {"kappa": 0.8})
-        report = verify.residual_norm(inst.spinor, inst.base_potential, 0.8,
-                                      SampleDomain(count=100, seed=17))
+        sample = sample_support(inst.spinor, SampleDomain(count=100, seed=17))
+        report = verify.residual_norm(sample, inst.base_potential, 0.8)
         assert report.max_norm < 1e-12
 
     def test_classification_and_mass(self, rest_wave, unit_domain):
-        cls = degeneracy.classify(rest_wave.spinor, unit_domain, kappa=1.0)
+        sample = sample_support(rest_wave.spinor, unit_domain)
+        cls = degeneracy.classify(sample, kappa=1.0)
         assert cls.verdict == "non-degenerate"
-        estimate = inversion.extract_mass(rest_wave.spinor, None, unit_domain)
+        estimate = inversion.extract_mass(sample, None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_finite_mass(self):
@@ -30,9 +31,10 @@ class TestRestPlaneWave:
 
 class TestDegenerateExample:
     def test_default_parameters_are_degenerate(self, degenerate_default, unit_domain):
-        cls = degeneracy.classify(degenerate_default.spinor, unit_domain, kappa=1.0)
+        sample = sample_support(degenerate_default.spinor, unit_domain)
+        cls = degeneracy.classify(sample, kappa=1.0)
         assert cls.verdict == "degenerate"
-        report = verify.residual_norm(degenerate_default.spinor, None, 1.0, unit_domain)
+        report = verify.residual_norm(sample, None, 1.0)
         assert report.max_norm < 1e-10
 
     def test_axis_aligned_parameters_collapse(self, rng):
@@ -71,7 +73,7 @@ class TestDegenerateExample:
             name="broken", spinor=degenerate_default.spinor, kappa=2.0,
             base_potential=inversion.FourPotential.zero())
         with pytest.raises(CatalogSelfTestError):
-            catalog._selftest_residual(broken)
+            catalog._certify(broken)
 
 
 class TestExampleFamily:
@@ -86,13 +88,15 @@ class TestExampleFamily:
         assert pot.values([(0, 0, 0, 0)])[0] == pytest.approx((1.0, 1.0, 0.0, 0.0))
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
-        report = verify.residual_norm(inst.spinor, pot, 1.0, SampleDomain(count=30, seed=3))
+        sample = sample_support(inst.spinor, SampleDomain(count=30, seed=3))
+        report = verify.residual_norm(sample, pot, 1.0)
         assert report.max_norm < 1e-12
 
     def test_members_verify_against_matching_spinor(self, degenerate_default, unit_domain):
+        sample = sample_support(degenerate_default.spinor, unit_domain)
         for text in ("1", "x0", "sin(x0+x1)"):
             pot = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.parse(text))
-            report = verify.residual_norm(degenerate_default.spinor, pot, 1.0, unit_domain)
+            report = verify.residual_norm(sample, pot, 1.0)
             assert report.max_norm < 1e-9
 
     def test_linear_member_gauge_inequivalent(self, unit_domain):

@@ -89,6 +89,19 @@ class TestRun:
         assert captured.out == ""
         assert "offset 4" in captured.err
 
+    def test_non_finite_literal_exits_2_at_load(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(self):
+            raise AssertionError("a scenario with a non-finite literal reached sampling")
+
+        monkeypatch.setattr(SampleDomain, "points", no_sampling)
+        payload = {**GOOD_SCENARIO,
+                   "potential": {"exprs": ["0", "0-0.3", "1e999*x1", "0"]}}
+        code = cli.main(["run", _write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite at offset 0" in captured.err
+
     def test_schema_violations_exit_2(self, tmp_path, capsys):
         bad_payloads = [
             {},  # missing everything
@@ -285,6 +298,28 @@ def test_shipped_scenarios_pass(capsys):
         out = capsys.readouterr().out
         assert code == 0, path
         assert json.loads(out)["summary"]["status"] == "pass"
+
+
+def test_gauge_scenario_samples_once_and_builds_two_frames(tmp_path, monkeypatch):
+    # One support sample and one support frame serve every task; the only
+    # other frame is the gauge-fixed spinor's in the mass cross-check.
+    import pathlib
+    import sys
+    from diracinv import fields
+    calls = {"sample_support": 0, "frame": 0}
+    for name in calls:
+        original = getattr(fields, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("diracinv") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios/gauge_round_trip.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"sample_support": 1, "frame": 2}
 
 
 def test_cli_import_does_not_load_scipy():

@@ -12,7 +12,7 @@ from diracinv.degeneracy import (bilinear_symmetry_conditions, classify,
                                  zeta)
 from diracinv.errors import (AmbiguousScale, GuardViolated, NoSupportPoints,
                              NonRealTheta, NotDegenerate, NotRepresentable)
-from diracinv.fields import SpinorField
+from diracinv.fields import SpinorField, sample_support
 from diracinv.inversion import FourPotential
 
 POINT = (0.21, -0.33, 0.54, -0.18)
@@ -61,14 +61,14 @@ class TestIndicator:
 
 class TestClassify:
     def test_degenerate_example(self, degenerate_default, unit_domain):
-        cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
         assert cls.verdict == "degenerate"
         assert len(cls.s_points) == 0
         assert cls.gamma2_covers_support is True
         assert cls.gamma2_cover_fraction == 1.0
 
     def test_rest_wave(self, rest_wave, unit_domain):
-        cls = classify(rest_wave.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
         assert cls.verdict == "non-degenerate"
         assert len(cls.degenerate_points) == 0
 
@@ -76,7 +76,7 @@ class TestClassify:
                                                                   unit_domain):
         # The rest wave is non-degenerate and its transpose g2 bilinear
         # vanishes identically; |psi|^2 = 1 on the whole support.
-        cls = classify(rest_wave.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
         assert cls.gamma2_cover_fraction is None
         assert cls.transpose_g2.shape == cls.norm_sq.shape == (len(cls.support_points),)
         assert np.array_equal(cls.transpose_g2, np.zeros(len(cls.support_points)))
@@ -85,19 +85,19 @@ class TestClassify:
     def test_zero_spinor_raises(self, unit_domain):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
         with pytest.raises(NoSupportPoints):
-            classify(zero, unit_domain)
+            classify(sample_support(zero, unit_domain))
 
     def test_mixed_sample_reported_honestly(self, unit_domain):
         # With a deliberately loose tolerance part of the support looks null:
         # the honest verdict is "mixed", never silently rounded to a clean one.
         field = SpinorField.from_strings(["1", "0", "0", "exp(x1)"])
-        cls = classify(field, unit_domain, tol=0.5)
+        cls = classify(sample_support(field, unit_domain), tol=0.5)
         assert cls.verdict == "mixed"
         assert len(cls.s_points) > 0 and len(cls.degenerate_points) > 0
 
     def test_tolerance_validation(self, rest_wave, unit_domain):
         with pytest.raises(ValueError):
-            classify(rest_wave.spinor, unit_domain, tol=0.0)
+            classify(sample_support(rest_wave.spinor, unit_domain), tol=0.0)
 
 
 class TestTheta:
@@ -150,7 +150,7 @@ class TestTheta:
 
 class TestPotentialFamily:
     def test_zero_direction_returns_base(self, degenerate_default, unit_domain, rng):
-        cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
         base = FourPotential.from_strings(["x0", "0.5", "0", "x1"])
         member = potential_family(degenerate_default.spinor, base, exprlang.ZERO, cls)
         for _ in range(5):
@@ -158,7 +158,7 @@ class TestPotentialFamily:
             assert member.values([p])[0] == pytest.approx(base.values([p])[0], abs=1e-12)
 
     def test_matches_catalog_closed_form(self, degenerate_default, unit_domain, rng):
-        cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
         f = exprlang.parse("sin(x0+x1)")
         general = potential_family(degenerate_default.spinor,
                                    FourPotential.zero(), f, cls)
@@ -168,16 +168,16 @@ class TestPotentialFamily:
             assert general.values([p])[0] == pytest.approx(closed.values([p])[0], abs=1e-9)
 
     def test_members_pass_the_residual_oracle(self, degenerate_default, unit_domain):
-        cls = classify(degenerate_default.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
         for text in ("1", "x0", "sin(x0+x1)"):
             member = potential_family(degenerate_default.spinor, FourPotential.zero(),
                                       exprlang.parse(text), cls)
-            report = verify.residual_norm(degenerate_default.spinor, member, 1.0,
-                                          unit_domain)
+            report = verify.residual_norm(sample_support(degenerate_default.spinor,
+                                                         unit_domain), member, 1.0)
             assert report.max_norm < 1e-9
 
     def test_requires_degenerate_classification(self, rest_wave, unit_domain):
-        cls = classify(rest_wave.spinor, unit_domain, kappa=1.0)
+        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
         with pytest.raises(NotDegenerate):
             potential_family(rest_wave.spinor, FourPotential.zero(), exprlang.ONE, cls)
 
@@ -314,16 +314,17 @@ class TestZeroMass:
         # still degenerate; the family identity is mass-independent.
         inst = catalog.build("degenerate_example",
                              {"kappa": 0.0, "alpha": 0.3, "phi1": 0.2, "phi2": -0.1})
-        cls = classify(inst.spinor, unit_domain, kappa=0.0)
+        sample = sample_support(inst.spinor, unit_domain)
+        cls = classify(sample, kappa=0.0)
         assert cls.verdict == "degenerate"
         assert cls.gamma2_covers_support is None  # asserted only for nonzero mass
         assert cls.gamma2_cover_fraction == 1.0
         member = potential_family(inst.spinor, FourPotential.zero(),
                                   exprlang.parse("sin(x0+x1)"), cls)
-        report = verify.residual_norm(inst.spinor, member, 0.0, unit_domain)
+        report = verify.residual_norm(sample, member, 0.0)
         assert report.max_norm < 1e-9
         from diracinv.inversion import extract_mass
-        assert extract_mass(inst.spinor, None, unit_domain).kappa == pytest.approx(
+        assert extract_mass(sample, None).kappa == pytest.approx(
             0.0, abs=1e-12)
 
     def test_collapsed_solution_has_no_family_region(self, unit_domain):
@@ -331,9 +332,10 @@ class TestZeroMass:
         # indicator-null, but its transpose bilinear vanishes identically:
         # the reported cover fraction is zero and theta is undefined.
         field = SpinorField.from_strings(["1", "0", "-1", "0"])
-        report = verify.residual_norm(field, None, 0.0, unit_domain)
+        sample = sample_support(field, unit_domain)
+        report = verify.residual_norm(sample, None, 0.0)
         assert report.max_norm == 0.0
-        cls = classify(field, unit_domain, kappa=0.0)
+        cls = classify(sample, kappa=0.0)
         assert cls.verdict == "degenerate"
         assert cls.gamma2_cover_fraction == 0.0
         with pytest.raises(GuardViolated):

@@ -59,6 +59,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x1 x2")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1e999", 0), ("x0*1e999", 3), ("1e200*1e200", 5), ("1e308+1e308", 5),
+        ("1/1e-320", 1), ("1e200^2", 5), ("1e-200^(-2)", 6),
+    ])
+    def test_non_finite_number_rejected_at_its_token(self, text, offset):
+        # A non-finite literal or folded constant would print as "inf", which
+        # parses back as a parameter name.
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert "not finite" in str(err.value)
+
 
 class TestEvaluate:
     def test_parameter_binding(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import solutions
 from hypothesis import given, settings, strategies as st
 
 from diracinv import catalog, exprlang
@@ -80,6 +81,21 @@ class TestFrame:
         assert fr.derivs[3, :, 3] == pytest.approx(2 * pts[:, 3])
         assert np.array_equal(fr.derivs[:, :, 2], np.zeros((4, 2)))
         assert squared_norm(fr.value) == pytest.approx(np.sum(np.abs(fr.value) ** 2, axis=1))
+
+    @pytest.mark.parametrize("spinor", ["catalog", "gauge"])
+    def test_rows_equal_a_frame_of_the_selected_points(self, spinor, degenerate_default,
+                                                      rng):
+        if spinor == "catalog":
+            field = degenerate_default.spinor
+        else:
+            field, _, _ = solutions.gauge_rest_pair(1.2, rng)
+        pts = rng.uniform(-1, 1, (30, 4))
+        whole = frame(field, pts)
+        mask = rng.random(30) < 0.5
+        for index in (slice(20), mask, np.flatnonzero(mask)[:7]):
+            part, direct = whole.rows(index), frame(field, pts[index])
+            for name in ("points", "value", "derivs"):
+                assert getattr(part, name).tobytes() == getattr(direct, name).tobytes()
 
     def test_points_must_be_finite_rows_of_four(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
@@ -230,6 +246,15 @@ class TestSampleSupport:
         sample = sample_support(rest_wave.spinor, SampleDomain(count=50, seed=1))
         assert len(sample.support) == 50
         assert len(sample.null) == 0
+
+    def test_keeps_support_values_and_builds_one_frame(self, degenerate_default):
+        sample = sample_support(degenerate_default.spinor, SampleDomain(count=40, seed=2))
+        values = degenerate_default.spinor.values(sample.support)
+        assert sample.values.tobytes() == values.tobytes()
+        fr = sample.frame
+        assert fr is sample.frame and fr.value is sample.values
+        direct = frame(degenerate_default.spinor, sample.support)
+        assert fr.derivs.tobytes() == direct.derivs.tobytes()
 
     def test_zero_spinor_has_no_support(self):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])

@@ -6,7 +6,7 @@ import solutions
 
 from diracinv import exprlang, verify
 from diracinv.errors import MassInconsistent, NonRealPotential, ZeroNorm
-from diracinv.fields import SampleDomain, SpinorField
+from diracinv.fields import SampleDomain, SpinorField, frame, sample_support
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at,
                                 gauge_fix_temporal, gauge_transform, invert_combined,
                                 invert_gamma4, invert_gamma5gamma4)
@@ -23,7 +23,7 @@ def edge_wave():
 
 class TestInvertCombined:
     def test_rest_wave_recovers_zero(self, rest_wave):
-        sample = invert_combined(rest_wave.spinor, 1.0, AT_POINT)
+        sample = invert_combined(frame(rest_wave.spinor, AT_POINT), 1.0)
         assert sample.ok.all()
         assert np.abs(sample.a).max() < 1e-12
         assert sample.imag_residue[0] < 1e-12
@@ -32,14 +32,15 @@ class TestInvertCombined:
         # f = 0.3 x1 shifts the second component by exactly -0.3; the sign is
         # pinned by the forward residual and must never drift.
         spinor, shift = gauge_transform(rest_wave.spinor, exprlang.parse("0.3*x1"))
-        sample = invert_combined(spinor, 1.0, AT_POINT)
+        sample = invert_combined(frame(spinor, AT_POINT), 1.0)
         assert sample.a[0] == pytest.approx((0.0, -0.3, 0.0, 0.0), abs=1e-12)
         pot = FourPotential.zero().plus(shift)
-        report = verify.residual_norm(spinor, pot, 1.0, SampleDomain(count=30, seed=2))
+        sample = sample_support(spinor, SampleDomain(count=30, seed=2))
+        report = verify.residual_norm(sample, pot, 1.0)
         assert report.max_norm < 1e-10
 
     def test_degenerate_spinor_fails_guard_everywhere(self, edge_wave, rng):
-        sample = invert_combined(edge_wave, 1.0, rng.uniform(-1, 1, (10, 4)))
+        sample = invert_combined(frame(edge_wave, rng.uniform(-1, 1, (10, 4))), 1.0)
         assert not sample.ok.any()
         assert np.isnan(sample.a).all() and np.isnan(sample.imag_residue).all()
 
@@ -47,49 +48,51 @@ class TestInvertCombined:
         # Constant spinor with both denominator bilinears nonzero: the solved
         # components come out genuinely complex.
         field = SpinorField.from_strings(["1", "0", "0.5*i", "0"])
-        sample = invert_combined(field, 1.0, AT_POINT)
+        sample = invert_combined(frame(field, AT_POINT), 1.0)
         assert sample.ok.all() and sample.non_real().all()
         assert "imaginary residue" in str(sample.non_real_error(0))
 
 
 class TestInvertGamma4:
     def test_rest_wave_temporal_component(self, rest_wave):
-        sample = invert_gamma4(rest_wave.spinor, 1.0, AT_POINT)
+        sample = invert_gamma4(frame(rest_wave.spinor, AT_POINT), 1.0)
         assert sample.ok.all()
         assert np.abs(sample.a).max() < 1e-12
 
     def test_edge_wave_guard(self, edge_wave):
-        assert not invert_gamma4(edge_wave, 1.0, AT_POINT).ok.any()
+        assert not invert_gamma4(frame(edge_wave, AT_POINT), 1.0).ok.any()
 
     def test_agreement_with_combined_on_manufactured_pairs(self, rng):
         for trial in range(50):
             kappa = float(rng.uniform(0.5, 2.0))
             spinor, pot, _ = solutions.gauge_rest_pair(kappa, rng)
             p = [rng.uniform(-1, 1, 4)]
-            combined = invert_combined(spinor, kappa, p)
-            direct = invert_gamma4(spinor, kappa, p)
+            fr = frame(spinor, p)
+            combined = invert_combined(fr, kappa)
+            direct = invert_gamma4(fr, kappa)
             assert combined.ok.all() and direct.ok.all()
             assert np.abs(combined.a - direct.a).max() < 1e-8
 
 
 class TestInvertGamma5Gamma4:
     def test_rest_wave_guard_violated(self, rest_wave):
-        assert not invert_gamma5gamma4(rest_wave.spinor, 1.0, AT_POINT).ok.any()
+        assert not invert_gamma5gamma4(frame(rest_wave.spinor, AT_POINT), 1.0).ok.any()
 
     def test_zero_spinor_guard_violated(self):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
-        assert not invert_gamma5gamma4(zero, 1.0, AT_POINT).ok.any()
+        assert not invert_gamma5gamma4(frame(zero, AT_POINT), 1.0).ok.any()
 
     def test_superposition_agrees_pairwise_with_other_routes(self, rng):
         for trial in range(10):
             kappa = float(rng.uniform(0.6, 1.6))
             spinor, pot, _ = solutions.gauge_superposition_pair(kappa, rng)
             pts = rng.uniform(-1, 1, (20, 4))
-            second = invert_gamma5gamma4(spinor, kappa, pts)
-            first = invert_gamma4(spinor, kappa, pts)
+            fr = frame(spinor, pts)
+            second = invert_gamma5gamma4(fr, kappa)
+            first = invert_gamma4(fr, kappa)
             hit = second.ok & first.ok
             assert hit.any()
-            combined = invert_combined(spinor, kappa, pts[hit])
+            combined = invert_combined(fr.rows(hit), kappa)
             assert combined.ok.all()
             for a, b in ((combined.a, second.a[hit]), (combined.a, first.a[hit]),
                          (first.a[hit], second.a[hit])):
@@ -104,46 +107,47 @@ class TestOracleSupremacy:
             kappa = float(rng.uniform(0.5, 2.0))
             spinor, pot, _ = solutions.gauge_rest_pair(kappa, rng)
             pts = rng.uniform(-1, 1, (5, 4))
-            sample = invert_combined(spinor, kappa, pts)
+            fr = frame(spinor, pts)
+            sample = invert_combined(fr, kappa)
             assert sample.ok.all()
-            assert verify.residual_norm_at(spinor, sample.a, kappa, pts).max() < 1e-9
+            assert verify.residual_norm_at(fr, sample.a, kappa).max() < 1e-9
             known = pot.values(pts)
             assert np.abs(sample.a - known).max() < 1e-8
 
 
 class TestExtractMass:
     def test_rest_wave(self, rest_wave, unit_domain):
-        estimate = extract_mass(rest_wave.spinor, None, unit_domain)
+        estimate = extract_mass(sample_support(rest_wave.spinor, unit_domain), None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-12)
         assert estimate.spread < 1e-12
 
     def test_edge_wave_survives_on_the_spatial_term(self, edge_wave):
-        sample = extract_mass_at(edge_wave, None, AT_POINT)
+        sample = extract_mass_at(frame(edge_wave, AT_POINT), None)
         assert sample.kappa[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_example_with_zero_potential(self, degenerate_default, unit_domain):
-        estimate = extract_mass(degenerate_default.spinor, None, unit_domain)
+        estimate = extract_mass(sample_support(degenerate_default.spinor, unit_domain), None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
         assert estimate.spread < 1e-9
 
     def test_scale_invariance(self, edge_wave):
         doubled = edge_wave.scaled_by(exprlang.Num(2 + 0j))
-        assert extract_mass_at(doubled, None, AT_POINT).kappa[0] == pytest.approx(
-            extract_mass_at(edge_wave, None, AT_POINT).kappa[0], abs=1e-12)
+        assert extract_mass_at(frame(doubled, AT_POINT), None).kappa[0] == pytest.approx(
+            extract_mass_at(frame(edge_wave, AT_POINT), None).kappa[0], abs=1e-12)
 
     def test_zero_norm_point(self):
         field = SpinorField.from_strings(["x1", "0", "0", "0"])
         with pytest.raises(ZeroNorm):
-            extract_mass_at(field, None, [(0.5, 0.0, 0.1, 0.2)])
+            extract_mass_at(frame(field, [(0.5, 0.0, 0.1, 0.2)]), None)
 
     def test_point_dependent_mass_is_inconsistent(self, unit_domain):
         # With the temporal component forced to zero this spinor's pointwise
         # mass equals x1: correctly rejected as inconsistent over the sample.
         field = SpinorField.from_strings(["exp(-i*x0*x1)", "0", "0", "0"])
-        sample = extract_mass_at(field, None, AT_POINT)
+        sample = extract_mass_at(frame(field, AT_POINT), None)
         assert sample.kappa[0] == pytest.approx(POINT[1], abs=1e-12)
         with pytest.raises(MassInconsistent):
-            extract_mass(field, None, unit_domain)
+            extract_mass(sample_support(field, unit_domain), None)
 
     def test_gauge_invariance_over_random_functions(self, rest_wave, rng):
         domain = SampleDomain(count=25, seed=5)
@@ -151,7 +155,7 @@ class TestExtractMass:
             f, params = solutions.random_gauge_function(rng)
             spinor, shift = gauge_transform(rest_wave.spinor, f, params)
             pot = FourPotential.zero().plus(shift)
-            estimate = extract_mass(spinor, pot.components[0], domain,
+            estimate = extract_mass(sample_support(spinor, domain), pot.components[0],
                                     a0_params=pot.params)
             assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
@@ -159,8 +163,8 @@ class TestExtractMass:
         f, params = solutions.random_gauge_function(rng)
         spinor, shift = gauge_transform(rest_wave.spinor, f, params)
         pot = FourPotential.zero().plus(shift)
-        estimate = extract_mass(spinor, pot.components[0],
-                                SampleDomain(count=10, seed=6), a0_params=pot.params)
+        estimate = extract_mass(sample_support(spinor, SampleDomain(count=10, seed=6)),
+                                pot.components[0], a0_params=pot.params)
         assert estimate.crosscheck_gap is not None
         assert estimate.crosscheck_gap < 1e-8
 
@@ -197,7 +201,8 @@ class TestGaugeTransform:
         spinor, shift = gauge_transform(rest_wave.spinor, f)
         assert shift.values([POINT])[0] == pytest.approx((0.2, 0.0, 0.5, 0.0), abs=1e-15)
         pot = FourPotential.zero().plus(shift)
-        report = verify.residual_norm(spinor, pot, 1.0, SampleDomain(count=30, seed=8))
+        sample = sample_support(spinor, SampleDomain(count=30, seed=8))
+        report = verify.residual_norm(sample, pot, 1.0)
         assert report.max_norm < 1e-12
 
     def test_composing_with_negation_returns_original(self, rest_wave, rng):
@@ -226,7 +231,7 @@ class TestGaugeFixTemporal:
         # The degenerate spinor with the constant family member has a0 = 1;
         # removing it gives a spinor whose zero-potential mass is kappa.
         fixed = gauge_fix_temporal(degenerate_default.spinor, exprlang.ONE, k=0.0)
-        sample = extract_mass_at(fixed, None, AT_POINT)
+        sample = extract_mass_at(frame(fixed, AT_POINT), None)
         assert sample.kappa[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_singular_path_surfaces_quadrature_failure(self, rest_wave):

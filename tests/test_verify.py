@@ -6,7 +6,7 @@ import solutions
 
 from diracinv import catalog, exprlang
 from diracinv.errors import NonRealPotential
-from diracinv.fields import SampleDomain, SpinorField
+from diracinv.fields import SampleDomain, SpinorField, frame, sample_support
 from diracinv.inversion import FourPotential, gauge_transform
 from diracinv.verify import (dirac_residual, field_tensor, gauge_equivalent,
                              lightlike_gap, lightlike_gap_max, residual_norm,
@@ -18,52 +18,55 @@ AT_POINT = [POINT]
 
 class TestDiracResidual:
     def test_rest_wave_vanishes_exactly(self, rest_wave, rng):
-        r = dirac_residual(rest_wave.spinor, None, 1.0, rng.uniform(-1, 1, (10, 4)))
+        r = dirac_residual(frame(rest_wave.spinor, rng.uniform(-1, 1, (10, 4))), None, 1.0)
         assert r.shape == (10, 4)
         assert np.abs(r).max() == 0.0
 
     def test_degenerate_example_force_free(self, degenerate_default, unit_domain):
-        report = residual_norm(degenerate_default.spinor, None, 1.0, unit_domain)
+        sample = sample_support(degenerate_default.spinor, unit_domain)
+        report = residual_norm(sample, None, 1.0)
         assert report.max_norm < 1e-10
 
     def test_degenerate_family_member(self, degenerate_default, unit_domain):
         member = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.parse("sin(x0+x1)"))
-        report = residual_norm(degenerate_default.spinor, member, 1.0, unit_domain)
+        sample = sample_support(degenerate_default.spinor, unit_domain)
+        report = residual_norm(sample, member, 1.0)
         assert report.max_norm < 1e-9
 
     def test_affine_in_mass(self, degenerate_default, rng):
         # Residual with mass kappa+d on a kappa-solution is exactly d*psi.
         for delta_kappa in (0.5, -0.25, 1e-3):
             p = [rng.uniform(-1, 1, 4)]
-            r = dirac_residual(degenerate_default.spinor, None, 1.0 + delta_kappa, p)
+            r = dirac_residual(frame(degenerate_default.spinor, p), None, 1.0 + delta_kappa)
             expected = abs(delta_kappa) * np.linalg.norm(degenerate_default.spinor.values(p))
             assert np.linalg.norm(r) == pytest.approx(expected, rel=1e-10)
 
     def test_accepts_numeric_potential_values(self, rest_wave):
-        r = dirac_residual(rest_wave.spinor, [(0.0, 0.0, 0.0, 0.0)], 1.0, AT_POINT)
+        r = dirac_residual(frame(rest_wave.spinor, AT_POINT), [(0.0, 0.0, 0.0, 0.0)], 1.0)
         assert np.abs(r).max() == 0.0
-        r = dirac_residual(rest_wave.spinor, np.zeros((2, 4)), 1.0, [POINT, POINT])
+        r = dirac_residual(frame(rest_wave.spinor, [POINT, POINT]), np.zeros((2, 4)), 1.0)
         assert np.abs(r).max() == 0.0
         with pytest.raises(ValueError):
-            dirac_residual(rest_wave.spinor, (0.0, 0.0), 1.0, AT_POINT)
+            dirac_residual(frame(rest_wave.spinor, AT_POINT), (0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
-            dirac_residual(rest_wave.spinor, np.zeros((3, 4)), 1.0, [POINT, POINT])
+            dirac_residual(frame(rest_wave.spinor, [POINT, POINT]), np.zeros((3, 4)), 1.0)
 
 
 class TestResidualNorm:
     def test_wrong_potential_is_loud(self, rest_wave, unit_domain):
         shifted = FourPotential.from_strings(["1", "0", "0", "0"])
-        report = residual_norm(rest_wave.spinor, shifted, 1.0, unit_domain)
+        report = residual_norm(sample_support(rest_wave.spinor, unit_domain), shifted, 1.0)
         assert report.max_norm > 0.5
 
     def test_zero_spinor_flags_no_support(self, unit_domain):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
-        report = residual_norm(zero, None, 1.0, unit_domain)
+        report = residual_norm(sample_support(zero, unit_domain), None, 1.0)
         assert report.no_support
         assert not report.passed
 
     def test_reports_argmax_and_relative(self, degenerate_default, unit_domain):
-        report = residual_norm(degenerate_default.spinor, None, 1.0, unit_domain)
+        sample = sample_support(degenerate_default.spinor, unit_domain)
+        report = residual_norm(sample, None, 1.0)
         assert report.count == unit_domain.count
         assert report.argmax_point is not None
         assert 0 <= report.relative_max < 1e-10
@@ -73,10 +76,10 @@ class TestResidualNorm:
         domain = SampleDomain(count=25, seed=13)
         base = FourPotential.from_strings(["0.3", "0.1", "0", "0"])
         wrong_kappa = 1.4  # non-solution: nonzero residual to compare
-        before = residual_norm(rest_wave.spinor, base, wrong_kappa, domain)
+        before = residual_norm(sample_support(rest_wave.spinor, domain), base, wrong_kappa)
         f, params = solutions.random_gauge_function(rng)
         spinor, shift = gauge_transform(rest_wave.spinor, f, params)
-        after = residual_norm(spinor, base.plus(shift), wrong_kappa, domain)
+        after = residual_norm(sample_support(spinor, domain), base.plus(shift), wrong_kappa)
         assert after.max_norm == pytest.approx(before.max_norm, rel=1e-9)
 
 
@@ -165,9 +168,10 @@ class TestLightlikeGap:
         # must be light-like separated on the support.
         members = [catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.parse(t))
                    for t in ("1", "x0", "sin(x0+x1)")]
+        sample = sample_support(degenerate_default.spinor, unit_domain)
         verified = []
         for m in members:
-            report = residual_norm(degenerate_default.spinor, m, 1.0, unit_domain)
+            report = residual_norm(sample, m, 1.0)
             if report.max_norm < 1e-9:
                 verified.append(m)
         assert len(verified) == 3
