@@ -14,11 +14,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import exprlang, verify
-from .clifford import delta
+from . import degeneracy, exprlang, verify
 from .errors import DiracinvError, ParameterOnSingularLocus
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField, bilinear, sample_support, squared_norm
+from .fields import SampleDomain, SpinorField, sample_support, squared_norm
 from .inversion import FourPotential
 
 SINGULAR_MARGIN = 1e-6
@@ -55,7 +54,7 @@ def _certify(instance: CatalogInstance) -> None:
             f"{_SELFTEST_REL_TOL:.0e} (relative); the constructed pair does not "
             f"solve the coupled system")
     if instance.expected_verdict == "degenerate":
-        ind = np.abs(bilinear(sample.values.conj(), delta(4), sample.values))
+        ind = np.abs(degeneracy.indicator(sample.values))
         if np.any(ind > 1e-10 * squared_norm(sample.values)):
             raise CatalogSelfTestError(
                 f"{instance.name}: indicator bilinear is not null on the sample "

@@ -16,11 +16,11 @@ import numpy as np
 from . import __version__, degeneracy, exprlang, fields, inversion, selftest, verify
 from .degeneracy import Classification
 from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPotential,
-                     NonRealTheta, NotDegenerate, ParseError, ScenarioError)
+                     NotDegenerate, ParseError, ScenarioError)
 from .exprlang import EvaluationError
 from .fields import SupportSample
 from .report import CheckSet, render_report
-from .scenario import (MAX_SAMPLES, Scenario, build_scenario, demo_scenario,
+from .scenario import (MAX_SAMPLES, TASKS, Scenario, build_scenario, demo_scenario,
                        load_scenario)
 from .verify import tensor_gap
 
@@ -160,7 +160,8 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     # The family is defined where the transpose g2 bilinear passes the guard:
     # for nonzero mass the whole support of a degenerate solution, for zero
     # mass possibly less.
-    region = np.flatnonzero(np.abs(cls.transpose_g2) > sc.tolerances["guard"] * cls.norm_sq)
+    region = np.flatnonzero(degeneracy.gamma2_covered(cls.transpose_g2, cls.norm_sq,
+                                                      sc.tolerances["guard"]))
     out["region_points"] = len(region)
     checks.add("family region is nonempty on the sample", len(region) > 0,
                value=float(len(region)))
@@ -172,8 +173,7 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     members = {}
     try:
         for label, f in directions:
-            member = degeneracy.potential_family(sc.spinor, base, f, cls,
-                                                 f_params=sc.f_params)
+            member = degeneracy.potential_family(sc.spinor, base, f, cls)
             members[label] = member
             worst = float(verify.residual_norm_at(fr, member, sc.kappa).max())
             gap = verify.lightlike_gap_max(member, base, pts)
@@ -239,48 +239,40 @@ _TASK_RUNNERS = {
     "selftest": _task_selftest,
 }
 
-# Execution order is fixed regardless of the order tasks are listed.
-_TASK_ORDER = ("classify", "mass", "invert", "family", "verify", "selftest")
-
 
 def execute_scenario(sc: Scenario, command: str) -> tuple[dict, int]:
-    tasks = [t for t in _TASK_ORDER if t in sc.tasks]
     state: dict = {}
     task_reports = []
     total = failed = 0
-    for name in tasks:
+    # Tasks run in the order of scenario.TASKS, whatever order they are listed in.
+    for name in (t for t in TASKS if t in sc.tasks):
         try:
             result = _TASK_RUNNERS[name](sc, state)
-        except (NoSupportPoints, NonRealPotential, NonRealTheta, MassInconsistent) as exc:
+        except (NoSupportPoints, NonRealPotential, MassInconsistent) as exc:
             result = {"error": type(exc).__name__,
                       "checks": {"name": name, "total": 1, "failed": 1,
                                  "checks": [{"name": f"{name} completed", "passed": False,
                                              "detail": str(exc)}]}}
-        result_checks = result["checks"]
-        total += result_checks["total"]
-        failed += result_checks["failed"]
+        total += result["checks"]["total"]
+        failed += result["checks"]["failed"]
         task_reports.append({"task": name, **result})
+    return _report(command, sc.domain.seed, sc.domain.count,
+                   {"scenario": sc.raw, "tasks": task_reports}, total, failed)
+
+
+def _report(command: str, seed: int, samples: int, body: dict, total: int,
+            failed: int) -> tuple[dict, int]:
+    """The report envelope around `body`, and the exit code its check counts give."""
     report = {
         "tool": {"name": "diracinv", "version": __version__},
         "command": command,
-        "seed": sc.domain.seed,
-        "samples": sc.domain.count,
-        "scenario": sc.raw,
-        "tasks": task_reports,
-        "summary": _summary(total, failed),
+        "seed": seed,
+        "samples": samples,
+        **body,
+        "summary": {"checks": total, "failed": failed,
+                    "status": "pass" if failed == 0 else "fail"},
     }
     return report, 0 if failed == 0 else 1
-
-
-def _summary(total: int, failed: int) -> dict:
-    return {"checks": total, "failed": failed, "status": "pass" if failed == 0 else "fail"}
-
-
-def run_scenario(path: str, seed: int | None = None, samples: int | None = None,
-                 tol: float | None = None) -> tuple[dict, int]:
-    """Load, validate and execute a scenario file; returns (report, exit code)."""
-    sc = load_scenario(path, seed=seed, samples=samples, tol=tol)
-    return execute_scenario(sc, command="run")
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -327,28 +319,20 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        overrides = {"seed": args.seed, "samples": args.samples, "tol": args.tol}
         if args.command == "run":
-            report, code = run_scenario(args.scenario, seed=args.seed,
-                                        samples=args.samples, tol=args.tol)
+            report, code = execute_scenario(load_scenario(args.scenario, **overrides), "run")
         elif args.command == "demo":
-            data = demo_scenario(args.name)
-            sc = build_scenario(data, seed=args.seed, samples=args.samples, tol=args.tol)
-            report, code = execute_scenario(sc, command="demo")
+            sc = build_scenario(demo_scenario(args.name), **overrides)
+            report, code = execute_scenario(sc, "demo")
         else:
             seed = 42 if args.seed is None else args.seed
             samples = 100 if args.samples is None else args.samples
             if not 1 <= samples <= MAX_SAMPLES:
                 raise ScenarioError(f"--samples: {samples} is not in 1..{MAX_SAMPLES}")
             sections, total, failed = selftest.run_selftest(seed, samples)
-            report = {
-                "tool": {"name": "diracinv", "version": __version__},
-                "command": "selftest",
-                "seed": seed,
-                "samples": samples,
-                "sections": sections,
-                "summary": _summary(total, failed),
-            }
-            code = 0 if failed == 0 else 1
+            report, code = _report("selftest", seed, samples, {"sections": sections},
+                                   total, failed)
     except (ScenarioError, ParseError, EvaluationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

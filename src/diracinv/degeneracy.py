@@ -6,8 +6,8 @@ For degenerate spinors the three theta ratios of transpose bilinears direct
 the potential family (a0 + f, a1 + f t1, a2 + f t2, a3 + f t3) for any real
 f on the support.
 
-`classify` reads psi at the support points from a `fields.SupportSample`,
-so it evaluates nothing itself.
+`indicator`, `theta` and `classify` take spinor values already held and
+evaluate nothing; every bilinear here is a `fields.bilinear` call.
 """
 
 from __future__ import annotations
@@ -35,10 +35,14 @@ _G51 = gamma(5) @ gamma(1)
 DEFAULT_CLASSIFY_TOL = 1e-10
 
 
-def indicator(field: SpinorField, points) -> np.ndarray:
-    """psi* d4 psi at each point; zero exactly on the degenerate locus."""
-    values = field.values(points)
+def indicator(values: np.ndarray) -> np.ndarray:
+    """psi* d4 psi for spinor values (..., 4); zero exactly on the degenerate locus."""
     return bilinear(values.conj(), _D4, values)
+
+
+def gamma2_covered(transpose_g2: np.ndarray, norm_sq: np.ndarray, tol: float) -> np.ndarray:
+    """|psiT g2 psi| > tol |psi|^2: where theta, and so the potential family, is defined."""
+    return np.abs(transpose_g2) > tol * norm_sq
 
 
 @dataclass
@@ -70,9 +74,8 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
     support = require_support(sample)
     values = sample.values
     norm_sq = squared_norm(values)
-    ind = bilinear(values.conj(), _D4, values)
     tb = bilinear(values, _G2, values)
-    nonzero = np.abs(ind) > tol * norm_sq
+    nonzero = np.abs(indicator(values)) > tol * norm_sq
     s_points = support[nonzero]
     degenerate_points = support[~nonzero]
     if len(s_points) == 0:
@@ -88,7 +91,7 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
         # Degenerate solutions with nonzero mass have the transpose g2
         # bilinear nonvanishing on the whole support; for zero mass the
         # covered fraction delimits the region where the family is defined.
-        covered = np.abs(tb) > tol * norm_sq
+        covered = gamma2_covered(tb, norm_sq, tol)
         fraction = float(np.count_nonzero(covered)) / len(support)
         if kappa is None or kappa != 0.0:
             covers = bool(np.all(covered))
@@ -111,20 +114,19 @@ class ThetaTriple:
         return (self.values ** 2).sum(axis=1)
 
 
-def theta(field: SpinorField, points, guard: float = DEFAULT_GUARD,
+def theta(values: np.ndarray, points, guard: float = DEFAULT_GUARD,
           real_tol: float = 1e-6) -> ThetaTriple:
-    """The three direction ratios of transpose bilinears at each point.
+    """The three direction ratios of transpose bilinears of psi values (N, 4).
 
-    Raises for the first point, in the given order, where the denominator
-    psiT g2 psi misses the guard or a ratio is not real.
+    Raises for the first of the (N, 4) points, where the values were taken,
+    at which the denominator psiT g2 psi misses the guard or a ratio is not real.
     """
-    v = field.values(points)
-    den = bilinear(v, _G2, v)
-    miss = np.abs(den) <= guard * squared_norm(v)
+    den = bilinear(values, _G2, values)
+    miss = ~gamma2_covered(den, squared_norm(values), guard)
     safe = np.where(miss, 1.0, den)
-    t = np.stack([-1j * bilinear(v, _G53, v) / safe,
-                  -1j * bilinear(v, _G4, v) / safe,
-                  1j * bilinear(v, _G51, v) / safe], axis=1)
+    t = np.stack([-1j * bilinear(values, _G53, values) / safe,
+                  -1j * bilinear(values, _G4, values) / safe,
+                  1j * bilinear(values, _G51, values) / safe], axis=1)
     residue = np.abs(t.imag).max(axis=1)
     non_real = ~miss & (residue > real_tol * (1.0 + np.abs(t).max(axis=1)))
     bad = np.flatnonzero(miss | non_real)
@@ -246,7 +248,7 @@ def decompose_degenerate(x: CVector4, tol: float = 1e-10) -> tuple[complex, comp
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return (0j, 0j, 0j)
-    ind = complex(np.vdot(x, _D4 @ x))
+    ind = complex(indicator(x))
     if abs(ind) > tol * norm ** 2:
         raise NotRepresentable(
             f"indicator bilinear is {abs(ind):.3e}, not zero: no (u, v, w) form")
@@ -277,25 +279,27 @@ class SymmetryConditions:
 
     lhs: the three symmetrized transpose-bilinear products all vanish;
     rhs: the product (psiT g2 psi)(psi* d4 psi) vanishes.  Margins are the
-    largest magnitude on each side divided by the decision threshold.
+    largest magnitude on each side divided by the decision threshold.  Each
+    field has the leading shape of the spinor values it was computed from.
     """
 
-    lhs: bool
-    rhs: bool
-    lhs_margin: float
-    rhs_margin: float
+    lhs: np.ndarray
+    rhs: np.ndarray
+    lhs_margin: np.ndarray
+    rhs_margin: np.ndarray
 
 
-def bilinear_symmetry_conditions(x: CVector4, tol: float = 1e-10) -> SymmetryConditions:
+def bilinear_symmetry_conditions(x: np.ndarray, tol: float = 1e-10) -> SymmetryConditions:
+    """Both sides at each spinor value of x (..., 4)."""
     x = np.asarray(x, dtype=complex)
-    scale = max(float(np.linalg.norm(x)), 0.0) ** 4
-    threshold = tol * scale if scale > 0 else tol
-    z = complex(x @ (_G2 @ x))
-    lhs_max = 0.0
+    scale = squared_norm(x) ** 2
+    threshold = np.where(scale > 0, tol * scale, tol)
+    z = bilinear(x, _G2, x)
+    lhs_max = np.zeros(x.shape[:-1])
     for m in _COND_MATRICES:
-        w = complex(x @ (m @ x))
-        lhs_max = max(lhs_max, abs(z * np.conj(w) + w * np.conj(z)))
-    rhs_value = abs(z * complex(np.vdot(x, _D4 @ x)))
+        w = bilinear(x, m, x)
+        lhs_max = np.maximum(lhs_max, np.abs(z * np.conj(w) + w * np.conj(z)))
+    rhs_value = np.abs(z * indicator(x))
     return SymmetryConditions(lhs_max <= threshold, rhs_value <= threshold,
                               lhs_max / threshold, rhs_value / threshold)
 

@@ -1,14 +1,14 @@
-"""Spinor fields, batched frames, the fixed-order bilinear kernel, sampling.
+"""Expression fields, batched frames, the fixed-order bilinear kernel, sampling.
 
-A spinor field holds four closed-form complex components over (x0, x1, x2,
-x3) plus shared parameter bindings.  Component partial derivatives are
-differentiated symbolically once and cached per (component, axis); caching
-is semantically invisible.
+An `ExpressionField`, the base of `SpinorField` and `inversion.FourPotential`,
+holds four closed-form complex components over (x0, x1, x2, x3) plus shared
+parameter bindings.  Component partials are differentiated symbolically once
+and cached per (component, axis); caching is semantically invisible.
 
 Every spinor-side kernel works on a batch of N points at once: a `Frame`
 holds the values (N, 4) and the partials (4, N, 4) of the spinor, and every
-bilinear covariant, including the bidirectional derivative, is one call of
-`bilinear` over those arrays.
+bilinear covariant, adjoint or transpose, including the bidirectional
+derivative, is a call of `bilinear` on values already held.
 
 Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
@@ -57,20 +57,19 @@ def merge_params(*maps: Mapping[str, complex] | None) -> dict[str, complex]:
     return merged
 
 
-class SpinorField:
-    """Four expression components with shared parameter bindings."""
+class ExpressionField:
+    """Four expression components with shared parameter bindings; subclasses set NOUN."""
 
     def __init__(self, components: Sequence[Expr], params: Mapping[str, complex] | None = None):
         components = tuple(components)
         if len(components) != 4:
-            raise ValueError(f"a spinor field has exactly 4 components, got {len(components)}")
+            raise ValueError(f"{self.NOUN} has exactly 4 components, got {len(components)}")
         self.components = components
         self.params = dict(params) if params else {}
         self._derivatives: dict[tuple[int, int], Expr] = {}
 
     @classmethod
-    def from_strings(cls, texts: Sequence[str],
-                     params: Mapping[str, complex] | None = None) -> "SpinorField":
+    def from_strings(cls, texts: Sequence[str], params: Mapping[str, complex] | None = None):
         return cls([exprlang.parse(t) for t in texts], params)
 
     def component_derivative(self, idx: int, axis: int) -> Expr:
@@ -84,6 +83,12 @@ class SpinorField:
         pts = as_points(points)
         cols = [exprlang.evaluate_many(c, pts, self.params) for c in self.components]
         return np.stack(cols, axis=1)
+
+
+class SpinorField(ExpressionField):
+    """The four complex components of a spinor."""
+
+    NOUN = "a spinor field"
 
     def scaled_by(self, factor: Expr,
                   extra_params: Mapping[str, complex] | None = None) -> "SpinorField":

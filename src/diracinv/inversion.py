@@ -1,18 +1,20 @@
 """Recover the 4-potential and the mass from a spinor; gauge machinery.
 
-All three inversion routes solve the same pointwise linear relations, each
-normalized by a different denominator bilinear: psi* g4 psi, psi* g5 g4 psi,
-or their sum psi* d4 psi (the combined route, whose denominator vanishes
-exactly on the degenerate locus).  Each route applies the `fields.bilinear`
-kernel to a `fields.Frame`; a run's routes take rows of one support frame
-and evaluate no spinor themselves.  A point whose denominator falls below
-the guard, relative to |psi|^2 there, is marked in the route's `ok` mask
-rather than raised; every recovered component carries its imaginary
-residue, and `RecoveredPotential.non_real` flags the points where it is
-beyond tolerance.
+The paper's pointwise relation is written once, in `_route`, over two
+matrix sets: A_mu fills its temporal and bidirectional slots, B_l its curl
+slots.  The three routes are its instances, each divided by its own
+denominator psi* A4 psi: `invert_gamma4` (A = g, B = g5 g, massive),
+`invert_gamma5gamma4` (A = g5 g, B = g, mass-free) and `invert_combined`
+(A = B = d).  As d_mu = g_mu + g5 g_mu, the combined relation is the sum of
+the other two, and its denominator psi* d4 psi vanishes exactly on the
+degenerate locus.  `extract_mass_at` solves the temporal relation of the g
+set for the mass.
 
-`extract_mass` reads the support frame of a `fields.SupportSample`; only
-its gauge-fixed cross-check builds a frame, of another spinor.
+The routes apply the `fields.bilinear` kernel to a `fields.Frame` and
+evaluate no spinor.  A point whose denominator falls below the guard,
+relative to |psi|^2 there, is marked in the route's `ok` mask rather than
+raised; every recovered component carries its imaginary residue, and
+`RecoveredPotential.non_real` flags the points where it is beyond tolerance.
 
 The temporal-slot matrices in the spatial-component relations are pinned by
 the residual oracle on manufactured solutions and hard-asserted in tests.
@@ -21,7 +23,7 @@ the residual oracle on manufactured solutions and hard-asserted in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -29,8 +31,8 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
-from .fields import (Frame, SpinorField, SupportSample, as_points, bilinear, frame,
-                     merge_params, squared_norm)
+from .fields import (ExpressionField, Frame, SpinorField, SupportSample, as_points,
+                     bilinear, frame, merge_params, squared_norm)
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -38,31 +40,14 @@ DEFAULT_SPREAD_TOL = 1e-8
 CROSSCHECK_TOL = 1e-8
 
 
-class FourPotential:
+class FourPotential(ExpressionField):
     """Four real-valued expression components (a0, a1, a2, a3)."""
 
-    def __init__(self, components: Sequence[Expr], params: Mapping[str, complex] | None = None):
-        components = tuple(components)
-        if len(components) != 4:
-            raise ValueError(f"a 4-potential has exactly 4 components, got {len(components)}")
-        self.components = components
-        self.params = dict(params) if params else {}
-        self._derivatives: dict[tuple[int, int], Expr] = {}
+    NOUN = "a 4-potential"
 
     @classmethod
     def zero(cls) -> "FourPotential":
         return cls([exprlang.ZERO] * 4)
-
-    @classmethod
-    def from_strings(cls, texts: Sequence[str],
-                     params: Mapping[str, complex] | None = None) -> "FourPotential":
-        return cls([exprlang.parse(t) for t in texts], params)
-
-    def component_derivative(self, idx: int, axis: int) -> Expr:
-        key = (idx, axis)
-        if key not in self._derivatives:
-            self._derivatives[key] = exprlang.differentiate(self.components[idx], axis)
-        return self._derivatives[key]
 
     def values(self, points, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
         """Real component values (N, 4) at (N, 4) points, or (4,) at one (4,) point.
@@ -73,8 +58,7 @@ class FourPotential:
         """
         single = np.shape(points) == (4,)
         pts = as_points([points] if single else points)
-        raw = np.stack([exprlang.evaluate_many(c, pts, self.params)
-                        for c in self.components], axis=1)
+        raw = super().values(pts)
         worst = np.abs(raw.imag).max(axis=1)
         bad = np.flatnonzero(worst > real_tol * (1.0 + np.abs(raw.real).max(axis=1)))
         if bad.size:
@@ -128,11 +112,14 @@ class MassEstimate:
     crosscheck_gap: float | None = None
 
 
-_G = {k: gamma(k) for k in range(1, 6)}
-_D = {k: delta(k) for k in range(1, 5)}
-_G54 = _G[5] @ _G[4]
-_G5k = {k: _G[5] @ _G[k] for k in (1, 2, 3)}
-_Gk4 = {k: _G[k] @ _G[4] for k in (1, 2, 3)}
+# The matrix sets, indexed 1..4; delta(k) = gamma(k) + gamma(5) gamma(k).
+_GAMMA = {k: gamma(k) for k in range(1, 5)}
+_G5GAMMA = {k: gamma(5) @ gamma(k) for k in range(1, 5)}
+_DELTA = {k: delta(k) for k in range(1, 5)}
+_Gk4 = {k: gamma(k) @ gamma(4) for k in (1, 2, 3)}
+
+# -0.0 + x is x for every x, signed zeros included; +0.0 or 0 * kappa is not.
+_SIGNED_ZERO = complex(-0.0, -0.0)
 
 
 def _bil(fr: Frame, m: np.ndarray) -> np.ndarray:
@@ -151,63 +138,57 @@ def _bidir(fr: Frame, m: np.ndarray, axis: int) -> np.ndarray:
     return bilinear(fr.value.conj(), m, dv) - bilinear(dv.conj(), m, fr.value)
 
 
-def _recover(fr: Frame, den: np.ndarray, guard: float, a0_num: np.ndarray,
-             spatial_nums: Sequence[np.ndarray]) -> RecoveredPotential:
-    """Divide the numerators by the guarded denominator; a0 by 2 den, ak by 2i den."""
+def _temporal(fr: Frame, A: Mapping[int, np.ndarray]) -> np.ndarray:
+    """The mass-free part of the temporal relation: i (A4 bidirectional in x0) - div."""
+    return -sum(_dbil(fr, A[k], k) for k in (1, 2, 3)) + 1j * _bidir(fr, A[4], 0)
+
+
+def _route(fr: Frame, kappa: float, guard: float, A: Mapping[int, np.ndarray],
+           B: Mapping[int, np.ndarray], massive: bool) -> RecoveredPotential:
+    """The pointwise relation for matrix sets A and B, over denominator psi* A4 psi.
+
+    Spatial component j sums, over the axes k = 1, 2, 3 in order, the A4
+    bidirectional term at k = j and -eps_jkl d_k (psi* B_l psi) at the other
+    two, then i d_0 (psi* A_j psi); the -2 kappa terms enter when `massive`.
+    """
+    a0 = _temporal(fr, A)
+    if massive:
+        a0 = a0 - 2.0 * kappa * _bil(fr, IDENTITY)
+    spatial = []
+    for j in (1, 2, 3):
+        aj = -2.0 * kappa * _bil(fr, _Gk4[j]) if massive else _SIGNED_ZERO
+        for k in (1, 2, 3):
+            if k == j:
+                aj = aj + _bidir(fr, A[4], j)
+            elif k == j % 3 + 1:  # (j, k, l) cyclic: eps_jkl = +1
+                aj = aj - _dbil(fr, B[6 - j - k], k)
+            else:
+                aj = aj + _dbil(fr, B[6 - j - k], k)
+        spatial.append(aj + 1j * _dbil(fr, A[j], 0))
+    # a0 is divided by 2 den, ak by 2i den, wherever den passes the guard.
+    den = _bil(fr, A[4])
     ok = np.abs(den) > guard * squared_norm(fr.value)
     den = np.where(ok, den, 1.0)
-    raw = np.stack([a0_num / (2.0 * den)] + [num / (2j * den) for num in spatial_nums],
-                   axis=1)
-    scale = 1.0 + np.abs(raw.real).max(axis=1)
-    residue = np.abs(raw.imag).max(axis=1) / scale
+    raw = np.stack([a0 / (2.0 * den)] + [num / (2j * den) for num in spatial], axis=1)
+    residue = np.abs(raw.imag).max(axis=1) / (1.0 + np.abs(raw.real).max(axis=1))
     return RecoveredPotential(fr.points, np.where(ok[:, None], raw.real, np.nan), ok,
                               np.where(ok, residue, np.nan))
 
 
 def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
-    a0 = (-sum(_dbil(fr, _D[k], k) for k in (1, 2, 3))
-          + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
-    a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _D[4], 1)
-          - _dbil(fr, _D[3], 2) + _dbil(fr, _D[2], 3)
-          + 1j * _dbil(fr, _D[1], 0))
-    a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _D[3], 1)
-          + _bidir(fr, _D[4], 2) - _dbil(fr, _D[1], 3)
-          + 1j * _dbil(fr, _D[2], 0))
-    a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _D[2], 1)
-          + _dbil(fr, _D[1], 2) + _bidir(fr, _D[4], 3)
-          + 1j * _dbil(fr, _D[3], 0))
-    return _recover(fr, _bil(fr, _D[4]), guard, a0, (a1, a2, a3))
+    return _route(fr, kappa, guard, _DELTA, _DELTA, massive=True)
 
 
 def invert_gamma4(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    a0 = (-sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
-          + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
-    a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _G[4], 1)
-          - _dbil(fr, _G5k[3], 2) + _dbil(fr, _G5k[2], 3)
-          + 1j * _dbil(fr, _G[1], 0))
-    a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _G5k[3], 1)
-          + _bidir(fr, _G[4], 2) - _dbil(fr, _G5k[1], 3)
-          + 1j * _dbil(fr, _G[2], 0))
-    a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _G5k[2], 1)
-          + _dbil(fr, _G5k[1], 2) + _bidir(fr, _G[4], 3)
-          + 1j * _dbil(fr, _G[3], 0))
-    return _recover(fr, _bil(fr, _G[4]), guard, a0, (a1, a2, a3))
+    return _route(fr, kappa, guard, _GAMMA, _G5GAMMA, massive=True)
 
 
 def invert_gamma5gamma4(fr: Frame, kappa: float,
                         guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    a0 = (1j * _bidir(fr, _G54, 0)
-          - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3)))
-    a1 = (_bidir(fr, _G54, 1) - _dbil(fr, _G[3], 2) + _dbil(fr, _G[2], 3)
-          + 1j * _dbil(fr, _G5k[1], 0))
-    a2 = (_dbil(fr, _G[3], 1) + _bidir(fr, _G54, 2) - _dbil(fr, _G[1], 3)
-          + 1j * _dbil(fr, _G5k[2], 0))
-    a3 = (-_dbil(fr, _G[2], 1) + _dbil(fr, _G[1], 2) + _bidir(fr, _G54, 3)
-          + 1j * _dbil(fr, _G5k[3], 0))
-    return _recover(fr, _bil(fr, _G54), guard, a0, (a1, a2, a3))
+    return _route(fr, kappa, guard, _G5GAMMA, _GAMMA, massive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +202,7 @@ def extract_mass_at(fr: Frame, a0: Expr | None,
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
     a0_value = 0j if a0 is None else exprlang.evaluate_many(a0, fr.points, a0_params)
-    value = (1j * _bidir(fr, _G[4], 0)
-             - sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
-             - 2.0 * a0_value * _bil(fr, _G[4])) / (2.0 * norm_sq)
+    value = (_temporal(fr, _GAMMA) - 2.0 * a0_value * _bil(fr, _GAMMA[4])) / (2.0 * norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 

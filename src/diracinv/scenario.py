@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,29 +70,55 @@ class Scenario:
     instance: CatalogInstance | None
     potential: FourPotential | None
     f: Expr | None
-    f_params: dict
     domain: SampleDomain
     tolerances: dict
     tasks: list[str] = field(default_factory=list)
 
 
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, a subclass of int; an integer literal
+    # past the float range makes float() overflow.  Neither is a number here.
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ScenarioError(f"{where}: boolean is not a number")
-    pair = [value, 0] if isinstance(value, (int, float)) else value
-    if not (isinstance(pair, list) and len(pair) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+    pair = [value, 0] if _is_number(value) else value
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
         raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {value!r}")
     if not all(math.isfinite(v) for v in pair):
         raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
     return complex(pair[0], pair[1])
 
 
+def _real(value, where: str) -> float:
+    """A real number; its consumer checks that it is finite."""
+    if not _is_number(value):
+        raise ScenarioError(f"{where}: expected a real number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _tolerance(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not (math.isfinite(value) and value > 0):
+    if not (_is_number(value) and math.isfinite(value) and value > 0):
         raise ScenarioError(f"{where}: expected a finite positive number, got {value!r}")
     return float(value)
+
+
+def _catalog_params(obj) -> dict:
+    if obj is not None and not isinstance(obj, dict):
+        raise ScenarioError("spinor.params: params must be an object")
+    params = dict(obj or {})
+    for key, value in params.items():
+        if key == "member":
+            params[key] = _integer(value, "spinor.params.member")
+        elif key in ("kappa", "alpha", "phi1", "phi2"):
+            params[key] = _real(value, f"spinor.params.{key}")
+    return params
 
 
 def _parse_params(obj, where: str) -> dict[str, complex]:
@@ -124,7 +151,7 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
         if not isinstance(name, str) or name not in catalog.ENTRIES:
             raise ScenarioError(f"spinor.catalog: unknown entry {name!r}; "
                         f"available: {', '.join(sorted(catalog.ENTRIES))}")
-        params = dict(obj.get("params") or {})
+        params = _catalog_params(obj.get("params"))
         params.setdefault("kappa", kappa)
         try:
             instance = catalog.build(name, params)
@@ -151,7 +178,7 @@ def _build_potential(obj, kappa: float,
             and instance.name == "degenerate_example" else {}
         def pick(key):
             if key in fam:
-                return float(fam[key])
+                return _real(fam[key], f"potential.catalog_family.{key}")
             if key in inherited:
                 return float(inherited[key])
             raise ScenarioError(f"potential.catalog_family: missing {key!r} and no "
@@ -161,9 +188,9 @@ def _build_potential(obj, kappa: float,
         except exprlang.ParseError as exc:
             raise ScenarioError(f"potential.catalog_family.f: {exc}") from exc
         f_params = _parse_params(fam.get("params"), "potential.catalog_family.params")
+        alpha, phi1, phi2 = pick("alpha"), pick("phi1"), pick("phi2")
         try:
-            return catalog.example_family(kappa, pick("alpha"), pick("phi1"),
-                                          pick("phi2"), f, f_params)
+            return catalog.example_family(kappa, alpha, phi1, phi2, f, f_params)
         except (DiracinvError, ValueError) as exc:
             raise ScenarioError(f"potential.catalog_family: {exc}") from exc
     if "exprs" in obj:
@@ -182,10 +209,11 @@ def _build_domain(obj, seed: int | None, samples: int | None) -> SampleDomain:
         raise ScenarioError("domain.box: expected 4 [lo, hi] intervals")
     try:
         domain = SampleDomain(
-            box=tuple((float(lo), float(hi)) for lo, hi in box),
-            count=int(obj.get("count", 100)) if samples is None else samples,
-            seed=int(obj.get("seed", 0)) if seed is None else seed)
-    except (TypeError, ValueError, OverflowError) as exc:
+            box=tuple((_real(lo, "domain.box"), _real(hi, "domain.box")) for lo, hi in box),
+            count=_integer(obj.get("count", 100), "domain.count") if samples is None
+            else samples,
+            seed=_integer(obj.get("seed", 0), "domain.seed") if seed is None else seed)
+    except ValueError as exc:
         raise ScenarioError(f"domain: {exc}") from exc
     if domain.count > MAX_SAMPLES:
         raise ScenarioError(f"domain.count: {domain.count} samples exceed the maximum "
@@ -233,7 +261,6 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     potential = _build_potential(data.get("potential"), kappa, instance)
 
     f = None
-    f_params: dict = {}
     if data.get("f") is not None:
         if not isinstance(data["f"], str):
             raise ScenarioError("f: expected an expression string")
@@ -242,8 +269,8 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
         except exprlang.ParseError as exc:
             raise ScenarioError(f"f: {exc}") from exc
 
-    return Scenario(data, kappa, spinor, instance, potential, f, f_params,
-                    domain, tolerances, list(tasks))
+    return Scenario(data, kappa, spinor, instance, potential, f, domain, tolerances,
+                    list(tasks))
 
 
 def load_scenario(path: str | Path, **overrides) -> Scenario:

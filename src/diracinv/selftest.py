@@ -184,28 +184,27 @@ def identity_suite(seed: int) -> CheckSet:
 
     # Pointwise equivalence of the symmetrized conditions and the product form,
     # over random and structured vectors; borderline cases are excluded and counted.
-    disagree = 0
-    borderline = 0
+    xs = []
     for trial in range(1000):
         kind = trial % 4
         if kind == 0:
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            xs.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         elif kind == 1:
             u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            x = degeneracy.compose_values(u, v, w)
+            xs.append(degeneracy.compose_values(u, v, w))
         elif kind == 2:
             p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            x = np.array([p1, p2, p1, p2])
+            xs.append(np.array([p1, p2, p1, p2]))
         else:
             p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            x = np.array([p1, p2, -p1, -p2])
-        cond = degeneracy.bilinear_symmetry_conditions(x)
-        if 0.1 < cond.lhs_margin < 10 or 0.1 < cond.rhs_margin < 10:
-            borderline += 1
-        elif cond.lhs != cond.rhs:
-            disagree += 1
+            xs.append(np.array([p1, p2, -p1, -p2]))
+    cond = degeneracy.bilinear_symmetry_conditions(np.array(xs))
+    borderline = (((0.1 < cond.lhs_margin) & (cond.lhs_margin < 10))
+                  | ((0.1 < cond.rhs_margin) & (cond.rhs_margin < 10)))
+    disagree = np.count_nonzero(~borderline & (cond.lhs != cond.rhs))
     suite.add("symmetry conditions equivalence (1000 vectors)", disagree == 0,
-              value=float(disagree), detail=f"borderline excluded: {borderline}")
+              value=float(disagree),
+              detail=f"borderline excluded: {np.count_nonzero(borderline)}")
 
     worst_det = 0.0
     for _ in range(1000):
@@ -215,12 +214,10 @@ def identity_suite(seed: int) -> CheckSet:
     suite.add("zero-mass system determinant vanishes (1000 pairs)",
               worst_det < 1e-12, value=worst_det)
 
-    worst_ind = 0.0
-    for _ in range(100):
-        u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        x = degeneracy.compose_values(u, v, w)
-        scale = max(float(np.linalg.norm(x)) ** 2, 1.0)
-        worst_ind = max(worst_ind, abs(np.vdot(x, clifford.delta(4) @ x)) / scale)
+    triples = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(100)]
+    x = np.array([degeneracy.compose_values(*uvw) for uvw in triples])
+    scale = np.maximum(fields.squared_norm(x), 1.0)
+    worst_ind = float((np.abs(degeneracy.indicator(x)) / scale).max())
     suite.add("composed null form has zero indicator (100 triples)",
               worst_ind <= 1e-12, value=worst_ind)
 
@@ -281,7 +278,7 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
               value=cls.gamma2_cover_fraction)
 
     expected = np.array(deg.thetas)
-    t = degeneracy.theta(deg.spinor, cls.support_points[:20])
+    t = degeneracy.theta(sample.values[:20], cls.support_points[:20])
     worst_theta = float(np.abs(t.values - expected).max())
     worst_norm = float(np.abs(t.norm_sq - 1.0).max())
     suite.add("theta matches closed form", worst_theta < 1e-9, value=worst_theta)

@@ -23,7 +23,7 @@ import numpy as np
 from . import exprlang
 from .clifford import gamma
 from .errors import NonRealPotential
-from .fields import Frame, SampleDomain, SupportSample, as_points
+from .fields import Frame, SupportSample, as_points
 # Unused; test_tracer_wraps_every_binding_and_restores_them in bench/tests reads it.
 from .fields import frame  # noqa: F401
 from .inversion import FourPotential
@@ -124,10 +124,10 @@ def tensor_gap(a: FourPotential, b: FourPotential, points) -> float:
     return float(np.abs(field_tensor(a, points) - field_tensor(b, points)).max(initial=0.0))
 
 
-def gauge_equivalent(a: FourPotential, b: FourPotential, domain: SampleDomain,
+def gauge_equivalent(a: FourPotential, b: FourPotential, points,
                      tol: float = 1e-10) -> bool:
-    """Field-tensor equality on the sampled box (simply connected)."""
-    return tensor_gap(a, b, domain.points()) < tol
+    """Field-tensor equality at the (N, 4) points of a simply connected box."""
+    return tensor_gap(a, b, points) < tol
 
 
 def lightlike_gap(a: FourPotential, b: FourPotential, points) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_criterion_4_theta_real_and_unit_norm(degenerate_instances):
     worst_norm = 0.0
     for inst in degenerate_instances:
         cls = degeneracy.classify(sample_support(inst.spinor, DOMAIN), kappa=inst.kappa)
-        t = degeneracy.theta(inst.spinor, cls.support_points)
+        t = degeneracy.theta(inst.spinor.values(cls.support_points), cls.support_points)
         worst_imag = max(worst_imag, float(t.imag_residue.max()))
         worst_norm = max(worst_norm, float(np.abs(t.norm_sq - 1.0).max()))
     ok = worst_imag < 1e-10 and worst_norm < 1e-9
@@ -117,7 +117,7 @@ def test_criterion_5_gauge_inequivalent_member_exists(degenerate_instances):
         floor = 0.5 * float(np.abs(np.array(inst.thetas)).min())
         ok &= gap_const < 1e-12
         ok &= gap_linear >= floor
-        ok &= verify.gauge_equivalent(linear, base, DOMAIN) is False
+        ok &= verify.gauge_equivalent(linear, base, DOMAIN.points()) is False
         details.append(f"{gap_linear:.3f}>={floor:.3f}")
     _verdict("criterion 5: f=1 member shares the base tensor, f=x0 member does not",
              ok, "linear gaps vs floors: " + ", ".join(details))

@@ -65,7 +65,8 @@ class TestDegenerateExample:
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.3, "alpha": -0.5, "phi1": 0.7, "phi2": 0.4})
         expected = np.array(inst.thetas)
-        for values in degeneracy.theta(inst.spinor, rng.uniform(-1, 1, (10, 4))).values:
+        pts = rng.uniform(-1, 1, (10, 4))
+        for values in degeneracy.theta(inst.spinor.values(pts), pts).values:
             assert values == pytest.approx(expected, abs=1e-9)
 
     def test_construction_selftest_catches_bad_pairs(self, degenerate_default):
@@ -102,7 +103,7 @@ class TestExampleFamily:
     def test_linear_member_gauge_inequivalent(self, unit_domain):
         base = inversion.FourPotential.zero()
         member = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.Name("x0"))
-        assert verify.gauge_equivalent(member, base, unit_domain) is False
+        assert verify.gauge_equivalent(member, base, unit_domain.points()) is False
 
 
 class TestNullShapes:

@@ -381,6 +381,42 @@ def test_bad_numbers_rejected_before_any_computation(tmp_path, capsys, monkeypat
     assert message in captured.err
 
 
+_DEGENERATE = {"catalog": "degenerate_example"}
+_LSET = {"catalog": "lset", "params": {"psi1": "1", "psi2": "x1"}}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"spinor": {**_DEGENERATE, "params": {"alpha": [1, 2]}}}, "spinor.params.alpha"),
+    ({"spinor": {**_DEGENERATE, "params": {"alpha": {}}}}, "spinor.params.alpha"),
+    ({"spinor": {**_DEGENERATE, "params": {"alpha": None}}}, "spinor.params.alpha"),
+    ({"spinor": {**_DEGENERATE, "params": {"alpha": True}}}, "spinor.params.alpha"),
+    ({"spinor": {**_DEGENERATE, "params": [1]}}, "spinor.params"),
+    ({"spinor": _DEGENERATE,
+      "potential": {"catalog_family": {"f": "x0", "alpha": [1]}}},
+     "potential.catalog_family.alpha"),
+    ({"spinor": {**_LSET, "params": {**_LSET["params"], "member": [0]}}},
+     "spinor.params.member"),
+    ({"spinor": {**_LSET, "params": {**_LSET["params"], "member": 0.7}}},
+     "spinor.params.member"),
+    ({"domain": {"count": 10.7}}, "domain.count"),
+    ({"domain": {"count": True}}, "domain.count"),
+    ({"domain": {"seed": 1.5}}, "domain.seed"),
+    ({"domain": {"box": [[-1, True]] + [[-1, 1]] * 3}}, "domain.box"),
+    # Integer literals too large for a float.
+    ({"kappa": 10 ** 400}, "kappa"),
+    ({"spinor": {**_DEGENERATE, "params": {"alpha": 10 ** 400}}}, "spinor.params.alpha"),
+    ({"tolerances": {"guard": 10 ** 400}}, "tolerances.guard"),
+])
+def test_parameters_of_the_wrong_type_exit_2(tmp_path, capsys, change, field):
+    payload = {**GOOD_SCENARIO, "kappa": 1.0, "potential": None, "tasks": ["classify"],
+               **change}
+    code = cli.main(["run", _write(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {field}: " in captured.err
+
+
 def _overrides(extra: list[str]) -> dict:
     flags = {"--tol": ("tol", float), "--samples": ("samples", int)}
     return {flags[flag][0]: flags[flag][1](value)

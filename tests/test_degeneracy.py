@@ -27,17 +27,19 @@ def edge_wave():
 
 class TestIndicator:
     def test_edge_wave_is_null(self, edge_wave, rng):
-        assert np.abs(indicator(edge_wave, rng.uniform(-1, 1, (10, 4)))).max() < 1e-14
+        pts = rng.uniform(-1, 1, (10, 4))
+        assert np.abs(indicator(edge_wave.values(pts))).max() < 1e-14
 
     def test_rest_wave_is_unity(self, rest_wave, rng):
-        for value in indicator(rest_wave.spinor, rng.uniform(-1, 1, (10, 4))):
+        pts = rng.uniform(-1, 1, (10, 4))
+        for value in indicator(rest_wave.spinor.values(pts)):
             assert value == pytest.approx(1.0, abs=1e-13)
 
     def test_composed_null_form_random_uvw(self, rng):
         for _ in range(100):
             u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             field = compose_degenerate(u, v, w)
-            value = indicator(field, AT_POINT)[0]
+            value = indicator(field.values(AT_POINT))[0]
             v = field.values(AT_POINT)[0]
             norm_sq = float(np.vdot(v, v).real)
             assert abs(value) <= 1e-12 * max(norm_sq, 1.0)
@@ -50,7 +52,7 @@ class TestIndicator:
         for _ in range(50):
             values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             field = SpinorField([exprlang.Num(complex(c)) for c in values])
-            ind = indicator(field, AT_POINT)[0]
+            ind = indicator(field.values(AT_POINT))[0]
             v = field.values(AT_POINT)
             b4 = bilinear(v.conj(), gamma(4), v)[0]
             b54 = bilinear(v.conj(), g54, v)[0]
@@ -105,7 +107,8 @@ class TestTheta:
         # Signs fixed by the forward residual: (+cos a cos(p2-p1),
         # +cos a sin(p2-p1), -sin a) for the exponential example.
         expected = np.array(catalog.example_thetas(0.3, 0.2, -0.1))
-        t = theta(degenerate_default.spinor, rng.uniform(-1, 1, (10, 4)))
+        pts = rng.uniform(-1, 1, (10, 4))
+        t = theta(degenerate_default.spinor.values(pts), pts)
         for values, residue in zip(t.values, t.imag_residue):
             assert values == pytest.approx(expected, abs=1e-9)
             assert residue < 1e-10
@@ -113,7 +116,7 @@ class TestTheta:
     def test_axis_aligned_parameters(self):
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
-        t = theta(inst.spinor, AT_POINT)
+        t = theta(inst.spinor.values(AT_POINT), AT_POINT)
         assert t.values[0] == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
 
     def test_unit_norm_over_random_parameters(self, rng):
@@ -124,18 +127,18 @@ class TestTheta:
             inst = catalog.build("degenerate_example",
                                  {"kappa": 1.0, "alpha": alpha,
                                   "phi1": phi1, "phi2": phi2})
-            t = theta(inst.spinor, AT_POINT)
+            t = theta(inst.spinor.values(AT_POINT), AT_POINT)
             assert t.norm_sq[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_guard_violated_when_denominator_vanishes(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
         with pytest.raises(GuardViolated):
-            theta(field, AT_POINT)
+            theta(field.values(AT_POINT), AT_POINT)
 
     def test_nonreal_theta_flags_non_solutions(self):
         field = SpinorField.from_strings(["1", "2*i", "0.3", "0-1"])
         with pytest.raises(NonRealTheta):
-            theta(field, AT_POINT)
+            theta(field.values(AT_POINT), AT_POINT)
 
     def test_batch_raises_for_the_first_bad_point(self):
         # Non-real wherever x1 != 0; at x1 = 0 the spinor vanishes and the
@@ -143,9 +146,9 @@ class TestTheta:
         field = SpinorField.from_strings(["x1", "2*i*x1", "0.3*x1", "0-x1"])
         nonreal, vanishing = (0.1, 0.5, 0.2, 0.3), (0.1, 0.0, 0.2, 0.3)
         with pytest.raises(NonRealTheta, match=r"at \(0\.1, 0\.5, 0\.2, 0\.3\)"):
-            theta(field, [nonreal, vanishing])
+            theta(field.values([nonreal, vanishing]), [nonreal, vanishing])
         with pytest.raises(GuardViolated, match=r"at \(0\.1, 0\.0, 0\.2, 0\.3\)"):
-            theta(field, [vanishing, nonreal])
+            theta(field.values([vanishing, nonreal]), [vanishing, nonreal])
 
 
 class TestPotentialFamily:
@@ -185,7 +188,7 @@ class TestPotentialFamily:
         exprs = theta_exprs(degenerate_default.spinor)
         params = degenerate_default.spinor.params
         pts = rng.uniform(-1, 1, (5, 4))
-        t = theta(degenerate_default.spinor, pts)
+        t = theta(degenerate_default.spinor.values(pts), pts)
         for p, expected in zip(pts, t.values):
             values = [exprlang.evaluate(e, p, params) for e in exprs]
             assert np.real(values) == pytest.approx(expected, abs=1e-12)
@@ -339,7 +342,7 @@ class TestZeroMass:
         assert cls.verdict == "degenerate"
         assert cls.gamma2_cover_fraction == 0.0
         with pytest.raises(GuardViolated):
-            theta(field, AT_POINT)
+            theta(field.values(AT_POINT), AT_POINT)
 
 
 class TestZeroMassSystemDet:

@@ -10,7 +10,7 @@ from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
 from diracinv.fields import (SampleDomain, SpinorField, as_points, bilinear, frame,
                              require_support, sample_support, squared_norm)
-from diracinv.inversion import _bidir
+from diracinv.inversion import FourPotential, _bidir
 
 KAPPA = 1.0
 ORIGIN = [(0, 0, 0, 0)]
@@ -59,8 +59,9 @@ class TestSpinorEval:
         assert inst.spinor.values(ORIGIN)[0] == pytest.approx(np.array([1, 0, 0, 1]))
 
     def test_component_count_is_enforced(self):
-        with pytest.raises(ValueError):
-            SpinorField([exprlang.ZERO] * 3)
+        for cls, noun in ((SpinorField, "a spinor field"), (FourPotential, "a 4-potential")):
+            with pytest.raises(ValueError, match=f"^{noun} has exactly 4 components, got 3$"):
+                cls([exprlang.ZERO] * 3)
 
     def test_conflicting_params_rejected(self):
         base = SpinorField.from_strings(["x0", "0", "0", "0"], {"a": 1.0})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import solutions
 
-from diracinv import exprlang, verify
+from diracinv import catalog, exprlang, verify
+from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import MassInconsistent, NonRealPotential, ZeroNorm
-from diracinv.fields import SampleDomain, SpinorField, frame, sample_support
+from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at,
                                 gauge_fix_temporal, gauge_transform, invert_combined,
                                 invert_gamma4, invert_gamma5gamma4)
@@ -19,6 +20,139 @@ AT_POINT = [POINT]
 def edge_wave():
     return SpinorField.from_strings(
         ["exp(kappa*x2)", "0", "0", "exp(kappa*x2)"], {"kappa": 1.0})
+
+
+# Reference: the three routes and the mass formula written out term by term,
+# each relation on its own.  The library derives all of them from one relation.
+_G = {k: gamma(k) for k in range(1, 6)}
+_D = {k: delta(k) for k in range(1, 5)}
+_G54 = _G[5] @ _G[4]
+_G5k = {k: _G[5] @ _G[k] for k in (1, 2, 3)}
+_Gk4 = {k: _G[k] @ _G[4] for k in (1, 2, 3)}
+
+
+def _bil(fr, m):
+    return bilinear(fr.value.conj(), m, fr.value)
+
+
+def _dbil(fr, m, axis):
+    dv = fr.derivs[axis]
+    return bilinear(dv.conj(), m, fr.value) + bilinear(fr.value.conj(), m, dv)
+
+
+def _bidir(fr, m, axis):
+    dv = fr.derivs[axis]
+    return bilinear(fr.value.conj(), m, dv) - bilinear(dv.conj(), m, fr.value)
+
+
+def reference_recover(fr, den, guard, a0_num, spatial_nums):
+    ok = np.abs(den) > guard * _bil(fr, IDENTITY).real
+    den = np.where(ok, den, 1.0)
+    raw = np.stack([a0_num / (2.0 * den)] + [num / (2j * den) for num in spatial_nums],
+                   axis=1)
+    scale = 1.0 + np.abs(raw.real).max(axis=1)
+    residue = np.abs(raw.imag).max(axis=1) / scale
+    return (np.where(ok[:, None], raw.real, np.nan), ok, np.where(ok, residue, np.nan))
+
+
+def reference_combined(fr, kappa, guard):
+    a0 = (-sum(_dbil(fr, _D[k], k) for k in (1, 2, 3))
+          + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
+    a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _D[4], 1)
+          - _dbil(fr, _D[3], 2) + _dbil(fr, _D[2], 3)
+          + 1j * _dbil(fr, _D[1], 0))
+    a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _D[3], 1)
+          + _bidir(fr, _D[4], 2) - _dbil(fr, _D[1], 3)
+          + 1j * _dbil(fr, _D[2], 0))
+    a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _D[2], 1)
+          + _dbil(fr, _D[1], 2) + _bidir(fr, _D[4], 3)
+          + 1j * _dbil(fr, _D[3], 0))
+    return reference_recover(fr, _bil(fr, _D[4]), guard, a0, (a1, a2, a3))
+
+
+def reference_gamma4(fr, kappa, guard):
+    a0 = (-sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
+          + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
+    a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _G[4], 1)
+          - _dbil(fr, _G5k[3], 2) + _dbil(fr, _G5k[2], 3)
+          + 1j * _dbil(fr, _G[1], 0))
+    a2 = (-2.0 * kappa * _bil(fr, _Gk4[2]) + _dbil(fr, _G5k[3], 1)
+          + _bidir(fr, _G[4], 2) - _dbil(fr, _G5k[1], 3)
+          + 1j * _dbil(fr, _G[2], 0))
+    a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _G5k[2], 1)
+          + _dbil(fr, _G5k[1], 2) + _bidir(fr, _G[4], 3)
+          + 1j * _dbil(fr, _G[3], 0))
+    return reference_recover(fr, _bil(fr, _G[4]), guard, a0, (a1, a2, a3))
+
+
+def reference_gamma5gamma4(fr, kappa, guard):
+    a0 = (1j * _bidir(fr, _G54, 0)
+          - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3)))
+    a1 = (_bidir(fr, _G54, 1) - _dbil(fr, _G[3], 2) + _dbil(fr, _G[2], 3)
+          + 1j * _dbil(fr, _G5k[1], 0))
+    a2 = (_dbil(fr, _G[3], 1) + _bidir(fr, _G54, 2) - _dbil(fr, _G[1], 3)
+          + 1j * _dbil(fr, _G5k[2], 0))
+    a3 = (-_dbil(fr, _G[2], 1) + _dbil(fr, _G[1], 2) + _bidir(fr, _G54, 3)
+          + 1j * _dbil(fr, _G5k[3], 0))
+    return reference_recover(fr, _bil(fr, _G54), guard, a0, (a1, a2, a3))
+
+
+def reference_mass(fr, a0_value):
+    norm_sq = _bil(fr, IDENTITY).real
+    value = (1j * _bidir(fr, _G[4], 0)
+             - sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
+             - 2.0 * a0_value * _bil(fr, _G[4])) / (2.0 * norm_sq)
+    return value.real, np.abs(value.imag)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+_GENERIC = ["1 + x1*x2 + i*x0", "sin(x3) - 0.5*i*x1", "exp(0.2*x0)*x2 + 0.3",
+            "cos(x1) + i*x3^2"]
+_A0 = "0.3*x1 + 0.1*x0^2 - 0.2*x3"
+
+
+@pytest.fixture(scope="module", params=["rest", "rest-gauge", "degenerate",
+                                        "degenerate-gauge", "generic"])
+def relation_case(request):
+    if request.param.startswith("rest"):
+        field, kappa = catalog.build("rest_plane_wave", {"kappa": 1.3}).spinor, 1.3
+    elif request.param.startswith("degenerate"):
+        field, kappa = catalog.build("degenerate_example").spinor, 1.0
+    else:
+        field, kappa = SpinorField.from_strings(_GENERIC), 0.7
+    if request.param.endswith("gauge"):
+        field, _ = gauge_transform(field, exprlang.parse("0.4*x0*x1 + sin(x2) - 0.3*x3"))
+    pts = np.random.default_rng(20240917).uniform(-1, 1, (400, 4))
+    return frame(field, pts), kappa
+
+
+class TestOneRelation:
+    """Every route and the mass are bit-identical to their term-by-term references."""
+
+    @pytest.mark.parametrize("route, reference", [
+        (invert_combined, reference_combined),
+        (invert_gamma4, reference_gamma4),
+        (invert_gamma5gamma4, reference_gamma5gamma4)])
+    def test_route_matches_its_reference_bit_for_bit(self, relation_case, route, reference):
+        fr, kappa = relation_case
+        for guard in (1e-10, 0.5):
+            got = route(fr, kappa, guard)
+            a, ok, imag_residue = reference(fr, kappa, guard)
+            assert np.array_equal(got.ok, ok)
+            assert np.array_equal(_bits(got.a), _bits(a))
+            assert np.array_equal(_bits(got.imag_residue), _bits(imag_residue))
+
+    def test_mass_matches_its_reference_bit_for_bit(self, relation_case):
+        fr, _ = relation_case
+        a0 = exprlang.parse(_A0)
+        for expr, a0_value in ((None, 0j), (a0, exprlang.evaluate_many(a0, fr.points))):
+            got = extract_mass_at(fr, expr)
+            kappa, imag = reference_mass(fr, a0_value)
+            assert np.array_equal(_bits(got.kappa), _bits(kappa))
+            assert np.array_equal(_bits(got.imag_residue), _bits(imag))
 
 
 class TestInvertCombined:
