@@ -8,7 +8,9 @@ certified solution.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -180,23 +182,35 @@ def gamma2_null_shapes(psi1: Expr, psi2: Expr,
     return shapes
 
 
+def _number(params: dict, key: str, default: float, integer: bool = False):
+    """params[key], or the default, as a float, or as an int if `integer`."""
+    value = params.get(key, default)
+    with contextlib.suppress(OverflowError):  # float() of a huge int
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            number = float(value)
+            if not integer or number.is_integer():
+                return int(number) if integer else number
+    raise ValueError(f"{key}: expected {'an integer' if integer else 'a real number'}, "
+                     f"got {value!r}")
+
+
 def _build_rest(params: dict) -> CatalogInstance:
-    return rest_plane_wave(kappa=float(params.get("kappa", 1.0)))
+    return rest_plane_wave(kappa=_number(params, "kappa", 1.0))
 
 
 def _build_degenerate(params: dict) -> CatalogInstance:
     return degenerate_example(
-        kappa=float(params.get("kappa", 1.0)),
-        alpha=float(params.get("alpha", 0.3)),
-        phi1=float(params.get("phi1", 0.2)),
-        phi2=float(params.get("phi2", -0.1)),
+        kappa=_number(params, "kappa", 1.0),
+        alpha=_number(params, "alpha", 0.3),
+        phi1=_number(params, "phi1", 0.2),
+        phi2=_number(params, "phi2", -0.1),
     )
 
 
 def _build_lset(params: dict) -> CatalogInstance:
-    member = int(params.get("member", 0))
+    member = _number(params, "member", 0, integer=True)
     if not 0 <= member < 6:
-        raise ValueError(f"lset member must be in 0..5, got {member}")
+        raise ValueError(f"member must be in 0..5, got {member}")
     psi1 = exprlang.parse(str(params.get("psi1", "1")))
     psi2 = exprlang.parse(str(params.get("psi2", "x1")))
     shapes = gamma2_null_shapes(psi1, psi2)
@@ -212,6 +226,7 @@ ENTRIES: dict[str, Callable[[dict], CatalogInstance]] = {
 
 
 def build(name: str, params: dict | None = None) -> CatalogInstance:
+    """The named entry; a ValueError's message starts with the bad parameter's name."""
     if name not in ENTRIES:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"available: {', '.join(sorted(ENTRIES))}")

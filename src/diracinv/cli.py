@@ -152,7 +152,6 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("family")
     cls = _classification(sc, state)
     out: dict = {"members": [], "region": "supp(transpose-g2-bilinear)"}
-    base = sc.potential if sc.potential is not None else inversion.FourPotential.zero()
     directions: list[tuple[str, exprlang.Expr]] = [
         ("1", exprlang.ONE), ("x0", exprlang.Name("x0"))]
     if sc.f is not None:
@@ -160,23 +159,22 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     # The family is defined where the transpose g2 bilinear passes the guard:
     # for nonzero mass the whole support of a degenerate solution, for zero
     # mass possibly less.
-    region = np.flatnonzero(degeneracy.gamma2_covered(cls.transpose_g2, cls.norm_sq,
-                                                      sc.tolerances["guard"]))
-    out["region_points"] = len(region)
-    checks.add("family region is nonempty on the sample", len(region) > 0,
-               value=float(len(region)))
-    if len(region) == 0:
+    region = degeneracy.gamma2_covered(cls.transpose_g2, cls.norm_sq, sc.tolerances["guard"])
+    out["region_points"] = count = int(np.count_nonzero(region))
+    checks.add("family region is nonempty on the sample", count > 0, value=float(count))
+    if count == 0:
         out["checks"] = checks.as_dict()
         return out
-    fr = _sample(sc, state).frame.rows(region[:50])
-    pts = fr.points
-    members = {}
+    # The region is often the whole support, and a slice takes its rows without a copy.
+    fr = _sample(sc, state).frame.rows(slice(None) if region.all() else region)
+    base = fields.frame(sc.potential if sc.potential is not None
+                        else inversion.FourPotential.zero(), fr.points)
+    gaps = {}
     try:
         for label, f in directions:
-            member = degeneracy.potential_family(sc.spinor, base, f, cls)
-            members[label] = member
-            worst = float(verify.residual_norm_at(fr, member, sc.kappa).max())
-            gap = verify.lightlike_gap_max(member, base, pts)
+            member = degeneracy.potential_family(fr, base, f, cls)
+            worst = float(verify.residual_norm_at(fr, member.value, sc.kappa).max())
+            gap = verify.lightlike_gap_max(member, base)
             out["members"].append({
                 "f": label,
                 "residual_max": worst,
@@ -186,13 +184,14 @@ def _task_family(sc: Scenario, state: dict) -> dict:
                        worst < sc.tolerances["family_residual"], value=worst)
             checks.add(f"family member f={label} is light-like separated from base",
                        gap < sc.tolerances["lightlike"], value=gap)
+            if label in ("1", "x0"):
+                gaps[label] = tensor_gap(member, base)
     except NotDegenerate as exc:
         checks.add("spinor is degenerate", False, detail=str(exc))
         out["checks"] = checks.as_dict()
         return out
 
-    gap_const = tensor_gap(members["1"], base, pts)
-    gap_linear = tensor_gap(members["x0"], base, pts)
+    gap_const, gap_linear = gaps["1"], gaps["x0"]
     out["gauge_criterion"] = "field-tensor equality on the sampled simply-connected box"
     out["tensor_gap_f_1"] = gap_const
     out["tensor_gap_f_x0"] = gap_linear
@@ -330,6 +329,8 @@ def main(argv=None) -> int:
             samples = 100 if args.samples is None else args.samples
             if not 1 <= samples <= MAX_SAMPLES:
                 raise ScenarioError(f"--samples: {samples} is not in 1..{MAX_SAMPLES}")
+            if seed < 0:
+                raise ScenarioError(f"--seed: {seed} is negative")
             sections, total, failed = selftest.run_selftest(seed, samples)
             report, code = _report("selftest", seed, samples, {"sections": sections},
                                    total, failed)

@@ -6,8 +6,10 @@ For degenerate spinors the three theta ratios of transpose bilinears direct
 the potential family (a0 + f, a1 + f t1, a2 + f t2, a3 + f t3) for any real
 f on the support.
 
-`indicator`, `theta` and `classify` take spinor values already held and
-evaluate nothing; every bilinear here is a `fields.bilinear` call.
+`indicator`, `theta` and `classify` take spinor values or frames already
+held and evaluate nothing; every bilinear here is a `fields.bilinear` call.
+A family member is a `fields.Frame` built from the spinor's and the base's
+frames and f, with theta's partials by the quotient rule (`_direction`).
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ from .clifford import delta, gamma
 from .errors import (AmbiguousScale, GuardViolated, NonRealTheta, NotDegenerate,
                      NotRepresentable)
 from .exprlang import Expr
-from .fields import (CVector4, SpinorField, SupportSample, bilinear, merge_params,
+from .fields import (CVector4, Frame, SpinorField, SupportSample, bilinear, merge_params,
                      require_support, squared_norm)
-from .inversion import DEFAULT_GUARD, FourPotential
+from .inversion import DEFAULT_GUARD, real_part
 
 _D4 = delta(4)
 _G2 = gamma(2)
-_G4 = gamma(4)
-_G53 = gamma(5) @ gamma(3)
-_G51 = gamma(5) @ gamma(1)
 
 DEFAULT_CLASSIFY_TOL = 1e-10
 
@@ -114,25 +113,47 @@ class ThetaTriple:
         return (self.values ** 2).sum(axis=1)
 
 
-def theta(values: np.ndarray, points, guard: float = DEFAULT_GUARD,
-          real_tol: float = 1e-6) -> ThetaTriple:
-    """The three direction ratios of transpose bilinears of psi values (N, 4).
+# theta_j = c_j psiT M_j psi / psiT g2 psi, as the (c_j, M_j) pairs.
+_THETA_NUMERATORS = ((-1j, gamma(5) @ gamma(3)), (-1j, gamma(4)), (1j, gamma(5) @ gamma(1)))
 
-    Raises for the first of the (N, 4) points, where the values were taken,
-    at which the denominator psiT g2 psi misses the guard or a ratio is not real.
+
+def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psiT g2 psi (N,), and the complex direction (1, theta) (N, 4) and its partials.
+
+    The partials (4, N, 4) follow by the quotient rule; where the denominator
+    is zero both are taken over 1 instead, so a caller must reject those points.
     """
-    den = bilinear(values, _G2, values)
-    miss = ~gamma2_covered(den, squared_norm(values), guard)
-    safe = np.where(miss, 1.0, den)
-    t = np.stack([-1j * bilinear(values, _G53, values) / safe,
-                  -1j * bilinear(values, _G4, values) / safe,
-                  1j * bilinear(values, _G51, values) / safe], axis=1)
+    v, dv = fr.value, fr.derivs
+
+    def transpose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # d (psiT M psi) = (d psi)T M psi + psiT M (d psi) = (d psi)T (M + MT) psi
+        return bilinear(v, m, v), bilinear(dv, m + m.T, v)
+
+    den, d_den = transpose(_G2)
+    safe = np.where(den == 0, 1.0, den)
+    u, du = np.ones(v.shape, dtype=complex), np.zeros(dv.shape, dtype=complex)
+    for j, (coeff, m) in enumerate(_THETA_NUMERATORS, start=1):
+        num, d_num = transpose(m)
+        u[:, j] = coeff * num / safe
+        du[..., j] = (coeff * d_num - u[:, j] * d_den) / safe
+    return den, u, du
+
+
+def theta(fr: Frame, guard: float = DEFAULT_GUARD, real_tol: float = 1e-6) -> ThetaTriple:
+    """The three direction ratios of transpose bilinears at the frame's points.
+
+    Raises for the first point at which the denominator psiT g2 psi misses
+    the guard or a ratio is not real.
+    """
+    den, u, _ = _direction(fr)
+    t = u[:, 1:]
+    miss = ~gamma2_covered(den, squared_norm(fr.value), guard)
     residue = np.abs(t.imag).max(axis=1)
     non_real = ~miss & (residue > real_tol * (1.0 + np.abs(t).max(axis=1)))
     bad = np.flatnonzero(miss | non_real)
     if bad.size:
         i = bad[0]
-        where = tuple(np.asarray(points, dtype=float)[i].tolist())
+        where = tuple(fr.points[i].tolist())
         if miss[i]:
             raise GuardViolated(
                 f"|psiT g2 psi| = {abs(den[i]):.3e} <= guard at {where}: theta undefined")
@@ -142,51 +163,30 @@ def theta(values: np.ndarray, points, guard: float = DEFAULT_GUARD,
     return ThetaTriple(t.real, residue)
 
 
-def _transpose_bilinear_expr(field: SpinorField, matrix: np.ndarray) -> Expr:
-    out: Expr = exprlang.ZERO
-    for r in range(4):
-        for c in range(4):
-            coeff = complex(matrix[r, c])
-            if coeff != 0:
-                term = exprlang.mul(exprlang.Num(coeff),
-                                    exprlang.mul(field.components[r], field.components[c]))
-                out = exprlang.add(out, term)
-    return out
+def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification,
+                     f_params: Mapping[str, complex] | None = None) -> Frame:
+    """Frame of the member base + f (1, theta) of a degenerate spinor's family.
 
-
-def theta_exprs(field: SpinorField) -> tuple[Expr, Expr, Expr]:
-    """Closed-form theta ratios, defined wherever the denominator is nonzero."""
-    den = _transpose_bilinear_expr(field, _G2)
-    minus_i = exprlang.Num(-1j)
-    plus_i = exprlang.Num(1j)
-    t1 = exprlang.div(exprlang.mul(minus_i, _transpose_bilinear_expr(field, _G53)), den)
-    t2 = exprlang.div(exprlang.mul(minus_i, _transpose_bilinear_expr(field, _G4)), den)
-    t3 = exprlang.div(exprlang.mul(plus_i, _transpose_bilinear_expr(field, _G51)), den)
-    return t1, t2, t3
-
-
-def potential_family(field: SpinorField, base: FourPotential, f: Expr,
-                     classification: Classification,
-                     f_params: Mapping[str, complex] | None = None) -> FourPotential:
-    """Family member (a0 + f, a_i + f * theta_i) for a degenerate spinor.
-
-    The theta factors are closed-form ratios of the spinor components, so the
-    result is differentiable; it is defined where the denominator bilinear is
-    nonzero (for zero mass that region is exactly the reported cover).
+    `fr` and `base` are the spinor's and the base potential's frames at the
+    same points, where f is evaluated under the parameters of both and
+    f_params.  Values are real-checked; theta must be defined at every point.
     """
     if classification.verdict != "degenerate":
         raise NotDegenerate(
             f"potential family requires a degenerate spinor, verdict is "
             f"{classification.verdict!r}")
-    t1, t2, t3 = theta_exprs(field)
-    params = merge_params(base.params, field.params, f_params)
-    comps = [
-        exprlang.add(base.components[0], f),
-        exprlang.add(base.components[1], exprlang.mul(f, t1)),
-        exprlang.add(base.components[2], exprlang.mul(f, t2)),
-        exprlang.add(base.components[3], exprlang.mul(f, t3)),
-    ]
-    return FourPotential(comps, params)
+    params = merge_params(base.params, fr.params, f_params)
+    den, u, du = _direction(fr)
+    pts = fr.points
+    if not den.all():
+        raise GuardViolated(f"psiT g2 psi vanishes at {tuple(pts[den == 0][0].tolist())}")
+    fv = exprlang.evaluate_many(f, pts, params)
+    df = np.stack([exprlang.evaluate_many(exprlang.differentiate(f, mu), pts, params)
+                   for mu in range(4)])
+    du *= fv[:, None]  # in place from here on: f d(1, theta) + d f (1, theta) + d base
+    du += df[:, :, None] * u
+    du += base.derivs
+    return Frame(pts, real_part(base.value + fv[:, None] * u, pts), du, params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ holds four closed-form complex components over (x0, x1, x2, x3) plus shared
 parameter bindings.  Component partials are differentiated symbolically once
 and cached per (component, axis); caching is semantically invisible.
 
-Every spinor-side kernel works on a batch of N points at once: a `Frame`
-holds the values (N, 4) and the partials (4, N, 4) of the spinor, and every
-bilinear covariant, adjoint or transpose, including the bidirectional
-derivative, is a call of `bilinear` on values already held.
+Every kernel works on a batch of N points at once: `frame` gives the `Frame`
+of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
+every bilinear covariant, adjoint or transpose, including the bidirectional
+derivative and theta's partials, is a call of `bilinear` on values held.
 
 Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
@@ -126,19 +126,20 @@ def squared_norm(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Frame:
-    """Spinor values (N, 4) and partials (4, N, 4) over a batch of points."""
+    """Field values (N, 4), partials (4, N, 4) and parameter bindings at N points."""
 
     points: np.ndarray
     value: np.ndarray
     derivs: np.ndarray
+    params: Mapping[str, complex]
 
     def rows(self, index) -> "Frame":
         """The frame at points[index]: a slice, a boolean mask or row numbers."""
-        return Frame(self.points[index], self.value[index], self.derivs[:, index])
+        return Frame(self.points[index], self.value[index], self.derivs[:, index], self.params)
 
 
-def frame(field: SpinorField, points, value: np.ndarray | None = None) -> Frame:
-    """The frame at (N, 4) finite points; `value` is psi there, if already evaluated."""
+def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Frame:
+    """Spinor or potential frame at (N, 4) finite points; `value` is the field there, if held."""
     pts = as_points(points)
     value = field.values(pts) if value is None else value
     derivs = np.empty((4,) + value.shape, dtype=complex)
@@ -146,7 +147,7 @@ def frame(field: SpinorField, points, value: np.ndarray | None = None) -> Frame:
         for k in range(4):
             derivs[axis, :, k] = exprlang.evaluate_many(
                 field.component_derivative(k, axis), pts, field.params)
-    return Frame(pts, value, derivs)
+    return Frame(pts, value, derivs, field.params)
 
 
 @dataclass(frozen=True)
@@ -160,10 +161,12 @@ class SampleDomain:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("sample count must be >= 1")
+            raise ValueError(f"count: must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         for lo, hi in self.box:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"invalid interval ({lo}, {hi})")
+                raise ValueError(f"box: invalid interval ({lo}, {hi})")
 
     def points(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

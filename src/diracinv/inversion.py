@@ -40,6 +40,18 @@ DEFAULT_SPREAD_TOL = 1e-8
 CROSSCHECK_TOL = 1e-8
 
 
+def real_part(raw: np.ndarray, points: np.ndarray,
+              real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
+    """Real parts of potential values (N, 4) at (N, 4) points, checked, not assumed."""
+    worst = np.abs(raw.imag).max(axis=1)
+    bad = np.flatnonzero(worst > real_tol * (1.0 + np.abs(raw.real).max(axis=1)))
+    if bad.size:
+        i = bad[0]
+        raise NonRealPotential(
+            f"potential has imaginary residue {worst[i]:.3e} at {tuple(points[i].tolist())}")
+    return raw.real
+
+
 class FourPotential(ExpressionField):
     """Four real-valued expression components (a0, a1, a2, a3)."""
 
@@ -50,22 +62,11 @@ class FourPotential(ExpressionField):
         return cls([exprlang.ZERO] * 4)
 
     def values(self, points, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
-        """Real component values (N, 4) at (N, 4) points, or (4,) at one (4,) point.
-
-        Realness is checked, not assumed: raises NonRealPotential at the
-        first point, in order, whose imaginary residue exceeds real_tol
-        relative to 1 + max |Re a| there.
-        """
+        """Real component values (N, 4) at (N, 4) points, or (4,) at one (4,) point."""
         single = np.shape(points) == (4,)
         pts = as_points([points] if single else points)
-        raw = super().values(pts)
-        worst = np.abs(raw.imag).max(axis=1)
-        bad = np.flatnonzero(worst > real_tol * (1.0 + np.abs(raw.real).max(axis=1)))
-        if bad.size:
-            i = bad[0]
-            raise NonRealPotential(
-                f"potential has imaginary residue {worst[i]:.3e} at {tuple(pts[i].tolist())}")
-        return raw.real[0] if single else raw.real
+        real = real_part(super().values(pts), pts, real_tol)
+        return real[0] if single else real
 
     def plus(self, other: "FourPotential") -> "FourPotential":
         params = merge_params(self.params, other.params)

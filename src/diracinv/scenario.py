@@ -109,18 +109,6 @@ def _tolerance(value, where: str) -> float:
     return float(value)
 
 
-def _catalog_params(obj) -> dict:
-    if obj is not None and not isinstance(obj, dict):
-        raise ScenarioError("spinor.params: params must be an object")
-    params = dict(obj or {})
-    for key, value in params.items():
-        if key == "member":
-            params[key] = _integer(value, "spinor.params.member")
-        elif key in ("kappa", "alpha", "phi1", "phi2"):
-            params[key] = _real(value, f"spinor.params.{key}")
-    return params
-
-
 def _parse_params(obj, where: str) -> dict[str, complex]:
     if obj is None:
         return {}
@@ -151,11 +139,14 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
         if not isinstance(name, str) or name not in catalog.ENTRIES:
             raise ScenarioError(f"spinor.catalog: unknown entry {name!r}; "
                         f"available: {', '.join(sorted(catalog.ENTRIES))}")
-        params = _catalog_params(obj.get("params"))
-        params.setdefault("kappa", kappa)
+        params = obj.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ScenarioError("spinor.params: params must be an object")
         try:
-            instance = catalog.build(name, params)
-        except (DiracinvError, ValueError) as exc:
+            instance = catalog.build(name, {"kappa": kappa, **(params or {})})
+        except ValueError as exc:  # its message starts with the parameter's name
+            raise ScenarioError(f"spinor.params.{exc}") from exc
+        except DiracinvError as exc:
             raise ScenarioError(f"spinor.catalog: {exc}") from exc
         return instance.spinor, instance
     if "exprs" in obj:
@@ -213,8 +204,8 @@ def _build_domain(obj, seed: int | None, samples: int | None) -> SampleDomain:
             count=_integer(obj.get("count", 100), "domain.count") if samples is None
             else samples,
             seed=_integer(obj.get("seed", 0), "domain.seed") if seed is None else seed)
-    except ValueError as exc:
-        raise ScenarioError(f"domain: {exc}") from exc
+    except ValueError as exc:  # its message starts with the field's name
+        raise ScenarioError(f"domain.{exc}") from exc
     if domain.count > MAX_SAMPLES:
         raise ScenarioError(f"domain.count: {domain.count} samples exceed the maximum "
                     f"of {MAX_SAMPLES}")

@@ -5,13 +5,15 @@ coupled first-order system; its vanishing is the acceptance oracle for every
 claimed correspondence.  The residual kernels take a `fields.Frame`, and
 `residual_norm` the run's `fields.SupportSample`, whose frame it shares.
 Potentials enter the residual through their values only, so a potential
-may be given as a FourPotential or as (N, 4) numeric component values.
+may be given as a FourPotential or as (N, 4) numeric component values, such
+as a family member's frame values.
 
-The potential-side checks work on the same batches: `field_tensor` gives
-the six gauge-invariant entries (N, 6) from the off-diagonal component
-partials, each evaluated once over all points, and `lightlike_gap` the
-Minkowski square (N,) of the difference of two potentials.  `tensor_gap` and
-`lightlike_gap_max` reduce them to the largest magnitude over the points.
+The potential-side checks read a `fields.Frame` of each potential and
+evaluate nothing: `field_tensor` gives the six gauge-invariant entries
+(N, 6) from the frame's partials, and `lightlike_gap` the Minkowski square
+(N,) of the difference of two potentials' values.  `tensor_gap` and
+`lightlike_gap_max` reduce them to the largest magnitude over the points;
+`gauge_equivalent` builds the two frames from closed-form potentials.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
 from .clifford import gamma
 from .errors import NonRealPotential
-from .fields import Frame, SupportSample, as_points
-# Unused; test_tracer_wraps_every_binding_and_restores_them in bench/tests reads it.
-from .fields import frame  # noqa: F401
+from .fields import Frame, SupportSample, frame
 from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
@@ -89,26 +88,20 @@ def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualRep
 _TENSOR_ENTRIES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def field_tensor(potential: FourPotential, points) -> np.ndarray:
-    """Gauge-invariant antisymmetrized derivative (N, 6) at (N, 4) points.
+def field_tensor(pf: Frame) -> np.ndarray:
+    """Gauge-invariant antisymmetrized derivative (N, 6) from a potential's frame.
 
-    Columns are f01, f02, f03, f12, f13, f23; each of the 12 partials they
-    use is evaluated once over all points.  The temporal component
-    couples into the equation with the opposite sign to the spatial ones, so
-    a pure gauge shift moves (a0, ak) by (+d0 f, -dk f).  The quantity
-    annihilated by every such shift is the curl of (-a0, a1, a2, a3):
-    entries f_0i = d0 ai + di a0 and f_ij = di aj - dj ai.  Up to overall
-    sign the f_0i match the physical electric-field components.  An entry
-    with a non-negligible imaginary part raises NonRealPotential, at the
-    first such point and there at the first such entry.
+    Columns are f01, f02, f03, f12, f13, f23, read off the frame's partials.
+    The temporal component couples into the equation with the opposite sign
+    to the spatial ones, so a pure gauge shift moves (a0, ak) by (+d0 f,
+    -dk f).  The quantity annihilated by every such shift is the curl of
+    (-a0, a1, a2, a3): entries f_0i = d0 ai + di a0 and f_ij = di aj - dj ai.
+    Up to overall sign the f_0i match the physical electric-field components.
+    An entry with a non-negligible imaginary part raises NonRealPotential, at
+    the first such point and there at the first such entry.
     """
-    pts = as_points(points)
-
-    def d(mu: int, nu: int) -> np.ndarray:  # d_mu a_nu at every point
-        return exprlang.evaluate_many(potential.component_derivative(nu, mu), pts,
-                                      potential.params)
-
-    entries = np.stack([d(0, nu) + d(nu, 0) if mu == 0 else d(mu, nu) - d(nu, mu)
+    d = pf.derivs  # d[mu][:, nu] is d_mu a_nu at every point
+    entries = np.stack([d[0][:, nu] + d[nu][:, 0] if mu == 0 else d[mu][:, nu] - d[nu][:, mu]
                         for mu, nu in _TENSOR_ENTRIES], axis=1)
     bad = np.abs(entries.imag) > 1e-8 * (1.0 + np.abs(entries.real))
     if bad.any():
@@ -119,22 +112,22 @@ def field_tensor(potential: FourPotential, points) -> np.ndarray:
     return entries.real.copy()
 
 
-def tensor_gap(a: FourPotential, b: FourPotential, points) -> float:
-    """Max componentwise field-tensor difference over the given points."""
-    return float(np.abs(field_tensor(a, points) - field_tensor(b, points)).max(initial=0.0))
+def tensor_gap(a: Frame, b: Frame) -> float:
+    """Max componentwise field-tensor difference of two potential frames at the same points."""
+    return float(np.abs(field_tensor(a) - field_tensor(b)).max(initial=0.0))
 
 
 def gauge_equivalent(a: FourPotential, b: FourPotential, points,
                      tol: float = 1e-10) -> bool:
     """Field-tensor equality at the (N, 4) points of a simply connected box."""
-    return tensor_gap(a, b, points) < tol
+    return tensor_gap(frame(a, points), frame(b, points)) < tol
 
 
-def lightlike_gap(a: FourPotential, b: FourPotential, points) -> np.ndarray:
-    """(a0-b0)^2 - sum_k (ak-bk)^2 at each of the (N, 4) points."""
-    da = a.values(points) - b.values(points)
+def lightlike_gap(a: Frame, b: Frame) -> np.ndarray:
+    """(a0-b0)^2 - sum_k (ak-bk)^2 at each point of two potential frames."""
+    da = a.value - b.value
     return da[:, 0] ** 2 - da[:, 1] ** 2 - da[:, 2] ** 2 - da[:, 3] ** 2
 
 
-def lightlike_gap_max(a: FourPotential, b: FourPotential, points) -> float:
-    return float(np.abs(lightlike_gap(a, b, points)).max(initial=0.0))
+def lightlike_gap_max(a: Frame, b: Frame) -> float:
+    return float(np.abs(lightlike_gap(a, b)).max(initial=0.0))

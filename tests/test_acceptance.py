@@ -81,10 +81,10 @@ def test_criterion_3_family_correctness(degenerate_instances):
     inst = degenerate_instances[0]
     sample = sample_support(inst.spinor, DOMAIN)
     cls = degeneracy.classify(sample, kappa=inst.kappa)
+    base = frame(inversion.FourPotential.zero(), sample.support)
     for text in FAMILY_DIRECTIONS:
-        member = degeneracy.potential_family(inst.spinor, inversion.FourPotential.zero(),
-                                             exprlang.parse(text), cls)
-        report = verify.residual_norm(sample, member, inst.kappa)
+        member = degeneracy.potential_family(sample.frame, base, exprlang.parse(text), cls)
+        report = verify.residual_norm(sample, member.value, inst.kappa)
         worst = max(worst, report.max_norm)
     _verdict("criterion 3: family members solve the system for f in {1, x0, sin(x0+x1)}",
              worst < 1e-9, f"max residual {worst:.2e} (tol 1e-9)")
@@ -94,8 +94,7 @@ def test_criterion_4_theta_real_and_unit_norm(degenerate_instances):
     worst_imag = 0.0
     worst_norm = 0.0
     for inst in degenerate_instances:
-        cls = degeneracy.classify(sample_support(inst.spinor, DOMAIN), kappa=inst.kappa)
-        t = degeneracy.theta(inst.spinor.values(cls.support_points), cls.support_points)
+        t = degeneracy.theta(sample_support(inst.spinor, DOMAIN).frame)
         worst_imag = max(worst_imag, float(t.imag_residue.max()))
         worst_norm = max(worst_norm, float(np.abs(t.norm_sq - 1.0).max()))
     ok = worst_imag < 1e-10 and worst_norm < 1e-9
@@ -112,8 +111,9 @@ def test_criterion_5_gauge_inequivalent_member_exists(degenerate_instances):
         base = inversion.FourPotential.zero()
         const = catalog.example_family(kappa, alpha, phi1, phi2, exprlang.ONE)
         linear = catalog.example_family(kappa, alpha, phi1, phi2, exprlang.Name("x0"))
-        gap_const = verify.tensor_gap(const, base, pts)
-        gap_linear = verify.tensor_gap(linear, base, pts)
+        base_fr = frame(base, pts)
+        gap_const = verify.tensor_gap(frame(const, pts), base_fr)
+        gap_linear = verify.tensor_gap(frame(linear, pts), base_fr)
         floor = 0.5 * float(np.abs(np.array(inst.thetas)).min())
         ok &= gap_const < 1e-12
         ok &= gap_linear >= floor
@@ -194,10 +194,10 @@ def test_criterion_8_lightlike_gap(degenerate_instances):
         verified = [m for m in members
                     if verify.residual_norm(sample, m, kappa).max_norm < 1e-9]
         assert len(verified) == 4
-        pts = cls.support_points[:25]
-        for i in range(len(verified)):
-            for j in range(i + 1, len(verified)):
-                worst = max(worst, verify.lightlike_gap_max(verified[i], verified[j], pts))
+        frames = [frame(m, cls.support_points[:25]) for m in verified]
+        for i in range(len(frames)):
+            for j in range(i + 1, len(frames)):
+                worst = max(worst, verify.lightlike_gap_max(frames[i], frames[j]))
                 checked_pairs += 1
     _verdict("criterion 8: verified potential pairs are light-like separated",
              worst < 1e-8, f"max |gap| {worst:.2e} over {checked_pairs} pairs (tol 1e-8)")

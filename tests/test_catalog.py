@@ -7,7 +7,7 @@ from diracinv import catalog, degeneracy, exprlang, inversion, verify
 from diracinv.catalog import CatalogSelfTestError
 from diracinv.clifford import gamma
 from diracinv.errors import ParameterOnSingularLocus
-from diracinv.fields import SampleDomain, bilinear, sample_support
+from diracinv.fields import SampleDomain, bilinear, frame, sample_support
 
 
 class TestRestPlaneWave:
@@ -66,7 +66,7 @@ class TestDegenerateExample:
                              {"kappa": 1.3, "alpha": -0.5, "phi1": 0.7, "phi2": 0.4})
         expected = np.array(inst.thetas)
         pts = rng.uniform(-1, 1, (10, 4))
-        for values in degeneracy.theta(inst.spinor.values(pts), pts).values:
+        for values in degeneracy.theta(frame(inst.spinor, pts)).values:
             assert values == pytest.approx(expected, abs=1e-9)
 
     def test_construction_selftest_catches_bad_pairs(self, degenerate_default):
@@ -129,6 +129,27 @@ class TestNullShapes:
     def test_member_range_is_validated(self):
         with pytest.raises(ValueError):
             catalog.build("lset", {"member": 6})
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("degenerate_example", {"alpha": [1]}, "alpha: expected a real number"),
+    ("degenerate_example", {"phi1": "0.2"}, "phi1: expected a real number"),
+    ("degenerate_example", {"phi2": True}, "phi2: expected a real number"),
+    ("degenerate_example", {"kappa": 10 ** 400}, "kappa: expected a real number"),
+    ("rest_plane_wave", {"kappa": None}, "kappa: expected a real number"),
+    ("lset", {"member": "a"}, "member: expected an integer"),
+    ("lset", {"member": 0.7}, "member: expected an integer"),
+    ("lset", {"member": 6}, "member must be in 0..5"),
+    ("degenerate_example", {"alpha": float("nan")}, "alpha must be finite"),
+])
+def test_bad_parameters_raise_value_errors_that_name_them(name, params, message):
+    with pytest.raises(ValueError) as err:
+        catalog.build(name, params)
+    assert str(err.value).startswith(message)
+
+
+def test_integral_float_member_is_accepted():
+    assert catalog.build("lset", {"member": 1.0}).params == {"member": 1}
 
 
 def test_unknown_entry_rejected():

@@ -227,6 +227,41 @@ class TestDemo:
         assert family["region_points"] == 0
         assert family["checks"]["failed"] == 1
 
+    def test_family_on_a_non_constant_theta_non_solution(self, tmp_path, capsys):
+        # Degenerate (u, v, w) form with real, point-dependent theta that solves
+        # no Dirac system with the zero base: every member fails the residual
+        # oracle, and the constant member's field tensor differs from the base
+        # by f times d theta.
+        scenario = {
+            "kappa": 1.0,
+            "spinor": {"exprs": ["(1+0.5*x1)*(0.3+0.2*x2)+exp(i*x0)",
+                                 "1+0.5*x1-exp(i*x0)*(0.3+0.2*x2)",
+                                 "(1+0.5*x1)*(0.3+0.2*x2)-exp(i*x0)",
+                                 "1+0.5*x1+exp(i*x0)*(0.3+0.2*x2)"]},
+            "f": "x1",
+            "domain": {"count": 100, "seed": 3},
+            "tasks": ["classify", "family"],
+        }
+        code, out = _run(capsys, ["run", _write(tmp_path, scenario)])
+        assert code == 1
+        tasks = {t["task"]: t for t in json.loads(out)["tasks"]}
+        assert tasks["classify"]["verdict"] == "degenerate"
+        family = tasks["family"]
+        assert family["region_points"] == 100
+        verdicts = {c["name"]: c["passed"] for c in family["checks"]["checks"]}
+        assert verdicts == {
+            "family region is nonempty on the sample": True,
+            "family member f=1 passes the residual oracle": False,
+            "family member f=1 is light-like separated from base": True,
+            "family member f=x0 passes the residual oracle": False,
+            "family member f=x0 is light-like separated from base": True,
+            "family member f=x1 passes the residual oracle": False,
+            "family member f=x1 is light-like separated from base": True,
+            "constant member shares the base field tensor": False,
+            "a gauge-inequivalent member exists (f=x0)": True,
+        }
+        assert family["tensor_gap_f_1"] == pytest.approx(0.388, abs=1e-3)
+
     def test_unknown_demo_exits_2(self, capsys):
         assert cli.main(["demo", "hydrogen"]) == 2
         capsys.readouterr()
@@ -259,13 +294,15 @@ class TestSelftest:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    @pytest.mark.parametrize("samples", ["0", "-3", str(scenario.MAX_SAMPLES + 1)])
-    def test_sample_count_out_of_range_exits_2(self, capsys, samples):
-        code = cli.main(["selftest", "--samples", samples])
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-3"),
+        ("--samples", str(scenario.MAX_SAMPLES + 1)), ("--seed", "-1")])
+    def test_flag_out_of_range_exits_2(self, capsys, flag, value):
+        code = cli.main(["selftest", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "--samples" in captured.err
+        assert f"error: {flag}: " in captured.err
 
     @pytest.mark.parametrize("seed", [109300515, 1161092498, 1510276717, 369])
     def test_derivative_suite_passes_on_seeds_that_once_failed(self, seed):
@@ -361,6 +398,7 @@ _INF = float("inf")
     ({"domain": {"count": _INF}}, [], "domain"),
     ({}, ["--samples", str(scenario.MAX_SAMPLES + 1)], "domain.count"),
     ({}, ["--samples", "0"], "domain"),
+    ({"domain": {"seed": -1}}, [], "domain.seed"),
 ])
 def test_bad_numbers_rejected_before_any_computation(tmp_path, capsys, monkeypatch,
                                                      change, extra, message):

@@ -3,20 +3,67 @@
 import numpy as np
 import pytest
 
+from test_acceptance import TRIPLES
+
 from diracinv import catalog, exprlang, verify
 from diracinv.clifford import delta, gamma
 from diracinv.degeneracy import (bilinear_symmetry_conditions, classify,
                                  compose_degenerate, compose_values,
                                  decompose_degenerate, indicator, potential_family,
-                                 theta, theta_exprs, unzeta, zero_mass_system_det,
-                                 zeta)
+                                 theta, unzeta, zero_mass_system_det, zeta)
 from diracinv.errors import (AmbiguousScale, GuardViolated, NoSupportPoints,
-                             NonRealTheta, NotDegenerate, NotRepresentable)
-from diracinv.fields import SpinorField, sample_support
+                             NonRealPotential, NonRealTheta, NotDegenerate,
+                             NotRepresentable)
+from diracinv.exprlang import Expr
+from diracinv.fields import SampleDomain, SpinorField, frame, merge_params, sample_support
 from diracinv.inversion import FourPotential
 
 POINT = (0.21, -0.33, 0.54, -0.18)
 AT_POINT = [POINT]
+
+
+# Degenerate but no Dirac solution: psi = u [w, 1, w, 1] + v [1, -w, -1, w]
+# with u = 1 + 0.5 x1, w = 0.3 + 0.2 x2 and v = exp(i x0), so theta is real
+# and varies from point to point.
+NON_CONSTANT_THETA = ["(1+0.5*x1)*(0.3+0.2*x2)+exp(i*x0)",
+                      "1+0.5*x1-exp(i*x0)*(0.3+0.2*x2)",
+                      "(1+0.5*x1)*(0.3+0.2*x2)-exp(i*x0)",
+                      "1+0.5*x1+exp(i*x0)*(0.3+0.2*x2)"]
+
+
+# The symbolic family member of earlier versions, kept as a reference: theta
+# as closed-form ratios of transpose bilinears of the spinor components.
+def _transpose_bilinear_expr(field: SpinorField, matrix: np.ndarray) -> Expr:
+    out: Expr = exprlang.ZERO
+    for r in range(4):
+        for c in range(4):
+            coeff = complex(matrix[r, c])
+            if coeff != 0:
+                term = exprlang.mul(exprlang.Num(coeff),
+                                    exprlang.mul(field.components[r], field.components[c]))
+                out = exprlang.add(out, term)
+    return out
+
+
+def theta_exprs(field: SpinorField) -> tuple[Expr, Expr, Expr]:
+    den = _transpose_bilinear_expr(field, gamma(2))
+    minus_i = exprlang.Num(-1j)
+    plus_i = exprlang.Num(1j)
+    t1 = exprlang.div(exprlang.mul(
+        minus_i, _transpose_bilinear_expr(field, gamma(5) @ gamma(3))), den)
+    t2 = exprlang.div(exprlang.mul(minus_i, _transpose_bilinear_expr(field, gamma(4))), den)
+    t3 = exprlang.div(exprlang.mul(
+        plus_i, _transpose_bilinear_expr(field, gamma(5) @ gamma(1))), den)
+    return t1, t2, t3
+
+
+def symbolic_member(field: SpinorField, base: FourPotential, f: Expr,
+                    f_params=None) -> FourPotential:
+    t1, t2, t3 = theta_exprs(field)
+    comps = [exprlang.add(base.components[0], f)] + [
+        exprlang.add(a, exprlang.mul(f, t))
+        for a, t in zip(base.components[1:], (t1, t2, t3))]
+    return FourPotential(comps, merge_params(base.params, field.params, f_params))
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +155,7 @@ class TestTheta:
         # +cos a sin(p2-p1), -sin a) for the exponential example.
         expected = np.array(catalog.example_thetas(0.3, 0.2, -0.1))
         pts = rng.uniform(-1, 1, (10, 4))
-        t = theta(degenerate_default.spinor.values(pts), pts)
+        t = theta(frame(degenerate_default.spinor, pts))
         for values, residue in zip(t.values, t.imag_residue):
             assert values == pytest.approx(expected, abs=1e-9)
             assert residue < 1e-10
@@ -116,7 +163,7 @@ class TestTheta:
     def test_axis_aligned_parameters(self):
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
-        t = theta(inst.spinor.values(AT_POINT), AT_POINT)
+        t = theta(frame(inst.spinor, AT_POINT))
         assert t.values[0] == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
 
     def test_unit_norm_over_random_parameters(self, rng):
@@ -127,18 +174,18 @@ class TestTheta:
             inst = catalog.build("degenerate_example",
                                  {"kappa": 1.0, "alpha": alpha,
                                   "phi1": phi1, "phi2": phi2})
-            t = theta(inst.spinor.values(AT_POINT), AT_POINT)
+            t = theta(frame(inst.spinor, AT_POINT))
             assert t.norm_sq[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_guard_violated_when_denominator_vanishes(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
         with pytest.raises(GuardViolated):
-            theta(field.values(AT_POINT), AT_POINT)
+            theta(frame(field, AT_POINT))
 
     def test_nonreal_theta_flags_non_solutions(self):
         field = SpinorField.from_strings(["1", "2*i", "0.3", "0-1"])
         with pytest.raises(NonRealTheta):
-            theta(field.values(AT_POINT), AT_POINT)
+            theta(frame(field, AT_POINT))
 
     def test_batch_raises_for_the_first_bad_point(self):
         # Non-real wherever x1 != 0; at x1 = 0 the spinor vanishes and the
@@ -146,52 +193,112 @@ class TestTheta:
         field = SpinorField.from_strings(["x1", "2*i*x1", "0.3*x1", "0-x1"])
         nonreal, vanishing = (0.1, 0.5, 0.2, 0.3), (0.1, 0.0, 0.2, 0.3)
         with pytest.raises(NonRealTheta, match=r"at \(0\.1, 0\.5, 0\.2, 0\.3\)"):
-            theta(field.values([nonreal, vanishing]), [nonreal, vanishing])
+            theta(frame(field, [nonreal, vanishing]))
         with pytest.raises(GuardViolated, match=r"at \(0\.1, 0\.0, 0\.2, 0\.3\)"):
-            theta(field.values([vanishing, nonreal]), [vanishing, nonreal])
+            theta(frame(field, [vanishing, nonreal]))
+
+
+def _family_inputs(field: SpinorField, base: FourPotential, domain: SampleDomain,
+                   kappa: float):
+    sample = sample_support(field, domain)
+    return sample, frame(base, sample.support), classify(sample, kappa=kappa)
 
 
 class TestPotentialFamily:
-    def test_zero_direction_returns_base(self, degenerate_default, unit_domain, rng):
-        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
+    def test_zero_direction_returns_base(self, degenerate_default, unit_domain):
         base = FourPotential.from_strings(["x0", "0.5", "0", "x1"])
-        member = potential_family(degenerate_default.spinor, base, exprlang.ZERO, cls)
-        for _ in range(5):
-            p = rng.uniform(-1, 1, 4)
-            assert member.values([p])[0] == pytest.approx(base.values([p])[0], abs=1e-12)
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor, base,
+                                              unit_domain, 1.0)
+        member = potential_family(sample.frame, base_fr, exprlang.ZERO, cls)
+        assert member.value == pytest.approx(base_fr.value, abs=1e-12)
+        assert member.derivs == pytest.approx(base_fr.derivs, abs=1e-12)
 
-    def test_matches_catalog_closed_form(self, degenerate_default, unit_domain, rng):
-        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
+    def test_matches_catalog_closed_form(self, degenerate_default, unit_domain):
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
+                                              FourPotential.zero(), unit_domain, 1.0)
         f = exprlang.parse("sin(x0+x1)")
-        general = potential_family(degenerate_default.spinor,
-                                   FourPotential.zero(), f, cls)
-        closed = catalog.example_family(1.0, 0.3, 0.2, -0.1, f)
-        for _ in range(10):
-            p = rng.uniform(-1, 1, 4)
-            assert general.values([p])[0] == pytest.approx(closed.values([p])[0], abs=1e-9)
+        general = potential_family(sample.frame, base_fr, f, cls)
+        closed = frame(catalog.example_family(1.0, 0.3, 0.2, -0.1, f), sample.support)
+        assert general.value == pytest.approx(closed.value, abs=1e-9)
+        assert verify.field_tensor(general) == pytest.approx(
+            verify.field_tensor(closed), abs=1e-9)
 
     def test_members_pass_the_residual_oracle(self, degenerate_default, unit_domain):
-        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
+                                              FourPotential.zero(), unit_domain, 1.0)
         for text in ("1", "x0", "sin(x0+x1)"):
-            member = potential_family(degenerate_default.spinor, FourPotential.zero(),
-                                      exprlang.parse(text), cls)
-            report = verify.residual_norm(sample_support(degenerate_default.spinor,
-                                                         unit_domain), member, 1.0)
-            assert report.max_norm < 1e-9
+            member = potential_family(sample.frame, base_fr, exprlang.parse(text), cls)
+            assert verify.residual_norm(sample, member.value, 1.0).max_norm < 1e-9
 
     def test_requires_degenerate_classification(self, rest_wave, unit_domain):
-        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
+        sample, base_fr, cls = _family_inputs(rest_wave.spinor, FourPotential.zero(),
+                                              unit_domain, 1.0)
         with pytest.raises(NotDegenerate):
-            potential_family(rest_wave.spinor, FourPotential.zero(), exprlang.ONE, cls)
+            potential_family(sample.frame, base_fr, exprlang.ONE, cls)
+
+    def test_f_sees_base_spinor_and_own_parameters(self, degenerate_default, unit_domain):
+        base = FourPotential.from_strings(["b", "0", "0", "0"], {"b": 0.5})
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor, base,
+                                              unit_domain, 1.0)
+        # c2 = sin(alpha) is a parameter of the spinor.
+        f = exprlang.parse("b*c2 + g*x0")
+        member = potential_family(sample.frame, base_fr, f, cls, {"g": 2.0})
+        expected = 0.5 + 0.5 * np.sin(0.3) + 2.0 * sample.support[:, 0]
+        assert member.value[:, 0] == pytest.approx(expected, abs=1e-12)
+        assert member.params == {**base.params, **degenerate_default.spinor.params,
+                                 "g": 2.0}
+        with pytest.raises(ValueError, match="conflicting values for parameter 'b'"):
+            potential_family(sample.frame, base_fr, f, cls, {"b": 1.0, "g": 2.0})
+
+    def test_non_real_direction_raises(self, degenerate_default, unit_domain):
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
+                                              FourPotential.zero(), unit_domain, 1.0)
+        with pytest.raises(NonRealPotential):
+            potential_family(sample.frame, base_fr, exprlang.parse("i*x0"), cls)
+
+    def test_vanishing_denominator_raises(self, degenerate_default):
+        # Forced through a frame of points on which psiT g2 psi vanishes.
+        collapsed = SpinorField.from_strings(["1", "0", "-1", "0"])
+        fr = frame(collapsed, AT_POINT)
+        cls = classify(sample_support(degenerate_default.spinor,
+                                      SampleDomain(count=5, seed=1)))
+        with pytest.raises(GuardViolated, match="vanishes"):
+            potential_family(fr, frame(FourPotential.zero(), AT_POINT), exprlang.ONE, cls)
 
     def test_theta_exprs_evaluate_like_theta(self, degenerate_default, rng):
         exprs = theta_exprs(degenerate_default.spinor)
         params = degenerate_default.spinor.params
         pts = rng.uniform(-1, 1, (5, 4))
-        t = theta(degenerate_default.spinor.values(pts), pts)
+        t = theta(frame(degenerate_default.spinor, pts))
         for p, expected in zip(pts, t.values):
             values = [exprlang.evaluate(e, p, params) for e in exprs]
             assert np.real(values) == pytest.approx(expected, abs=1e-12)
+
+
+_MATCH_CASES = [(f"triple-{i}", t) for i, t in enumerate(TRIPLES)] + [
+    ("zero-mass", (0.0, 0.3, 0.2, -0.1)), ("non-constant-theta", None)]
+
+
+@pytest.mark.parametrize("label, triple", _MATCH_CASES, ids=[c[0] for c in _MATCH_CASES])
+def test_frame_members_match_the_symbolic_ones(label, triple):
+    if triple is None:
+        field, kappa = SpinorField.from_strings(NON_CONSTANT_THETA), 1.0
+    else:
+        params = dict(zip(("kappa", "alpha", "phi1", "phi2"), triple))
+        field, kappa = catalog.build("degenerate_example", params).spinor, triple[0]
+    base = FourPotential.from_strings(["0.2*x1", "sin(x0)", "0", "x2*x3"])
+    sample, base_fr, cls = _family_inputs(field, base, SampleDomain(count=80, seed=5),
+                                          kappa)
+    assert cls.verdict == "degenerate"
+    for text in ("1", "x0", "sin(x0+x1)", "x1*exp(0.3*x2)"):
+        f = exprlang.parse(text)
+        member = potential_family(sample.frame, base_fr, f, cls)
+        reference = frame(symbolic_member(field, base, f), sample.support)
+        assert np.abs(member.value - reference.value).max() <= 1e-12
+        gap = np.abs(verify.field_tensor(member) - verify.field_tensor(reference)).max()
+        assert gap <= 1e-12
+    spread = np.ptp(theta(sample.frame).values, axis=0).max()
+    assert spread > 0.1 if triple is None else spread < 1e-12
 
 
 class TestComposeDecompose:
@@ -322,9 +429,9 @@ class TestZeroMass:
         assert cls.verdict == "degenerate"
         assert cls.gamma2_covers_support is None  # asserted only for nonzero mass
         assert cls.gamma2_cover_fraction == 1.0
-        member = potential_family(inst.spinor, FourPotential.zero(),
-                                  exprlang.parse("sin(x0+x1)"), cls)
-        report = verify.residual_norm(sample, member, 0.0)
+        base = frame(FourPotential.zero(), sample.support)
+        member = potential_family(sample.frame, base, exprlang.parse("sin(x0+x1)"), cls)
+        report = verify.residual_norm(sample, member.value, 0.0)
         assert report.max_norm < 1e-9
         from diracinv.inversion import extract_mass
         assert extract_mass(sample, None).kappa == pytest.approx(
@@ -342,7 +449,7 @@ class TestZeroMass:
         assert cls.verdict == "degenerate"
         assert cls.gamma2_cover_fraction == 0.0
         with pytest.raises(GuardViolated):
-            theta(field.values(AT_POINT), AT_POINT)
+            theta(frame(field, AT_POINT))
 
 
 class TestZeroMassSystemDet:

@@ -98,6 +98,16 @@ class TestFrame:
             for name in ("points", "value", "derivs"):
                 assert getattr(part, name).tobytes() == getattr(direct, name).tobytes()
 
+    def test_frame_of_a_potential_carries_real_values_and_parameters(self):
+        pot = FourPotential.from_strings(["a*x0", "x1*x2", "0", "sin(x3)"], {"a": 2.0})
+        pts = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.6, -0.7, 0.8]])
+        fr = frame(pot, pts)
+        assert fr.value.dtype == float
+        assert np.array_equal(fr.value, pot.values(pts))
+        assert fr.derivs[0, :, 0] == pytest.approx([2.0, 2.0])
+        assert fr.derivs[2, :, 1] == pytest.approx(pts[:, 1])
+        assert fr.params == {"a": 2.0} and fr.rows(slice(1)).params == {"a": 2.0}
+
     def test_points_must_be_finite_rows_of_four(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
         with pytest.raises(ValueError, match="finite"):
@@ -278,6 +288,8 @@ class TestSampleSupport:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             SampleDomain(count=0)
+        with pytest.raises(ValueError, match="^seed: "):
+            SampleDomain(seed=-1)
         with pytest.raises(ValueError):
             SampleDomain(box=((1.0, -1.0),) * 4)
         field = SpinorField.from_strings(["1", "0", "0", "0"])
@@ -290,3 +302,18 @@ class TestSampleSupport:
         c = SampleDomain(count=20, seed=10).points()
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def test_no_covariant_bypasses_the_bilinear_kernel():
+    # Every spinor covariant goes through fields.bilinear; a vdot or an
+    # einsum in the package would be a second, differently rounded kernel.
+    import pathlib
+
+    import diracinv
+    package = pathlib.Path(diracinv.__file__).parent
+    offenders = [f"{path.name}:{number}"
+                 for path in sorted(package.glob("*.py"))
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if "np.vdot" in line or "einsum" in line]
+    assert len(list(package.glob("*.py"))) > 5
+    assert offenders == []

@@ -86,13 +86,13 @@ class TestResidualNorm:
 class TestFieldTensor:
     def test_constant_potential(self):
         pot = FourPotential.from_strings(["2", "0-1", "0.5", "3"])
-        assert np.array_equal(field_tensor(pot, [POINT])[0], np.zeros(6))
+        assert np.array_equal(field_tensor(frame(pot, AT_POINT))[0], np.zeros(6))
 
     def test_linear_family_pattern(self):
         # (x0, x0*t1, x0*t2, x0*t3) with constant t: temporal rows carry t,
         # spatial rows vanish.
         pot = FourPotential.from_strings(["x0", "x0*0.4", "x0*(0-0.3)", "x0*0.8"])
-        t = field_tensor(pot, [POINT])[0]
+        t = field_tensor(frame(pot, AT_POINT))[0]
         assert t == pytest.approx(np.array([0.4, -0.3, 0.8, 0, 0, 0]))
 
     def test_pure_gauge_shift_has_zero_tensor(self, rest_wave, rng):
@@ -100,13 +100,13 @@ class TestFieldTensor:
             f, params = solutions.random_gauge_function(rng)
             _, shift = gauge_transform(rest_wave.spinor, f, params)
             p = rng.uniform(-1, 1, 4)
-            assert np.abs(field_tensor(shift, [p])[0]).max() < 1e-10
+            assert np.abs(field_tensor(frame(shift, [p]))[0]).max() < 1e-10
 
 
     def test_batch_is_n_by_six_in_entry_order(self, rng):
         pot = FourPotential.from_strings(["x1*x2", "x0*x3", "sin(x1)", "x2^2"])
         pts = rng.uniform(-1, 1, (6, 4))
-        t = field_tensor(pot, pts)
+        t = field_tensor(frame(pot, pts))
         x0, x1, x2, x3 = pts.T
         # f01 = d0 a1 + d1 a0, f02 = d0 a2 + d2 a0, f03 = d0 a3 + d3 a0,
         # f12 = d1 a2 - d2 a1, f13 = d1 a3 - d3 a1, f23 = d2 a3 - d3 a2.
@@ -117,7 +117,7 @@ class TestFieldTensor:
         pot = FourPotential.from_strings(["0", "i*x0*x1", "0", "0"])
         pts = [(0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0)]
         with pytest.raises(NonRealPotential) as err:
-            field_tensor(pot, pts)
+            field_tensor(frame(pot, pts))
         assert str(err.value) == "field tensor entry (0,1) has imaginary part 5.000e-01"
 
 
@@ -137,7 +137,8 @@ class TestGaugeEquivalent:
         base = FourPotential.zero()
         member = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.Name("x0"))
         assert gauge_equivalent(member, base, unit_domain.points()) is False
-        gap = tensor_gap(member, base, unit_domain.points()[:10])
+        pts = unit_domain.points()[:10]
+        gap = tensor_gap(frame(member, pts), frame(base, pts))
         thetas = np.abs(np.array(catalog.example_thetas(0.3, 0.2, -0.1)))
         assert gap >= 0.5 * float(thetas.min())
 
@@ -151,17 +152,18 @@ class TestLightlikeGap:
     def test_two_family_members(self, degenerate_default, unit_domain):
         m1 = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.ONE)
         m2 = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.Name("x0"))
-        gap = lightlike_gap_max(m1, m2, unit_domain.points()[:30])
+        pts = unit_domain.points()[:30]
+        gap = lightlike_gap_max(frame(m1, pts), frame(m2, pts))
         assert gap < 1e-9
 
     def test_identical_potentials(self, unit_domain):
         a = FourPotential.from_strings(["x0", "x1", "0", "sin(x2)"])
-        assert lightlike_gap(a, a, [POINT])[0] == 0.0
+        assert lightlike_gap(frame(a, AT_POINT), frame(a, AT_POINT))[0] == 0.0
 
     def test_unrelated_potentials(self):
         a = FourPotential.zero()
         b = FourPotential.from_strings(["1", "0", "0", "0"])
-        assert lightlike_gap(a, b, [POINT])[0] == pytest.approx(1.0)
+        assert lightlike_gap(frame(a, AT_POINT), frame(b, AT_POINT))[0] == pytest.approx(1.0)
 
     def test_verified_pairs_satisfy_the_gap_bound(self, degenerate_default, unit_domain):
         # Any two potentials that both pass the residual oracle for one spinor
@@ -178,4 +180,5 @@ class TestLightlikeGap:
         pts = unit_domain.points()[:30]
         for i in range(len(verified)):
             for j in range(i + 1, len(verified)):
-                assert lightlike_gap_max(verified[i], verified[j], pts) < 1e-8
+                assert lightlike_gap_max(frame(verified[i], pts),
+                                         frame(verified[j], pts)) < 1e-8
