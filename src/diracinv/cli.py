@@ -99,14 +99,22 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
     guard = sc.tolerances["guard"]
     real_tol = sc.tolerances["real"]
     combined = inversion.invert_combined(fr, sc.kappa, guard=guard)
-    others = [route(fr, sc.kappa, guard=guard)
-              for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4)]
     ok = combined.ok
+    # The other routes are read only where the combined one passes its guard,
+    # so they run on one frame of those rows, if there are any.
+    at_ok = np.flatnonzero(ok)
+    others = []
+    if at_ok.size:
+        recovered_fr = fr.rows(at_ok)
+        others = [route(recovered_fr, sc.kappa, guard=guard)
+                  for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4)]
 
     # Fail as a point-by-point walk would: at the lowest failing point, and
     # there in the order combined route, known potential, other routes.
-    non_real = np.stack([combined.non_real(real_tol)]
-                        + [ok & route.non_real(real_tol) for route in others])
+    non_real = np.zeros((3, len(pts)), dtype=bool)
+    non_real[0] = combined.non_real(real_tol)
+    for row, route in zip(non_real[1:], others):
+        row[at_ok] = route.non_real(real_tol)
     failed = np.flatnonzero(non_real.any(axis=0))
     stop = int(failed[0]) if failed.size else len(pts)
     known = None
@@ -114,8 +122,10 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
         upto = stop if failed.size and non_real[0, stop] else stop + 1
         known = sc.potential.values(pts[:upto][ok[:upto]], real_tol=real_tol)
     if failed.size:
-        route = (combined, *others)[int(np.argmax(non_real[:, stop]))]
-        raise route.non_real_error(stop)
+        which = int(np.argmax(non_real[:, stop]))
+        if which == 0:
+            raise combined.non_real_error(stop)
+        raise others[which - 1].non_real_error(int(np.searchsorted(at_ok, stop)))
 
     rows = []
     for p, a, residue, passed in zip(pts, combined.a, combined.imag_residue, ok):
@@ -134,7 +144,7 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
     if recovered:
         a = combined.a[ok]
         worst_oracle = float(verify.residual_norm_at(fr.rows(ok), a, sc.kappa).max())
-        gaps = [np.abs(combined.a - route.a)[ok & route.ok] for route in others]
+        gaps = [np.abs(a - route.a)[route.ok] for route in others]
         worst_agreement = float(max((g.max() for g in gaps if g.size), default=0.0))
         checks.add("recovered potential passes the residual oracle",
                    worst_oracle < sc.tolerances["residual"], value=worst_oracle)
@@ -167,8 +177,11 @@ def _task_family(sc: Scenario, state: dict) -> dict:
         return out
     # The region is often the whole support, and a slice takes its rows without a copy.
     fr = _sample(sc, state).frame.rows(slice(None) if region.all() else region)
-    base = fields.frame(sc.potential if sc.potential is not None
-                        else inversion.FourPotential.zero(), fr.points)
+    if sc.potential is not None:
+        base = fields.frame(sc.potential, fr.points)
+    else:  # the zero potential: values and partials are +0.0, read-only views of one zero
+        base = fields.Frame(fr.points, np.broadcast_to(0.0, (count, 4)),
+                            np.broadcast_to(0j, (4, count, 4)), {})
     gaps = {}
     try:
         for label, f in directions:
@@ -331,6 +344,8 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"--samples: {samples} is not in 1..{MAX_SAMPLES}")
             if seed < 0:
                 raise ScenarioError(f"--seed: {seed} is negative")
+            if args.tol is not None:
+                raise ScenarioError("--tol: applies to run and demo only")
             sections, total, failed = selftest.run_selftest(seed, samples)
             report, code = _report("selftest", seed, samples, {"sections": sections},
                                    total, failed)

@@ -10,6 +10,9 @@ f on the support.
 held and evaluate nothing; every bilinear here is a `fields.bilinear` call.
 A family member is a `fields.Frame` built from the spinor's and the base's
 frames and f, with theta's partials by the quotient rule (`_direction`).
+The direction takes two stacked `fields.bilinear` calls and is computed
+once per frame: `theta` and every member read the read-only copy the frame
+holds (`Frame.held`).
 """
 
 from __future__ import annotations
@@ -117,25 +120,29 @@ class ThetaTriple:
 _THETA_NUMERATORS = ((-1j, gamma(5) @ gamma(3)), (-1j, gamma(4)), (1j, gamma(5) @ gamma(1)))
 
 
+# theta's transpose bilinears, denominator first, and the matrices of their
+# partials: d (psiT M psi) = (d psi)T M psi + psiT M (d psi) = (d psi)T (M + MT) psi.
+_THETA_MATRICES = np.stack([_G2] + [m for _, m in _THETA_NUMERATORS])
+_THETA_PARTIALS = _THETA_MATRICES + _THETA_MATRICES.transpose(0, 2, 1)
+
+
 def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psiT g2 psi (N,), and the complex direction (1, theta) (N, 4) and its partials.
 
     The partials (4, N, 4) follow by the quotient rule; where the denominator
     is zero both are taken over 1 instead, so a caller must reject those points.
+    It is taken once per frame, through `Frame.held`, and is read-only.
     """
     v, dv = fr.value, fr.derivs
-
-    def transpose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # d (psiT M psi) = (d psi)T M psi + psiT M (d psi) = (d psi)T (M + MT) psi
-        return bilinear(v, m, v), bilinear(dv, m + m.T, v)
-
-    den, d_den = transpose(_G2)
+    den, *nums = bilinear(v, _THETA_MATRICES, v)
+    d_den, *d_nums = bilinear(dv, _THETA_PARTIALS, v)
     safe = np.where(den == 0, 1.0, den)
     u, du = np.ones(v.shape, dtype=complex), np.zeros(dv.shape, dtype=complex)
-    for j, (coeff, m) in enumerate(_THETA_NUMERATORS, start=1):
-        num, d_num = transpose(m)
+    for j, (coeff, _), num, d_num in zip((1, 2, 3), _THETA_NUMERATORS, nums, d_nums):
         u[:, j] = coeff * num / safe
         du[..., j] = (coeff * d_num - u[:, j] * d_den) / safe
+    for shared in (den, u, du):
+        shared.flags.writeable = False
     return den, u, du
 
 
@@ -145,7 +152,7 @@ def theta(fr: Frame, guard: float = DEFAULT_GUARD, real_tol: float = 1e-6) -> Th
     Raises for the first point at which the denominator psiT g2 psi misses
     the guard or a ratio is not real.
     """
-    den, u, _ = _direction(fr)
+    den, u, _ = fr.held(_direction)
     t = u[:, 1:]
     miss = ~gamma2_covered(den, squared_norm(fr.value), guard)
     residue = np.abs(t.imag).max(axis=1)
@@ -176,17 +183,17 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
             f"potential family requires a degenerate spinor, verdict is "
             f"{classification.verdict!r}")
     params = merge_params(base.params, fr.params, f_params)
-    den, u, du = _direction(fr)
+    den, u, du = fr.held(_direction)
     pts = fr.points
     if not den.all():
         raise GuardViolated(f"psiT g2 psi vanishes at {tuple(pts[den == 0][0].tolist())}")
     fv = exprlang.evaluate_many(f, pts, params)
     df = np.stack([exprlang.evaluate_many(exprlang.differentiate(f, mu), pts, params)
                    for mu in range(4)])
-    du *= fv[:, None]  # in place from here on: f d(1, theta) + d f (1, theta) + d base
-    du += df[:, :, None] * u
-    du += base.derivs
-    return Frame(pts, real_part(base.value + fv[:, None] * u, pts), du, params)
+    partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
+    partials += df[:, :, None] * u
+    partials += base.derivs
+    return Frame(pts, real_part(base.value + fv[:, None] * u, pts), partials, params)
 
 
 # ---------------------------------------------------------------------------

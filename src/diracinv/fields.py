@@ -9,6 +9,10 @@ Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
 every bilinear covariant, adjoint or transpose, including the bidirectional
 derivative and theta's partials, is a call of `bilinear` on values held.
+One call takes a stack of matrices and forms each product of components
+once for all of them.  What several kernels read of one frame, such as the
+inversion routes' covariants or theta's direction, is computed once and
+kept on that frame by `Frame.held`, for as long as the frame lives.
 
 Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
@@ -18,8 +22,8 @@ takes `Frame.rows` of that frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,26 +101,50 @@ class SpinorField(ExpressionField):
 
 
 def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum over r, c of left[..., r] * matrix[r, c] * right[..., c].
+    """sum over r, c of left[..., r] * matrix[k, r, c] * right[..., c], for every k.
 
-    Terms are accumulated one nonzero matrix entry at a time in row-major
-    order, so algebraically cancelling terms cancel exactly in floating
-    point, which BLAS-blocked products do not guarantee.  Complex products
-    are spelled out in real arithmetic, (a+bi)(c+di) = (ac-bd) + (ad+bc)i,
-    because numpy's complex multiply may fuse a multiply-add and then give
-    a different last bit for a*b and b*a.  Pass `psi.conj()` as `left` for
-    the adjoint bilinear and `psi` for the transpose one.
+    `matrix` is one (4, 4) matrix, giving the leading shape of `left` and
+    `right` broadcast together, or a stack (K, 4, 4), giving (K, ...).  The
+    entries some matrix uses are visited once each, in row-major order: the
+    product left_r * right_c is formed there and added, times the entry,
+    into every matrix that has it.  So each matrix accumulates its terms in
+    row-major order from +0.0, algebraically cancelling terms cancel exactly
+    in floating point, which BLAS-blocked products do not guarantee, and a
+    zero term changes nothing.  Products are spelled out in real arithmetic,
+    (a+bi)(c+di) = (ac-bd) + (ad+bc)i, because numpy's complex multiply may
+    fuse a multiply-add and then give a different last bit for a*b and b*a.
+    The package's matrices have entries 0, +-1, +-i, +-2 and +-2i, and
+    multiplying by those is exact, fused or not, so a matrix's result has
+    the same bits whichever matrices share the call.  Pass `psi.conj()` as
+    `left` for the adjoint bilinear and `psi` for the transpose one.
     """
-    lr, li = np.real(left), np.imag(left)
-    rr, ri = np.real(right), np.imag(right)
-    total = np.zeros(left.shape[:-1], dtype=complex)
-    for r, c in zip(*np.nonzero(matrix)):
-        m = complex(matrix[r, c])
-        ar = lr[..., r] * m.real - li[..., r] * m.imag
-        ai = lr[..., r] * m.imag + li[..., r] * m.real
-        total.real += ar * rr[..., c] - ai * ri[..., c]
-        total.imag += ar * ri[..., c] + ai * rr[..., c]
-    return total
+    single = np.ndim(matrix) == 2
+    stack = np.asarray(matrix, dtype=complex).reshape(-1, 16)
+    lr, li, rr, ri = left.real, left.imag, right.real, right.imag
+    shape = np.broadcast(left, right).shape[:-1]
+    total = np.zeros((len(stack),) + shape, dtype=complex)
+    p = np.empty(shape, dtype=complex)
+    for r, c, users in _entry_users(stack.tobytes()):
+        np.multiply(lr[..., r], rr[..., c], out=p.real)
+        p.real -= li[..., r] * ri[..., c]
+        np.multiply(lr[..., r], ri[..., c], out=p.imag)
+        p.imag += li[..., r] * rr[..., c]
+        for k, m in users:
+            if m == 1:
+                total[k] += p
+            elif m == -1:
+                total[k] -= p
+            else:
+                total[k] += m * p
+    return total[0] if single else total
+
+
+@lru_cache(maxsize=64)
+def _entry_users(stack: bytes) -> tuple[tuple[int, int, tuple[tuple[int, complex], ...]], ...]:
+    """(r, c, ((k, m_k[r, c]), ...)) for each entry of the (K, 16) `stack` some matrix uses."""
+    entries = np.frombuffer(stack, dtype=complex).reshape(-1, 16)
+    return tuple((flat // 4, flat % 4, tuple((k, complex(m)) for k, m in enumerate(column) if m))
+                 for flat, column in enumerate(entries.T) if column.any())
 
 
 def squared_norm(values: np.ndarray) -> np.ndarray:
@@ -132,10 +160,17 @@ class Frame:
     value: np.ndarray
     derivs: np.ndarray
     params: Mapping[str, complex]
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self, index) -> "Frame":
         """The frame at points[index]: a slice, a boolean mask or row numbers."""
         return Frame(self.points[index], self.value[index], self.derivs[:, index], self.params)
+
+    def held(self, build):
+        """build(self), computed on first use and kept as long as this frame."""
+        if build not in self._held:
+            self._held[build] = build(self)
+        return self._held[build]
 
 
 def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Frame:

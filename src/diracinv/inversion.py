@@ -10,8 +10,13 @@ the other two, and its denominator psi* d4 psi vanishes exactly on the
 degenerate locus.  `extract_mass_at` solves the temporal relation of the g
 set for the mass.
 
-The routes apply the `fields.bilinear` kernel to a `fields.Frame` and
-evaluate no spinor.  A point whose denominator falls below the guard,
+The routes read a `fields.Frame` and evaluate no spinor.  Every bilinear
+they read comes from a table of the frame (`_Covariants`): psi* M psi, and
+(d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of the
+routes' sets, from two stacked `fields.bilinear` calls.  The table is built
+on a frame's first route and held by the frame (`Frame.held`), so the two
+gamma routes share one; the mass builds its own with only the pieces its
+relation reads.  A point whose denominator falls below the guard,
 relative to |psi|^2 there, is marked in the route's `ok` mask rather than
 raised; every recovered component carries its imaginary residue, and
 `RecoveredPotential.non_real` flags the points where it is beyond tolerance.
@@ -32,7 +37,7 @@ from .clifford import IDENTITY, delta, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
 from .fields import (ExpressionField, Frame, SpinorField, SupportSample, as_points,
-                     bilinear, frame, merge_params, squared_norm)
+                     bilinear, frame, merge_params)
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -123,28 +128,48 @@ _Gk4 = {k: gamma(k) @ gamma(4) for k in (1, 2, 3)}
 _SIGNED_ZERO = complex(-0.0, -0.0)
 
 
-def _bil(fr: Frame, m: np.ndarray) -> np.ndarray:
-    return bilinear(fr.value.conj(), m, fr.value)
+class _Covariants:
+    """The bilinears of one frame that the relation reads, each formed once.
+
+    `value(M)` is psi* M psi for each M of `values`.  For each (axes,
+    matrices) pair of `partials`, and each a of the axes and M of the
+    matrices, the table keeps (d_a psi)* M psi and psi* M (d_a psi), which
+    `dbil` and `bidir` combine.  The values take one stacked `bilinear` call
+    and each pair one more.
+    """
+
+    def __init__(self, fr: Frame, values: tuple, partials: tuple):
+        v, vc = fr.value, fr.value.conj()
+        self._value = {m.tobytes(): b for m, b in zip(values, bilinear(vc, np.stack(values), v))}
+        self._pieces = {}
+        for axes, matrices in partials:
+            d = fr.derivs[list(axes)]
+            left = np.concatenate([d.conj(), np.broadcast_to(vc, d.shape)])
+            right = np.concatenate([np.broadcast_to(v, d.shape), d])
+            for m, pieces in zip(matrices, bilinear(left, np.stack(matrices), right)):
+                for axis, lhs, rhs in zip(axes, pieces, pieces[len(axes):]):
+                    self._pieces[m.tobytes(), axis] = (lhs, rhs)
+
+    def value(self, m: np.ndarray) -> np.ndarray:
+        return self._value[m.tobytes()]
+
+    def dbil(self, m: np.ndarray, axis: int) -> np.ndarray:
+        """d_axis (psi* M psi) expanded through the product rule."""
+        lhs, rhs = self._pieces[m.tobytes(), axis]
+        return lhs + rhs
+
+    def bidir(self, m: np.ndarray, axis: int) -> np.ndarray:
+        """psi* M (d psi) - (d psi)* M psi with the exact symbolic partial."""
+        lhs, rhs = self._pieces[m.tobytes(), axis]
+        return rhs - lhs
 
 
-def _dbil(fr: Frame, m: np.ndarray, axis: int) -> np.ndarray:
-    """d_axis (psi* M psi) expanded through the product rule."""
-    dv = fr.derivs[axis]
-    return bilinear(dv.conj(), m, fr.value) + bilinear(fr.value.conj(), m, dv)
-
-
-def _bidir(fr: Frame, m: np.ndarray, axis: int) -> np.ndarray:
-    """psi* M (d psi) - (d psi)* M psi with the exact symbolic partial."""
-    dv = fr.derivs[axis]
-    return bilinear(fr.value.conj(), m, dv) - bilinear(dv.conj(), m, fr.value)
-
-
-def _temporal(fr: Frame, A: Mapping[int, np.ndarray]) -> np.ndarray:
+def _temporal(t: _Covariants, A: Mapping[int, np.ndarray]) -> np.ndarray:
     """The mass-free part of the temporal relation: i (A4 bidirectional in x0) - div."""
-    return -sum(_dbil(fr, A[k], k) for k in (1, 2, 3)) + 1j * _bidir(fr, A[4], 0)
+    return -sum(t.dbil(A[k], k) for k in (1, 2, 3)) + 1j * t.bidir(A[4], 0)
 
 
-def _route(fr: Frame, kappa: float, guard: float, A: Mapping[int, np.ndarray],
+def _route(fr: Frame, t: _Covariants, kappa: float, guard: float, A: Mapping[int, np.ndarray],
            B: Mapping[int, np.ndarray], massive: bool) -> RecoveredPotential:
     """The pointwise relation for matrix sets A and B, over denominator psi* A4 psi.
 
@@ -152,23 +177,23 @@ def _route(fr: Frame, kappa: float, guard: float, A: Mapping[int, np.ndarray],
     bidirectional term at k = j and -eps_jkl d_k (psi* B_l psi) at the other
     two, then i d_0 (psi* A_j psi); the -2 kappa terms enter when `massive`.
     """
-    a0 = _temporal(fr, A)
+    a0 = _temporal(t, A)
     if massive:
-        a0 = a0 - 2.0 * kappa * _bil(fr, IDENTITY)
+        a0 = a0 - 2.0 * kappa * t.value(IDENTITY)
     spatial = []
     for j in (1, 2, 3):
-        aj = -2.0 * kappa * _bil(fr, _Gk4[j]) if massive else _SIGNED_ZERO
+        aj = -2.0 * kappa * t.value(_Gk4[j]) if massive else _SIGNED_ZERO
         for k in (1, 2, 3):
             if k == j:
-                aj = aj + _bidir(fr, A[4], j)
+                aj = aj + t.bidir(A[4], j)
             elif k == j % 3 + 1:  # (j, k, l) cyclic: eps_jkl = +1
-                aj = aj - _dbil(fr, B[6 - j - k], k)
+                aj = aj - t.dbil(B[6 - j - k], k)
             else:
-                aj = aj + _dbil(fr, B[6 - j - k], k)
-        spatial.append(aj + 1j * _dbil(fr, A[j], 0))
+                aj = aj + t.dbil(B[6 - j - k], k)
+        spatial.append(aj + 1j * t.dbil(A[j], 0))
     # a0 is divided by 2 den, ak by 2i den, wherever den passes the guard.
-    den = _bil(fr, A[4])
-    ok = np.abs(den) > guard * squared_norm(fr.value)
+    den = t.value(A[4])
+    ok = np.abs(den) > guard * t.value(IDENTITY).real
     den = np.where(ok, den, 1.0)
     raw = np.stack([a0 / (2.0 * den)] + [num / (2j * den) for num in spatial], axis=1)
     residue = np.abs(raw.imag).max(axis=1) / (1.0 + np.abs(raw.real).max(axis=1))
@@ -176,20 +201,32 @@ def _route(fr: Frame, kappa: float, guard: float, A: Mapping[int, np.ndarray],
                               np.where(ok, residue, np.nan))
 
 
+# Each route table holds what its routes read, at every axis: the combined
+# route's, and the one the two gamma routes share.
+def _delta_table(fr: Frame) -> _Covariants:
+    return _Covariants(fr, (IDENTITY, *_Gk4.values(), _DELTA[4]),
+                       ((range(4), tuple(_DELTA.values())),))
+
+
+def _gamma_table(fr: Frame) -> _Covariants:
+    return _Covariants(fr, (IDENTITY, *_Gk4.values(), _GAMMA[4], _G5GAMMA[4]),
+                       ((range(4), (*_GAMMA.values(), *_G5GAMMA.values())),))
+
+
 def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
-    return _route(fr, kappa, guard, _DELTA, _DELTA, massive=True)
+    return _route(fr, fr.held(_delta_table), kappa, guard, _DELTA, _DELTA, massive=True)
 
 
 def invert_gamma4(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    return _route(fr, kappa, guard, _GAMMA, _G5GAMMA, massive=True)
+    return _route(fr, fr.held(_gamma_table), kappa, guard, _GAMMA, _G5GAMMA, massive=True)
 
 
 def invert_gamma5gamma4(fr: Frame, kappa: float,
                         guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    return _route(fr, kappa, guard, _G5GAMMA, _GAMMA, massive=False)
+    return _route(fr, fr.held(_gamma_table), kappa, guard, _G5GAMMA, _GAMMA, massive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +235,15 @@ def invert_gamma5gamma4(fr: Frame, kappa: float,
 def extract_mass_at(fr: Frame, a0: Expr | None,
                     a0_params: Mapping[str, complex] | None = None) -> MassSample:
     """Pointwise mass from the temporal relation; requires the a0 component."""
-    norm_sq = squared_norm(fr.value)
+    # Only what the temporal relation reads: g_k at axis k and g4 at axis 0.
+    t = _Covariants(fr, (IDENTITY, _GAMMA[4]), (((0,), (_GAMMA[4],)), ((1,), (_GAMMA[1],)),
+                                                ((2,), (_GAMMA[2],)), ((3,), (_GAMMA[3],))))
+    norm_sq = t.value(IDENTITY).real
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
     a0_value = 0j if a0 is None else exprlang.evaluate_many(a0, fr.points, a0_params)
-    value = (_temporal(fr, _GAMMA) - 2.0 * a0_value * _bil(fr, _GAMMA[4])) / (2.0 * norm_sq)
+    value = (_temporal(t, _GAMMA) - 2.0 * a0_value * t.value(_GAMMA[4])) / (2.0 * norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 

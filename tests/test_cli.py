@@ -1,6 +1,7 @@
 """Scenario runner, demo and selftest commands, exit codes, determinism."""
 
 import json
+import pathlib
 import re
 
 import pytest
@@ -304,6 +305,21 @@ class TestSelftest:
         assert captured.out == ""
         assert f"error: {flag}: " in captured.err
 
+    @pytest.mark.parametrize("value", ["1e-3", "-5", "0", "nan", "inf"])
+    def test_tol_is_rejected_before_any_suite_runs(self, capsys, monkeypatch, value):
+        # --tol sets the classification tolerance of run and demo; selftest
+        # has none to set, so any value is an input error, not a no-op.
+        def no_suites(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(selftest, "run_selftest", no_suites)
+        for argv in (["selftest", "--tol", value], ["--tol", value, "selftest"]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: --tol: ")
+
     @pytest.mark.parametrize("seed", [109300515, 1161092498, 1510276717, 369])
     def test_derivative_suite_passes_on_seeds_that_once_failed(self, seed):
         # The step-halving gate used to be absolute below |fd| ~ 1 and blind to
@@ -357,6 +373,116 @@ def test_gauge_scenario_samples_once_and_builds_two_frames(tmp_path, monkeypatch
     path = pathlib.Path(__file__).resolve().parent.parent / "scenarios/gauge_round_trip.json"
     assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
     assert calls == {"sample_support": 1, "frame": 2}
+
+
+def _count_calls(monkeypatch, module, name, record=lambda *args: None):
+    """Wrap module.name at every diracinv binding; returns the list of recorded calls."""
+    import sys
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    for module_name, mod in list(sys.modules.items()):
+        if module_name.startswith("diracinv") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+_SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("scenario_name, kernel_calls", [
+    # classify 3; the mass 5 and its gauge-fixed cross-check 5; two route
+    # tables of 2, the combined route's and, on the rows it recovers, the one
+    # the other two routes share.  The parent made 133 single-matrix calls.
+    ("gauge_round_trip", 17),
+    # The catalog's construction check 2; classify 3; the mass 5; the
+    # combined route's table 2, whose guard passes nowhere, so the other
+    # routes do not run; theta's direction 2, once for the three family
+    # members.  The parent made 149.
+    ("degenerate_family", 14),
+])
+def test_bilinear_kernel_calls_per_run(tmp_path, monkeypatch, scenario_name, kernel_calls):
+    from diracinv import fields
+    calls = _count_calls(monkeypatch, fields, "bilinear")
+    path = _SHIPPED / f"{scenario_name}.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == kernel_calls
+
+
+@pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "degenerate_family"])
+def test_other_routes_see_only_the_rows_the_combined_route_recovers(tmp_path, monkeypatch,
+                                                                   scenario_name):
+    # On a degenerate spinor the combined route recovers no row, and the
+    # other two routes do not run at all.
+    from diracinv import inversion
+    rows = {name: _count_calls(monkeypatch, inversion, name, lambda fr, *args: len(fr.points))
+            for name in ("invert_combined", "invert_gamma4", "invert_gamma5gamma4")}
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(_SHIPPED / f"{scenario_name}.json"), "--out", str(out)]) == 0
+    invert = [t for t in json.loads(out.read_text())["tasks"] if t["task"] == "invert"][0]
+    recovered = invert["recovered_points"]
+    expected = [recovered] if recovered else []
+    assert rows == {"invert_combined": [len(invert["rows"])], "invert_gamma4": expected,
+                    "invert_gamma5gamma4": expected}
+    assert recovered == (len(invert["rows"]) if scenario_name == "gauge_round_trip" else 0)
+
+
+def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_path,
+                                                                      monkeypatch):
+    from diracinv import degeneracy
+    calls = _count_calls(monkeypatch, degeneracy, "_direction")
+    path = _SHIPPED / "degenerate_family.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
+    suite = selftest.catalog_suite(42)
+    assert suite.n_failed == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "degenerate_family"])
+def test_nothing_is_held_on_the_run_support_frame(scenario_name):
+    # Route tables and theta's direction are held by the row frames the tasks
+    # take, and go with them; the support frame, which lives for the whole
+    # run, holds nothing.
+    sc = scenario.load_scenario(str(_SHIPPED / f"{scenario_name}.json"))
+    state: dict = {}
+    for name in sc.tasks:
+        cli._TASK_RUNNERS[name](sc, state)
+    assert state["sample"].frame._held == {}
+
+
+def test_a_later_route_fails_at_its_own_row_of_the_recovered_ones(tmp_path, capsys,
+                                                               monkeypatch):
+    # The combined route misses the first point, so the other routes run on
+    # the rows from the second point on; a non-real result in their first
+    # row is reported at the second point.
+    from diracinv import inversion
+    combined, gamma4 = inversion.invert_combined, inversion.invert_gamma4
+
+    def drop_first(fr, *args, **kwargs):
+        out = combined(fr, *args, **kwargs)
+        out.ok[0] = False
+        return out
+
+    def non_real_first(fr, *args, **kwargs):
+        out = gamma4(fr, *args, **kwargs)
+        out.imag_residue[0] = 1.0
+        return out
+
+    monkeypatch.setattr(inversion, "invert_combined", drop_first)
+    monkeypatch.setattr(inversion, "invert_gamma4", non_real_first)
+    domain = {"count": 20, "seed": 4}
+    code, out = _run(capsys, ["run", _write(tmp_path, dict(GOOD_SCENARIO, domain=domain))])
+    assert code == 1
+    invert = [t for t in json.loads(out)["tasks"] if t["task"] == "invert"][0]
+    detail = invert["checks"]["checks"][0]["detail"]
+    second = tuple(SampleDomain(**domain).points()[1].tolist())
+    assert detail.startswith("recovered potential has relative imaginary residue")
+    assert f"at {second}" in detail
 
 
 def test_cli_import_does_not_load_scipy():

@@ -5,7 +5,7 @@ import pytest
 
 from test_acceptance import TRIPLES
 
-from diracinv import catalog, exprlang, verify
+from diracinv import catalog, degeneracy, exprlang, verify
 from diracinv.clifford import delta, gamma
 from diracinv.degeneracy import (bilinear_symmetry_conditions, classify,
                                  compose_degenerate, compose_values,
@@ -229,6 +229,23 @@ class TestPotentialFamily:
         for text in ("1", "x0", "sin(x0+x1)"):
             member = potential_family(sample.frame, base_fr, exprlang.parse(text), cls)
             assert verify.residual_norm(sample, member.value, 1.0).max_norm < 1e-9
+
+    def test_members_share_one_direction_and_leave_it_unchanged(self, degenerate_default,
+                                                                unit_domain):
+        # Each member reads the direction its frame holds; building one member
+        # must not change what the next one reads.
+        sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
+                                              FourPotential.zero(), unit_domain, 1.0)
+        fr = sample.frame.rows(slice(None))
+        texts = ("1", "x0", "sin(x0+x1)")
+        shared = [potential_family(fr, base_fr, exprlang.parse(t), cls) for t in texts]
+        held = fr.held(degeneracy._direction)
+        assert not any(part.flags.writeable for part in held)
+        for text, member in zip(texts, shared):
+            alone = potential_family(sample.frame.rows(slice(None)), base_fr,
+                                     exprlang.parse(text), cls)
+            assert member.value.tobytes() == alone.value.tobytes()
+            assert member.derivs.tobytes() == alone.derivs.tobytes()
 
     def test_requires_degenerate_classification(self, rest_wave, unit_domain):
         sample, base_fr, cls = _family_inputs(rest_wave.spinor, FourPotential.zero(),

@@ -5,12 +5,12 @@ import pytest
 import solutions
 from hypothesis import given, settings, strategies as st
 
-from diracinv import catalog, exprlang
+from diracinv import catalog, degeneracy, exprlang
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
 from diracinv.fields import (SampleDomain, SpinorField, as_points, bilinear, frame,
                              require_support, sample_support, squared_norm)
-from diracinv.inversion import FourPotential, _bidir
+from diracinv.inversion import FourPotential, _Covariants
 
 KAPPA = 1.0
 ORIGIN = [(0, 0, 0, 0)]
@@ -25,6 +25,11 @@ def reference_bilinear(left, matrix, right) -> complex:
             if m != 0:
                 total += complex(left[r]) * m * complex(right[c])
     return total
+
+
+def _bidir(fr, matrix, axis) -> np.ndarray:
+    """psi* M (d psi) - (d psi)* M psi, from the table the inversion routes read."""
+    return _Covariants(fr, (matrix,), (((axis,), (matrix,)),)).bidir(matrix, axis)
 
 
 def adjoint(field, matrix, points) -> np.ndarray:
@@ -164,6 +169,77 @@ class TestKernelAgainstReference:
         for m in KERNEL_MATRICES:
             self._check(zero, m, zero)
             self._check(shapes.conj(), m, np.zeros_like(shapes))
+
+
+def single_matrix_bilinear(left, matrix, right):
+    """The one-matrix kernel the stacked one replaced, kept as the bit reference."""
+    lr, li = np.real(left), np.imag(left)
+    rr, ri = np.real(right), np.imag(right)
+    total = np.zeros(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]), dtype=complex)
+    for r, c in zip(*np.nonzero(matrix)):
+        m = complex(matrix[r, c])
+        ar = lr[..., r] * m.real - li[..., r] * m.imag
+        ai = lr[..., r] * m.imag + li[..., r] * m.real
+        total.real += ar * rr[..., c] - ai * ri[..., c]
+        total.imag += ar * ri[..., c] + ai * rr[..., c]
+    return total
+
+
+# Every matrix the package passes to the kernel: the inversion sets and the
+# mass term's, the indicator, the theta numerators and their partials'
+# symmetrized forms, and the symmetry conditions.
+SRC_MATRICES = (
+    [IDENTITY] + [gamma(k) for k in range(1, 5)] + [gamma(5) @ gamma(k) for k in range(1, 5)]
+    + [delta(k) for k in range(1, 5)] + [gamma(k) @ gamma(4) for k in (1, 2, 3)]
+    + [m for _, m in degeneracy._THETA_NUMERATORS]
+    + [m + m.T for m in [gamma(2)] + [m for _, m in degeneracy._THETA_NUMERATORS]]
+    + list(degeneracy._COND_MATRICES))
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).view(np.uint64).tobytes()
+
+
+class TestStackedKernelBits:
+    """The stacked kernel gives every matrix the reference's bits, alone or in a stack."""
+
+    def _check(self, left, right):
+        stacked = bilinear(left, np.stack(SRC_MATRICES), right)
+        assert stacked.shape == (len(SRC_MATRICES),) + np.broadcast_shapes(
+            left.shape[:-1], right.shape[:-1])
+        for m, got in zip(SRC_MATRICES, stacked):
+            ref = single_matrix_bilinear(left, m, right)
+            assert _bits(got) == _bits(ref)
+            assert _bits(bilinear(left, m, right)) == _bits(ref)
+
+    def test_every_src_matrix_at_random_values(self, rng):
+        x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+        y = rng.standard_normal((4, 30, 4)) + 1j * rng.standard_normal((4, 30, 4))
+        self._check(x.conj(), x)
+        self._check(x, x)
+        self._check(y.conj(), x)
+        self._check(x.conj(), y)
+        self._check(y, x)
+
+    def test_signed_zero_and_zero_inputs(self, rng):
+        x = rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))
+        signed = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+        x[:16] = signed[rng.integers(0, 4, (16, 4))]
+        x[16:20] = 0.0
+        x[20:, 1] = complex(-0.0, 0.0)
+        self._check(x.conj(), x)
+        self._check(x, x)
+        self._check(x.conj(), x[::-1])
+        zero = np.zeros((4, 24, 4), dtype=complex)
+        self._check(zero, x)
+
+    def test_null_shapes_stay_exactly_zero(self, rng):
+        shapes = _null_shape_values(rng, 10)
+        self._check(shapes, shapes)
+        self._check(shapes.conj(), shapes)
+        g2 = next(k for k, m in enumerate(SRC_MATRICES) if m is gamma(2))
+        assert np.array_equal(bilinear(shapes, np.stack(SRC_MATRICES), shapes)[g2],
+                              np.zeros(len(shapes)))
 
 
 class TestBilinears:
