@@ -289,11 +289,14 @@ def _report(command: str, seed: int, samples: int, body: dict, total: int,
 
 def _emit(report: dict, out_path: str | None) -> None:
     text = render_report(report)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ValueError(f"--out: {exc}") from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _emit(report, args.out)
-    except ValueError as exc:  # non-finite number reached the report
+    except ValueError as exc:  # a non-finite number reached the report, or --out failed
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code

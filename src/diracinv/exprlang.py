@@ -13,11 +13,10 @@ Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 parameter bound at evaluation time.  Functions: sin cos tan exp log sqrt
 sinh cosh (principal branches).
 
-Two node kinds are internal and never produced by the parser: ``Conj``
+One node kind is internal and never produced by the parser: ``Conj``
 (componentwise complex conjugate; its partial derivatives along the real
-coordinates are the conjugated partials) and ``PathIntegral`` (an integral
-of the operand along the x0 axis from a fixed lower limit).  They print in
-a debug form the parser rejects.
+coordinates are the conjugated partials).  It prints in a debug form the
+parser rejects.
 
 Differentiation is exact on the AST.  There is one evaluator, `evaluate`:
 it walks the tree once for a whole batch of points in IEEE double complex
@@ -29,7 +28,8 @@ constants and parameters are checked when resolved, arithmetic, division,
 powers and functions after they apply (negation and conjugation keep
 finite values finite).
 
-A path integral is evaluated at all points at once by a composite
+`path_integral` integrates an expression along the x0 axis, from a fixed
+lower limit to each point's x0, at all points at once by a composite
 Gauss-Legendre rule: 7 against 15 nodes on each of 1, 2, 4, ... 64 equal
 panels, until the per-panel differences summed over a point's panels are
 at most ``QUADRATURE_TOL`` * max(1, |integral|).  A point still open at 64
@@ -111,15 +111,7 @@ class Conj:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class PathIntegral:
-    """Integral of ``integrand`` over the x0 slot from ``lower`` to the current x0."""
-
-    integrand: "Expr"
-    lower: float
-
-
-Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow, Call, Conj, PathIntegral]
+Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow, Call, Conj]
 
 ZERO = Num(0j)
 ONE = Num(1 + 0j)
@@ -401,8 +393,6 @@ def to_text(e: Expr) -> str:
         return f"{e.func}({to_text(e.arg)})"
     if isinstance(e, Conj):
         return f"conj({to_text(e.arg)})"
-    if isinstance(e, PathIntegral):
-        return f"integral0({to_text(e.integrand)}, {e.lower!r})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -451,10 +441,6 @@ def _diff(e: Expr, axis: int) -> Expr:
     if isinstance(e, Conj):
         # Partials are along real coordinates, so they commute with conjugation.
         return conjugate(_diff(e.arg, axis))
-    if isinstance(e, PathIntegral):
-        if axis == 0:
-            return e.integrand
-        return PathIntegral(_diff(e.integrand, axis), e.lower)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -465,13 +451,6 @@ def conjugate(e: Expr) -> Expr:
     if isinstance(e, Conj):
         return e.arg
     return Conj(e)
-
-
-def path_integral(integrand: Expr, lower: float) -> Expr:
-    """Integral of ``integrand`` along the x0 slot from ``lower`` (quadrature node)."""
-    if _is_num(integrand, 0j):
-        return ZERO
-    return PathIntegral(integrand, float(lower))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +496,15 @@ def _resolve(e: Name, cols, params: Mapping[str, complex] | None) -> np.ndarray:
     raise EvaluationError(f"unbound name {e.ident!r}")
 
 
+def _columns(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four complex coordinate columns of finite (N, 4) points."""
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    return tuple(pts[:, k].astype(complex) for k in range(4))
+
+
 def _eval_array(e: Expr, cols, params) -> np.ndarray:
     if isinstance(e, Num):
         return _leaf(e.value, e, "number", cols[0].shape)
@@ -543,19 +531,21 @@ def _eval_array(e: Expr, cols, params) -> np.ndarray:
         with np.errstate(all="ignore"):
             value = _NPFUNCS[e.func](arg)
         return _check_finite(value, e, e.func)
-    if isinstance(e, PathIntegral):
-        return _eval_path_integral(e, cols, params)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_path_integral(e: PathIntegral, cols, params) -> np.ndarray:
-    """Integrate from e.lower to x0 at every point at once, doubling the panels.
+def path_integral(integrand: Expr, lower: float, points: np.ndarray,
+                  params: Mapping[str, complex] | None = None) -> np.ndarray:
+    """The (N,) integrals of `integrand` along x0 from `lower` to each (N, 4) point.
 
-    A point converges when the per-panel differences between the 7- and the
-    15-node rules sum to at most QUADRATURE_TOL * max(1, |integral|); the
-    15-node sums are returned.  Points still open after _MAX_PANELS panels,
-    and any evaluation error of the integrand, raise QuadratureError.
+    The other coordinates stay at the point's.  All points are integrated at
+    once, doubling the panels of those still open.  A point converges when
+    the per-panel differences between the 7- and the 15-node rules sum to at
+    most QUADRATURE_TOL * max(1, |integral|); the 15-node sums are returned.
+    Points still open after _MAX_PANELS panels, and any evaluation error of
+    the integrand, raise QuadratureError.
     """
+    cols = _columns(np.asarray(points, dtype=float))
     upper = cols[0].real
     out = np.empty(upper.shape, dtype=complex)
     todo = np.arange(upper.size)
@@ -565,14 +555,14 @@ def _eval_path_integral(e: PathIntegral, cols, params) -> np.ndarray:
             raise QuadratureError(
                 f"path quadrature failed: no convergence to {QUADRATURE_TOL:.0e} with "
                 f"{_MAX_PANELS} panels at {todo.size} of {upper.size} points")
-        half = (upper[todo] - e.lower) / (2 * panels)                   # (m,)
-        mids = e.lower + half[:, None] * (2 * np.arange(panels) + 1)    # (m, panels)
-        nodes = mids[..., None] + half[:, None, None] * _GL_NODES       # (m, panels, 22)
+        half = (upper[todo] - lower) / (2 * panels)                   # (m,)
+        mids = lower + half[:, None] * (2 * np.arange(panels) + 1)    # (m, panels)
+        nodes = mids[..., None] + half[:, None, None] * _GL_NODES     # (m, panels, 22)
         per_point = panels * _GL_NODES.size
         sub = (nodes.reshape(-1).astype(complex),
                *(np.repeat(c[todo], per_point) for c in cols[1:]))
         try:
-            f = _eval_array(e.integrand, sub, params).reshape(nodes.shape)
+            f = _eval_array(integrand, sub, params).reshape(nodes.shape)
         except EvaluationError as exc:
             raise QuadratureError(f"path quadrature failed: {exc}") from exc
         low = (f[..., :_GL_LOW[1].size] * _GL_LOW[1]).sum(axis=-1)
@@ -598,9 +588,7 @@ def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None):
         pts = pts[None, :]
     elif pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"points must have shape (4,) or (N, 4), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("point coordinates must be finite")
-    cols = tuple(pts[:, k].astype(complex) for k in range(4))
+    cols = _columns(pts)
     value = np.broadcast_to(_eval_array(e, cols, params), (pts.shape[0],))
     return complex(value[0]) if single else value.astype(complex)
 

@@ -8,7 +8,8 @@ denominator psi* A4 psi: `invert_gamma4` (A = g, B = g5 g, massive),
 (A = B = d).  As d_mu = g_mu + g5 g_mu, the combined relation is the sum of
 the other two, and its denominator psi* d4 psi vanishes exactly on the
 degenerate locus.  `extract_mass_at` solves the temporal relation of the g
-set for the mass.
+set for the mass; `extract_mass` checks it at every support point against
+the frame `gauge_fix_temporal` derives, with a0 removed, from the support's.
 
 The routes read a `fields.Frame` and evaluate no spinor.  Every bilinear
 they read comes from a table of the frame (`_Covariants`): psi* M psi, and
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import exprlang
 from .clifford import IDENTITY, delta, gamma
-from .errors import MassInconsistent, NonRealPotential, ZeroNorm
+from .errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
 from .fields import (ExpressionField, Frame, SpinorField, SupportSample, as_points,
                      bilinear, frame, merge_params)
@@ -270,9 +271,8 @@ def extract_mass(sample: SupportSample, a0: Expr | None,
 
     gap = None
     if a0 is not None and a0 != exprlang.ZERO:
-        fixed = gauge_fix_temporal(sample.field, a0, k=0.0, a0_params=a0_params)
-        checks = extract_mass_at(frame(fixed, points[:3]), None).kappa
-        gap = float(np.abs(checks - mean).max())
+        fixed = gauge_fix_temporal(sample.frame, a0, 0.0, a0_params)
+        gap = float(np.abs(extract_mass_at(fixed, None).kappa - mean).max())
         if gap > CROSSCHECK_TOL * (1.0 + abs(mean)):
             raise MassInconsistent(
                 f"gauge-fixed mass route disagrees by {gap:.3e} with the direct route")
@@ -302,15 +302,25 @@ def gauge_transform(field: SpinorField, f: Expr,
     return transformed, shift
 
 
-def gauge_fix_temporal(field: SpinorField, a0: Expr, k: float,
-                       a0_params: Mapping[str, complex] | None = None) -> SpinorField:
-    """Remove the temporal component: psi0 = exp(+i * integral_k^{x0} a0 ds) psi.
+def gauge_fix_temporal(fr: Frame, a0: Expr, k: float,
+                       a0_params: Mapping[str, complex] | None = None) -> Frame:
+    """psi0 = exp(i Phi) psi, Phi = integral_k^{x0} a0 ds along x0, as a frame from psi's.
 
-    The path integral runs along x0 at fixed (x1, x2, x3).  It is evaluated
-    at all requested points at once by the composite Gauss-Legendre rule of
-    `exprlang` (tolerance 1e-11); non-convergence or an integrand that fails
-    to evaluate on the path raises QuadratureError.
+    psi0 solves the equation with a0 removed.  By the product rule d_0 psi0
+    = exp(i Phi) (d_0 psi + i a0 psi) and d_j psi0 = exp(i Phi) (d_j psi +
+    i Phi_j psi), Phi_j the same integral of d_j a0.  A path the quadrature
+    cannot integrate raises QuadratureError, a non-finite entry
+    EvaluationError.
     """
-    integral = exprlang.path_integral(a0, k)
-    factor = exprlang.call("exp", exprlang.mul(exprlang.Num(1j), integral))
-    return field.scaled_by(factor, a0_params)
+    params = merge_params(fr.params, a0_params)
+    phi, *phi_j = [exprlang.path_integral(e, k, fr.points, params)
+                   for e in (a0, *(exprlang.differentiate(a0, j) for j in (1, 2, 3)))]
+    rates = np.stack([exprlang.evaluate_many(a0, fr.points, params), *phi_j])  # (4, N)
+    with np.errstate(all="ignore"):
+        phase = np.exp(1j * phi)[:, None]
+        value = phase * fr.value
+        derivs = phase * (fr.derivs + 1j * rates[..., None] * fr.value)
+    if not (np.isfinite(value).all() and np.isfinite(derivs).all()):
+        raise EvaluationError(f"temporal gauge fixing of a0 = {exprlang.to_text(a0)!r} "
+                              "produced a non-finite value")
+    return Frame(fr.points, value, derivs, params)

@@ -11,13 +11,12 @@ import numpy as np
 
 from . import catalog, clifford, degeneracy, exprlang, fields, inversion, verify
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField, sample_support
+from .fields import SampleDomain, sample_support
 from .report import CheckSet
 
 _FD_STEP = 1e-5
 _FD_REL_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
-_ORIGIN = np.zeros((1, 4))
 
 PRODUCTIONS = (
     "number", "variable", "constant", "parameter",
@@ -221,15 +220,14 @@ def identity_suite(seed: int) -> CheckSet:
     suite.add("composed null form has zero indicator (100 triples)",
               worst_ind <= 1e-12, value=worst_ind)
 
+    # 20 random (psi1, psi2) per shape, drawn as the points (Re psi1, Im psi1,
+    # Re psi2, Im psi2), where x0 + i*x1 and x2 + i*x3 evaluate exactly.
     g2 = clifford.gamma(2)
     worst_shape = 0.0
-    shapes = catalog.gamma2_null_shapes(exprlang.Name("k1"), exprlang.Name("k2"))
-    for shape in shapes:
-        for _ in range(20):
-            params = {"k1": complex(*rng.standard_normal(2)),
-                      "k2": complex(*rng.standard_normal(2))}
-            v = SpinorField(shape.components, params).values(_ORIGIN)
-            worst_shape = max(worst_shape, float(np.abs(fields.bilinear(v, g2, v)).max()))
+    shapes = catalog.gamma2_null_shapes(exprlang.parse("x0 + i*x1"), exprlang.parse("x2 + i*x3"))
+    for shape, pts in zip(shapes, rng.standard_normal((len(shapes), 20, 4))):
+        v = shape.values(pts)
+        worst_shape = max(worst_shape, float(np.abs(fields.bilinear(v, g2, v)).max()))
     suite.add("all six null shapes annihilate the transpose bilinear",
               worst_shape == 0.0, value=worst_shape)
 

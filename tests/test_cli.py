@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from diracinv import cli, clifford, scenario, selftest
@@ -353,9 +354,9 @@ def test_shipped_scenarios_pass(capsys):
         assert json.loads(out)["summary"]["status"] == "pass"
 
 
-def test_gauge_scenario_samples_once_and_builds_two_frames(tmp_path, monkeypatch):
-    # One support sample and one support frame serve every task; the only
-    # other frame is the gauge-fixed spinor's in the mass cross-check.
+def test_gauge_scenario_samples_once_and_builds_one_frame(tmp_path, monkeypatch):
+    # One support sample and one support frame serve every task; the mass
+    # cross-check gauge-fixes that frame rather than building another.
     import pathlib
     import sys
     from diracinv import fields
@@ -372,7 +373,7 @@ def test_gauge_scenario_samples_once_and_builds_two_frames(tmp_path, monkeypatch
                 monkeypatch.setattr(module, name, counted)
     path = pathlib.Path(__file__).resolve().parent.parent / "scenarios/gauge_round_trip.json"
     assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == {"sample_support": 1, "frame": 2}
+    assert calls == {"sample_support": 1, "frame": 1}
 
 
 def _count_calls(monkeypatch, module, name, record=lambda *args: None):
@@ -441,6 +442,32 @@ def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_pat
     suite = selftest.catalog_suite(42)
     assert suite.n_failed == 0
     assert len(calls) == 2
+
+
+def test_gauge_fixed_mass_crosscheck_sees_every_support_row(tmp_path, monkeypatch):
+    from diracinv import inversion
+    seen = _count_calls(monkeypatch, inversion, "extract_mass_at",
+                        lambda fr, a0, *args: (fr.points, a0 is None))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(_SHIPPED / "gauge_round_trip.json"), "--out", str(out)]) == 0
+    mass = [t for t in json.loads(out.read_text())["tasks"] if t["task"] == "mass"][0]
+    assert mass["gauge_fixed_crosscheck_gap"] < 1e-8
+    (direct, direct_a0_none), (fixed, fixed_a0_none) = seen
+    assert not direct_a0_none and fixed_a0_none
+    assert len(fixed) == mass["points"] > 3 and np.array_equal(fixed, direct)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", str(_SHIPPED / "gauge_round_trip.json")],
+    ["demo", "rest_plane_wave"],
+    ["selftest"],
+])
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    assert cli.main([*command, "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "degenerate_family"])

@@ -393,3 +393,21 @@ def test_no_covariant_bypasses_the_bilinear_kernel():
                  if "np.vdot" in line or "einsum" in line]
     assert len(list(package.glob("*.py"))) > 5
     assert offenders == []
+
+
+def test_no_claim_is_checked_on_a_fixed_prefix_of_the_points():
+    # Every check covers every support point.  A prefix slice with a literal
+    # or constant bound, [:3] or slice(200), would check a few; the invert
+    # task's display table, capped at _INVERT_TABLE_LIMIT rows, is the one
+    # exception.  Bounds computed at run time, as [:upto], are not prefixes.
+    import pathlib
+    import re
+
+    import diracinv
+    package = pathlib.Path(diracinv.__file__).parent
+    bound = r"\s*(?:\d+|_?[A-Z][A-Z0-9_]*)\s*"
+    prefix = re.compile(rf"\[\s*:{bound}\]|\bslice\({bound}\)")
+    found = [f"{path.name}:{match.group()}"
+             for path in sorted(package.glob("*.py"))
+             for match in prefix.finditer(path.read_text())]
+    assert found == ["cli.py:slice(_INVERT_TABLE_LIMIT)"]
