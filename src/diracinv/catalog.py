@@ -165,8 +165,7 @@ _NULL_SHAPE_SIGNS = (
 )
 
 
-def gamma2_null_shapes(psi1: Expr, psi2: Expr,
-                       params: Mapping[str, complex] | None = None) -> list[SpinorField]:
+def gamma2_null_shapes(psi1: Expr, psi2: Expr) -> list[SpinorField]:
     """The six spinor shapes whose transpose bilinear with gamma(2) vanishes identically."""
     shapes = []
     for signs in _NULL_SHAPE_SIGNS:
@@ -178,7 +177,7 @@ def gamma2_null_shapes(psi1: Expr, psi2: Expr,
             if c2:
                 term = exprlang.add(term, exprlang.mul(exprlang.Num(complex(c2)), psi2))
             comps.append(term)
-        shapes.append(SpinorField(comps, params))
+        shapes.append(SpinorField(comps))
     return shapes
 
 
@@ -218,10 +217,11 @@ def _build_lset(params: dict) -> CatalogInstance:
                            params={"member": member})
 
 
-ENTRIES: dict[str, Callable[[dict], CatalogInstance]] = {
-    "rest_plane_wave": _build_rest,
-    "degenerate_example": _build_degenerate,
-    "lset": _build_lset,
+# Each entry's builder and parameter names; lset ignores the kappa a scenario passes.
+ENTRIES: dict[str, tuple[Callable[[dict], CatalogInstance], tuple[str, ...]]] = {
+    "rest_plane_wave": (_build_rest, ("kappa",)),
+    "degenerate_example": (_build_degenerate, ("kappa", "alpha", "phi1", "phi2")),
+    "lset": (_build_lset, ("kappa", "member", "psi1", "psi2")),
 }
 
 
@@ -230,4 +230,9 @@ def build(name: str, params: dict | None = None) -> CatalogInstance:
     if name not in ENTRIES:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"available: {', '.join(sorted(ENTRIES))}")
-    return ENTRIES[name](dict(params or {}))
+    builder, names = ENTRIES[name]
+    params = dict(params or {})
+    for key in params:
+        if key not in names:
+            raise ValueError(f"{key}: not a parameter of {name} ({', '.join(names)})")
+    return builder(params)

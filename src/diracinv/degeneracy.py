@@ -29,12 +29,13 @@ from .errors import (AmbiguousScale, GuardViolated, NonRealTheta, NotDegenerate,
 from .exprlang import Expr
 from .fields import (CVector4, Frame, SpinorField, SupportSample, bilinear, merge_params,
                      require_support, squared_norm)
-from .inversion import DEFAULT_GUARD, real_part
+from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, real_part
 
 _D4 = delta(4)
 _G2 = gamma(2)
 
 DEFAULT_CLASSIFY_TOL = 1e-10
+ALGEBRA_TOL = 1e-10  # relative zero of the pointwise null-form and symmetry tests
 
 
 def indicator(values: np.ndarray) -> np.ndarray:
@@ -146,17 +147,17 @@ def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return den, u, du
 
 
-def theta(fr: Frame, guard: float = DEFAULT_GUARD, real_tol: float = 1e-6) -> ThetaTriple:
+def theta(fr: Frame) -> ThetaTriple:
     """The three direction ratios of transpose bilinears at the frame's points.
 
     Raises for the first point at which the denominator psiT g2 psi misses
-    the guard or a ratio is not real.
+    DEFAULT_GUARD or a ratio is not real to DEFAULT_REAL_TOL.
     """
     den, u, _ = fr.held(_direction)
     t = u[:, 1:]
-    miss = ~gamma2_covered(den, squared_norm(fr.value), guard)
+    miss = ~gamma2_covered(den, squared_norm(fr.value), DEFAULT_GUARD)
     residue = np.abs(t.imag).max(axis=1)
-    non_real = ~miss & (residue > real_tol * (1.0 + np.abs(t).max(axis=1)))
+    non_real = ~miss & (residue > DEFAULT_REAL_TOL * (1.0 + np.abs(t).max(axis=1)))
     bad = np.flatnonzero(miss | non_real)
     if bad.size:
         i = bad[0]
@@ -199,7 +200,7 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
 # ---------------------------------------------------------------------------
 # The canonical null form and its inverse
 
-def compose_degenerate(u, v, w, params: Mapping[str, complex] | None = None) -> SpinorField:
+def compose_degenerate(u, v, w) -> SpinorField:
     """Spinor u*[conj(w), 1, conj(w), 1] + v*[1, -w, -1, w]; indicator-null by construction."""
     u, v, w = (_as_expr(q) for q in (u, v, w))
     wbar = exprlang.conjugate(w)
@@ -209,7 +210,7 @@ def compose_degenerate(u, v, w, params: Mapping[str, complex] | None = None) -> 
         exprlang.sub(exprlang.mul(u, wbar), v),
         exprlang.add(u, exprlang.mul(v, w)),
     ]
-    return SpinorField(comps, params)
+    return SpinorField(comps)
 
 
 def _as_expr(q) -> Expr:
@@ -245,7 +246,7 @@ def compose_values(u: complex, v: complex, w: complex) -> CVector4:
     return np.array([u * wbar + v, u - v * w, u * wbar - v, u + v * w], dtype=complex)
 
 
-def decompose_degenerate(x: CVector4, tol: float = 1e-10) -> tuple[complex, complex, complex]:
+def decompose_degenerate(x: CVector4) -> tuple[complex, complex, complex]:
     """Pointwise inverse of compose_degenerate where it exists.
 
     The zero vector returns the canonical (0, 0, 0).  Indicator-null vectors
@@ -256,12 +257,12 @@ def decompose_degenerate(x: CVector4, tol: float = 1e-10) -> tuple[complex, comp
     if norm == 0.0:
         return (0j, 0j, 0j)
     ind = complex(indicator(x))
-    if abs(ind) > tol * norm ** 2:
+    if abs(ind) > ALGEBRA_TOL * norm ** 2:
         raise NotRepresentable(
             f"indicator bilinear is {abs(ind):.3e}, not zero: no (u, v, w) form")
     z = zeta(x)
     u, v = complex(z[2]), complex(z[1])
-    if abs(u) <= tol * norm and abs(v) <= tol * norm:
+    if abs(u) <= ALGEBRA_TOL * norm and abs(v) <= ALGEBRA_TOL * norm:
         raise AmbiguousScale(
             "both scale coordinates vanish while the vector does not; "
             "the (u, v, w) form needs an unbounded w here")
@@ -296,11 +297,11 @@ class SymmetryConditions:
     rhs_margin: np.ndarray
 
 
-def bilinear_symmetry_conditions(x: np.ndarray, tol: float = 1e-10) -> SymmetryConditions:
+def bilinear_symmetry_conditions(x: np.ndarray) -> SymmetryConditions:
     """Both sides at each spinor value of x (..., 4)."""
     x = np.asarray(x, dtype=complex)
     scale = squared_norm(x) ** 2
-    threshold = np.where(scale > 0, tol * scale, tol)
+    threshold = np.where(scale > 0, ALGEBRA_TOL * scale, ALGEBRA_TOL)
     z = bilinear(x, _G2, x)
     lhs_max = np.zeros(x.shape[:-1])
     for m in _COND_MATRICES:

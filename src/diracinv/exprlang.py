@@ -586,8 +586,6 @@ def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None):
     single = pts.shape == (4,)
     if single:
         pts = pts[None, :]
-    elif pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"points must have shape (4,) or (N, 4), got {pts.shape}")
     cols = _columns(pts)
     value = np.broadcast_to(_eval_array(e, cols, params), (pts.shape[0],))
     return complex(value[0]) if single else value.astype(complex)

@@ -3,7 +3,8 @@
 An `ExpressionField`, the base of `SpinorField` and `inversion.FourPotential`,
 holds four closed-form complex components over (x0, x1, x2, x3) plus shared
 parameter bindings.  Component partials are differentiated symbolically once
-and cached per (component, axis); caching is semantically invisible.
+and cached per (component, axis); caching is semantically invisible.  Only
+`exprlang.evaluate_many`, which every evaluation calls, checks the points.
 
 Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
@@ -36,16 +37,6 @@ from .exprlang import Expr
 CVector4 = np.ndarray  # shape (4,), complex128
 
 DEFAULT_SUPPORT_TOL = 1e-12
-
-
-def as_points(points) -> np.ndarray:
-    """(N, 4) float array of finite point coordinates."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("point coordinates must be finite")
-    return pts
 
 
 def merge_params(*maps: Mapping[str, complex] | None) -> dict[str, complex]:
@@ -84,8 +75,7 @@ class ExpressionField:
 
     def values(self, points) -> np.ndarray:
         """Componentwise evaluation over (N, 4) finite points; returns (N, 4) complex."""
-        pts = as_points(points)
-        cols = [exprlang.evaluate_many(c, pts, self.params) for c in self.components]
+        cols = [exprlang.evaluate_many(c, points, self.params) for c in self.components]
         return np.stack(cols, axis=1)
 
 
@@ -175,7 +165,7 @@ class Frame:
 
 def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Frame:
     """Spinor or potential frame at (N, 4) finite points; `value` is the field there, if held."""
-    pts = as_points(points)
+    pts = np.asarray(points, dtype=float)
     value = field.values(pts) if value is None else value
     derivs = np.empty((4,) + value.shape, dtype=complex)
     for axis in range(4):

@@ -10,6 +10,8 @@ the other two, and its denominator psi* d4 psi vanishes exactly on the
 degenerate locus.  `extract_mass_at` solves the temporal relation of the g
 set for the mass; `extract_mass` checks it at every support point against
 the frame `gauge_fix_temporal` derives, with a0 removed, from the support's.
+Its phase integrates a0 along x0 from 0 clipped into the support's x0 range,
+which keeps the path in the box and moves psi0 only by a constant phase.
 
 The routes read a `fields.Frame` and evaluate no spinor.  Every bilinear
 they read comes from a table of the frame (`_Covariants`): psi* M psi, and
@@ -37,7 +39,7 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
-from .fields import (ExpressionField, Frame, SpinorField, SupportSample, as_points,
+from .fields import (ExpressionField, Frame, SpinorField, SupportSample,
                      bilinear, frame, merge_params)
 
 DEFAULT_GUARD = 1e-10
@@ -70,7 +72,7 @@ class FourPotential(ExpressionField):
     def values(self, points, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
         """Real component values (N, 4) at (N, 4) points, or (4,) at one (4,) point."""
         single = np.shape(points) == (4,)
-        pts = as_points([points] if single else points)
+        pts = np.asarray([points] if single else points, dtype=float)
         real = real_part(super().values(pts), pts, real_tol)
         return real[0] if single else real
 
@@ -271,7 +273,8 @@ def extract_mass(sample: SupportSample, a0: Expr | None,
 
     gap = None
     if a0 is not None and a0 != exprlang.ZERO:
-        fixed = gauge_fix_temporal(sample.frame, a0, 0.0, a0_params)
+        x0 = points[:, 0]
+        fixed = gauge_fix_temporal(sample.frame, a0, np.clip(0.0, x0.min(), x0.max()), a0_params)
         gap = float(np.abs(extract_mass_at(fixed, None).kappa - mean).max())
         if gap > CROSSCHECK_TOL * (1.0 + abs(mean)):
             raise MassInconsistent(

@@ -2,14 +2,14 @@
 
 A report is a plain nested dict of JSON-serializable values.  Rendering is
 deterministic for identical content: insertion order is preserved and floats
-are serialized through ``repr`` by the json module.  Non-finite numbers are
-rejected before rendering so they can never silently reach the output.
+are serialized through ``repr`` by the json module, the only gate on content:
+it raises ValueError for a non-finite float, numpy's included, and TypeError
+for a type JSON cannot hold, so neither ever reaches the output.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 
@@ -56,27 +56,6 @@ class CheckSet:
         }
 
 
-def _assert_finite(value, path: str = "report") -> None:
-    if isinstance(value, bool) or value is None:
-        return
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number in {path}: {value!r}")
-        return
-    if isinstance(value, str):
-        return
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _assert_finite(v, f"{path}.{k}")
-        return
-    if isinstance(value, (list, tuple)):
-        for idx, v in enumerate(value):
-            _assert_finite(v, f"{path}[{idx}]")
-        return
-    raise TypeError(f"unsupported value in {path}: {type(value).__name__}")
-
-
 def render_report(report: dict) -> str:
     """Serialize a report dict to its canonical textual form."""
-    _assert_finite(report)
     return json.dumps(report, indent=2, allow_nan=False) + "\n"

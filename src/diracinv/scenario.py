@@ -8,7 +8,8 @@ A scenario is a JSON object::
               | {"catalog": "rest_plane_wave" | "degenerate_example" | "lset",
                  "params": {...}},
       "potential": {"exprs": [...], "params": {...}}
-                 | {"catalog_family": {"f": "expr", "alpha": ..., "phi1": ..., "phi2": ...}}
+                 | {"catalog_family": {"f": "expr", "alpha": ..., "phi1": ..., "phi2": ...,
+                                       "params": {...}}}
                  | absent (zero potential),
       "f": "expression",                       # family direction, optional
       "domain": {"box": [[lo, hi] x4], "count": 100, "seed": 0},
@@ -16,13 +17,15 @@ A scenario is a JSON object::
       "tasks": ["classify", "mass", "invert", "family", "verify", "selftest"]
     }
 
-Parameter values are numbers or [re, im] pairs.  The catalog_family
+Parameter values are numbers or [re, im] pairs, named neither x0..x3 nor
+i, pi or e, which the evaluator resolves first.  The catalog_family
 potential inherits alpha/phi1/phi2 from a degenerate_example spinor when
 they are not given explicitly.
 
-Bad numbers are rejected here, before any computation: kappa, parameters
-and box bounds must be finite, tolerances finite and positive, and the
-sample count at most MAX_SAMPLES.
+Bad input is rejected here, before any computation: a key not shown above,
+or a catalog parameter its entry does not take (`catalog.ENTRIES`); kappa
+must be a finite real number, parameters and box bounds finite, tolerances
+finite and positive, and the sample count at most MAX_SAMPLES.
 """
 
 from __future__ import annotations
@@ -109,11 +112,21 @@ def _tolerance(value, where: str) -> float:
     return float(value)
 
 
+def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ScenarioError(f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}")
+
+
 def _parse_params(obj, where: str) -> dict[str, complex]:
     if obj is None:
         return {}
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: params must be an object")
+    for k in obj:
+        if k in exprlang.VARIABLES or k in exprlang.BUILTIN_CONSTANTS:
+            raise ScenarioError(f"{where}.{k}: a coordinate or built-in constant, "
+                                f"not a parameter name")
     return {str(k): _as_complex(v, f"{where}.{k}") for k, v in obj.items()}
 
 
@@ -134,6 +147,9 @@ def _parse_exprs(texts, where: str) -> list[Expr]:
 def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | None]:
     if not isinstance(obj, dict):
         raise ScenarioError("spinor: expected an object")
+    if ("catalog" in obj) == ("exprs" in obj):
+        raise ScenarioError("spinor: needs exactly one of 'exprs' or 'catalog'")
+    _check_keys(obj, ("catalog" if "catalog" in obj else "exprs", "params"), "spinor")
     if "catalog" in obj:
         name = obj["catalog"]
         if not isinstance(name, str) or name not in catalog.ENTRIES:
@@ -149,10 +165,8 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
         except DiracinvError as exc:
             raise ScenarioError(f"spinor.catalog: {exc}") from exc
         return instance.spinor, instance
-    if "exprs" in obj:
-        params = _parse_params(obj.get("params"), "spinor.params")
-        return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None
-    raise ScenarioError("spinor: needs either 'exprs' or 'catalog'")
+    params = _parse_params(obj.get("params"), "spinor.params")
+    return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None
 
 
 def _build_potential(obj, kappa: float,
@@ -161,10 +175,16 @@ def _build_potential(obj, kappa: float,
         return None
     if not isinstance(obj, dict):
         raise ScenarioError("potential: expected an object")
+    if ("catalog_family" in obj) == ("exprs" in obj):
+        raise ScenarioError("potential: needs exactly one of 'exprs' or 'catalog_family'")
+    _check_keys(obj, ("catalog_family",) if "catalog_family" in obj else ("exprs", "params"),
+                "potential")
     if "catalog_family" in obj:
         fam = obj["catalog_family"]
         if not isinstance(fam, dict) or "f" not in fam:
             raise ScenarioError("potential.catalog_family: needs an 'f' expression")
+        _check_keys(fam, ("f", "alpha", "phi1", "phi2", "params"),
+                    "potential.catalog_family")
         inherited = dict(instance.params or {}) if instance is not None \
             and instance.name == "degenerate_example" else {}
         def pick(key):
@@ -184,16 +204,15 @@ def _build_potential(obj, kappa: float,
             return catalog.example_family(kappa, alpha, phi1, phi2, f, f_params)
         except (DiracinvError, ValueError) as exc:
             raise ScenarioError(f"potential.catalog_family: {exc}") from exc
-    if "exprs" in obj:
-        params = _parse_params(obj.get("params"), "potential.params")
-        return FourPotential(_parse_exprs(obj["exprs"], "potential.exprs"), params)
-    raise ScenarioError("potential: needs either 'exprs' or 'catalog_family'")
+    params = _parse_params(obj.get("params"), "potential.params")
+    return FourPotential(_parse_exprs(obj["exprs"], "potential.exprs"), params)
 
 
 def _build_domain(obj, seed: int | None, samples: int | None) -> SampleDomain:
     obj = obj or {}
     if not isinstance(obj, dict):
         raise ScenarioError("domain: expected an object")
+    _check_keys(obj, ("box", "count", "seed"), "domain")
     box = obj.get("box", [[-1.0, 1.0]] * 4)
     if not (isinstance(box, list) and len(box) == 4
             and all(isinstance(iv, list) and len(iv) == 2 for iv in box)):
@@ -217,13 +236,13 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     """Validate a scenario dict and construct run inputs; overrides are optional."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = set(data) - {"kappa", "spinor", "potential", "f", "domain",
-                           "tolerances", "tasks"}
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {', '.join(sorted(unknown))}")
+    _check_keys(data, ("kappa", "spinor", "potential", "f", "domain", "tolerances", "tasks"),
+                "scenario")
     if "kappa" not in data:
         raise ScenarioError("scenario needs 'kappa'")
-    kappa = float(_as_complex(data["kappa"], "kappa").real)
+    kappa = _real(data["kappa"], "kappa")
+    if not math.isfinite(kappa):
+        raise ScenarioError(f"kappa: expected a finite real number, got {kappa!r}")
 
     tasks = data.get("tasks")
     if not isinstance(tasks, list) or not tasks:
@@ -239,9 +258,8 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     overrides = data.get("tolerances") or {}
     if not isinstance(overrides, dict):
         raise ScenarioError("tolerances: expected an object")
+    _check_keys(overrides, tuple(DEFAULT_TOLERANCES), "tolerances")
     for key, value in overrides.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ScenarioError(f"tolerances: unknown key {key!r}")
         tolerances[key] = _tolerance(value, f"tolerances.{key}")
     if tol is not None:
         tolerances["classify"] = _tolerance(tol, "--tol")

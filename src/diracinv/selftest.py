@@ -16,6 +16,7 @@ from .report import CheckSet
 
 _FD_STEP = 1e-5
 _FD_REL_TOL = 1e-6
+_FD_PAIRS = 100
 _EPS = float(np.finfo(float).eps)
 
 PRODUCTIONS = (
@@ -111,7 +112,7 @@ def _fd_values(e: Expr, point: np.ndarray, axis: int,
             complex((hi_half - lo_half) / (2 * (_FD_STEP / 2))))
 
 
-def derivative_fd_pairs(seed: int, n_pairs: int = 100):
+def derivative_fd_pairs(seed: int):
     """Yield (expr, point, axis, params, sym, fd) with symbolic vs central differences.
 
     The generator covers every grammar production over the accepted pairs.
@@ -124,7 +125,7 @@ def derivative_fd_pairs(seed: int, n_pairs: int = 100):
     accepted = []
     covered: set[str] = set()
     attempts = 0
-    while len(accepted) < n_pairs and attempts < n_pairs * 300:
+    while len(accepted) < _FD_PAIRS and attempts < _FD_PAIRS * 300:
         attempts += 1
         from_template = bool(pending_templates)
         e = pending_templates[0] if from_template else _random_expr(
@@ -157,10 +158,10 @@ def derivative_fd_pairs(seed: int, n_pairs: int = 100):
     return accepted, covered, missing
 
 
-def derivative_suite(seed: int, n_pairs: int = 100) -> CheckSet:
+def derivative_suite(seed: int) -> CheckSet:
     suite = CheckSet("expression-derivatives")
-    pairs, covered, missing = derivative_fd_pairs(seed, n_pairs)
-    suite.add("generated enough pairs", len(pairs) == n_pairs, value=float(len(pairs)))
+    pairs, covered, missing = derivative_fd_pairs(seed)
+    suite.add("generated enough pairs", len(pairs) == _FD_PAIRS, value=float(len(pairs)))
     suite.add("all grammar productions covered", not missing,
               detail=("missing: " + ", ".join(sorted(missing))) if missing else "")
     worst = 0.0
@@ -311,7 +312,7 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     return suite
 
 
-def run_selftest(seed: int = 42, samples: int = 100) -> tuple[list[dict], int, int]:
+def run_selftest(seed: int, samples: int) -> tuple[list[dict], int, int]:
     """Run every suite; returns the report sections, the number of checks and of failures."""
     builders = (
         ("gamma-structure", gamma_structure_suite),

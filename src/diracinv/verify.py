@@ -29,6 +29,8 @@ from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
 
+GAUGE_TOL = 1e-10
+
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
     """(N, 4) real potential values at the points."""
@@ -117,10 +119,9 @@ def tensor_gap(a: Frame, b: Frame) -> float:
     return float(np.abs(field_tensor(a) - field_tensor(b)).max(initial=0.0))
 
 
-def gauge_equivalent(a: FourPotential, b: FourPotential, points,
-                     tol: float = 1e-10) -> bool:
-    """Field-tensor equality at the (N, 4) points of a simply connected box."""
-    return tensor_gap(frame(a, points), frame(b, points)) < tol
+def gauge_equivalent(a: FourPotential, b: FourPotential, points) -> bool:
+    """Field-tensor equality, to GAUGE_TOL, at the (N, 4) points of a simply connected box."""
+    return tensor_gap(frame(a, points), frame(b, points)) < GAUGE_TOL
 
 
 def lightlike_gap(a: Frame, b: Frame) -> np.ndarray:

@@ -244,7 +244,7 @@ def test_criterion_9_identity_suites():
 
 
 def test_criterion_10_derivatives_match_finite_differences():
-    pairs, covered, missing = selftest.derivative_fd_pairs(SEED, 100)
+    pairs, covered, missing = selftest.derivative_fd_pairs(SEED)
     worst = max(abs(sym - fd) / abs(sym) for _, _, _, _, sym, fd in pairs)
     ok = len(pairs) == 100 and not missing and worst < 1e-6
     _verdict("criterion 10: symbolic derivatives match central differences on a "

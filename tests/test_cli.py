@@ -68,6 +68,24 @@ class TestRun:
         assert tasks["mass"]["gauge_fixed_crosscheck_gap"] < 1e-8
         assert tasks["verify"]["residual_max"] < 1e-9
 
+    def test_mass_crosscheck_integrates_inside_a_box_that_excludes_x0_zero(self, tmp_path,
+                                                                           capsys):
+        # a0 is smooth on the box but singular at x0 = 3, between 0 and the box:
+        # integrated from x0 = 0, the gauge-fixed route cannot converge.
+        scenario = {
+            "kappa": 1.3,
+            "spinor": {"exprs": ["exp(-i*(kappa*x0 + 0.5*(x0-3)^(-1)))", "0", "0", "0"],
+                       "params": {"kappa": 1.3}},
+            "potential": {"exprs": ["-0.5*(x0-3)^(-2)", "0", "0", "0"]},
+            "domain": {"box": [[4, 5], [-1, 1], [-1, 1], [-1, 1]], "count": 80, "seed": 11},
+            "tasks": ["classify", "mass", "invert", "verify"],
+        }
+        code, out = _run(capsys, ["run", _write(tmp_path, scenario)])
+        assert code == 0
+        mass = [t for t in json.loads(out)["tasks"] if t["task"] == "mass"][0]
+        assert mass["kappa"] == pytest.approx(1.3, abs=1e-9)
+        assert mass["gauge_fixed_crosscheck_gap"] < 1e-12
+
     def test_inconsistent_mass_scenario_fails(self, tmp_path, capsys):
         scenario = {
             "kappa": 1.0,
@@ -120,6 +138,37 @@ class TestRun:
             code = cli.main(["run", _write(tmp_path, payload)])
             capsys.readouterr()
             assert code == 2, payload
+
+    @pytest.mark.parametrize("change, message", [
+        ({"spinor": {"catalog": "degenerate_example", "params": {"alhpa": 0.5}}},
+         "spinor.params.alhpa: not a parameter of degenerate_example"),
+        ({"spinor": {"catalog": "rest_plane_wave", "params": {"kapa": 2.0}}},
+         "spinor.params.kapa: not a parameter of rest_plane_wave"),
+        ({"spinor": {"catalog": "lset", "params": {"member": 0, "psi3": "1"}}},
+         "spinor.params.psi3: not a parameter of lset"),
+        ({"spinor": {"exprs": ["1", "0", "0", "0"], "param": {"k": 1.0}}},
+         "spinor: unknown key 'param'"),
+        ({"spinor": {"exprs": ["1", "0", "0", "0"], "catalog": "lset"}},
+         "spinor: needs exactly one of 'exprs' or 'catalog'"),
+        ({"spinor": {"catalog": "degenerate_example"},
+          "potential": {"catalog_family": {"f": "x0", "fi1": 0.2}}},
+         "potential.catalog_family: unknown key 'fi1'"),
+        ({"spinor": {"catalog": "degenerate_example"},
+          "potential": {"catalog_family": {"f": "x0"}, "params": {"k": 1.0}}},
+         "potential: unknown key 'params'"),
+        ({"potential": {"exprs": ["0"] * 4, "parmas": {}}}, "potential: unknown key 'parmas'"),
+        ({"potential": {"params": {}}},
+         "potential: needs exactly one of 'exprs' or 'catalog_family'"),
+        ({"domain": {"count": 40, "sede": 3}}, "domain: unknown key 'sede'"),
+        ({"unknown_field": 1}, "scenario: unknown key 'unknown_field'"),
+    ])
+    def test_keys_the_schema_does_not_define_exit_2(self, tmp_path, capsys, change,
+                                                    message):
+        code = cli.main(["run", _write(tmp_path, {**GOOD_SCENARIO, **change})])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_unreadable_file_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent/scenario.json"]) == 2
@@ -320,6 +369,20 @@ class TestSelftest:
             assert code == 2
             assert captured.out == ""
             assert captured.err.startswith("error: --tol: ")
+
+    def test_selftest_task_matches_the_selftest_command(self, tmp_path, capsys):
+        # The catalog spinor gives classify one check, its expected verdict.
+        payload = {"kappa": 1.0, "spinor": {"catalog": "rest_plane_wave"},
+                   "domain": {"count": 60, "seed": 5}, "tasks": ["selftest", "classify"]}
+        code, out = _run(capsys, ["run", _write(tmp_path, payload)])
+        assert code == 0
+        report = json.loads(out)
+        assert [t["task"] for t in report["tasks"]] == ["classify", "selftest"]
+        task = report["tasks"][1]
+        _, direct = _run(capsys, ["selftest", "--seed", "5", "--samples", "60"])
+        assert task["sections"] == json.loads(direct)["sections"]
+        assert (task["checks"]["total"], task["checks"]["failed"]) == (71, 0)
+        assert report["summary"]["checks"] == 72
 
     @pytest.mark.parametrize("seed", [109300515, 1161092498, 1510276717, 369])
     def test_derivative_suite_passes_on_seeds_that_once_failed(self, seed):
@@ -526,6 +589,25 @@ def test_reports_reject_non_finite_numbers():
         render_report({"value": float("nan")})
     with pytest.raises(ValueError):
         render_report({"nested": [{"x": float("inf")}]})
+    with pytest.raises(ValueError):
+        render_report({"x": np.float64("-inf")})
+    with pytest.raises(TypeError):
+        render_report({"x": np.int64(1)})
+
+
+def test_a_non_finite_report_value_exits_2_with_nothing_on_stdout(tmp_path, capsys,
+                                                                  monkeypatch):
+    verify_task = cli._TASK_RUNNERS["verify"]
+
+    def nan_residual(sc, state):
+        return {**verify_task(sc, state), "residual_max": float("nan")}
+
+    monkeypatch.setitem(cli._TASK_RUNNERS, "verify", nan_residual)
+    code = cli.main(["run", _write(tmp_path, GOOD_SCENARIO)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
 
 
 _NAN = float("nan")
@@ -597,6 +679,17 @@ _LSET = {"catalog": "lset", "params": {"psi1": "1", "psi2": "x1"}}
     ({"kappa": 10 ** 400}, "kappa"),
     ({"spinor": {**_DEGENERATE, "params": {"alpha": 10 ** 400}}}, "spinor.params.alpha"),
     ({"tolerances": {"guard": 10 ** 400}}, "tolerances.guard"),
+    # kappa is real: a pair would lose its imaginary part.
+    ({"kappa": [1.3, 5.0]}, "kappa"),
+    ({"kappa": [1.0, 0.0]}, "kappa"),
+    # Coordinates and built-in constants are resolved before parameters.
+    ({"spinor": {"exprs": ["exp(-i*x0)", "0", "0", "0"], "params": {"i": 2}}},
+     "spinor.params.i"),
+    ({"potential": {"exprs": ["x1", "0", "0", "0"], "params": {"x1": 0.5}}},
+     "potential.params.x1"),
+    ({"spinor": _DEGENERATE,
+      "potential": {"catalog_family": {"f": "pi*x0", "params": {"pi": 3.0}}}},
+     "potential.catalog_family.params.pi"),
 ])
 def test_parameters_of_the_wrong_type_exit_2(tmp_path, capsys, change, field):
     payload = {**GOOD_SCENARIO, "kappa": 1.0, "potential": None, "tasks": ["classify"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from diracinv import catalog, degeneracy, exprlang
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
-from diracinv.fields import (SampleDomain, SpinorField, as_points, bilinear, frame,
+from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame,
                              require_support, sample_support, squared_norm)
 from diracinv.inversion import FourPotential, _Covariants
 
@@ -118,7 +118,9 @@ class TestFrame:
         with pytest.raises(ValueError, match="finite"):
             frame(field, [(0.0, float("nan"), 0.0, 0.0)])
         with pytest.raises(ValueError, match="shape"):
-            as_points((0.0, 0.0, 0.0, 0.0))
+            frame(field, (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="shape"):
+            field.values((0.0, 0.0, 0.0, 0.0))
 
 
 # Each kernel term is one product |l_r| |m_rc| |r_c| (entries of m have modulus
