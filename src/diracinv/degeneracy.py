@@ -24,18 +24,17 @@ import numpy as np
 
 from . import exprlang
 from .clifford import delta, gamma
-from .errors import (AmbiguousScale, GuardViolated, NonRealTheta, NotDegenerate,
-                     NotRepresentable)
+from .errors import GuardViolated, NonRealTheta, NotDegenerate
 from .exprlang import Expr
-from .fields import (CVector4, Frame, SpinorField, SupportSample, bilinear, merge_params,
-                     require_support, squared_norm)
+from .fields import (CVector4, Frame, SupportSample, bilinear, merge_params, require_support,
+                     squared_norm)
 from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, real_part
 
 _D4 = delta(4)
 _G2 = gamma(2)
 
 DEFAULT_CLASSIFY_TOL = 1e-10
-ALGEBRA_TOL = 1e-10  # relative zero of the pointwise null-form and symmetry tests
+ALGEBRA_TOL = 1e-10  # relative zero of the pointwise symmetry test
 
 
 def indicator(values: np.ndarray) -> np.ndarray:
@@ -198,26 +197,7 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
 
 
 # ---------------------------------------------------------------------------
-# The canonical null form and its inverse
-
-def compose_degenerate(u, v, w) -> SpinorField:
-    """Spinor u*[conj(w), 1, conj(w), 1] + v*[1, -w, -1, w]; indicator-null by construction."""
-    u, v, w = (_as_expr(q) for q in (u, v, w))
-    wbar = exprlang.conjugate(w)
-    comps = [
-        exprlang.add(exprlang.mul(u, wbar), v),
-        exprlang.sub(u, exprlang.mul(v, w)),
-        exprlang.sub(exprlang.mul(u, wbar), v),
-        exprlang.add(u, exprlang.mul(v, w)),
-    ]
-    return SpinorField(comps)
-
-
-def _as_expr(q) -> Expr:
-    if isinstance(q, (int, float, complex)):
-        return exprlang.Num(complex(q))
-    return q
-
+# The canonical null form
 
 _UNZETA = np.array([[1, 1, 0, 0],
                     [0, 0, 1, 1],
@@ -242,35 +222,9 @@ def unzeta(z: CVector4) -> CVector4:
 
 
 def compose_values(u: complex, v: complex, w: complex) -> CVector4:
+    """u*[conj(w), 1, conj(w), 1] + v*[1, -w, -1, w]; indicator-null by construction."""
     wbar = np.conj(w)
     return np.array([u * wbar + v, u - v * w, u * wbar - v, u + v * w], dtype=complex)
-
-
-def decompose_degenerate(x: CVector4) -> tuple[complex, complex, complex]:
-    """Pointwise inverse of compose_degenerate where it exists.
-
-    The zero vector returns the canonical (0, 0, 0).  Indicator-null vectors
-    with both half-sum coordinates zero need an unbounded w and are rejected.
-    """
-    x = np.asarray(x, dtype=complex)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return (0j, 0j, 0j)
-    ind = complex(indicator(x))
-    if abs(ind) > ALGEBRA_TOL * norm ** 2:
-        raise NotRepresentable(
-            f"indicator bilinear is {abs(ind):.3e}, not zero: no (u, v, w) form")
-    z = zeta(x)
-    u, v = complex(z[2]), complex(z[1])
-    if abs(u) <= ALGEBRA_TOL * norm and abs(v) <= ALGEBRA_TOL * norm:
-        raise AmbiguousScale(
-            "both scale coordinates vanish while the vector does not; "
-            "the (u, v, w) form needs an unbounded w here")
-    if abs(v) >= abs(u):
-        w = -complex(z[3]) / v
-    else:
-        w = np.conj(complex(z[0]) / u)
-    return (u, v, w)
 
 
 # ---------------------------------------------------------------------------

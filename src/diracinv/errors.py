@@ -53,14 +53,6 @@ class NotDegenerate(DiracinvError):
     """Operation requires a spinor classified as degenerate."""
 
 
-class NotRepresentable(DiracinvError):
-    """Vector is not annihilated by the degeneracy indicator, so it has no (u, v, w) form."""
-
-
-class AmbiguousScale(DiracinvError):
-    """Vector sits on the locus where the (u, v, w) parametrization degenerates."""
-
-
 class ParameterOnSingularLocus(DiracinvError):
     """Catalog parameters are within margin of a singular locus (vanishing cosine)."""
 

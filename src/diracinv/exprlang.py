@@ -19,9 +19,9 @@ coordinates are the conjugated partials).  It prints in a debug form the
 parser rejects.
 
 Differentiation is exact on the AST.  There is one evaluator, `evaluate`:
-it walks the tree once for a whole batch of points in IEEE double complex
-numpy arithmetic.  A (4,) point gives a complex number, an (N, 4) array an
-(N,) array, and a point alone gives the same bits as its row of a batch.
+it walks the tree once for an (N, 4) batch of points in IEEE double complex
+numpy arithmetic and gives an (N,) array; a row's bits do not depend on
+the other rows.  One point is evaluated as a batch of one.
 A node whose value is non-finite at any point raises ``EvaluationError``
 with the message "<op> produced a non-finite value in '<expr>'": literals,
 constants and parameters are checked when resolved, arithmetic, division,
@@ -576,25 +576,16 @@ def path_integral(integrand: Expr, lower: float, points: np.ndarray,
     return out
 
 
-def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None):
-    """Evaluate at one point (4,) to a complex, or at N points (N, 4) to an (N,) array.
+def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None) -> np.ndarray:
+    """Evaluate at N points (N, 4) to an (N,) complex array.
 
     Coordinates must be finite.  Any node whose value is non-finite at some
     point raises EvaluationError.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.shape == (4,)
-    if single:
-        pts = pts[None, :]
-    cols = _columns(pts)
-    value = np.broadcast_to(_eval_array(e, cols, params), (pts.shape[0],))
-    return complex(value[0]) if single else value.astype(complex)
+    return _eval_array(e, _columns(np.asarray(points, dtype=float)), params).astype(complex)
 
 
 def evaluate_many(e: Expr, points: np.ndarray,
                   params: Mapping[str, complex] | None = None) -> np.ndarray:
     """Vectorized evaluation over an (N, 4) array of points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
-    return evaluate(e, pts, params)
+    return evaluate(e, points, params)

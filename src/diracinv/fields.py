@@ -3,8 +3,9 @@
 An `ExpressionField`, the base of `SpinorField` and `inversion.FourPotential`,
 holds four closed-form complex components over (x0, x1, x2, x3) plus shared
 parameter bindings.  Component partials are differentiated symbolically once
-and cached per (component, axis); caching is semantically invisible.  Only
-`exprlang.evaluate_many`, which every evaluation calls, checks the points.
+and cached per (component, axis); caching is semantically invisible.  Points
+are checked only in `exprlang`, by the `_columns` that `evaluate` and
+`path_integral` call.
 
 Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and

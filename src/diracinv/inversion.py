@@ -39,6 +39,7 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
+# `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
 from .fields import (ExpressionField, Frame, SpinorField, SupportSample,
                      bilinear, frame, merge_params)
 

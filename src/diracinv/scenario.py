@@ -23,9 +23,10 @@ potential inherits alpha/phi1/phi2 from a degenerate_example spinor when
 they are not given explicitly.
 
 Bad input is rejected here, before any computation: a key not shown above,
-or a catalog parameter its entry does not take (`catalog.ENTRIES`); kappa
-must be a finite real number, parameters and box bounds finite, tolerances
-finite and positive, and the sample count at most MAX_SAMPLES.
+a catalog parameter its entry does not take (`catalog.ENTRIES`), or a
+catalog kappa other than the scenario's; kappa must be a finite real
+number, parameters and box bounds finite, tolerances finite and positive,
+and the sample count at most MAX_SAMPLES.
 """
 
 from __future__ import annotations
@@ -164,6 +165,9 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
             raise ScenarioError(f"spinor.params.{exc}") from exc
         except DiracinvError as exc:
             raise ScenarioError(f"spinor.catalog: {exc}") from exc
+        if params and "kappa" in params and params["kappa"] != kappa:
+            raise ScenarioError(f"spinor.params.kappa: {params['kappa']!r} differs from the "
+                                f"scenario's kappa {kappa!r}; give kappa once, at the top level")
         return instance.spinor, instance
     params = _parse_params(obj.get("params"), "spinor.params")
     return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None

@@ -151,7 +151,7 @@ def derivative_fd_pairs(seed: int):
             continue
         if from_template:
             pending_templates.pop(0)
-        sym = exprlang.evaluate(exprlang.differentiate(e, axis), point, params)
+        sym = exprlang.evaluate(exprlang.differentiate(e, axis), point[None], params)[0]
         accepted.append((e, point, axis, params, sym, fd_half))
         covered |= _productions_of(e)
     missing = set(PRODUCTIONS) - covered

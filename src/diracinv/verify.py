@@ -12,8 +12,7 @@ The potential-side checks read a `fields.Frame` of each potential and
 evaluate nothing: `field_tensor` gives the six gauge-invariant entries
 (N, 6) from the frame's partials, and `lightlike_gap` the Minkowski square
 (N,) of the difference of two potentials' values.  `tensor_gap` and
-`lightlike_gap_max` reduce them to the largest magnitude over the points;
-`gauge_equivalent` builds the two frames from closed-form potentials.
+`lightlike_gap_max` reduce them to the largest magnitude over the points.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ import numpy as np
 
 from .clifford import gamma
 from .errors import NonRealPotential
+# `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
 from .fields import Frame, SupportSample, frame
 from .inversion import FourPotential
 
 _G = {k: gamma(k) for k in range(1, 5)}
-
-GAUGE_TOL = 1e-10
 
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
@@ -117,11 +115,6 @@ def field_tensor(pf: Frame) -> np.ndarray:
 def tensor_gap(a: Frame, b: Frame) -> float:
     """Max componentwise field-tensor difference of two potential frames at the same points."""
     return float(np.abs(field_tensor(a) - field_tensor(b)).max(initial=0.0))
-
-
-def gauge_equivalent(a: FourPotential, b: FourPotential, points) -> bool:
-    """Field-tensor equality, to GAUGE_TOL, at the (N, 4) points of a simply connected box."""
-    return tensor_gap(frame(a, points), frame(b, points)) < GAUGE_TOL
 
 
 def lightlike_gap(a: Frame, b: Frame) -> np.ndarray:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import solutions
 
-from diracinv import catalog, cli, clifford, degeneracy, exprlang, inversion, selftest, verify
+from diracinv import (catalog, cli, clifford, degeneracy, exprlang, inversion, scenario,
+                      selftest, verify)
 from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 
 SEED = 42
@@ -23,6 +24,7 @@ TRIPLES = (
     (0.5, 0.2, 1.2, 0.9),
 )
 DOMAIN = SampleDomain(count=100, seed=SEED)
+TENSOR_TOL = scenario.DEFAULT_TOLERANCES["tensor"]  # the family task's equality threshold
 FAMILY_DIRECTIONS = ("1", "x0", "sin(x0+x1)")
 
 
@@ -117,7 +119,8 @@ def test_criterion_5_gauge_inequivalent_member_exists(degenerate_instances):
         floor = 0.5 * float(np.abs(np.array(inst.thetas)).min())
         ok &= gap_const < 1e-12
         ok &= gap_linear >= floor
-        ok &= verify.gauge_equivalent(linear, base, DOMAIN.points()) is False
+        everywhere = DOMAIN.points()
+        ok &= verify.tensor_gap(frame(linear, everywhere), frame(base, everywhere)) >= TENSOR_TOL
         details.append(f"{gap_linear:.3f}>={floor:.3f}")
     _verdict("criterion 5: f=1 member shares the base tensor, f=x0 member does not",
              ok, "linear gaps vs floors: " + ", ".join(details))

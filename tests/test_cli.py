@@ -701,6 +701,27 @@ def test_parameters_of_the_wrong_type_exit_2(tmp_path, capsys, change, field):
     assert f"error: {field}: " in captured.err
 
 
+@pytest.mark.parametrize("spinor, kappa, tasks", [
+    ({"catalog": "rest_plane_wave"}, 1.0, ["classify", "mass", "verify"]),
+    (_DEGENERATE, 1.0, ["classify", "mass", "verify"]),
+    (_LSET, 0.0, ["classify"]),
+])
+def test_a_catalog_kappa_other_than_the_scenarios_exits_2(tmp_path, capsys, spinor, kappa,
+                                                          tasks):
+    # The tasks keep the top-level kappa, so a catalog spinor built with
+    # another one would fail its certified checks with exit 1.
+    params = spinor.get("params", {})
+    payload = {"kappa": kappa, "spinor": {**spinor, "params": {**params, "kappa": kappa + 1}},
+               "tasks": tasks}
+    code = cli.main(["run", _write(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: spinor.params.kappa: " in captured.err
+    payload["spinor"]["params"]["kappa"] = int(kappa)
+    assert cli.main(["run", _write(tmp_path, payload)]) == 0
+
+
 def _overrides(extra: list[str]) -> dict:
     flags = {"--tol": ("tol", float), "--samples": ("samples", int)}
     return {flags[flag][0]: flags[flag][1](value)

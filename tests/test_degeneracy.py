@@ -7,13 +7,11 @@ from test_acceptance import TRIPLES
 
 from diracinv import catalog, degeneracy, exprlang, verify
 from diracinv.clifford import delta, gamma
-from diracinv.degeneracy import (bilinear_symmetry_conditions, classify,
-                                 compose_degenerate, compose_values,
-                                 decompose_degenerate, indicator, potential_family,
-                                 theta, unzeta, zero_mass_system_det, zeta)
-from diracinv.errors import (AmbiguousScale, GuardViolated, NoSupportPoints,
-                             NonRealPotential, NonRealTheta, NotDegenerate,
-                             NotRepresentable)
+from diracinv.degeneracy import (bilinear_symmetry_conditions, classify, compose_values,
+                                 indicator, potential_family, theta, unzeta,
+                                 zero_mass_system_det, zeta)
+from diracinv.errors import (GuardViolated, NoSupportPoints, NonRealPotential, NonRealTheta,
+                             NotDegenerate)
 from diracinv.exprlang import Expr
 from diracinv.fields import SampleDomain, SpinorField, frame, merge_params, sample_support
 from diracinv.inversion import FourPotential
@@ -85,11 +83,9 @@ class TestIndicator:
     def test_composed_null_form_random_uvw(self, rng):
         for _ in range(100):
             u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            field = compose_degenerate(u, v, w)
-            value = indicator(field.values(AT_POINT))[0]
-            v = field.values(AT_POINT)[0]
-            norm_sq = float(np.vdot(v, v).real)
-            assert abs(value) <= 1e-12 * max(norm_sq, 1.0)
+            x = compose_values(u, v, w)
+            norm_sq = float(np.vdot(x, x).real)
+            assert abs(indicator(x)) <= 1e-12 * max(norm_sq, 1.0)
 
     def test_splits_into_real_and_imaginary_bilinears(self, rng):
         # The indicator's real part is the hermitian bilinear and its
@@ -288,7 +284,7 @@ class TestPotentialFamily:
         pts = rng.uniform(-1, 1, (5, 4))
         t = theta(frame(degenerate_default.spinor, pts))
         for p, expected in zip(pts, t.values):
-            values = [exprlang.evaluate(e, p, params) for e in exprs]
+            values = [exprlang.evaluate(e, [p], params)[0] for e in exprs]
             assert np.real(values) == pytest.approx(expected, abs=1e-12)
 
 
@@ -319,40 +315,9 @@ def test_frame_members_match_the_symbolic_ones(label, triple):
 
 
 class TestComposeDecompose:
-    def test_hand_decomposition(self):
-        u, v, w = decompose_degenerate(np.array([1, 0, 0, 1], dtype=complex))
-        assert (u, v, w) == (pytest.approx(0.5), pytest.approx(0.5), pytest.approx(1.0))
-
-    def test_unit_indicator_not_representable(self):
-        with pytest.raises(NotRepresentable):
-            decompose_degenerate(np.array([1, 0, 0, 0], dtype=complex))
-
     def test_compose_simple_values(self):
         assert compose_values(1, 0, 0) == pytest.approx(np.array([0, 1, 0, 1]))
         assert compose_values(0.5, 0.5, 1) == pytest.approx(np.array([1, 0, 0, 1]))
-
-    def test_compose_field_form(self):
-        field = compose_degenerate(exprlang.parse("x1"), exprlang.parse("i*x2"),
-                                   exprlang.parse("exp(i*x0)"))
-        p = (0.3, 0.7, -0.4, 0.0)
-        u, v, w = 0.7, -0.4j, np.exp(0.3j)
-        assert field.values([p])[0] == pytest.approx(compose_values(u, v, w), rel=1e-12)
-
-    def test_round_trip_random(self, rng):
-        for _ in range(100):
-            u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            x = compose_values(u, v, w)
-            u2, v2, w2 = decompose_degenerate(x)
-            assert compose_values(u2, v2, w2) == pytest.approx(x, abs=1e-10)
-
-    def test_zero_vector_canonical(self):
-        assert decompose_degenerate(np.zeros(4, dtype=complex)) == (0j, 0j, 0j)
-
-    def test_unbounded_w_locus(self):
-        # Indicator-null but with both scale coordinates zero: w would have to
-        # be infinite.
-        with pytest.raises(AmbiguousScale):
-            decompose_degenerate(np.array([1, 0, 1, 0], dtype=complex))
 
 
 class TestZeta:

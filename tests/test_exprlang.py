@@ -16,20 +16,20 @@ ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 class TestParse:
     def test_polynomial_plus_sine_at_origin(self):
-        assert evaluate(parse("x1^2 + sin(x0)"), ORIGIN) == 0
+        assert evaluate(parse("x1^2 + sin(x0)"), [ORIGIN])[0] == 0
 
     def test_constant_folding_and_builtins(self):
-        assert evaluate(parse("2*cos(pi)"), ORIGIN) == pytest.approx(-2)
+        assert evaluate(parse("2*cos(pi)"), [ORIGIN])[0] == pytest.approx(-2)
 
     def test_euler_identity(self):
-        value = evaluate(parse("exp(i*(x1-x0))"), (0.0, math.pi, 0.0, 0.0))
+        value = evaluate(parse("exp(i*(x1-x0))"), [(0.0, math.pi, 0.0, 0.0)])[0]
         assert value == pytest.approx(-1)
 
     def test_power_is_right_associative_and_tighter_than_unary_minus(self):
         # -x^2 must be -(x^2); 2^3^2 must be 2^(3^2).
-        assert evaluate(parse("-x1^2"), (0, 3, 0, 0)) == pytest.approx(-9)
-        assert evaluate(parse("2^3^2"), ORIGIN) == pytest.approx(512)
-        assert evaluate(parse("x1^-2"), (0, 2, 0, 0)) == pytest.approx(0.25)
+        assert evaluate(parse("-x1^2"), [(0, 3, 0, 0)])[0] == pytest.approx(-9)
+        assert evaluate(parse("2^3^2"), [ORIGIN])[0] == pytest.approx(512)
+        assert evaluate(parse("x1^-2"), [(0, 2, 0, 0)])[0] == pytest.approx(0.25)
 
     def test_syntax_error_carries_offset_and_expected(self):
         with pytest.raises(ParseError) as err:
@@ -74,38 +74,42 @@ class TestParse:
 
 class TestEvaluate:
     def test_parameter_binding(self):
-        assert evaluate(parse("kappa*x2"), (0, 0, 3, 0), {"kappa": 2}) == pytest.approx(6)
+        assert evaluate(parse("kappa*x2"), [(0, 0, 3, 0)], {"kappa": 2})[0] == pytest.approx(6)
 
     def test_division_by_zero_is_an_error(self):
         with pytest.raises(EvaluationError):
-            evaluate(parse("1/x1"), ORIGIN)
+            evaluate(parse("1/x1"), [ORIGIN])
 
     def test_imaginary_unit_squares_to_minus_one(self):
-        assert evaluate(parse("i^2"), ORIGIN) == pytest.approx(-1)
+        assert evaluate(parse("i^2"), [ORIGIN])[0] == pytest.approx(-1)
 
     def test_unbound_name(self):
         with pytest.raises(EvaluationError, match="unbound"):
-            evaluate(parse("zeta*x1"), ORIGIN)
+            evaluate(parse("zeta*x1"), [ORIGIN])
 
     def test_log_of_zero_is_an_error(self):
         with pytest.raises(EvaluationError):
-            evaluate(parse("log(x1)"), ORIGIN)
+            evaluate(parse("log(x1)"), [ORIGIN])
 
     def test_principal_branches(self):
-        assert evaluate(parse("sqrt(0-4)"), ORIGIN) == pytest.approx(2j)
-        assert evaluate(parse("log(0-1)"), ORIGIN) == pytest.approx(1j * math.pi)
+        assert evaluate(parse("sqrt(0-4)"), [ORIGIN])[0] == pytest.approx(2j)
+        assert evaluate(parse("log(0-1)"), [ORIGIN])[0] == pytest.approx(1j * math.pi)
 
     def test_overflow_is_an_error(self):
         with pytest.raises(EvaluationError):
-            evaluate(parse("exp(x1)^3"), (0, 500.0, 0, 0))
+            evaluate(parse("exp(x1)^3"), [(0, 500.0, 0, 0)])
 
     def test_vectorized_matches_scalar(self, rng):
         e = parse("sin(x0)*exp(i*x1) + kappa/(x2+3) - x3^2")
         pts = rng.uniform(-1, 1, size=(50, 4))
         grid = evaluate_many(e, pts, {"kappa": 1.5 + 0.5j})
         for k in range(50):
-            assert grid[k] == pytest.approx(evaluate(e, pts[k], {"kappa": 1.5 + 0.5j}),
+            assert grid[k] == pytest.approx(evaluate(e, [pts[k]], {"kappa": 1.5 + 0.5j})[0],
                                             rel=1e-14, abs=1e-14)
+
+    def test_one_point_must_be_a_batch_of_one(self):
+        with pytest.raises(ValueError, match=r"points must have shape \(N, 4\), got \(4,\)"):
+            evaluate(parse("x0"), (0, 0, 0, 0))
 
     def test_vectorized_surfaces_nonfinite(self):
         pts = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
@@ -116,14 +120,14 @@ class TestEvaluate:
 class TestDifferentiate:
     def test_exponential_phase(self):
         d = differentiate(parse("exp(i*x0)"), 0)
-        assert evaluate(d, ORIGIN) == pytest.approx(1j)
+        assert evaluate(d, [ORIGIN])[0] == pytest.approx(1j)
 
     def test_uninvolved_axis_gives_zero_expression(self):
         assert differentiate(parse("x1*x2"), 3) == exprlang.ZERO
 
     def test_sine_squared_slope(self):
         d = differentiate(parse("sin(x2)^2"), 2)
-        assert evaluate(d, (0, 0, math.pi / 4, 0)) == pytest.approx(1.0)
+        assert evaluate(d, [(0, 0, math.pi / 4, 0)])[0] == pytest.approx(1.0)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -140,8 +144,8 @@ class TestDifferentiate:
             d1, d2 = differentiate(e1, axis), differentiate(e2, axis)
             for _ in range(25):
                 p = rng.uniform(-2, 2, 4)
-                lhs = evaluate(d_combo, p)
-                rhs = alpha * evaluate(d1, p) + beta * evaluate(d2, p)
+                lhs = evaluate(d_combo, [p])[0]
+                rhs = alpha * evaluate(d1, [p])[0] + beta * evaluate(d2, [p])[0]
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_mixed_partials_commute(self, rng):
@@ -151,7 +155,7 @@ class TestDifferentiate:
             d21 = differentiate(differentiate(e, a2), a1)
             for _ in range(25):
                 p = rng.uniform(-1, 1, 4)
-                v12, v21 = evaluate(d12, p), evaluate(d21, p)
+                v12, v21 = evaluate(d12, [p])[0], evaluate(d21, [p])[0]
                 assert v12 == pytest.approx(v21, rel=1e-9, abs=1e-12)
 
     def test_every_function_slope_against_finite_differences(self, rng):
@@ -164,16 +168,16 @@ class TestDifferentiate:
                 hi, lo = p.copy(), p.copy()
                 hi[1] += h
                 lo[1] -= h
-                fd = (evaluate(e, hi) - evaluate(e, lo)) / (2 * h)
-                assert evaluate(d, p) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                fd = (evaluate(e, [hi])[0] - evaluate(e, [lo])[0]) / (2 * h)
+                assert evaluate(d, [p])[0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_conjugate_derivative_commutes(self, rng):
         e = parse("exp(i*x0) * (x1 + 2*i)")
         d = differentiate(exprlang.conjugate(e), 0)
         for _ in range(10):
             p = rng.uniform(-1, 1, 4)
-            expected = complex(evaluate(differentiate(e, 0), p)).conjugate()
-            assert evaluate(d, p) == pytest.approx(expected, rel=1e-14)
+            expected = complex(evaluate(differentiate(e, 0), [p])[0]).conjugate()
+            assert evaluate(d, [p])[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestPathIntegral:
@@ -204,7 +208,7 @@ class TestPathIntegral:
         shifted[:, :2] += [[h, 0], [-h, 0], [0, h], [0, -h]]
         f = exprlang.path_integral(e, 0.0, shifted)
         spatial = exprlang.path_integral(differentiate(e, 1), 0.0, [p])[0]
-        assert (f[0] - f[1]) / (2 * h) == pytest.approx(evaluate(e, p), rel=1e-7, abs=1e-9)
+        assert (f[0] - f[1]) / (2 * h) == pytest.approx(evaluate(e, [p])[0], rel=1e-7, abs=1e-9)
         assert (f[2] - f[3]) / (2 * h) == pytest.approx(spatial, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("text, closed_form", [
@@ -232,7 +236,7 @@ class TestPathIntegral:
             exprlang.path_integral(parse("x0"), 0.0, points)
 
 
-def test_single_point_matches_its_batch_row_bit_for_bit():
+def test_one_row_batch_has_the_bits_of_its_row_in_a_larger_batch():
     rng = np.random.default_rng(5)
     compared = failed = 0
     for _ in range(800):
@@ -242,7 +246,7 @@ def test_single_point_matches_its_batch_row_bit_for_bit():
         singles = []
         for p in pts:
             try:
-                singles.append(evaluate(e, p, params))
+                singles.append(evaluate(e, [p], params)[0])
             except EvaluationError:
                 singles.append(None)
         if None in singles:
@@ -270,8 +274,8 @@ def test_differentiate_agrees_with_sympy(rng):
             want = sympy.lambdify(xs, sympy.diff(reference, xs[axis]), "numpy")
             d = differentiate(e, axis)
             for p in rng.uniform(-0.9, 0.9, (5, 4)):
-                assert evaluate(d, p) == pytest.approx(complex(want(*p)),
-                                                       rel=1e-12, abs=1e-12)
+                assert evaluate(d, [p])[0] == pytest.approx(complex(want(*p)),
+                                                          rel=1e-12, abs=1e-12)
 
 
 def _random_ast(rng, depth):
@@ -306,12 +310,12 @@ def test_print_parse_roundtrip_evaluates_identically(rng):
         e = _random_ast(rng, depth=int(rng.integers(1, 4)))
         points = rng.uniform(-0.9, 0.9, (5, 4))
         try:
-            expected = [evaluate(e, p, params) for p in points]
+            expected = [evaluate(e, [p], params)[0] for p in points]
         except EvaluationError:
             continue
         back = parse(to_text(e))
         for p, want in zip(points, expected):
-            assert evaluate(back, p, params) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert evaluate(back, [p], params)[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
         accepted += 1
     assert accepted == 100
 
@@ -320,4 +324,4 @@ def test_print_parse_roundtrip_evaluates_identically(rng):
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_number_literals_roundtrip(re, im):
     text = exprlang.to_text(exprlang.Num(complex(re, im)))
-    assert evaluate(parse(text), ORIGIN) == complex(re, im)
+    assert evaluate(parse(text), [ORIGIN])[0] == complex(re, im)
