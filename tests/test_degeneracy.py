@@ -319,6 +319,32 @@ class TestComposeDecompose:
         assert compose_values(1, 0, 0) == pytest.approx(np.array([0, 1, 0, 1]))
         assert compose_values(0.5, 0.5, 1) == pytest.approx(np.array([1, 0, 0, 1]))
 
+    def test_compose_field_form(self, rng):
+        # u = x1, v = i x2, w = exp(i x0) written out component by component.
+        field = SpinorField.from_strings(["x1*exp(-i*x0) + i*x2", "x1 - i*x2*exp(i*x0)",
+                                          "x1*exp(-i*x0) - i*x2", "x1 + i*x2*exp(i*x0)"])
+        p = (0.3, 0.7, -0.4, 0.0)
+        u, v, w = 0.7, -0.4j, np.exp(0.3j)
+        assert field.values([p])[0] == pytest.approx(compose_values(u, v, w), rel=1e-12)
+        pts = rng.uniform(-1, 1, (20, 4))
+        assert np.abs(indicator(field.values(pts))).max() <= 1e-14
+
+    def test_spans_the_two_null_directions(self, rng):
+        for _ in range(100):
+            u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            wbar = np.conj(w)
+            expected = u * np.array([wbar, 1, wbar, 1]) + v * np.array([1, -w, -1, w])
+            assert compose_values(u, v, w) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_unbounded_w_locus_is_a_limit_of_the_form(self):
+        # [1, 0, 1, 0] is indicator-null, but the form reaches it only as
+        # |w| grows without bound, with u = 1/conj(w) and v = 0.
+        target = np.array([1, 0, 1, 0], dtype=complex)
+        assert indicator(target) == 0
+        for w in (1e3, 1e6, 1e9):
+            approach = compose_values(1 / np.conj(w), 0, w)
+            assert np.abs(approach - target).max() == pytest.approx(1 / w, rel=1e-12)
+
 
 class TestZeta:
     def test_hand_values(self):
