@@ -56,6 +56,17 @@ def gamma(idx: int) -> CMatrix4:
     return _GAMMA[idx]
 
 
+def signed_permutation(idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, signs) of gamma_idx for idx in 1..5: (g x)[r] = signs[r] * x[perm[r]].
+
+    Every gamma has one nonzero entry per row, +-1 or +-i, so applying it is
+    a gather with signs.  A test rebuilds each matrix from these.
+    """
+    m = gamma(idx)
+    perm = np.abs(m).argmax(axis=1)
+    return perm, m[np.arange(4), perm]
+
+
 def delta(idx: int) -> CMatrix4:
     """Return gamma_idx + gamma_5 gamma_idx for idx in 1..4."""
     if idx not in _DELTA:

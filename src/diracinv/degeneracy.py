@@ -266,18 +266,19 @@ def bilinear_symmetry_conditions(x: np.ndarray) -> SymmetryConditions:
                               lhs_max / threshold, rhs_value / threshold)
 
 
-def zero_mass_system_det(psi1: complex, psi2: complex) -> float:
+def zero_mass_system_det(psi1, psi2) -> np.ndarray:
     """|det| of the real 4x4 system for the potential of a collapsed zero-mass spinor.
 
-    The determinant vanishes identically, which is what makes the collapsed
-    form carry either no potential or infinitely many.
+    psi1 and psi2 are complex scalars or equally shaped arrays; the result
+    has their shape.  The determinant vanishes identically, which is what
+    makes the collapsed form carry either no potential or infinitely many.
     """
-    k1, l1 = psi1.real, psi1.imag
-    k2, l2 = psi2.real, psi2.imag
-    m = np.array([
-        [-k1, -k2, -l2, -k1],
-        [-l1, -l2, k2, -l1],
-        [-k2, -k1, l1, k2],
-        [-l2, -l1, -k1, l2],
-    ])
-    return float(abs(np.linalg.det(m)))
+    k1, l1 = np.real(psi1), np.imag(psi1)
+    k2, l2 = np.real(psi2), np.imag(psi2)
+    m = np.stack([
+        np.stack([-k1, -k2, -l2, -k1], axis=-1),
+        np.stack([-l1, -l2, k2, -l1], axis=-1),
+        np.stack([-k2, -k1, l1, k2], axis=-1),
+        np.stack([-l2, -l1, -k1, l2], axis=-1),
+    ], axis=-2)
+    return np.abs(np.linalg.det(m))

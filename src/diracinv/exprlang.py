@@ -26,7 +26,9 @@ A node whose value is non-finite at any point raises ``EvaluationError``
 with the message "<op> produced a non-finite value in '<expr>'": literals,
 constants and parameters are checked when resolved, arithmetic, division,
 powers and functions after they apply (negation and conjugation keep
-finite values finite).
+finite values finite).  Those checks replace numpy's floating-point
+warnings, which are off (one ``np.errstate``) for the whole walk.  A
+constant leaf is a zero-stride read-only view of one value.
 
 `path_integral` integrates an expression along the x0 axis, from a fixed
 lower limit to each point's x0, at all points at once by a composite
@@ -481,9 +483,10 @@ def _check_finite(value: np.ndarray, e: Expr, op: str) -> np.ndarray:
 
 
 def _leaf(value: complex, e: Expr, op: str, shape) -> np.ndarray:
+    """The constant as a zero-stride view of one complex128 scalar: read-only, no N copies."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise _non_finite(e, op)
-    return np.broadcast_to(np.complex128(value), shape)
+    return np.ndarray(shape, dtype=complex, buffer=np.complex128(value), strides=(0,))
 
 
 def _resolve(e: Name, cols, params: Mapping[str, complex] | None) -> np.ndarray:
@@ -506,6 +509,7 @@ def _columns(pts: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _eval_array(e: Expr, cols, params) -> np.ndarray:
+    """The (N,) value of e; callers hold np.errstate(all="ignore") around the whole walk."""
     if isinstance(e, Num):
         return _leaf(e.value, e, "number", cols[0].shape)
     if isinstance(e, Name):
@@ -518,18 +522,15 @@ def _eval_array(e: Expr, cols, params) -> np.ndarray:
     if isinstance(e, (Add, Sub, Mul, Div)):
         lhs = _eval_array(e.lhs, cols, params)
         rhs = _eval_array(e.rhs, cols, params)
-        with np.errstate(all="ignore"):
-            value = _ARITHMETIC[type(e)](lhs, rhs)
+        value = _ARITHMETIC[type(e)](lhs, rhs)
         return _check_finite(value, e, "division" if isinstance(e, Div) else "arithmetic")
     if isinstance(e, Pow):
         base = _eval_array(e.base, cols, params)
-        with np.errstate(all="ignore"):
-            value = base ** e.exponent
+        value = base ** e.exponent
         return _check_finite(value, e, "power")
     if isinstance(e, Call):
         arg = _eval_array(e.arg, cols, params)
-        with np.errstate(all="ignore"):
-            value = _NPFUNCS[e.func](arg)
+        value = _NPFUNCS[e.func](arg)
         return _check_finite(value, e, e.func)
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -562,7 +563,8 @@ def path_integral(integrand: Expr, lower: float, points: np.ndarray,
         sub = (nodes.reshape(-1).astype(complex),
                *(np.repeat(c[todo], per_point) for c in cols[1:]))
         try:
-            f = _eval_array(integrand, sub, params).reshape(nodes.shape)
+            with np.errstate(all="ignore"):
+                f = _eval_array(integrand, sub, params).reshape(nodes.shape)
         except EvaluationError as exc:
             raise QuadratureError(f"path quadrature failed: {exc}") from exc
         low = (f[..., :_GL_LOW[1].size] * _GL_LOW[1]).sum(axis=-1)
@@ -582,7 +584,9 @@ def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None) -> np
     Coordinates must be finite.  Any node whose value is non-finite at some
     point raises EvaluationError.
     """
-    return _eval_array(e, _columns(np.asarray(points, dtype=float)), params).astype(complex)
+    cols = _columns(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        return _eval_array(e, cols, params).astype(complex)
 
 
 def evaluate_many(e: Expr, points: np.ndarray,

@@ -2,7 +2,11 @@
 
 Each suite returns a CheckSet; `run_selftest` turns them into the report
 sections and their totals.  All randomness is seeded, so verdicts and
-values are reproducible for a fixed (seed, sample count) pair.
+values are reproducible for a fixed (seed, sample count) pair.  The fuzz
+suites draw in blocks from that same stream: the identity suite takes each
+check's normals in one call, and the expression generator picks options by
+the integer draw `Generator.choice` makes, so every number is the one the
+per-trial draws gave.
 """
 
 from __future__ import annotations
@@ -28,18 +32,23 @@ PRODUCTIONS = (
 _PARAM_NAMES = ("k1", "k2")
 
 
+def _pick(rng: np.random.Generator, options: tuple):
+    """rng.choice(options) as Generator.choice draws it, without its array conversion."""
+    return options[rng.integers(0, len(options))]
+
+
 def _random_expr(rng: np.random.Generator, depth: int) -> Expr:
     if depth <= 0 or rng.random() < 0.28:
-        kind = rng.choice(("number", "variable", "variable", "constant", "parameter"))
+        kind = _pick(rng, ("number", "variable", "variable", "constant", "parameter"))
         if kind == "number":
             return exprlang.Num(complex(round(rng.uniform(-3, 3), 3)))
         if kind == "variable":
             return exprlang.Name(f"x{rng.integers(0, 4)}")
         if kind == "constant":
-            return exprlang.Name(str(rng.choice(("pi", "e", "i"))))
-        return exprlang.Name(str(rng.choice(_PARAM_NAMES)))
+            return exprlang.Name(_pick(rng, ("pi", "e", "i")))
+        return exprlang.Name(_pick(rng, _PARAM_NAMES))
 
-    kind = str(rng.choice(("negate", "add", "sub", "mul", "div", "pow", "call")))
+    kind = _pick(rng, ("negate", "add", "sub", "mul", "div", "pow", "call"))
     if kind == "negate":
         return exprlang.Neg(_random_expr(rng, depth - 1))
     if kind in ("add", "sub", "mul", "div"):
@@ -47,8 +56,8 @@ def _random_expr(rng: np.random.Generator, depth: int) -> Expr:
                     "mul": exprlang.Mul, "div": exprlang.Div}[kind]
         return node_cls(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
     if kind == "pow":
-        return exprlang.Pow(_random_expr(rng, depth - 1), int(rng.choice((-2, -1, 2, 3))))
-    return exprlang.Call(str(rng.choice(exprlang.FUNCTIONS)), _random_expr(rng, depth - 1))
+        return exprlang.Pow(_random_expr(rng, depth - 1), _pick(rng, (-2, -1, 2, 3)))
+    return exprlang.Call(_pick(rng, exprlang.FUNCTIONS), _random_expr(rng, depth - 1))
 
 
 def _productions_of(e: Expr) -> set[str]:
@@ -177,28 +186,41 @@ def gamma_structure_suite() -> CheckSet:
     return suite
 
 
+def _complex_normals(normals: np.ndarray) -> np.ndarray:
+    """normals[..., :k] + i normals[..., k:] for 2k columns.
+
+    A row of rng.standard_normal((n, 2k)) holds the numbers that
+    rng.standard_normal(k) + 1j * rng.standard_normal(k) draws next, so one
+    block call gives n such vectors, in turn, from the same stream.
+    """
+    k = normals.shape[-1] // 2
+    return normals[..., :k] + 1j * normals[..., k:]
+
+
+def _symmetry_vectors(rng: np.random.Generator) -> np.ndarray:
+    """The 1000 vectors (1000, 4) of the symmetry check, in turns of four kinds.
+
+    Random; composed null; [p1, p2, p1, p2]; [p1, p2, -p1, -p2].  A turn
+    takes 8 + 6 + 4 + 4 = 22 normals, drawn as one row of a (250, 22) block.
+    """
+    free, uvw, same, flip = (_complex_normals(b) for b in
+                             np.split(rng.standard_normal((250, 22)), [8, 14, 18], axis=1))
+    composed = np.array([degeneracy.compose_values(*t) for t in uvw])
+    turns = (free, composed, np.hstack([same, same]), np.hstack([flip, -flip]))
+    return np.stack(turns, axis=1).reshape(-1, 4)
+
+
 def identity_suite(seed: int) -> CheckSet:
-    """Fuzzed algebraic identities behind the classification machinery."""
+    """Fuzzed algebraic identities behind the classification machinery.
+
+    Each check draws its sample as one block from the seeded stream.
+    """
     suite = CheckSet("algebraic-identities")
     rng = np.random.default_rng(seed)
 
     # Pointwise equivalence of the symmetrized conditions and the product form,
     # over random and structured vectors; borderline cases are excluded and counted.
-    xs = []
-    for trial in range(1000):
-        kind = trial % 4
-        if kind == 0:
-            xs.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        elif kind == 1:
-            u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            xs.append(degeneracy.compose_values(u, v, w))
-        elif kind == 2:
-            p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            xs.append(np.array([p1, p2, p1, p2]))
-        else:
-            p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            xs.append(np.array([p1, p2, -p1, -p2]))
-    cond = degeneracy.bilinear_symmetry_conditions(np.array(xs))
+    cond = degeneracy.bilinear_symmetry_conditions(_symmetry_vectors(rng))
     borderline = (((0.1 < cond.lhs_margin) & (cond.lhs_margin < 10))
                   | ((0.1 < cond.rhs_margin) & (cond.rhs_margin < 10)))
     disagree = np.count_nonzero(~borderline & (cond.lhs != cond.rhs))
@@ -206,15 +228,16 @@ def identity_suite(seed: int) -> CheckSet:
               value=float(disagree),
               detail=f"borderline excluded: {np.count_nonzero(borderline)}")
 
-    worst_det = 0.0
-    for _ in range(1000):
-        psi1, psi2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        scale = max(np.hypot(abs(psi1), abs(psi2)), 1e-9) ** 4
-        worst_det = max(worst_det, degeneracy.zero_mass_system_det(psi1, psi2) / scale)
+    # The scale stays a per-pair scalar expression: numpy's array abs, hypot
+    # and power may differ from the scalar ones in the last bit.
+    psi1, psi2 = _complex_normals(rng.standard_normal((1000, 4))).T
+    dets = degeneracy.zero_mass_system_det(psi1, psi2)
+    scales = [max(np.hypot(abs(p1), abs(p2)), 1e-9) ** 4 for p1, p2 in zip(psi1, psi2)]
+    worst_det = float((dets / scales).max())
     suite.add("zero-mass system determinant vanishes (1000 pairs)",
               worst_det < 1e-12, value=worst_det)
 
-    triples = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(100)]
+    triples = _complex_normals(rng.standard_normal((100, 6)))
     x = np.array([degeneracy.compose_values(*uvw) for uvw in triples])
     scale = np.maximum(fields.squared_norm(x), 1.0)
     worst_ind = float((np.abs(degeneracy.indicator(x)) / scale).max())

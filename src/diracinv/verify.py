@@ -6,7 +6,8 @@ claimed correspondence.  The residual kernels take a `fields.Frame`, and
 `residual_norm` the run's `fields.SupportSample`, whose frame it shares.
 Potentials enter the residual through their values only, so a potential
 may be given as a FourPotential or as (N, 4) numeric component values, such
-as a family member's frame values.
+as a family member's frame values.  Each gamma acts as its gather with
+signs (`clifford.signed_permutation`), with no matrix product.
 
 The potential-side checks read a `fields.Frame` of each potential and
 evaluate nothing: `field_tensor` gives the six gauge-invariant entries
@@ -21,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import gamma
+from .clifford import signed_permutation
 from .errors import NonRealPotential
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
 from .fields import Frame, SupportSample, frame
 from .inversion import FourPotential
-
-_G = {k: gamma(k) for k in range(1, 5)}
 
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
@@ -43,13 +42,47 @@ def _potential_values(potential, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _real_gather(k: int, factor: complex = 1) -> tuple[np.ndarray, np.ndarray]:
+    """factor * gamma_k, for a factor +-1 or +-i, as a signed permutation of 8 reals.
+
+    Returns the source index of each real of a 4-vector and its sign: an
+    entry +-1 keeps the pair (a, b), times the sign; +-i turns it into
+    (-+b, +-a).
+    """
+    perm, signs = signed_permutation(k)
+    signs = factor * signs
+    turn = (signs.imag != 0).astype(int)
+    source = np.stack([2 * perm + turn, 2 * perm + 1 - turn], axis=1).ravel()
+    sign = np.stack([signs.real - signs.imag, signs.real + signs.imag], axis=1).ravel()
+    return source, sign
+
+
+# gamma_1, gamma_2, gamma_3 and i gamma_4, as the residual applies them.
+_GAMMA_REALS = {1: _real_gather(1), 2: _real_gather(2), 3: _real_gather(3),
+                4: _real_gather(4, 1j)}
+
+
+def _reals(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(float)
+
+
 def dirac_residual(fr: Frame, potential, kappa: float) -> np.ndarray:
-    """Residual 4-vectors (N, 4) of the coupled system at the frame's points."""
+    """Residual 4-vectors (N, 4) of the coupled system at the frame's points.
+
+    kappa psi + sum_k gamma_k (d_k psi - i a_k psi) - i gamma_4 (d_0 psi +
+    i a_0 psi), added in that order.  Each gamma is applied as a gather of
+    the reals of its argument times +-1, so every product is exact and the
+    bits cannot depend on BLAS threads or on fused multiply-add.
+    """
     a = _potential_values(potential, fr.points)
-    out = kappa * fr.value
+    out = np.empty(fr.value.shape, dtype=complex)
+    np.multiply(kappa, fr.value, out=out)
+    reals = out.view(float)
     for k in (1, 2, 3):
-        out = out + (fr.derivs[k] - 1j * a[:, k, None] * fr.value) @ _G[k].T
-    out = out - 1j * ((fr.derivs[0] + 1j * a[:, 0, None] * fr.value) @ _G[4].T)
+        source, sign = _GAMMA_REALS[k]
+        reals += _reals(fr.derivs[k] - 1j * a[:, k, None] * fr.value)[:, source] * sign
+    source, sign = _GAMMA_REALS[4]
+    reals -= _reals(fr.derivs[0] + 1j * a[:, 0, None] * fr.value)[:, source] * sign
     return out
 
 

@@ -96,6 +96,22 @@ def test_matrices_are_frozen():
         gamma(1)[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("mu", range(1, 6))
+def test_signed_permutation_rebuilds_the_matrix_exactly(mu):
+    perm, signs = clifford.signed_permutation(mu)
+    rebuilt = np.zeros((4, 4), dtype=complex)
+    rebuilt[np.arange(4), perm] = signs
+    assert np.array_equal(rebuilt, gamma(mu))
+    assert sorted(perm.tolist()) == [0, 1, 2, 3]
+    assert set(signs.tolist()) <= {1, -1, 1j, -1j}
+
+
+def test_signed_permutation_index_validation():
+    for bad in (0, 6):
+        with pytest.raises(ValueError):
+            clifford.signed_permutation(bad)
+
+
 def test_delta4_bilinear_additivity(rng):
     # psi* d4 psi = psi* g4 psi + psi* g5g4 psi, to machine epsilon.
     for _ in range(100):

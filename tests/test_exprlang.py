@@ -1,6 +1,7 @@
 """Parser, differentiator and evaluator contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,44 @@ class TestEvaluate:
         pts = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(EvaluationError):
             evaluate_many(parse("1/x1"), pts)
+
+
+class TestEvaluatorFloatingPointState:
+    # One np.errstate covers a whole walk; a non-finite node still raises
+    # the message naming it, and no RuntimeWarning escapes.
+    POINTS = np.array([[0.0, 0.0, 0.3, 0.4], [1.0, 0.2, 0.3, 0.4]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/x0", "division produced a non-finite value in '1/x0'"),
+        ("log(x1)", "log produced a non-finite value in 'log(x1)'"),
+        ("exp(1000*x0)", "exp produced a non-finite value in 'exp(1000*x0)'"),
+    ])
+    def test_non_finite_nodes_raise_without_warnings(self, text, message):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as info:
+                evaluate(parse(text), self.POINTS)
+        assert str(info.value) == message
+        assert np.geterr() == before
+
+    def test_a_pole_on_the_path_raises_without_warnings(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as info:
+                exprlang.path_integral(parse("1/(x0-0.5)"), 0.0, self.POINTS)
+        assert str(info.value) == ("path quadrature failed: division produced a "
+                                   "non-finite value in '1/(x0-0.5)'")
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("text", ["2.5", "pi", "k1"])
+    def test_constant_leaves_are_read_only_zero_stride_views(self, text):
+        cols = exprlang._columns(np.zeros((100_000, 4)))
+        leaf = exprlang._eval_array(parse(text), cols, {"k1": 0.5 + 1j})
+        assert leaf.shape == (100_000,) and leaf.strides == (0,)
+        assert not leaf.flags.writeable
+        assert leaf[0] == leaf[-1] == evaluate(parse(text), [ORIGIN], {"k1": 0.5 + 1j})[0]
 
 
 class TestDifferentiate:

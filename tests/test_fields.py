@@ -385,6 +385,10 @@ class TestSampleSupport:
 def test_no_covariant_bypasses_the_bilinear_kernel():
     # Every spinor covariant goes through fields.bilinear; a vdot or an
     # einsum in the package would be a second, differently rounded kernel.
+    # No function of the per-point modules takes a matrix product either:
+    # its bits, and its time, would depend on BLAS threads.  zeta and unzeta
+    # act on one (4,) vector; module-level constants are built once.
+    import ast
     import pathlib
 
     import diracinv
@@ -395,6 +399,22 @@ def test_no_covariant_bypasses_the_bilinear_kernel():
                  if "np.vdot" in line or "einsum" in line]
     assert len(list(package.glob("*.py"))) > 5
     assert offenders == []
+
+    def is_product(node) -> bool:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dot", "matmul"))
+
+    products = []
+    for name in ("fields", "inversion", "verify", "degeneracy"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                products += [(name, getattr(function, "name", "<lambda>"), node.lineno)
+                             for node in ast.walk(function) if is_product(node)]
+    assert {(name, function) for name, function, _ in products} == {
+        ("degeneracy", "zeta"), ("degeneracy", "unzeta")}, products
 
 
 def test_no_claim_is_checked_on_a_fixed_prefix_of_the_points():

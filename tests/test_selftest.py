@@ -1,0 +1,103 @@
+"""The fuzz suites draw in blocks the numbers the per-trial draws gave."""
+
+import numpy as np
+import pytest
+
+from diracinv import degeneracy, exprlang, selftest
+
+
+def _old_random_expr(rng, depth):
+    """The generator as it drew with rng.choice, kept as the stream's reference."""
+    if depth <= 0 or rng.random() < 0.28:
+        kind = rng.choice(("number", "variable", "variable", "constant", "parameter"))
+        if kind == "number":
+            return exprlang.Num(complex(round(rng.uniform(-3, 3), 3)))
+        if kind == "variable":
+            return exprlang.Name(f"x{rng.integers(0, 4)}")
+        if kind == "constant":
+            return exprlang.Name(str(rng.choice(("pi", "e", "i"))))
+        return exprlang.Name(str(rng.choice(("k1", "k2"))))
+
+    kind = str(rng.choice(("negate", "add", "sub", "mul", "div", "pow", "call")))
+    if kind == "negate":
+        return exprlang.Neg(_old_random_expr(rng, depth - 1))
+    if kind in ("add", "sub", "mul", "div"):
+        node_cls = {"add": exprlang.Add, "sub": exprlang.Sub,
+                    "mul": exprlang.Mul, "div": exprlang.Div}[kind]
+        return node_cls(_old_random_expr(rng, depth - 1), _old_random_expr(rng, depth - 1))
+    if kind == "pow":
+        return exprlang.Pow(_old_random_expr(rng, depth - 1), int(rng.choice((-2, -1, 2, 3))))
+    return exprlang.Call(str(rng.choice(exprlang.FUNCTIONS)), _old_random_expr(rng, depth - 1))
+
+
+def _old_symmetry_vectors(rng):
+    xs = []
+    for trial in range(1000):
+        kind = trial % 4
+        if kind == 0:
+            xs.append(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        elif kind == 1:
+            u, v, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            xs.append(degeneracy.compose_values(u, v, w))
+        elif kind == 2:
+            p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            xs.append(np.array([p1, p2, p1, p2]))
+        else:
+            p1, p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            xs.append(np.array([p1, p2, -p1, -p2]))
+    return np.array(xs)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_expressions_follow_the_choice_stream(seed):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(500):
+        a = selftest._random_expr(new, depth=int(new.integers(2, 4)))
+        b = _old_random_expr(old, depth=int(old.integers(2, 4)))
+        assert exprlang.to_text(a) == exprlang.to_text(b)
+        assert a == b
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_symmetry_vectors_drawn_in_one_block_equal_the_per_trial_draws(seed):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs = selftest._symmetry_vectors(new)
+    assert xs.shape == (1000, 4)
+    assert np.array_equal(_bits(xs), _bits(_old_symmetry_vectors(old)))
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("n, k", [(1000, 2), (100, 3)])
+def test_complex_normal_blocks_equal_the_per_trial_draws(n, k):
+    new, old = np.random.default_rng(7), np.random.default_rng(7)
+    block = selftest._complex_normals(new.standard_normal((n, 2 * k)))
+    trials = np.array([old.standard_normal(k) + 1j * old.standard_normal(k) for _ in range(n)])
+    assert np.array_equal(_bits(block), _bits(trials))
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+def _old_zero_mass_system_det(psi1: complex, psi2: complex) -> float:
+    k1, l1 = psi1.real, psi1.imag
+    k2, l2 = psi2.real, psi2.imag
+    m = np.array([
+        [-k1, -k2, -l2, -k1],
+        [-l1, -l2, k2, -l1],
+        [-k2, -k1, l1, k2],
+        [-l2, -l1, -k1, l2],
+    ])
+    return float(abs(np.linalg.det(m)))
+
+
+def test_batched_zero_mass_determinant_has_the_bits_of_each_pair():
+    rng = np.random.default_rng(3)
+    psi1, psi2 = selftest._complex_normals(rng.standard_normal((1000, 4))).T
+    batched = degeneracy.zero_mass_system_det(psi1, psi2)
+    singles = [_old_zero_mass_system_det(p1, p2) for p1, p2 in zip(psi1, psi2)]
+    assert batched.shape == (1000,)
+    assert np.array_equal(_bits(batched), _bits(np.array(singles)))
+    assert degeneracy.zero_mass_system_det(psi1[7], psi2[7]) == singles[7]

@@ -5,11 +5,12 @@ import pytest
 import solutions
 
 from diracinv import catalog, exprlang, scenario
+from diracinv.clifford import gamma
 from diracinv.errors import NonRealPotential
 from diracinv.fields import SampleDomain, SpinorField, frame, sample_support
 from diracinv.inversion import FourPotential, gauge_transform
-from diracinv.verify import (dirac_residual, field_tensor, lightlike_gap, lightlike_gap_max,
-                             residual_norm, tensor_gap)
+from diracinv.verify import (_GAMMA_REALS, dirac_residual, field_tensor, lightlike_gap,
+                             lightlike_gap_max, residual_norm, tensor_gap)
 
 POINT = (0.37, -0.11, 0.62, -0.48)
 AT_POINT = [POINT]
@@ -50,6 +51,28 @@ class TestDiracResidual:
             dirac_residual(frame(rest_wave.spinor, AT_POINT), (0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
             dirac_residual(frame(rest_wave.spinor, [POINT, POINT]), np.zeros((3, 4)), 1.0)
+
+
+    def test_gamma_gathers_have_the_values_of_the_matrix_products(self, rng):
+        x = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        x[::7] = 0.0
+        for k, expected in ((1, x @ gamma(1).T), (2, x @ gamma(2).T), (3, x @ gamma(3).T),
+                            (4, 1j * (x @ gamma(4).T))):
+            source, sign = _GAMMA_REALS[k]
+            gathered = np.ascontiguousarray(x.view(float)[:, source] * sign).view(complex)
+            assert np.array_equal(gathered, expected)
+
+    def test_residual_has_the_values_of_the_matrix_form(self, degenerate_default, rng):
+        # The residual written with matrix products, as the reference for
+        # the gathers; equal values, whatever signs the zeros carry.
+        fr = frame(degenerate_default.spinor, rng.uniform(-1, 1, (40, 4)))
+        a = rng.uniform(-1, 1, (40, 4))
+        expected = 1.3 * fr.value
+        for k in (1, 2, 3):
+            expected = expected + (fr.derivs[k] - 1j * a[:, k, None] * fr.value) @ gamma(k).T
+        expected = expected - 1j * ((fr.derivs[0] + 1j * a[:, 0, None] * fr.value)
+                                    @ gamma(4).T)
+        assert np.array_equal(dirac_residual(fr, a, 1.3), expected)
 
 
 class TestResidualNorm:
