@@ -139,19 +139,14 @@ def degenerate_example(kappa: float, alpha: float, phi1: float,
     return instance
 
 
-def example_family(kappa: float, alpha: float, phi1: float, phi2: float,
-                   f: Expr, f_params: Mapping[str, complex] | None = None) -> FourPotential:
+def example_family(alpha: float, phi1: float, phi2: float, f: Expr,
+                   f_params: Mapping[str, complex] | None = None) -> FourPotential:
     """Family member (f, f t1, f t2, f t3) for the exponential degenerate spinor."""
     _require_finite(alpha=alpha, phi1=phi1, phi2=phi2)
     _check_margins(alpha, phi2)
-    t1, t2, t3 = example_thetas(alpha, phi1, phi2)
-    comps = [
-        f,
-        exprlang.mul(exprlang.Num(complex(t1)), f),
-        exprlang.mul(exprlang.Num(complex(t2)), f),
-        exprlang.mul(exprlang.Num(complex(t3)), f),
-    ]
-    return FourPotential(comps, f_params)
+    spatial = [exprlang.mul(exprlang.Num(complex(t)), f)
+               for t in example_thetas(alpha, phi1, phi2)]
+    return FourPotential([f, *spatial], f_params)
 
 
 _NULL_SHAPE_SIGNS = (

@@ -18,7 +18,6 @@ holds (`Frame.held`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -170,19 +169,18 @@ def theta(fr: Frame) -> ThetaTriple:
     return ThetaTriple(t.real, residue)
 
 
-def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification,
-                     f_params: Mapping[str, complex] | None = None) -> Frame:
+def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification) -> Frame:
     """Frame of the member base + f (1, theta) of a degenerate spinor's family.
 
     `fr` and `base` are the spinor's and the base potential's frames at the
-    same points, where f is evaluated under the parameters of both and
-    f_params.  Values are real-checked; theta must be defined at every point.
+    same points, where f is evaluated under the parameters of both.  Values
+    are real-checked; theta must be defined at every point.
     """
     if classification.verdict != "degenerate":
         raise NotDegenerate(
             f"potential family requires a degenerate spinor, verdict is "
             f"{classification.verdict!r}")
-    params = merge_params(base.params, fr.params, f_params)
+    params = merge_params(base.params, fr.params)
     den, u, du = fr.held(_direction)
     pts = fr.points
     if not den.all():

@@ -13,11 +13,6 @@ Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 parameter bound at evaluation time.  Functions: sin cos tan exp log sqrt
 sinh cosh (principal branches).
 
-One node kind is internal and never produced by the parser: ``Conj``
-(componentwise complex conjugate; its partial derivatives along the real
-coordinates are the conjugated partials).  It prints in a debug form the
-parser rejects.
-
 Differentiation is exact on the AST.  There is one evaluator, `evaluate`:
 it walks the tree once for an (N, 4) batch of points in IEEE double complex
 numpy arithmetic and gives an (N,) array; a row's bits do not depend on
@@ -25,10 +20,10 @@ the other rows.  One point is evaluated as a batch of one.
 A node whose value is non-finite at any point raises ``EvaluationError``
 with the message "<op> produced a non-finite value in '<expr>'": literals,
 constants and parameters are checked when resolved, arithmetic, division,
-powers and functions after they apply (negation and conjugation keep
-finite values finite).  Those checks replace numpy's floating-point
-warnings, which are off (one ``np.errstate``) for the whole walk.  A
-constant leaf is a zero-stride read-only view of one value.
+powers and functions after they apply (negation keeps finite values
+finite).  Those checks replace numpy's floating-point warnings, which are
+off (one ``np.errstate``) for the whole walk.  A constant leaf is a
+zero-stride read-only view of one value.
 
 `path_integral` integrates an expression along the x0 axis, from a fixed
 lower limit to each point's x0, at all points at once by a composite
@@ -108,12 +103,7 @@ class Call:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Conj:
-    arg: "Expr"
-
-
-Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow, Call, Conj]
+Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow, Call]
 
 ZERO = Num(0j)
 ONE = Num(1 + 0j)
@@ -185,10 +175,6 @@ def powi(base: Expr, exponent: int) -> Expr:
     if _is_num(base) and (base.value != 0 or exponent > 0):
         return Num(base.value ** exponent)
     return Pow(base, exponent)
-
-
-def call(func: str, arg: Expr) -> Expr:
-    return Call(func, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +305,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return call(tok.text, arg)
+                return Call(tok.text, arg)
             return Name(tok.text)
         if tok.kind == "(":
             self.advance()
@@ -364,7 +350,7 @@ def _num_text(value: complex) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Render an AST as parseable text (internal nodes use a debug form)."""
+    """Render an AST as parseable text."""
     if isinstance(e, Num):
         return _num_text(e.value)
     if isinstance(e, Name):
@@ -393,8 +379,6 @@ def to_text(e: Expr) -> str:
         return f"{base}^{exp}"
     if isinstance(e, Call):
         return f"{e.func}({to_text(e.arg)})"
-    if isinstance(e, Conj):
-        return f"conj({to_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -406,6 +390,19 @@ def differentiate(e: Expr, axis: int) -> Expr:
     if axis not in (0, 1, 2, 3):
         raise ValueError(f"axis must be in 0..3, got {axis!r}")
     return _diff(e, axis)
+
+
+# The derivative of each function at its argument a.
+_DERIVATIVES = {
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: neg(Call("sin", a)),
+    "tan": lambda a: div(ONE, powi(Call("cos", a), 2)),
+    "exp": lambda a: Call("exp", a),
+    "log": lambda a: div(ONE, a),
+    "sqrt": lambda a: div(ONE, mul(Num(2 + 0j), Call("sqrt", a))),
+    "sinh": lambda a: Call("cosh", a),
+    "cosh": lambda a: Call("sinh", a),
+}
 
 
 def _diff(e: Expr, axis: int) -> Expr:
@@ -428,31 +425,8 @@ def _diff(e: Expr, axis: int) -> Expr:
         inner = _diff(e.base, axis)
         return mul(mul(Num(complex(e.exponent)), powi(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        inner = _diff(e.arg, axis)
-        rules = {
-            "sin": lambda a: call("cos", a),
-            "cos": lambda a: neg(call("sin", a)),
-            "tan": lambda a: div(ONE, powi(call("cos", a), 2)),
-            "exp": lambda a: call("exp", a),
-            "log": lambda a: div(ONE, a),
-            "sqrt": lambda a: div(ONE, mul(Num(2 + 0j), call("sqrt", a))),
-            "sinh": lambda a: call("cosh", a),
-            "cosh": lambda a: call("sinh", a),
-        }
-        return mul(rules[e.func](e.arg), inner)
-    if isinstance(e, Conj):
-        # Partials are along real coordinates, so they commute with conjugation.
-        return conjugate(_diff(e.arg, axis))
+        return mul(_DERIVATIVES[e.func](e.arg), _diff(e.arg, axis))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def conjugate(e: Expr) -> Expr:
-    """Complex conjugate of an expression (internal node; not parseable)."""
-    if isinstance(e, Num):
-        return Num(e.value.conjugate())
-    if isinstance(e, Conj):
-        return e.arg
-    return Conj(e)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +488,9 @@ def _eval_array(e: Expr, cols, params) -> np.ndarray:
         return _leaf(e.value, e, "number", cols[0].shape)
     if isinstance(e, Name):
         return _resolve(e, cols, params)
-    # Negation and conjugation of finite values are finite.
+    # Negation of finite values is finite.
     if isinstance(e, Neg):
         return -_eval_array(e.arg, cols, params)
-    if isinstance(e, Conj):
-        return np.conj(_eval_array(e.arg, cols, params))
     if isinstance(e, (Add, Sub, Mul, Div)):
         lhs = _eval_array(e.lhs, cols, params)
         rhs = _eval_array(e.rhs, cols, params)

@@ -237,8 +237,9 @@ def invert_gamma5gamma4(fr: Frame, kappa: float,
 # Mass extraction
 
 def extract_mass_at(fr: Frame, a0: Expr | None,
-                    a0_params: Mapping[str, complex] | None = None) -> MassSample:
-    """Pointwise mass from the temporal relation; requires the a0 component."""
+                    a0_params: Mapping[str, complex] | None = None,
+                    real_tol: float = DEFAULT_REAL_TOL) -> MassSample:
+    """Pointwise mass from the temporal relation, with a0 real-checked by `real_part`."""
     # Only what the temporal relation reads: g_k at axis k and g4 at axis 0.
     t = _Covariants(fr, (IDENTITY, _GAMMA[4]), (((0,), (_GAMMA[4],)), ((1,), (_GAMMA[1],)),
                                                 ((2,), (_GAMMA[2],)), ((3,), (_GAMMA[3],))))
@@ -246,21 +247,26 @@ def extract_mass_at(fr: Frame, a0: Expr | None,
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
-    a0_value = 0j if a0 is None else exprlang.evaluate_many(a0, fr.points, a0_params)
+    a0_value = 0j
+    if a0 is not None:
+        a0_value = exprlang.evaluate_many(a0, fr.points, a0_params)
+        real_part(a0_value[:, None], fr.points, real_tol)
     value = (_temporal(t, _GAMMA) - 2.0 * a0_value * t.value(_GAMMA[4])) / (2.0 * norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 
 def extract_mass(sample: SupportSample, a0: Expr | None,
                  a0_params: Mapping[str, complex] | None = None,
-                 spread_tol: float = DEFAULT_SPREAD_TOL) -> MassEstimate:
+                 spread_tol: float = DEFAULT_SPREAD_TOL,
+                 real_tol: float = DEFAULT_REAL_TOL) -> MassEstimate:
     """Mass over all support points: mean, max spread, and a gauge-fixed cross-check.
 
     A spread beyond tolerance contradicts mass uniqueness, so the input cannot
     be a Dirac solution; the same applies when the gauge-fixed route disagrees.
+    A non-real a0 raises NonRealPotential before either.
     """
     points = sample.frame.points
-    samples = extract_mass_at(sample.frame, a0, a0_params)
+    samples = extract_mass_at(sample.frame, a0, a0_params, real_tol)
     mean = float(samples.kappa.mean())
     spread = float(np.abs(samples.kappa - mean).max())
     max_imag = float(samples.imag_residue.max())
@@ -295,7 +301,7 @@ def gauge_transform(field: SpinorField, f: Expr,
     solves it with (a0 + d0 f, a1 - d1 f, a2 - d2 f, a3 - d3 f).  The
     per-component signs are fixed by the residual oracle and frozen in tests.
     """
-    factor = exprlang.call("exp", exprlang.mul(exprlang.Num(-1j), f))
+    factor = exprlang.Call("exp", exprlang.mul(exprlang.Num(-1j), f))
     transformed = field.scaled_by(factor, f_params)
     shift = FourPotential(
         [exprlang.differentiate(f, 0),

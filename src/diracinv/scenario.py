@@ -39,10 +39,11 @@ from pathlib import Path
 
 from . import catalog, exprlang
 from .catalog import CatalogInstance
+from .degeneracy import DEFAULT_CLASSIFY_TOL
 from .errors import DiracinvError, ScenarioError
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField
-from .inversion import FourPotential
+from .fields import DEFAULT_SUPPORT_TOL, SampleDomain, SpinorField
+from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, DEFAULT_SPREAD_TOL, FourPotential
 
 TASKS = ("classify", "mass", "invert", "family", "verify", "selftest")
 
@@ -51,17 +52,17 @@ TASKS = ("classify", "mass", "invert", "family", "verify", "selftest")
 MAX_SAMPLES = 100_000
 
 DEFAULT_TOLERANCES = {
-    "support": 1e-12,        # spinor support threshold (relative)
-    "classify": 1e-10,       # indicator threshold (relative to |psi|^2)
-    "guard": 1e-10,          # inversion denominators (relative to |psi|^2)
-    "real": 1e-6,            # allowed relative imaginary residue
-    "residual": 1e-9,        # forward residual bound for verify
+    "support": DEFAULT_SUPPORT_TOL,     # spinor support threshold (relative)
+    "classify": DEFAULT_CLASSIFY_TOL,   # indicator threshold (relative to |psi|^2)
+    "guard": DEFAULT_GUARD,             # inversion denominators (relative to |psi|^2)
+    "real": DEFAULT_REAL_TOL,           # allowed relative imaginary residue
+    "residual": 1e-9,                   # forward residual bound for verify
     "family_residual": 1e-9,
-    "invert": 1e-8,          # recovered-vs-known potential error
-    "agreement": 1e-8,       # cross-route inversion agreement
-    "mass": 1e-9,            # recovered-vs-known mass error
-    "mass_spread": 1e-8,     # pointwise mass consistency
-    "tensor": 1e-10,         # field-tensor equality
+    "invert": 1e-8,                     # recovered-vs-known potential error
+    "agreement": 1e-8,                  # cross-route inversion agreement
+    "mass": 1e-9,                       # recovered-vs-known mass error
+    "mass_spread": DEFAULT_SPREAD_TOL,  # pointwise mass consistency
+    "tensor": 1e-10,                    # field-tensor equality
     "lightlike": 1e-8,
 }
 
@@ -173,8 +174,7 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
     return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None
 
 
-def _build_potential(obj, kappa: float,
-                     instance: CatalogInstance | None) -> FourPotential | None:
+def _build_potential(obj, instance: CatalogInstance | None) -> FourPotential | None:
     if obj is None:
         return None
     if not isinstance(obj, dict):
@@ -205,7 +205,7 @@ def _build_potential(obj, kappa: float,
         f_params = _parse_params(fam.get("params"), "potential.catalog_family.params")
         alpha, phi1, phi2 = pick("alpha"), pick("phi1"), pick("phi2")
         try:
-            return catalog.example_family(kappa, alpha, phi1, phi2, f, f_params)
+            return catalog.example_family(alpha, phi1, phi2, f, f_params)
         except (DiracinvError, ValueError) as exc:
             raise ScenarioError(f"potential.catalog_family: {exc}") from exc
     params = _parse_params(obj.get("params"), "potential.params")
@@ -271,7 +271,7 @@ def build_scenario(data: dict, seed: int | None = None, samples: int | None = No
     if "spinor" not in data:
         raise ScenarioError("scenario needs 'spinor'")
     spinor, instance = _build_spinor(data["spinor"], kappa)
-    potential = _build_potential(data.get("potential"), kappa, instance)
+    potential = _build_potential(data.get("potential"), instance)
 
     f = None
     if data.get("f") is not None:

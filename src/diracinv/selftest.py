@@ -23,12 +23,6 @@ _FD_REL_TOL = 1e-6
 _FD_PAIRS = 100
 _EPS = float(np.finfo(float).eps)
 
-PRODUCTIONS = (
-    "number", "variable", "constant", "parameter",
-    "negate", "add", "sub", "mul", "div", "pow_pos", "pow_neg",
-    "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
-)
-
 _PARAM_NAMES = ("k1", "k2")
 
 
@@ -61,11 +55,12 @@ def _random_expr(rng: np.random.Generator, depth: int) -> Expr:
 
 
 def _productions_of(e: Expr) -> set[str]:
+    """The grammar productions a tree uses, and the variables x0..x3 it reads."""
     if isinstance(e, exprlang.Num):
         return {"number"}
     if isinstance(e, exprlang.Name):
         if e.ident in exprlang.VARIABLES:
-            return {"variable"}
+            return {"variable", e.ident}
         if e.ident in exprlang.BUILTIN_CONSTANTS:
             return {"constant"}
         return {"parameter"}
@@ -83,6 +78,7 @@ def _productions_of(e: Expr) -> set[str]:
     raise TypeError(f"unexpected node {e!r}")
 
 
+# One template per grammar production, keyed by the production's name.
 _COVERAGE_TEMPLATES: dict[str, str] = {
     "number": "2.5*x1",
     "variable": "x2",
@@ -122,7 +118,7 @@ def _fd_values(e: Expr, point: np.ndarray, axis: int,
 
 
 def derivative_fd_pairs(seed: int):
-    """Yield (expr, point, axis, params, sym, fd) with symbolic vs central differences.
+    """Accepted (expr, point, axis, params, sym, fd), and the productions covered and missing.
 
     The generator covers every grammar production over the accepted pairs.
     Suitability gating uses only finite-difference-side information (finite
@@ -142,6 +138,10 @@ def derivative_fd_pairs(seed: int):
         point = rng.uniform(-0.8, 0.8, size=4)
         axis = int(rng.integers(0, 4))
         params = {name: complex(rng.uniform(0.5, 1.5)) for name in _PARAM_NAMES}
+        # Without the axis variable fd is exactly 0, which the window below rejects.
+        productions = _productions_of(e)
+        if exprlang.VARIABLES[axis] not in productions:
+            continue
         try:
             value, fd, fd_half = _fd_values(e, point, axis, params)
         except exprlang.EvaluationError:
@@ -162,8 +162,8 @@ def derivative_fd_pairs(seed: int):
             pending_templates.pop(0)
         sym = exprlang.evaluate(exprlang.differentiate(e, axis), point[None], params)[0]
         accepted.append((e, point, axis, params, sym, fd_half))
-        covered |= _productions_of(e)
-    missing = set(PRODUCTIONS) - covered
+        covered |= productions
+    missing = set(_COVERAGE_TEMPLATES) - covered
     return accepted, covered, missing
 
 

@@ -92,29 +92,24 @@ def residual_norm_at(fr: Frame, potential, kappa: float) -> np.ndarray:
 
 @dataclass
 class ResidualReport:
-    """Residual norms over a sample, restricted to support points."""
+    """The largest residual norm over a sample's support points, and where it is."""
 
     max_norm: float
     argmax_point: tuple[float, ...] | None
-    norms: np.ndarray
     relative_max: float
     count: int
     no_support: bool = False
 
-    @property
-    def passed(self) -> bool:
-        return not self.no_support
-
 
 def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualReport:
-    """Max and per-point residual norms over the sampled support."""
+    """Max, relative max and argmax of the residual norms over the sampled support."""
     if not sample.has_support:
-        return ResidualReport(0.0, None, np.zeros(0), 0.0, 0, no_support=True)
+        return ResidualReport(0.0, None, 0.0, 0, no_support=True)
     norms = residual_norm_at(sample.frame, potential, kappa)
     rel = norms / ((abs(kappa) + 1.0) * sample.norms[sample.norms > sample.threshold])
     worst = int(np.argmax(norms))
     return ResidualReport(float(norms[worst]), tuple(sample.support[worst].tolist()),
-                          norms, float(rel.max()), len(norms))
+                          float(rel.max()), len(norms))
 
 
 # Index pairs (mu, nu) of the field tensor entries, in column order.

@@ -75,7 +75,7 @@ def test_criterion_3_family_correctness(degenerate_instances):
     for (kappa, alpha, phi1, phi2), inst in zip(TRIPLES, degenerate_instances):
         sample = sample_support(inst.spinor, DOMAIN)
         for text in FAMILY_DIRECTIONS:
-            member = catalog.example_family(kappa, alpha, phi1, phi2,
+            member = catalog.example_family(alpha, phi1, phi2,
                                             exprlang.parse(text))
             report = verify.residual_norm(sample, member, kappa)
             worst = max(worst, report.max_norm)
@@ -111,8 +111,8 @@ def test_criterion_5_gauge_inequivalent_member_exists(degenerate_instances):
     pts = DOMAIN.points()[:25]
     for (kappa, alpha, phi1, phi2), inst in zip(TRIPLES, degenerate_instances):
         base = inversion.FourPotential.zero()
-        const = catalog.example_family(kappa, alpha, phi1, phi2, exprlang.ONE)
-        linear = catalog.example_family(kappa, alpha, phi1, phi2, exprlang.Name("x0"))
+        const = catalog.example_family(alpha, phi1, phi2, exprlang.ONE)
+        linear = catalog.example_family(alpha, phi1, phi2, exprlang.Name("x0"))
         base_fr = frame(base, pts)
         gap_const = verify.tensor_gap(frame(const, pts), base_fr)
         gap_linear = verify.tensor_gap(frame(linear, pts), base_fr)
@@ -190,7 +190,7 @@ def test_criterion_8_lightlike_gap(degenerate_instances):
     checked_pairs = 0
     for (kappa, alpha, phi1, phi2), inst in zip(TRIPLES, degenerate_instances):
         members = [inversion.FourPotential.zero()]
-        members += [catalog.example_family(kappa, alpha, phi1, phi2, exprlang.parse(t))
+        members += [catalog.example_family(alpha, phi1, phi2, exprlang.parse(t))
                     for t in FAMILY_DIRECTIONS]
         sample = sample_support(inst.spinor, DOMAIN)
         cls = degeneracy.classify(sample, kappa=kappa)

@@ -79,13 +79,13 @@ class TestDegenerateExample:
 
 class TestExampleFamily:
     def test_zero_direction_is_zero_potential(self, rng):
-        pot = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.ZERO)
+        pot = catalog.example_family(0.3, 0.2, -0.1, exprlang.ZERO)
         assert np.abs(pot.values([rng.uniform(-1, 1, 4)])[0]).max() == 0.0
 
     def test_axis_aligned_constant_member(self):
         # alpha = phi1 = phi2 = 0 with f = 1: (1, +1, 0, 0).  The second
         # component's sign is pinned by the forward residual.
-        pot = catalog.example_family(1.0, 0.0, 0.0, 0.0, exprlang.ONE)
+        pot = catalog.example_family(0.0, 0.0, 0.0, exprlang.ONE)
         assert pot.values([(0, 0, 0, 0)])[0] == pytest.approx((1.0, 1.0, 0.0, 0.0))
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
@@ -96,13 +96,13 @@ class TestExampleFamily:
     def test_members_verify_against_matching_spinor(self, degenerate_default, unit_domain):
         sample = sample_support(degenerate_default.spinor, unit_domain)
         for text in ("1", "x0", "sin(x0+x1)"):
-            pot = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.parse(text))
+            pot = catalog.example_family(0.3, 0.2, -0.1, exprlang.parse(text))
             report = verify.residual_norm(sample, pot, 1.0)
             assert report.max_norm < 1e-9
 
     def test_linear_member_gauge_inequivalent(self, unit_domain):
         base = inversion.FourPotential.zero()
-        member = catalog.example_family(1.0, 0.3, 0.2, -0.1, exprlang.Name("x0"))
+        member = catalog.example_family(0.3, 0.2, -0.1, exprlang.Name("x0"))
         pts = unit_domain.points()
         gap = verify.tensor_gap(frame(member, pts), frame(base, pts))
         assert gap >= scenario.DEFAULT_TOLERANCES["tensor"]

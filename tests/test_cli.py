@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diracinv import cli, clifford, scenario, selftest
-from diracinv.errors import ScenarioError
+from diracinv.errors import GuardViolated, ScenarioError
 from diracinv.fields import SampleDomain
 from diracinv.report import render_report
 
@@ -726,3 +726,70 @@ def _overrides(extra: list[str]) -> dict:
     flags = {"--tol": ("tol", float), "--samples": ("samples", int)}
     return {flags[flag][0]: flags[flag][1](value)
             for flag, value in zip(extra[::2], extra[1::2])}
+
+
+def _failed_task(tmp_path, capsys, spinor, tasks, **extra) -> dict:
+    """Run a scenario that must exit 1; returns its task reports by name."""
+    payload = {"kappa": 1.0, "spinor": {"exprs": spinor}, "tasks": tasks, **extra}
+    code, out = _run(capsys, ["run", _write(tmp_path, payload)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["summary"]["status"] == "fail"
+    return {t["task"]: t for t in report["tasks"]}
+
+
+def _check_names(task: dict) -> list[tuple[str, bool]]:
+    return [(c["name"], c["passed"]) for c in task["checks"]["checks"]]
+
+
+class TestTaskFailureReports:
+    def test_a_varying_pointwise_mass_fails_the_mass_task(self, tmp_path, capsys):
+        mass = _failed_task(tmp_path, capsys, ["exp(-i*x0*x1)", "0", "0", "0"], ["mass"])["mass"]
+        assert set(mass) == {"task", "error", "checks"}
+        assert mass["error"] == "MassInconsistent"
+        assert _check_names(mass) == [("pointwise mass is consistent", False)]
+        detail = mass["checks"]["checks"][0]["detail"]
+        assert re.fullmatch(r"pointwise mass varies by \S+ around \S+ over 100 support "
+                            r"points; input is not a Dirac solution", detail)
+
+    def test_a_non_degenerate_spinor_fails_the_family_task(self, tmp_path, capsys):
+        tasks = _failed_task(tmp_path, capsys, ["exp(-i*x0)", "0.5", "x1", "exp(-i*x0)"],
+                             ["classify", "family"])
+        assert tasks["classify"]["verdict"] == "non-degenerate"
+        family = tasks["family"]
+        assert set(family) == {"task", "members", "region", "region_points", "checks"}
+        assert family["members"] == [] and family["region_points"] > 0
+        assert _check_names(family) == [("family region is nonempty on the sample", True),
+                                        ("spinor is degenerate", False)]
+        assert family["checks"]["checks"][1]["detail"] == (
+            "potential family requires a degenerate spinor, verdict is 'non-degenerate'")
+
+    def test_a_zero_spinor_fails_the_verify_task(self, tmp_path, capsys):
+        verify = _failed_task(tmp_path, capsys, ["0", "0", "0", "0"], ["verify"])["verify"]
+        assert set(verify) == {"task", "no_support", "checks"}
+        assert verify["no_support"] is True
+        assert _check_names(verify) == [("sample contains support points", False)]
+        assert verify["checks"]["checks"][0]["detail"] == (
+            "NoSupportPoints: spinor vanishes on the whole sample")
+
+    def test_a_non_real_a0_fails_mass_and_verify_alike(self, tmp_path, capsys):
+        tasks = _failed_task(tmp_path, capsys, ["exp(-i*x0)", "0", "0", "0"], ["mass", "verify"],
+                             potential={"exprs": ["0.5*i", "0", "0", "0"]})
+        details = set()
+        for name in ("mass", "verify"):
+            assert tasks[name]["error"] == "NonRealPotential"
+            assert _check_names(tasks[name]) == [(f"{name} completed", False)]
+            details.add(tasks[name]["checks"]["checks"][0]["detail"])
+        (detail,) = details
+        assert detail.startswith("potential has imaginary residue 5.000e-01 at (")
+
+    def test_a_library_error_in_a_task_exits_2(self, tmp_path, capsys, monkeypatch):
+        def raise_guard(sc, state):
+            raise GuardViolated("denominator below guard")
+
+        monkeypatch.setitem(cli._TASK_RUNNERS, "verify", raise_guard)
+        code = cli.main(["run", _write(tmp_path, GOOD_SCENARIO)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: GuardViolated: denominator below guard\n"

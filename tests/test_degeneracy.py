@@ -55,13 +55,12 @@ def theta_exprs(field: SpinorField) -> tuple[Expr, Expr, Expr]:
     return t1, t2, t3
 
 
-def symbolic_member(field: SpinorField, base: FourPotential, f: Expr,
-                    f_params=None) -> FourPotential:
+def symbolic_member(field: SpinorField, base: FourPotential, f: Expr) -> FourPotential:
     t1, t2, t3 = theta_exprs(field)
     comps = [exprlang.add(base.components[0], f)] + [
         exprlang.add(a, exprlang.mul(f, t))
         for a, t in zip(base.components[1:], (t1, t2, t3))]
-    return FourPotential(comps, merge_params(base.params, field.params, f_params))
+    return FourPotential(comps, merge_params(base.params, field.params))
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +213,7 @@ class TestPotentialFamily:
                                               FourPotential.zero(), unit_domain, 1.0)
         f = exprlang.parse("sin(x0+x1)")
         general = potential_family(sample.frame, base_fr, f, cls)
-        closed = frame(catalog.example_family(1.0, 0.3, 0.2, -0.1, f), sample.support)
+        closed = frame(catalog.example_family(0.3, 0.2, -0.1, f), sample.support)
         assert general.value == pytest.approx(closed.value, abs=1e-9)
         assert verify.field_tensor(general) == pytest.approx(
             verify.field_tensor(closed), abs=1e-9)
@@ -249,19 +248,20 @@ class TestPotentialFamily:
         with pytest.raises(NotDegenerate):
             potential_family(sample.frame, base_fr, exprlang.ONE, cls)
 
-    def test_f_sees_base_spinor_and_own_parameters(self, degenerate_default, unit_domain):
-        base = FourPotential.from_strings(["b", "0", "0", "0"], {"b": 0.5})
+    def test_f_sees_base_and_spinor_parameters(self, degenerate_default, unit_domain):
+        base = FourPotential.from_strings(["b", "0", "0", "0"], {"b": 0.5, "g": 2.0})
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor, base,
                                               unit_domain, 1.0)
         # c2 = sin(alpha) is a parameter of the spinor.
         f = exprlang.parse("b*c2 + g*x0")
-        member = potential_family(sample.frame, base_fr, f, cls, {"g": 2.0})
+        member = potential_family(sample.frame, base_fr, f, cls)
         expected = 0.5 + 0.5 * np.sin(0.3) + 2.0 * sample.support[:, 0]
         assert member.value[:, 0] == pytest.approx(expected, abs=1e-12)
-        assert member.params == {**base.params, **degenerate_default.spinor.params,
-                                 "g": 2.0}
-        with pytest.raises(ValueError, match="conflicting values for parameter 'b'"):
-            potential_family(sample.frame, base_fr, f, cls, {"b": 1.0, "g": 2.0})
+        assert member.params == {**base.params, **degenerate_default.spinor.params}
+        clash = frame(FourPotential.from_strings(["b", "0", "0", "0"], {"b": 0.5, "c2": 1.0}),
+                      sample.support)
+        with pytest.raises(ValueError, match="conflicting values for parameter 'c2'"):
+            potential_family(sample.frame, clash, f, cls)
 
     def test_non_real_direction_raises(self, degenerate_default, unit_domain):
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor,

@@ -210,14 +210,6 @@ class TestDifferentiate:
                 fd = (evaluate(e, [hi])[0] - evaluate(e, [lo])[0]) / (2 * h)
                 assert evaluate(d, [p])[0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_conjugate_derivative_commutes(self, rng):
-        e = parse("exp(i*x0) * (x1 + 2*i)")
-        d = differentiate(exprlang.conjugate(e), 0)
-        for _ in range(10):
-            p = rng.uniform(-1, 1, 4)
-            expected = complex(evaluate(differentiate(e, 0), [p])[0]).conjugate()
-            assert evaluate(d, [p])[0] == pytest.approx(expected, rel=1e-14)
-
 
 class TestPathIntegral:
     def test_zero_integrand_gives_zeros(self, rng):

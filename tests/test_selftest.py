@@ -1,4 +1,8 @@
-"""The fuzz suites draw in blocks the numbers the per-trial draws gave."""
+"""The fuzz suites draw in blocks the numbers the per-trial draws gave; the
+coverage templates span the grammar."""
+
+import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -101,3 +105,17 @@ def test_batched_zero_mass_determinant_has_the_bits_of_each_pair():
     assert batched.shape == (1000,)
     assert np.array_equal(_bits(batched), _bits(np.array(singles)))
     assert degeneracy.zero_mass_system_det(psi1[7], psi2[7]) == singles[7]
+
+
+def _node_types(e) -> set[type]:
+    """The node classes of a tree."""
+    children = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    return {type(e)}.union(*(_node_types(c) for c in children
+                             if isinstance(c, typing.get_args(exprlang.Expr))))
+
+
+def test_the_coverage_templates_use_every_node_and_print_back_to_themselves():
+    trees = [exprlang.parse(text) for text in selftest._COVERAGE_TEMPLATES.values()]
+    assert set().union(*map(_node_types, trees)) == set(typing.get_args(exprlang.Expr))
+    for tree in trees:
+        assert exprlang.parse(exprlang.to_text(tree)) == tree
