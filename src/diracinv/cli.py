@@ -9,6 +9,7 @@ and build: byte-identical output, stable field order, no non-finite numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -127,14 +128,10 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
             raise combined.non_real_error(stop)
         raise others[which - 1].non_real_error(int(np.searchsorted(at_ok, stop)))
 
-    rows = []
-    for p, a, residue, passed in zip(pts, combined.a, combined.imag_residue, ok):
-        row: dict = {"point": p.tolist()}
-        if passed:
-            row.update({"status": "ok", "a": a.tolist(), "imag_residue": float(residue)})
-        else:
-            row["status"] = "degenerate-locus"
-        rows.append(row)
+    rows = [{"point": p, "status": "ok", "a": a, "imag_residue": residue} if passed
+            else {"point": p, "status": "degenerate-locus"}
+            for p, a, residue, passed in zip(pts.tolist(), combined.a.tolist(),
+                                             combined.imag_residue.tolist(), ok.tolist())]
     recovered = int(np.count_nonzero(ok))
     out = {
         "rows": rows,
@@ -162,6 +159,12 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     checks = CheckSet("family")
     cls = _classification(sc, state)
     out: dict = {"members": [], "region": "supp(transpose-g2-bilinear)"}
+    try:
+        degeneracy.require_degenerate(cls)
+    except NotDegenerate as exc:
+        checks.add("spinor is degenerate", False, detail=str(exc))
+        out["checks"] = checks.as_dict()
+        return out
     directions: list[tuple[str, exprlang.Expr]] = [
         ("1", exprlang.ONE), ("x0", exprlang.Name("x0"))]
     if sc.f is not None:
@@ -183,26 +186,21 @@ def _task_family(sc: Scenario, state: dict) -> dict:
         base = fields.Frame(fr.points, np.broadcast_to(0.0, (count, 4)),
                             np.broadcast_to(0j, (4, count, 4)), {})
     gaps = {}
-    try:
-        for label, f in directions:
-            member = degeneracy.potential_family(fr, base, f, cls)
-            worst = float(verify.residual_norm_at(fr, member.value, sc.kappa).max())
-            gap = verify.lightlike_gap_max(member, base)
-            out["members"].append({
-                "f": label,
-                "residual_max": worst,
-                "lightlike_gap_max": gap,
-            })
-            checks.add(f"family member f={label} passes the residual oracle",
-                       worst < sc.tolerances["family_residual"], value=worst)
-            checks.add(f"family member f={label} is light-like separated from base",
-                       gap < sc.tolerances["lightlike"], value=gap)
-            if label in ("1", "x0"):
-                gaps[label] = tensor_gap(member, base)
-    except NotDegenerate as exc:
-        checks.add("spinor is degenerate", False, detail=str(exc))
-        out["checks"] = checks.as_dict()
-        return out
+    for label, f in directions:
+        member = degeneracy.potential_family(fr, base, f, cls)
+        worst = float(verify.residual_norm_at(fr, member.value, sc.kappa).max())
+        gap = verify.lightlike_gap_max(member, base)
+        out["members"].append({
+            "f": label,
+            "residual_max": worst,
+            "lightlike_gap_max": gap,
+        })
+        checks.add(f"family member f={label} passes the residual oracle",
+                   worst < sc.tolerances["family_residual"], value=worst)
+        checks.add(f"family member f={label} is light-like separated from base",
+                   gap < sc.tolerances["lightlike"], value=gap)
+        if label in ("1", "x0"):
+            gaps[label] = tensor_gap(member, base)
 
     gap_const, gap_linear = gaps["1"], gaps["x0"]
     out["gauge_criterion"] = "field-tensor equality on the sampled simply-connected box"
@@ -313,7 +311,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="write the report to a file instead of stdout")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to `main` and reused."""
     parser = argparse.ArgumentParser(
         prog="diracinv",
         description="Invert the coupled spinor system: classify degeneracy, recover "
@@ -331,8 +331,11 @@ def main(argv=None) -> int:
 
     selftest_cmd = sub.add_parser("selftest", help="run every built-in invariant suite")
     _add_common_flags(selftest_cmd, suppress=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         overrides = {"seed": args.seed, "samples": args.samples, "tol": args.tol}
         if args.command == "run":

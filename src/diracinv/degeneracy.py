@@ -169,6 +169,14 @@ def theta(fr: Frame) -> ThetaTriple:
     return ThetaTriple(t.real, residue)
 
 
+def require_degenerate(classification: Classification) -> None:
+    """Raise NotDegenerate unless the verdict is degenerate: only then is there a family."""
+    if classification.verdict != "degenerate":
+        raise NotDegenerate(
+            f"potential family requires a degenerate spinor, verdict is "
+            f"{classification.verdict!r}")
+
+
 def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification) -> Frame:
     """Frame of the member base + f (1, theta) of a degenerate spinor's family.
 
@@ -176,10 +184,7 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
     same points, where f is evaluated under the parameters of both.  Values
     are real-checked; theta must be defined at every point.
     """
-    if classification.verdict != "degenerate":
-        raise NotDegenerate(
-            f"potential family requires a degenerate spinor, verdict is "
-            f"{classification.verdict!r}")
+    require_degenerate(classification)
     params = merge_params(base.params, fr.params)
     den, u, du = fr.held(_direction)
     pts = fr.points

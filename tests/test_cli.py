@@ -610,6 +610,33 @@ def test_a_non_finite_report_value_exits_2_with_nothing_on_stdout(tmp_path, caps
     assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
 
 
+def test_the_parser_is_built_once_and_carries_no_option_between_calls(tmp_path, capsys):
+    scenario_path = _write(tmp_path, GOOD_SCENARIO)
+    calls = [["--seed", "5", "run", scenario_path, "--samples", "30"],
+             ["demo", "rest_plane_wave"],
+             ["selftest"],
+             ["run", scenario_path, "--no-such-flag"],
+             ["run", scenario_path]]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first_calls = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first_calls.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == first_calls
+    assert cli._parser.cache_info().misses == 1
+    assert first_calls[3][0] == ("exit", 2)
+    assert first_calls[0][1] != first_calls[4][1]  # the overrides took effect
+
+
 _NAN = float("nan")
 _INF = float("inf")
 
@@ -753,16 +780,25 @@ class TestTaskFailureReports:
                             r"points; input is not a Dirac solution", detail)
 
     def test_a_non_degenerate_spinor_fails_the_family_task(self, tmp_path, capsys):
-        tasks = _failed_task(tmp_path, capsys, ["exp(-i*x0)", "0.5", "x1", "exp(-i*x0)"],
-                             ["classify", "family"])
-        assert tasks["classify"]["verdict"] == "non-degenerate"
+        self._assert_family_fails(tmp_path, capsys, ["exp(-i*x0)", "0.5", "x1", "exp(-i*x0)"],
+                                  "non-degenerate")
+
+    def test_a_mixed_verdict_fails_the_family_task(self, tmp_path, capsys):
+        # A deliberately loose tolerance lets part of the support look null.
+        self._assert_family_fails(tmp_path, capsys, ["1", "0", "0", "exp(x1)"], "mixed",
+                                  tolerances={"classify": 0.5})
+
+    @staticmethod
+    def _assert_family_fails(tmp_path, capsys, spinor, verdict, **extra):
+        tasks = _failed_task(tmp_path, capsys, spinor, ["classify", "family"], **extra)
+        assert tasks["classify"]["verdict"] == verdict
         family = tasks["family"]
-        assert set(family) == {"task", "members", "region", "region_points", "checks"}
-        assert family["members"] == [] and family["region_points"] > 0
-        assert _check_names(family) == [("family region is nonempty on the sample", True),
-                                        ("spinor is degenerate", False)]
-        assert family["checks"]["checks"][1]["detail"] == (
-            "potential family requires a degenerate spinor, verdict is 'non-degenerate'")
+        # No family region is reported: without a degenerate verdict it means nothing.
+        assert set(family) == {"task", "members", "region", "checks"}
+        assert family["members"] == []
+        assert _check_names(family) == [("spinor is degenerate", False)]
+        assert family["checks"]["checks"][0]["detail"] == (
+            f"potential family requires a degenerate spinor, verdict is {verdict!r}")
 
     def test_a_zero_spinor_fails_the_verify_task(self, tmp_path, capsys):
         verify = _failed_task(tmp_path, capsys, ["0", "0", "0", "0"], ["verify"])["verify"]

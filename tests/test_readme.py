@@ -1,11 +1,12 @@
-"""README.md states the scenario schema constants the code uses."""
+"""README.md states the scenario schema constants and messages the code uses."""
 
 import pathlib
 import re
 
-from diracinv import scenario
+from diracinv import cli, scenario
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_PATH = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+README = README_PATH.read_text()
 
 
 def test_tolerance_keys_and_defaults_match_the_code():
@@ -20,3 +21,14 @@ def test_task_order_matches_the_code():
     order = re.search(r"execute in the order `([^`]*)`", README)
     assert order, "README has no task-order sentence"
     assert tuple(task.strip() for task in order.group(1).split("→")) == scenario.TASKS
+
+
+def test_the_non_finite_report_message_is_what_the_cli_writes(capsys, monkeypatch):
+    quoted = re.search(r"the one gate: the message is\n`(error: [^`]*)`", README)
+    assert quoted, "README has no quoted non-finite report message"
+    verify_task = cli._TASK_RUNNERS["verify"]
+    monkeypatch.setitem(cli._TASK_RUNNERS, "verify", lambda sc, state: {
+        **verify_task(sc, state), "residual_max": float("nan")})
+    scenario_path = README_PATH.parent / "scenarios" / "gauge_round_trip.json"
+    assert cli.main(["run", str(scenario_path), "--samples", "20"]) == 2
+    assert capsys.readouterr().err == quoted.group(1) + "\n"
