@@ -43,8 +43,7 @@ def _classification(sc: Scenario, state: dict) -> Classification:
     return state["classification"]
 
 
-def _task_classify(sc: Scenario, state: dict) -> dict:
-    checks = CheckSet("classify")
+def _task_classify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     cls = _classification(sc, state)
     expected = sc.instance.expected_verdict if sc.instance else None
     if expected is not None:
@@ -64,37 +63,31 @@ def _task_classify(sc: Scenario, state: dict) -> dict:
         out["gamma2_covers_support"] = cls.gamma2_covers_support
         checks.add("transpose bilinear covers sampled support",
                    cls.gamma2_covers_support, value=cls.gamma2_cover_fraction)
-    out["checks"] = checks.as_dict()
     return out
 
 
-def _task_mass(sc: Scenario, state: dict) -> dict:
-    checks = CheckSet("mass")
+def _task_mass(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     a0 = sc.potential.components[0] if sc.potential is not None else None
     a0_params = sc.potential.params if sc.potential is not None else None
-    out: dict = {}
     try:
         estimate = inversion.extract_mass(
             _sample(sc, state), a0, a0_params=a0_params,
             spread_tol=sc.tolerances["mass_spread"], real_tol=sc.tolerances["real"])
     except MassInconsistent as exc:
         checks.add("pointwise mass is consistent", False, detail=str(exc))
-        out["error"] = "MassInconsistent"
-    else:
-        out.update({"kappa": estimate.kappa, "spread": estimate.spread,
-                    "points": estimate.count, "max_imag": estimate.max_imag})
-        if estimate.crosscheck_gap is not None:
-            out["gauge_fixed_crosscheck_gap"] = estimate.crosscheck_gap
-        checks.add("pointwise mass is consistent", True, value=estimate.spread)
-        checks.add("recovered mass matches scenario kappa",
-                   abs(estimate.kappa - sc.kappa) < sc.tolerances["mass"],
-                   value=abs(estimate.kappa - sc.kappa))
-    out["checks"] = checks.as_dict()
+        return {"error": "MassInconsistent"}
+    out = {"kappa": estimate.kappa, "spread": estimate.spread,
+           "points": estimate.count, "max_imag": estimate.max_imag}
+    if estimate.crosscheck_gap is not None:
+        out["gauge_fixed_crosscheck_gap"] = estimate.crosscheck_gap
+    checks.add("pointwise mass is consistent", True, value=estimate.spread)
+    checks.add("recovered mass matches scenario kappa",
+               abs(estimate.kappa - sc.kappa) < sc.tolerances["mass"],
+               value=abs(estimate.kappa - sc.kappa))
     return out
 
 
-def _task_invert(sc: Scenario, state: dict) -> dict:
-    checks = CheckSet("invert")
+def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     fr = _sample(sc, state).frame.rows(slice(_INVERT_TABLE_LIMIT))
     pts = fr.points
     guard = sc.tolerances["guard"]
@@ -151,19 +144,16 @@ def _task_invert(sc: Scenario, state: dict) -> dict:
             worst_vs_known = float(np.abs(a - known).max())
             checks.add("recovered potential matches the known one",
                        worst_vs_known < sc.tolerances["invert"], value=worst_vs_known)
-    out["checks"] = checks.as_dict()
     return out
 
 
-def _task_family(sc: Scenario, state: dict) -> dict:
-    checks = CheckSet("family")
+def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     cls = _classification(sc, state)
     out: dict = {"members": [], "region": "supp(transpose-g2-bilinear)"}
     try:
         degeneracy.require_degenerate(cls)
     except NotDegenerate as exc:
         checks.add("spinor is degenerate", False, detail=str(exc))
-        out["checks"] = checks.as_dict()
         return out
     directions: list[tuple[str, exprlang.Expr]] = [
         ("1", exprlang.ONE), ("x0", exprlang.Name("x0"))]
@@ -176,18 +166,18 @@ def _task_family(sc: Scenario, state: dict) -> dict:
     out["region_points"] = count = int(np.count_nonzero(region))
     checks.add("family region is nonempty on the sample", count > 0, value=float(count))
     if count == 0:
-        out["checks"] = checks.as_dict()
         return out
     # The region is often the whole support, and a slice takes its rows without a copy.
     fr = _sample(sc, state).frame.rows(slice(None) if region.all() else region)
+    real_tol = sc.tolerances["real"]
     if sc.potential is not None:
-        base = fields.frame(sc.potential, fr.points)
+        base = fields.frame(sc.potential, fr.points, sc.potential.values(fr.points, real_tol))
     else:  # the zero potential: values and partials are +0.0, read-only views of one zero
         base = fields.Frame(fr.points, np.broadcast_to(0.0, (count, 4)),
                             np.broadcast_to(0j, (4, count, 4)), {})
     gaps = {}
     for label, f in directions:
-        member = degeneracy.potential_family(fr, base, f, cls)
+        member = degeneracy.potential_family(fr, base, f, cls, real_tol)
         worst = float(verify.residual_norm_at(fr, member.value, sc.kappa).max())
         gap = verify.lightlike_gap_max(member, base)
         out["members"].append({
@@ -210,31 +200,22 @@ def _task_family(sc: Scenario, state: dict) -> dict:
                gap_const < sc.tolerances["tensor"], value=gap_const)
     checks.add("a gauge-inequivalent member exists (f=x0)",
                gap_linear >= 10 * sc.tolerances["tensor"], value=gap_linear)
-    out["checks"] = checks.as_dict()
     return out
 
 
-def _task_verify(sc: Scenario, state: dict) -> dict:
-    checks = CheckSet("verify")
-    report = verify.residual_norm(_sample(sc, state), sc.potential, sc.kappa)
-    out: dict = {"no_support": report.no_support}
-    if report.no_support:
-        checks.add("sample contains support points", False,
-                   detail="NoSupportPoints: spinor vanishes on the whole sample")
-    else:
-        out.update({
-            "residual_max": report.max_norm,
-            "residual_relative_max": report.relative_max,
-            "argmax_point": list(report.argmax_point),
-            "points": report.count,
-        })
-        checks.add("forward residual within tolerance",
-                   report.max_norm < sc.tolerances["residual"], value=report.max_norm)
-    out["checks"] = checks.as_dict()
-    return out
+def _task_verify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
+    sample = _sample(sc, state)
+    a = (None if sc.potential is None
+         else sc.potential.values(sample.frame.points, sc.tolerances["real"]))
+    report = verify.residual_norm(sample, a, sc.kappa)
+    checks.add("forward residual within tolerance",
+               report.max_norm < sc.tolerances["residual"], value=report.max_norm)
+    return {"residual_max": report.max_norm, "residual_relative_max": report.relative_max,
+            "argmax_point": list(report.argmax_point), "points": report.count}
 
 
-def _task_selftest(sc: Scenario, state: dict) -> dict:
+def _task_selftest(sc: Scenario, state: dict, checks: CheckSet) -> dict:
+    # The one runner with its own check block: its totals count checks it does not list.
     sections, total, failed = selftest.run_selftest(sc.domain.seed, sc.domain.count)
     return {"sections": sections,
             "checks": {"name": "selftest", "total": total, "failed": failed, "checks": []}}
@@ -256,13 +237,16 @@ def execute_scenario(sc: Scenario, command: str) -> tuple[dict, int]:
     total = failed = 0
     # Tasks run in the order of scenario.TASKS, whatever order they are listed in.
     for name in (t for t in TASKS if t in sc.tasks):
+        checks = CheckSet(name)
         try:
-            result = _TASK_RUNNERS[name](sc, state)
+            result = _TASK_RUNNERS[name](sc, state, checks)
         except (NoSupportPoints, NonRealPotential) as exc:
-            result = {"error": type(exc).__name__,
-                      "checks": {"name": name, "total": 1, "failed": 1,
-                                 "checks": [{"name": f"{name} completed", "passed": False,
-                                             "detail": str(exc)}]}}
+            # A task that cannot complete reports that alone, not what it checked before.
+            checks = CheckSet(name)
+            checks.add(f"{name} completed", False, detail=str(exc))
+            result = {"error": type(exc).__name__}
+        if "checks" not in result:
+            result["checks"] = checks.as_dict()
         total += result["checks"]["total"]
         failed += result["checks"]["failed"]
         task_reports.append({"task": name, **result})

@@ -25,8 +25,7 @@ from . import exprlang
 from .clifford import delta, gamma
 from .errors import GuardViolated, NonRealTheta, NotDegenerate
 from .exprlang import Expr
-from .fields import (CVector4, Frame, SupportSample, bilinear, merge_params, require_support,
-                     squared_norm)
+from .fields import CVector4, Frame, SupportSample, bilinear, merge_params, squared_norm
 from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, real_part
 
 _D4 = delta(4)
@@ -72,8 +71,7 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
     """Partition sampled support points by |psi* d4 psi| <= tol * |psi|^2."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    support = require_support(sample)
-    values = sample.values
+    support, values = sample.support, sample.values
     norm_sq = squared_norm(values)
     tb = bilinear(values, _G2, values)
     nonzero = np.abs(indicator(values)) > tol * norm_sq
@@ -177,12 +175,13 @@ def require_degenerate(classification: Classification) -> None:
             f"{classification.verdict!r}")
 
 
-def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification) -> Frame:
+def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification,
+                     real_tol: float = DEFAULT_REAL_TOL) -> Frame:
     """Frame of the member base + f (1, theta) of a degenerate spinor's family.
 
     `fr` and `base` are the spinor's and the base potential's frames at the
     same points, where f is evaluated under the parameters of both.  Values
-    are real-checked; theta must be defined at every point.
+    are real-checked to `real_tol`; theta must be defined at every point.
     """
     require_degenerate(classification)
     params = merge_params(base.params, fr.params)
@@ -196,7 +195,7 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
     partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
     partials += df[:, :, None] * u
     partials += base.derivs
-    return Frame(pts, real_part(base.value + fv[:, None] * u, pts), partials, params)
+    return Frame(pts, real_part(base.value + fv[:, None] * u, pts, real_tol), partials, params)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ kept on that frame by `Frame.held`, for as long as the frame lives.
 Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
 the partials on first use, and a kernel that needs part of the support
-takes `Frame.rows` of that frame.
+takes `Frame.rows` of that frame.  `sample_support` raises NoSupportPoints
+for a sample with no support point, so every `SupportSample` has one.
 """
 
 from __future__ import annotations
@@ -212,14 +213,10 @@ class SupportSample:
     norms: np.ndarray        # (count,) spinor norms in sampling order
     threshold: float
 
-    @property
-    def has_support(self) -> bool:
-        return len(self.support) > 0
-
     @cached_property
     def frame(self) -> Frame:
-        """The support frame, built on first use; raises NoSupportPoints if empty."""
-        return frame(self.field, require_support(self), self.values)
+        """The support frame, built on first use."""
+        return frame(self.field, self.support, self.values)
 
 
 def sample_support(field: SpinorField, domain: SampleDomain,
@@ -232,10 +229,6 @@ def sample_support(field: SpinorField, domain: SampleDomain,
     norms = np.linalg.norm(values, axis=1)
     threshold = tol * (1.0 + float(norms.max()))
     mask = norms > threshold
-    return SupportSample(field, pts[mask], values[mask], pts[~mask], norms, threshold)
-
-
-def require_support(sample: SupportSample) -> np.ndarray:
-    if not sample.has_support:
+    if not mask.any():
         raise NoSupportPoints("no sampled point carries a nonzero spinor value")
-    return sample.support
+    return SupportSample(field, pts[mask], values[mask], pts[~mask], norms, threshold)

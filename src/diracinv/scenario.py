@@ -157,18 +157,19 @@ def _build_spinor(obj, kappa: float) -> tuple[SpinorField, CatalogInstance | Non
         if not isinstance(name, str) or name not in catalog.ENTRIES:
             raise ScenarioError(f"spinor.catalog: unknown entry {name!r}; "
                         f"available: {', '.join(sorted(catalog.ENTRIES))}")
-        params = obj.get("params")
-        if params is not None and not isinstance(params, dict):
+        params = {} if obj.get("params") is None else obj["params"]
+        if not isinstance(params, dict):
             raise ScenarioError("spinor.params: params must be an object")
+        # Before the build, which samples; a kappa of the wrong type gets the build's message.
+        if _is_number(params.get("kappa")) and params["kappa"] != kappa:
+            raise ScenarioError(f"spinor.params.kappa: {params['kappa']!r} differs from the "
+                                f"scenario's kappa {kappa!r}; give kappa once, at the top level")
         try:
-            instance = catalog.build(name, {"kappa": kappa, **(params or {})})
+            instance = catalog.build(name, {"kappa": kappa, **params})
         except ValueError as exc:  # its message starts with the parameter's name
             raise ScenarioError(f"spinor.params.{exc}") from exc
         except DiracinvError as exc:
             raise ScenarioError(f"spinor.catalog: {exc}") from exc
-        if params and "kappa" in params and params["kappa"] != kappa:
-            raise ScenarioError(f"spinor.params.kappa: {params['kappa']!r} differs from the "
-                                f"scenario's kappa {kappa!r}; give kappa once, at the top level")
         return instance.spinor, instance
     params = _parse_params(obj.get("params"), "spinor.params")
     return SpinorField(_parse_exprs(obj["exprs"], "spinor.exprs"), params), None

@@ -3,7 +3,8 @@
 The residual of (psi, a, kappa) is the evaluated left-hand side of the
 coupled first-order system; its vanishing is the acceptance oracle for every
 claimed correspondence.  The residual kernels take a `fields.Frame`, and
-`residual_norm` the run's `fields.SupportSample`, whose frame it shares.
+`residual_norm` the run's `fields.SupportSample`, whose frame it shares;
+a sample always has a support point, so its report always names a worst one.
 Potentials enter the residual through their values only, so a potential
 may be given as a FourPotential or as (N, 4) numeric component values, such
 as a family member's frame values.  Each gamma acts as its gather with
@@ -95,16 +96,13 @@ class ResidualReport:
     """The largest residual norm over a sample's support points, and where it is."""
 
     max_norm: float
-    argmax_point: tuple[float, ...] | None
+    argmax_point: tuple[float, ...]
     relative_max: float
     count: int
-    no_support: bool = False
 
 
 def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualReport:
     """Max, relative max and argmax of the residual norms over the sampled support."""
-    if not sample.has_support:
-        return ResidualReport(0.0, None, 0.0, 0, no_support=True)
     norms = residual_norm_at(sample.frame, potential, kappa)
     rel = norms / ((abs(kappa) + 1.0) * sample.norms[sample.norms > sample.threshold])
     worst = int(np.argmax(norms))

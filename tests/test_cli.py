@@ -10,7 +10,7 @@ import pytest
 from diracinv import cli, clifford, scenario, selftest
 from diracinv.errors import GuardViolated, ScenarioError
 from diracinv.fields import SampleDomain
-from diracinv.report import render_report
+from diracinv.report import CheckSet, render_report
 
 
 def _write(tmp_path, payload) -> str:
@@ -541,7 +541,7 @@ def test_nothing_is_held_on_the_run_support_frame(scenario_name):
     sc = scenario.load_scenario(str(_SHIPPED / f"{scenario_name}.json"))
     state: dict = {}
     for name in sc.tasks:
-        cli._TASK_RUNNERS[name](sc, state)
+        cli._TASK_RUNNERS[name](sc, state, CheckSet(name))
     assert state["sample"].frame._held == {}
 
 
@@ -599,8 +599,8 @@ def test_a_non_finite_report_value_exits_2_with_nothing_on_stdout(tmp_path, caps
                                                                   monkeypatch):
     verify_task = cli._TASK_RUNNERS["verify"]
 
-    def nan_residual(sc, state):
-        return {**verify_task(sc, state), "residual_max": float("nan")}
+    def nan_residual(sc, state, checks):
+        return {**verify_task(sc, state, checks), "residual_max": float("nan")}
 
     monkeypatch.setitem(cli._TASK_RUNNERS, "verify", nan_residual)
     code = cli.main(["run", _write(tmp_path, GOOD_SCENARIO)])
@@ -661,6 +661,8 @@ _INF = float("inf")
     ({}, ["--samples", str(scenario.MAX_SAMPLES + 1)], "domain.count"),
     ({}, ["--samples", "0"], "domain"),
     ({"domain": {"seed": -1}}, [], "domain.seed"),
+    ({"spinor": {"catalog": "degenerate_example", "params": {"kappa": 2.0}}}, [],
+     "spinor.params.kappa"),
 ])
 def test_bad_numbers_rejected_before_any_computation(tmp_path, capsys, monkeypatch,
                                                      change, extra, message):
@@ -800,13 +802,21 @@ class TestTaskFailureReports:
         assert family["checks"]["checks"][0]["detail"] == (
             f"potential family requires a degenerate spinor, verdict is {verdict!r}")
 
+    @pytest.mark.parametrize("name", ["classify", "mass", "invert", "family"])
+    def test_a_zero_spinor_fails_the_other_tasks_alike(self, tmp_path, capsys, name):
+        self._assert_no_support(tmp_path, capsys, name)
+
     def test_a_zero_spinor_fails_the_verify_task(self, tmp_path, capsys):
-        verify = _failed_task(tmp_path, capsys, ["0", "0", "0", "0"], ["verify"])["verify"]
-        assert set(verify) == {"task", "no_support", "checks"}
-        assert verify["no_support"] is True
-        assert _check_names(verify) == [("sample contains support points", False)]
-        assert verify["checks"]["checks"][0]["detail"] == (
-            "NoSupportPoints: spinor vanishes on the whole sample")
+        self._assert_no_support(tmp_path, capsys, "verify")
+
+    @staticmethod
+    def _assert_no_support(tmp_path, capsys, name):
+        # An empty support carries no claim: the task reports only that it could not run.
+        task = _failed_task(tmp_path, capsys, ["0", "0", "0", "0"], [name])[name]
+        assert task == {"task": name, "error": "NoSupportPoints",
+                        "checks": {"name": name, "total": 1, "failed": 1, "checks": [
+                            {"name": f"{name} completed", "passed": False,
+                             "detail": "no sampled point carries a nonzero spinor value"}]}}
 
     def test_a_non_real_a0_fails_mass_and_verify_alike(self, tmp_path, capsys):
         tasks = _failed_task(tmp_path, capsys, ["exp(-i*x0)", "0", "0", "0"], ["mass", "verify"],
@@ -819,8 +829,32 @@ class TestTaskFailureReports:
         (detail,) = details
         assert detail.startswith("potential has imaginary residue 5.000e-01 at (")
 
+    @pytest.mark.parametrize("spinor, tasks", [
+        ({"exprs": ["exp(-i*x0)", "0", "0", "0"]}, ["invert", "verify"]),
+        ({"catalog": "degenerate_example"}, ["family", "verify"]),
+    ])
+    def test_the_scenarios_real_tolerance_reaches_every_task(self, tmp_path, capsys, spinor,
+                                                             tasks):
+        # An imaginary part of 1e-7 passes the default real tolerance, 1e-6,
+        # and fails the scenario's 1e-8 in every task that reads the potential.
+        payload = {"kappa": 1.0, "spinor": spinor,
+                   "potential": {"exprs": ["0", "0", "0", "1e-7*i"]},
+                   "domain": {"count": 20, "seed": 1}, "tasks": tasks}
+        assert cli.main(["run", _write(tmp_path, payload)]) == 0
+        capsys.readouterr()
+        code, out = _run(capsys, ["run", _write(tmp_path, {**payload,
+                                                           "tolerances": {"real": 1e-8}})])
+        assert code == 1
+        reports = json.loads(out)["tasks"]
+        assert [t["task"] for t in reports] == tasks
+        for task in reports:
+            assert task["error"] == "NonRealPotential"
+            assert _check_names(task) == [(f"{task['task']} completed", False)]
+            assert task["checks"]["checks"][0]["detail"].startswith(
+                "potential has imaginary residue 1.000e-07 at (")
+
     def test_a_library_error_in_a_task_exits_2(self, tmp_path, capsys, monkeypatch):
-        def raise_guard(sc, state):
+        def raise_guard(sc, state, checks):
             raise GuardViolated("denominator below guard")
 
         monkeypatch.setitem(cli._TASK_RUNNERS, "verify", raise_guard)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from diracinv import catalog, degeneracy, exprlang
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
-from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame,
-                             require_support, sample_support, squared_norm)
+from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame, sample_support,
+                             squared_norm)
 from diracinv.inversion import FourPotential, _Covariants
 
 KAPPA = 1.0
@@ -347,10 +347,9 @@ class TestSampleSupport:
 
     def test_zero_spinor_has_no_support(self):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
-        sample = sample_support(zero, SampleDomain(count=30, seed=1))
-        assert len(sample.support) == 0
-        with pytest.raises(NoSupportPoints):
-            require_support(sample)
+        with pytest.raises(NoSupportPoints,
+                           match="^no sampled point carries a nonzero spinor value$"):
+            sample_support(zero, SampleDomain(count=30, seed=1))
 
     def test_linear_component_splits_near_its_zero_set(self):
         field = SpinorField.from_strings(["x1", "0", "0", "0"])

@@ -81,12 +81,6 @@ class TestResidualNorm:
         report = residual_norm(sample_support(rest_wave.spinor, unit_domain), shifted, 1.0)
         assert report.max_norm > 0.5
 
-    def test_zero_spinor_flags_no_support(self, unit_domain):
-        zero = SpinorField.from_strings(["0", "0", "0", "0"])
-        report = residual_norm(sample_support(zero, unit_domain), None, 1.0)
-        assert report.no_support
-        assert report.count == 0 and report.argmax_point is None
-
     def test_reports_argmax_and_relative(self, degenerate_default, unit_domain):
         sample = sample_support(degenerate_default.spinor, unit_domain)
         report = residual_norm(sample, None, 1.0)
