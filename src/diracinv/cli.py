@@ -39,7 +39,7 @@ def _classification(sc: Scenario, state: dict) -> Classification:
     """The scenario's classification, computed by the first task that needs it."""
     if "classification" not in state:
         state["classification"] = degeneracy.classify(
-            _sample(sc, state), sc.tolerances["classify"], kappa=sc.kappa)
+            _sample(sc, state), sc.tolerances["classify"])
     return state["classification"]
 
 
@@ -49,7 +49,7 @@ def _task_classify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     if expected is not None:
         checks.add("verdict matches catalog expectation", cls.verdict == expected,
                    detail=f"expected {expected}, got {cls.verdict}")
-    out = {
+    return {
         "verdict": cls.verdict,
         "support_points": len(cls.support_points),
         "s_points": len(cls.s_points),
@@ -57,13 +57,6 @@ def _task_classify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
         "tolerance": cls.tol,
         "relative_to_sample": True,
     }
-    if cls.gamma2_cover_fraction is not None:
-        out["gamma2_cover_fraction"] = cls.gamma2_cover_fraction
-    if cls.gamma2_covers_support is not None:
-        out["gamma2_covers_support"] = cls.gamma2_covers_support
-        checks.add("transpose bilinear covers sampled support",
-                   cls.gamma2_covers_support, value=cls.gamma2_cover_fraction)
-    return out
 
 
 def _task_mass(sc: Scenario, state: dict, checks: CheckSet) -> dict:
@@ -149,7 +142,7 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
 
 def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     cls = _classification(sc, state)
-    out: dict = {"members": [], "region": "supp(transpose-g2-bilinear)"}
+    out: dict = {"members": []}
     try:
         degeneracy.require_degenerate(cls)
     except NotDegenerate as exc:
@@ -159,16 +152,10 @@ def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
         ("1", exprlang.ONE), ("x0", exprlang.Name("x0"))]
     if sc.f is not None:
         directions.append((exprlang.to_text(sc.f), sc.f))
-    # The family is defined where the transpose g2 bilinear passes the guard:
-    # for nonzero mass the whole support of a degenerate solution, for zero
-    # mass possibly less.
-    region = degeneracy.gamma2_covered(cls.transpose_g2, cls.norm_sq, sc.tolerances["guard"])
-    out["region_points"] = count = int(np.count_nonzero(region))
-    checks.add("family region is nonempty on the sample", count > 0, value=float(count))
-    if count == 0:
-        return out
-    # The region is often the whole support, and a slice takes its rows without a copy.
-    fr = _sample(sc, state).frame.rows(slice(None) if region.all() else region)
+    # The family is defined on the whole support; the direction is held on
+    # this row frame, not on the run's support frame.
+    fr = _sample(sc, state).frame.rows(slice(None))
+    count = len(fr.points)
     real_tol = sc.tolerances["real"]
     if sc.potential is not None:
         base = fields.frame(sc.potential, fr.points, sc.potential.values(fr.points, real_tol))

@@ -1,10 +1,12 @@
-"""Degeneracy classification, theta ratios, and the infinite potential family.
+"""Degeneracy classification, theta, and the infinite potential family.
 
 A spinor is degenerate exactly where the indicator bilinear psi* d4 psi
 vanishes; on the sampled box the verdict is always relative to the sample.
-For degenerate spinors the three theta ratios of transpose bilinears direct
-the potential family (a0 + f, a1 + f t1, a2 + f t2, a3 + f t3) for any real
-f on the support.
+For degenerate spinors theta_k = Im(psi* g_k g4 psi) / |psi|^2, the
+spatial current over the density, directs the potential family
+(a0 + f, a1 + f t1, a2 + f t2, a3 + f t3) for any real f on the support.
+It is defined wherever psi is nonzero, and equals the paper's ratios of
+transpose bilinears (`transpose_theta`) wherever psiT g2 psi is nonzero.
 
 `indicator`, `theta` and `classify` take spinor values or frames already
 held and evaluate nothing; every bilinear here is a `fields.bilinear` call.
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .clifford import delta, gamma
-from .errors import GuardViolated, NonRealTheta, NotDegenerate
+from .clifford import IDENTITY, delta, gamma
+from .errors import NotDegenerate
 from .exprlang import Expr
 from .fields import CVector4, Frame, SupportSample, bilinear, merge_params, squared_norm
-from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, real_part
+from .inversion import DEFAULT_REAL_TOL, real_part
 
 _D4 = delta(4)
 _G2 = gamma(2)
@@ -40,19 +42,13 @@ def indicator(values: np.ndarray) -> np.ndarray:
     return bilinear(values.conj(), _D4, values)
 
 
-def gamma2_covered(transpose_g2: np.ndarray, norm_sq: np.ndarray, tol: float) -> np.ndarray:
-    """|psiT g2 psi| > tol |psi|^2: where theta, and so the potential family, is defined."""
-    return np.abs(transpose_g2) > tol * norm_sq
-
-
 @dataclass
 class Classification:
     """Sampled degeneracy verdict.
 
     On exact data the dichotomy admits only the two clean verdicts; a sample
     whose support carries both indicator-zero and indicator-nonzero points is
-    reported honestly as "mixed".  `transpose_g2` and `norm_sq` hold
-    psiT g2 psi and |psi|^2 at every support point, whatever the verdict.
+    reported honestly as "mixed".
     """
 
     verdict: str  # "degenerate" | "non-degenerate" | "mixed"
@@ -60,21 +56,14 @@ class Classification:
     s_points: np.ndarray
     degenerate_points: np.ndarray
     tol: float
-    transpose_g2: np.ndarray
-    norm_sq: np.ndarray
-    gamma2_covers_support: bool | None = None
-    gamma2_cover_fraction: float | None = None
 
 
-def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
-             kappa: float | None = None) -> Classification:
+def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Partition sampled support points by |psi* d4 psi| <= tol * |psi|^2."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
     support, values = sample.support, sample.values
-    norm_sq = squared_norm(values)
-    tb = bilinear(values, _G2, values)
-    nonzero = np.abs(indicator(values)) > tol * norm_sq
+    nonzero = np.abs(indicator(values)) > tol * squared_norm(values)
     s_points = support[nonzero]
     degenerate_points = support[~nonzero]
     if len(s_points) == 0:
@@ -83,88 +72,56 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL,
         verdict = "non-degenerate"
     else:
         verdict = "mixed"
-
-    covers = None
-    fraction = None
-    if verdict == "degenerate":
-        # Degenerate solutions with nonzero mass have the transpose g2
-        # bilinear nonvanishing on the whole support; for zero mass the
-        # covered fraction delimits the region where the family is defined.
-        covered = gamma2_covered(tb, norm_sq, tol)
-        fraction = float(np.count_nonzero(covered)) / len(support)
-        if kappa is None or kappa != 0.0:
-            covers = bool(np.all(covered))
-    return Classification(verdict, support, s_points, degenerate_points, tol,
-                          tb, norm_sq, covers, fraction)
+    return Classification(verdict, support, s_points, degenerate_points, tol)
 
 
 # ---------------------------------------------------------------------------
-# Theta ratios
+# Theta
 
-@dataclass(frozen=True)
-class ThetaTriple:
-    """The three direction ratios at each of N points."""
-
-    values: np.ndarray        # (N, 3) real
-    imag_residue: np.ndarray  # (N,)
-
-    @property
-    def norm_sq(self) -> np.ndarray:
-        return (self.values ** 2).sum(axis=1)
+# |psi|^2 and the current psi* g_k g4 psi; each g_k g4 is anti-Hermitian, so
+# the current is imaginary and d Im(psi* M psi) = 2 Im((d psi)* M psi).
+_CURRENT = np.stack([IDENTITY] + [gamma(k) @ gamma(4) for k in (1, 2, 3)])
 
 
-# theta_j = c_j psiT M_j psi / psiT g2 psi, as the (c_j, M_j) pairs.
+def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """The real direction (1, theta) (N, 4) and its partials (4, N, 4).
+
+    theta_k = Im(psi* g_k g4 psi) / |psi|^2 spans the kernel of the pointwise
+    system wherever the indicator vanishes, and is defined wherever psi is
+    nonzero.  The partials follow by the quotient rule.  It is taken once
+    per frame, through `Frame.held`, and is read-only.
+    """
+    v = fr.value
+    n, *w = bilinear(v.conj(), _CURRENT, v)
+    d_n, *d_w = bilinear(fr.derivs.conj(), _CURRENT, v)
+    n, d_n = n.real, 2 * d_n.real
+    u, du = np.ones(v.shape), np.zeros(fr.derivs.shape)
+    for k in (1, 2, 3):
+        u[:, k] = w[k - 1].imag / n
+        du[..., k] = (2 * d_w[k - 1].imag - u[:, k] * d_n) / n
+    u.flags.writeable = du.flags.writeable = False
+    return u, du
+
+
+def theta(fr: Frame) -> np.ndarray:
+    """The three real direction ratios (N, 3) at the frame's points."""
+    return fr.held(_direction)[0][:, 1:]
+
+
+# The paper's explicit ratios theta_j = c_j psiT M_j psi / psiT g2 psi, as the
+# (c_j, M_j) pairs.
 _THETA_NUMERATORS = ((-1j, gamma(5) @ gamma(3)), (-1j, gamma(4)), (1j, gamma(5) @ gamma(1)))
 
 
-# theta's transpose bilinears, denominator first, and the matrices of their
-# partials: d (psiT M psi) = (d psi)T M psi + psiT M (d psi) = (d psi)T (M + MT) psi.
-_THETA_MATRICES = np.stack([_G2] + [m for _, m in _THETA_NUMERATORS])
-_THETA_PARTIALS = _THETA_MATRICES + _THETA_MATRICES.transpose(0, 2, 1)
+def transpose_theta(values: np.ndarray) -> np.ndarray:
+    """The paper's transpose-bilinear ratios (N, 3) at spinor values (N, 4).
 
-
-def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psiT g2 psi (N,), and the complex direction (1, theta) (N, 4) and its partials.
-
-    The partials (4, N, 4) follow by the quotient rule; where the denominator
-    is zero both are taken over 1 instead, so a caller must reject those points.
-    It is taken once per frame, through `Frame.held`, and is read-only.
+    They equal `theta` on a degenerate Dirac solution wherever psiT g2 psi is
+    nonzero; where it vanishes they are undefined, so pass only such values.
     """
-    v, dv = fr.value, fr.derivs
-    den, *nums = bilinear(v, _THETA_MATRICES, v)
-    d_den, *d_nums = bilinear(dv, _THETA_PARTIALS, v)
-    safe = np.where(den == 0, 1.0, den)
-    u, du = np.ones(v.shape, dtype=complex), np.zeros(dv.shape, dtype=complex)
-    for j, (coeff, _), num, d_num in zip((1, 2, 3), _THETA_NUMERATORS, nums, d_nums):
-        u[:, j] = coeff * num / safe
-        du[..., j] = (coeff * d_num - u[:, j] * d_den) / safe
-    for shared in (den, u, du):
-        shared.flags.writeable = False
-    return den, u, du
-
-
-def theta(fr: Frame) -> ThetaTriple:
-    """The three direction ratios of transpose bilinears at the frame's points.
-
-    Raises for the first point at which the denominator psiT g2 psi misses
-    DEFAULT_GUARD or a ratio is not real to DEFAULT_REAL_TOL.
-    """
-    den, u, _ = fr.held(_direction)
-    t = u[:, 1:]
-    miss = ~gamma2_covered(den, squared_norm(fr.value), DEFAULT_GUARD)
-    residue = np.abs(t.imag).max(axis=1)
-    non_real = ~miss & (residue > DEFAULT_REAL_TOL * (1.0 + np.abs(t).max(axis=1)))
-    bad = np.flatnonzero(miss | non_real)
-    if bad.size:
-        i = bad[0]
-        where = tuple(fr.points[i].tolist())
-        if miss[i]:
-            raise GuardViolated(
-                f"|psiT g2 psi| = {abs(den[i]):.3e} <= guard at {where}: theta undefined")
-        raise NonRealTheta(
-            f"theta has imaginary residue {residue[i]:.3e} at {where}; "
-            f"the spinor is not a degenerate Dirac solution there")
-    return ThetaTriple(t.real, residue)
+    den = bilinear(values, _G2, values)
+    nums = bilinear(values, np.stack([m for _, m in _THETA_NUMERATORS]), values)
+    return np.stack([c * num / den for (c, _), num in zip(_THETA_NUMERATORS, nums)], axis=1)
 
 
 def require_degenerate(classification: Classification) -> None:
@@ -181,14 +138,12 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
 
     `fr` and `base` are the spinor's and the base potential's frames at the
     same points, where f is evaluated under the parameters of both.  Values
-    are real-checked to `real_tol`; theta must be defined at every point.
+    are real-checked to `real_tol`.
     """
     require_degenerate(classification)
     params = merge_params(base.params, fr.params)
-    den, u, du = fr.held(_direction)
+    u, du = fr.held(_direction)
     pts = fr.points
-    if not den.all():
-        raise GuardViolated(f"psiT g2 psi vanishes at {tuple(pts[den == 0][0].tolist())}")
     fv = exprlang.evaluate_many(f, pts, params)
     df = np.stack([exprlang.evaluate_many(exprlang.differentiate(f, mu), pts, params)
                    for mu in range(4)])

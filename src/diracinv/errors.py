@@ -37,10 +37,6 @@ class NonRealPotential(DiracinvError):
     """Recovered potential has an imaginary part beyond tolerance."""
 
 
-class NonRealTheta(DiracinvError):
-    """A theta ratio has an imaginary part beyond tolerance."""
-
-
 class NoSupportPoints(DiracinvError):
     """No sampled point carries a nonzero spinor value."""
 

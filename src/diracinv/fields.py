@@ -10,7 +10,8 @@ are checked only in `exprlang`, by the `_columns` that `evaluate` and
 Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
 every bilinear covariant, adjoint or transpose, including the bidirectional
-derivative and theta's partials, is a call of `bilinear` on values held.
+derivative and the current whose partials give theta's, is a call of
+`bilinear` on values held.
 One call takes a stack of matrices and forms each product of components
 once for all of them.  What several kernels read of one frame, such as the
 inversion routes' covariants or theta's direction, is computed once and
@@ -105,7 +106,7 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndar
     zero term changes nothing.  Products are spelled out in real arithmetic,
     (a+bi)(c+di) = (ac-bd) + (ad+bc)i, because numpy's complex multiply may
     fuse a multiply-add and then give a different last bit for a*b and b*a.
-    The package's matrices have entries 0, +-1, +-i, +-2 and +-2i, and
+    The package's matrices have entries 0, +-1 and +-i, and
     multiplying by those is exact, fused or not, so a matrix's result has
     the same bits whichever matrices share the call.  Pass `psi.conj()` as
     `left` for the adjoint bilinear and `psi` for the transpose one.

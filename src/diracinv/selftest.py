@@ -280,7 +280,7 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     sample = sample_support(rest.spinor, domain)
     report = verify.residual_norm(sample, rest.base_potential, rest.kappa)
     suite.add("rest wave residual", report.max_norm < 1e-12, value=report.max_norm)
-    cls = degeneracy.classify(sample, kappa=rest.kappa)
+    cls = degeneracy.classify(sample)
     suite.add("rest wave classified non-degenerate", cls.verdict == "non-degenerate",
               detail=cls.verdict)
     estimate = inversion.extract_mass(sample, None)
@@ -292,17 +292,17 @@ def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     report = verify.residual_norm(sample, deg.base_potential, deg.kappa)
     suite.add("degenerate example force-free residual", report.max_norm < 1e-10,
               value=report.max_norm)
-    cls = degeneracy.classify(sample, kappa=deg.kappa)
+    cls = degeneracy.classify(sample)
     suite.add("degenerate example classified degenerate", cls.verdict == "degenerate",
               detail=cls.verdict)
-    suite.add("transpose bilinear covers support",
-              bool(cls.gamma2_covers_support),
-              value=cls.gamma2_cover_fraction)
 
     expected = np.array(deg.thetas)
+    worst_ratio = float(np.abs(degeneracy.transpose_theta(sample.values) - expected).max())
+    suite.add("transpose-bilinear ratios match closed form", worst_ratio < 1e-9,
+              value=worst_ratio)
     t = degeneracy.theta(sample.frame)
-    worst_theta = float(np.abs(t.values - expected).max())
-    worst_norm = float(np.abs(t.norm_sq - 1.0).max())
+    worst_theta = float(np.abs(t - expected).max())
+    worst_norm = float(np.abs((t ** 2).sum(axis=1) - 1.0).max())
     suite.add("theta matches closed form", worst_theta < 1e-9, value=worst_theta)
     suite.add("theta has unit norm", worst_norm < 1e-9, value=worst_norm)
 

@@ -82,7 +82,7 @@ def test_criterion_3_family_correctness(degenerate_instances):
     # The general route must agree with the closed form on the first triple.
     inst = degenerate_instances[0]
     sample = sample_support(inst.spinor, DOMAIN)
-    cls = degeneracy.classify(sample, kappa=inst.kappa)
+    cls = degeneracy.classify(sample)
     base = frame(inversion.FourPotential.zero(), sample.support)
     for text in FAMILY_DIRECTIONS:
         member = degeneracy.potential_family(sample.frame, base, exprlang.parse(text), cls)
@@ -96,9 +96,11 @@ def test_criterion_4_theta_real_and_unit_norm(degenerate_instances):
     worst_imag = 0.0
     worst_norm = 0.0
     for inst in degenerate_instances:
-        t = degeneracy.theta(sample_support(inst.spinor, DOMAIN).frame)
-        worst_imag = max(worst_imag, float(t.imag_residue.max()))
-        worst_norm = max(worst_norm, float(np.abs(t.norm_sq - 1.0).max()))
+        sample = sample_support(inst.spinor, DOMAIN)
+        ratios = degeneracy.transpose_theta(sample.values)
+        worst_imag = max(worst_imag, float(np.abs(ratios.imag).max()))
+        t = degeneracy.theta(sample.frame)
+        worst_norm = max(worst_norm, float(np.abs((t ** 2).sum(axis=1) - 1.0).max()))
     ok = worst_imag < 1e-10 and worst_norm < 1e-9
     _verdict("criterion 4: theta ratios are real with unit norm on all support points",
              ok, f"max |Im| {worst_imag:.2e} (tol 1e-10), "
@@ -193,7 +195,7 @@ def test_criterion_8_lightlike_gap(degenerate_instances):
         members += [catalog.example_family(alpha, phi1, phi2, exprlang.parse(t))
                     for t in FAMILY_DIRECTIONS]
         sample = sample_support(inst.spinor, DOMAIN)
-        cls = degeneracy.classify(sample, kappa=kappa)
+        cls = degeneracy.classify(sample)
         verified = [m for m in members
                     if verify.residual_norm(sample, m, kappa).max_norm < 1e-9]
         assert len(verified) == 4

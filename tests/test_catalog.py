@@ -19,7 +19,7 @@ class TestRestPlaneWave:
 
     def test_classification_and_mass(self, rest_wave, unit_domain):
         sample = sample_support(rest_wave.spinor, unit_domain)
-        cls = degeneracy.classify(sample, kappa=1.0)
+        cls = degeneracy.classify(sample)
         assert cls.verdict == "non-degenerate"
         estimate = inversion.extract_mass(sample, None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-12)
@@ -32,7 +32,7 @@ class TestRestPlaneWave:
 class TestDegenerateExample:
     def test_default_parameters_are_degenerate(self, degenerate_default, unit_domain):
         sample = sample_support(degenerate_default.spinor, unit_domain)
-        cls = degeneracy.classify(sample, kappa=1.0)
+        cls = degeneracy.classify(sample)
         assert cls.verdict == "degenerate"
         report = verify.residual_norm(sample, None, 1.0)
         assert report.max_norm < 1e-10
@@ -66,7 +66,7 @@ class TestDegenerateExample:
                              {"kappa": 1.3, "alpha": -0.5, "phi1": 0.7, "phi2": 0.4})
         expected = np.array(inst.thetas)
         pts = rng.uniform(-1, 1, (10, 4))
-        for values in degeneracy.theta(frame(inst.spinor, pts)).values:
+        for values in degeneracy.theta(frame(inst.spinor, pts)):
             assert values == pytest.approx(expected, abs=1e-9)
 
     def test_construction_selftest_catches_bad_pairs(self, degenerate_default):

@@ -256,27 +256,31 @@ class TestDemo:
         assert code == 0
         assert json.loads(out)["summary"]["status"] == "pass"
 
-    def test_lset_demo_reports_partial_cover(self, capsys):
-        code, out = _run(capsys, ["demo", "lset"])
-        assert code == 0
-        classify = json.loads(out)["tasks"][0]
-        assert classify["verdict"] == "degenerate"
-        assert classify["gamma2_cover_fraction"] == 0.0
-
-    def test_family_task_on_empty_region_fails_honestly(self, tmp_path, capsys):
-        # Indicator-null zero-mass solution whose transpose bilinear vanishes
-        # identically: there is no region to define the family on.
+    @pytest.mark.parametrize("member", range(6))
+    def test_zero_mass_null_shape_carries_a_checked_family(self, tmp_path, capsys,
+                                                           monkeypatch, member):
+        # Each constant lset shape solves the force-free system at kappa = 0.
+        # Its transpose g2 bilinear vanishes identically, but theta from the
+        # current is defined at every support point, and so is the family.
+        from diracinv import verify
+        checked = _count_calls(monkeypatch, verify, "residual_norm_at",
+                               lambda fr, *args: len(fr.points))
         scenario = {
             "kappa": 0.0,
-            "spinor": {"exprs": ["1", "0", "-1", "0"]},
-            "domain": {"count": 30, "seed": 2},
-            "tasks": ["classify", "family"],
+            "spinor": {"catalog": "lset",
+                       "params": {"member": member, "psi1": "1", "psi2": "1"}},
+            "domain": {"count": 200, "seed": 7},
+            "tasks": ["classify", "family", "verify"],
         }
         code, out = _run(capsys, ["run", _write(tmp_path, scenario)])
-        assert code == 1
-        family = [t for t in json.loads(out)["tasks"] if t["task"] == "family"][0]
-        assert family["region_points"] == 0
-        assert family["checks"]["failed"] == 1
+        assert code == 0
+        tasks = {t["task"]: t for t in json.loads(out)["tasks"]}
+        assert tasks["classify"]["verdict"] == "degenerate"
+        assert tasks["classify"]["support_points"] == 200
+        members = tasks["family"]["members"]
+        assert [m["f"] for m in members] == ["1", "x0"]
+        assert all(m["residual_max"] < 1e-9 for m in members)
+        assert checked == [200, 200, 200]  # the two members, then the verify task
 
     def test_family_on_a_non_constant_theta_non_solution(self, tmp_path, capsys):
         # Degenerate (u, v, w) form with real, point-dependent theta that solves
@@ -298,10 +302,8 @@ class TestDemo:
         tasks = {t["task"]: t for t in json.loads(out)["tasks"]}
         assert tasks["classify"]["verdict"] == "degenerate"
         family = tasks["family"]
-        assert family["region_points"] == 100
         verdicts = {c["name"]: c["passed"] for c in family["checks"]["checks"]}
         assert verdicts == {
-            "family region is nonempty on the sample": True,
             "family member f=1 passes the residual oracle": False,
             "family member f=1 is light-like separated from base": True,
             "family member f=x0 passes the residual oracle": False,
@@ -459,15 +461,15 @@ _SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.mark.parametrize("scenario_name, kernel_calls", [
-    # classify 3; the mass 5 and its gauge-fixed cross-check 5; two route
+    # classify 2; the mass 5 and its gauge-fixed cross-check 5; two route
     # tables of 2, the combined route's and, on the rows it recovers, the one
     # the other two routes share.  The parent made 133 single-matrix calls.
-    ("gauge_round_trip", 17),
-    # The catalog's construction check 2; classify 3; the mass 5; the
+    ("gauge_round_trip", 16),
+    # The catalog's construction check 2; classify 2; the mass 5; the
     # combined route's table 2, whose guard passes nowhere, so the other
     # routes do not run; theta's direction 2, once for the three family
     # members.  The parent made 149.
-    ("degenerate_family", 14),
+    ("degenerate_family", 13),
 ])
 def test_bilinear_kernel_calls_per_run(tmp_path, monkeypatch, scenario_name, kernel_calls):
     from diracinv import fields
@@ -795,8 +797,7 @@ class TestTaskFailureReports:
         tasks = _failed_task(tmp_path, capsys, spinor, ["classify", "family"], **extra)
         assert tasks["classify"]["verdict"] == verdict
         family = tasks["family"]
-        # No family region is reported: without a degenerate verdict it means nothing.
-        assert set(family) == {"task", "members", "region", "checks"}
+        assert set(family) == {"task", "members", "checks"}
         assert family["members"] == []
         assert _check_names(family) == [("spinor is degenerate", False)]
         assert family["checks"]["checks"][0]["detail"] == (

@@ -8,13 +8,13 @@ from test_acceptance import TRIPLES
 from diracinv import catalog, degeneracy, exprlang, verify
 from diracinv.clifford import delta, gamma
 from diracinv.degeneracy import (bilinear_symmetry_conditions, classify, compose_values,
-                                 indicator, potential_family, theta, unzeta,
+                                 indicator, potential_family, theta, transpose_theta, unzeta,
                                  zero_mass_system_det, zeta)
-from diracinv.errors import (GuardViolated, NoSupportPoints, NonRealPotential, NonRealTheta,
-                             NotDegenerate)
+from diracinv.errors import NoSupportPoints, NonRealPotential, NotDegenerate
 from diracinv.exprlang import Expr
-from diracinv.fields import SampleDomain, SpinorField, frame, merge_params, sample_support
-from diracinv.inversion import FourPotential
+from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame, merge_params,
+                             sample_support, squared_norm)
+from diracinv.inversion import DEFAULT_GUARD, FourPotential
 
 POINT = (0.21, -0.33, 0.54, -0.18)
 AT_POINT = [POINT]
@@ -27,6 +27,14 @@ NON_CONSTANT_THETA = ["(1+0.5*x1)*(0.3+0.2*x2)+exp(i*x0)",
                       "1+0.5*x1-exp(i*x0)*(0.3+0.2*x2)",
                       "(1+0.5*x1)*(0.3+0.2*x2)-exp(i*x0)",
                       "1+0.5*x1+exp(i*x0)*(0.3+0.2*x2)"]
+
+_THETA_FIELDS = ["degenerate_example", "non-constant-theta"]
+
+
+def _theta_field(label: str) -> SpinorField:
+    if label == "non-constant-theta":
+        return SpinorField.from_strings(NON_CONSTANT_THETA)
+    return catalog.build(label).spinor
 
 
 # The symbolic family member of earlier versions, kept as a reference: theta
@@ -105,26 +113,14 @@ class TestIndicator:
 
 class TestClassify:
     def test_degenerate_example(self, degenerate_default, unit_domain):
-        cls = classify(sample_support(degenerate_default.spinor, unit_domain), kappa=1.0)
+        cls = classify(sample_support(degenerate_default.spinor, unit_domain))
         assert cls.verdict == "degenerate"
         assert len(cls.s_points) == 0
-        assert cls.gamma2_covers_support is True
-        assert cls.gamma2_cover_fraction == 1.0
 
     def test_rest_wave(self, rest_wave, unit_domain):
-        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
+        cls = classify(sample_support(rest_wave.spinor, unit_domain))
         assert cls.verdict == "non-degenerate"
         assert len(cls.degenerate_points) == 0
-
-    def test_keeps_transpose_bilinear_and_norm_for_every_verdict(self, rest_wave,
-                                                                  unit_domain):
-        # The rest wave is non-degenerate and its transpose g2 bilinear
-        # vanishes identically; |psi|^2 = 1 on the whole support.
-        cls = classify(sample_support(rest_wave.spinor, unit_domain), kappa=1.0)
-        assert cls.gamma2_cover_fraction is None
-        assert cls.transpose_g2.shape == cls.norm_sq.shape == (len(cls.support_points),)
-        assert np.array_equal(cls.transpose_g2, np.zeros(len(cls.support_points)))
-        assert cls.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_spinor_raises(self, unit_domain):
         zero = SpinorField.from_strings(["0", "0", "0", "0"])
@@ -150,16 +146,16 @@ class TestTheta:
         # +cos a sin(p2-p1), -sin a) for the exponential example.
         expected = np.array(catalog.example_thetas(0.3, 0.2, -0.1))
         pts = rng.uniform(-1, 1, (10, 4))
-        t = theta(frame(degenerate_default.spinor, pts))
-        for values, residue in zip(t.values, t.imag_residue):
+        fr = frame(degenerate_default.spinor, pts)
+        for values, ratios in zip(theta(fr), transpose_theta(fr.value)):
             assert values == pytest.approx(expected, abs=1e-9)
-            assert residue < 1e-10
+            assert np.abs(ratios.imag).max() < 1e-10
 
     def test_axis_aligned_parameters(self):
         inst = catalog.build("degenerate_example",
                              {"kappa": 1.0, "alpha": 0.0, "phi1": 0.0, "phi2": 0.0})
         t = theta(frame(inst.spinor, AT_POINT))
-        assert t.values[0] == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
+        assert t[0] == pytest.approx(np.array([1.0, 0.0, 0.0]), abs=1e-12)
 
     def test_unit_norm_over_random_parameters(self, rng):
         for _ in range(20):
@@ -170,47 +166,35 @@ class TestTheta:
                                  {"kappa": 1.0, "alpha": alpha,
                                   "phi1": phi1, "phi2": phi2})
             t = theta(frame(inst.spinor, AT_POINT))
-            assert t.norm_sq[0] == pytest.approx(1.0, abs=1e-9)
+            assert (t ** 2).sum(axis=1)[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_guard_violated_when_denominator_vanishes(self):
-        field = SpinorField.from_strings(["1", "0", "0", "0"])
-        with pytest.raises(GuardViolated):
-            theta(frame(field, AT_POINT))
-
-    def test_nonreal_theta_flags_non_solutions(self):
-        field = SpinorField.from_strings(["1", "2*i", "0.3", "0-1"])
-        with pytest.raises(NonRealTheta):
-            theta(frame(field, AT_POINT))
-
-    def test_batch_raises_for_the_first_bad_point(self):
-        # Non-real wherever x1 != 0; at x1 = 0 the spinor vanishes and the
-        # guard misses.  The first bad point in the given order decides.
-        field = SpinorField.from_strings(["x1", "2*i*x1", "0.3*x1", "0-x1"])
-        nonreal, vanishing = (0.1, 0.5, 0.2, 0.3), (0.1, 0.0, 0.2, 0.3)
-        with pytest.raises(NonRealTheta, match=r"at \(0\.1, 0\.5, 0\.2, 0\.3\)"):
-            theta(frame(field, [nonreal, vanishing]))
-        with pytest.raises(GuardViolated, match=r"at \(0\.1, 0\.0, 0\.2, 0\.3\)"):
-            theta(frame(field, [vanishing, nonreal]))
+    @pytest.mark.parametrize("label", _THETA_FIELDS)
+    def test_equals_the_transpose_ratios_where_they_are_defined(self, label):
+        sample = sample_support(_theta_field(label), SampleDomain(count=2000, seed=1))
+        v = sample.values
+        defined = np.abs(bilinear(v, gamma(2), v)) > DEFAULT_GUARD * squared_norm(v)
+        assert defined.all()
+        gap = np.abs(theta(sample.frame)[defined] - transpose_theta(v[defined])).max()
+        assert gap <= 1e-12
 
 
-def _family_inputs(field: SpinorField, base: FourPotential, domain: SampleDomain,
-                   kappa: float):
+def _family_inputs(field: SpinorField, base: FourPotential, domain: SampleDomain):
     sample = sample_support(field, domain)
-    return sample, frame(base, sample.support), classify(sample, kappa=kappa)
+    return sample, frame(base, sample.support), classify(sample)
 
 
 class TestPotentialFamily:
     def test_zero_direction_returns_base(self, degenerate_default, unit_domain):
         base = FourPotential.from_strings(["x0", "0.5", "0", "x1"])
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor, base,
-                                              unit_domain, 1.0)
+                                              unit_domain)
         member = potential_family(sample.frame, base_fr, exprlang.ZERO, cls)
         assert member.value == pytest.approx(base_fr.value, abs=1e-12)
         assert member.derivs == pytest.approx(base_fr.derivs, abs=1e-12)
 
     def test_matches_catalog_closed_form(self, degenerate_default, unit_domain):
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
-                                              FourPotential.zero(), unit_domain, 1.0)
+                                              FourPotential.zero(), unit_domain)
         f = exprlang.parse("sin(x0+x1)")
         general = potential_family(sample.frame, base_fr, f, cls)
         closed = frame(catalog.example_family(0.3, 0.2, -0.1, f), sample.support)
@@ -220,7 +204,7 @@ class TestPotentialFamily:
 
     def test_members_pass_the_residual_oracle(self, degenerate_default, unit_domain):
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
-                                              FourPotential.zero(), unit_domain, 1.0)
+                                              FourPotential.zero(), unit_domain)
         for text in ("1", "x0", "sin(x0+x1)"):
             member = potential_family(sample.frame, base_fr, exprlang.parse(text), cls)
             assert verify.residual_norm(sample, member.value, 1.0).max_norm < 1e-9
@@ -230,7 +214,7 @@ class TestPotentialFamily:
         # Each member reads the direction its frame holds; building one member
         # must not change what the next one reads.
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
-                                              FourPotential.zero(), unit_domain, 1.0)
+                                              FourPotential.zero(), unit_domain)
         fr = sample.frame.rows(slice(None))
         texts = ("1", "x0", "sin(x0+x1)")
         shared = [potential_family(fr, base_fr, exprlang.parse(t), cls) for t in texts]
@@ -244,14 +228,14 @@ class TestPotentialFamily:
 
     def test_requires_degenerate_classification(self, rest_wave, unit_domain):
         sample, base_fr, cls = _family_inputs(rest_wave.spinor, FourPotential.zero(),
-                                              unit_domain, 1.0)
+                                              unit_domain)
         with pytest.raises(NotDegenerate):
             potential_family(sample.frame, base_fr, exprlang.ONE, cls)
 
     def test_f_sees_base_and_spinor_parameters(self, degenerate_default, unit_domain):
         base = FourPotential.from_strings(["b", "0", "0", "0"], {"b": 0.5, "g": 2.0})
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor, base,
-                                              unit_domain, 1.0)
+                                              unit_domain)
         # c2 = sin(alpha) is a parameter of the spinor.
         f = exprlang.parse("b*c2 + g*x0")
         member = potential_family(sample.frame, base_fr, f, cls)
@@ -265,27 +249,24 @@ class TestPotentialFamily:
 
     def test_non_real_direction_raises(self, degenerate_default, unit_domain):
         sample, base_fr, cls = _family_inputs(degenerate_default.spinor,
-                                              FourPotential.zero(), unit_domain, 1.0)
+                                              FourPotential.zero(), unit_domain)
         with pytest.raises(NonRealPotential):
             potential_family(sample.frame, base_fr, exprlang.parse("i*x0"), cls)
 
-    def test_vanishing_denominator_raises(self, degenerate_default):
-        # Forced through a frame of points on which psiT g2 psi vanishes.
-        collapsed = SpinorField.from_strings(["1", "0", "-1", "0"])
-        fr = frame(collapsed, AT_POINT)
-        cls = classify(sample_support(degenerate_default.spinor,
-                                      SampleDomain(count=5, seed=1)))
-        with pytest.raises(GuardViolated, match="vanishes"):
-            potential_family(fr, frame(FourPotential.zero(), AT_POINT), exprlang.ONE, cls)
-
-    def test_theta_exprs_evaluate_like_theta(self, degenerate_default, rng):
-        exprs = theta_exprs(degenerate_default.spinor)
-        params = degenerate_default.spinor.params
+    @pytest.mark.parametrize("label", _THETA_FIELDS)
+    def test_theta_exprs_evaluate_like_theta_and_its_partials(self, label, rng):
+        field = _theta_field(label)
+        exprs = theta_exprs(field)
         pts = rng.uniform(-1, 1, (5, 4))
-        t = theta(frame(degenerate_default.spinor, pts))
-        for p, expected in zip(pts, t.values):
-            values = [exprlang.evaluate(e, [p], params)[0] for e in exprs]
+        direction, partials = degeneracy._direction(frame(field, pts))
+        for p, expected in zip(pts, direction[:, 1:]):
+            values = [exprlang.evaluate(e, [p], field.params)[0] for e in exprs]
             assert np.real(values) == pytest.approx(expected, abs=1e-12)
+        for mu in range(4):
+            reference = np.stack([exprlang.evaluate_many(exprlang.differentiate(e, mu), pts,
+                                                         field.params) for e in exprs], axis=1)
+            assert np.abs(partials[mu, :, 1:] - reference).max() <= 1e-12
+            assert not partials[mu, :, 0].any()
 
 
 _MATCH_CASES = [(f"triple-{i}", t) for i, t in enumerate(TRIPLES)] + [
@@ -300,8 +281,7 @@ def test_frame_members_match_the_symbolic_ones(label, triple):
         params = dict(zip(("kappa", "alpha", "phi1", "phi2"), triple))
         field, kappa = catalog.build("degenerate_example", params).spinor, triple[0]
     base = FourPotential.from_strings(["0.2*x1", "sin(x0)", "0", "x2*x3"])
-    sample, base_fr, cls = _family_inputs(field, base, SampleDomain(count=80, seed=5),
-                                          kappa)
+    sample, base_fr, cls = _family_inputs(field, base, SampleDomain(count=80, seed=5))
     assert cls.verdict == "degenerate"
     for text in ("1", "x0", "sin(x0+x1)", "x1*exp(0.3*x2)"):
         f = exprlang.parse(text)
@@ -310,7 +290,7 @@ def test_frame_members_match_the_symbolic_ones(label, triple):
         assert np.abs(member.value - reference.value).max() <= 1e-12
         gap = np.abs(verify.field_tensor(member) - verify.field_tensor(reference)).max()
         assert gap <= 1e-12
-    spread = np.ptp(theta(sample.frame).values, axis=0).max()
+    spread = np.ptp(theta(sample.frame), axis=0).max()
     assert spread > 0.1 if triple is None else spread < 1e-12
 
 
@@ -433,10 +413,8 @@ class TestZeroMass:
         inst = catalog.build("degenerate_example",
                              {"kappa": 0.0, "alpha": 0.3, "phi1": 0.2, "phi2": -0.1})
         sample = sample_support(inst.spinor, unit_domain)
-        cls = classify(sample, kappa=0.0)
+        cls = classify(sample)
         assert cls.verdict == "degenerate"
-        assert cls.gamma2_covers_support is None  # asserted only for nonzero mass
-        assert cls.gamma2_cover_fraction == 1.0
         base = frame(FourPotential.zero(), sample.support)
         member = potential_family(sample.frame, base, exprlang.parse("sin(x0+x1)"), cls)
         report = verify.residual_norm(sample, member.value, 0.0)
@@ -445,19 +423,21 @@ class TestZeroMass:
         assert extract_mass(sample, None).kappa == pytest.approx(
             0.0, abs=1e-12)
 
-    def test_collapsed_solution_has_no_family_region(self, unit_domain):
+    def test_collapsed_solution_carries_a_family(self, unit_domain):
         # [1, 0, -1, 0] solves the force-free system with kappa = 0 and is
-        # indicator-null, but its transpose bilinear vanishes identically:
-        # the reported cover fraction is zero and theta is undefined.
+        # indicator-null; its transpose bilinear vanishes identically, so the
+        # paper's ratios are undefined, but theta from the current is not.
         field = SpinorField.from_strings(["1", "0", "-1", "0"])
         sample = sample_support(field, unit_domain)
         report = verify.residual_norm(sample, None, 0.0)
         assert report.max_norm == 0.0
-        cls = classify(sample, kappa=0.0)
+        cls = classify(sample)
         assert cls.verdict == "degenerate"
-        assert cls.gamma2_cover_fraction == 0.0
-        with pytest.raises(GuardViolated):
-            theta(frame(field, AT_POINT))
+        expected = np.tile([0.0, 0.0, -1.0], (len(sample.support), 1))
+        assert np.array_equal(theta(sample.frame), expected)
+        base = frame(FourPotential.zero(), sample.support)
+        member = potential_family(sample.frame, base, exprlang.parse("sin(x0+x1)"), cls)
+        assert verify.residual_norm(sample, member.value, 0.0).max_norm < 1e-9
 
 
 class TestZeroMassSystemDet:

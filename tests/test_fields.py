@@ -188,13 +188,12 @@ def single_matrix_bilinear(left, matrix, right):
 
 
 # Every matrix the package passes to the kernel: the inversion sets and the
-# mass term's, the indicator, the theta numerators and their partials'
-# symmetrized forms, and the symmetry conditions.
+# mass term's, the indicator, the current behind theta, the transpose theta
+# numerators, and the symmetry conditions.
 SRC_MATRICES = (
     [IDENTITY] + [gamma(k) for k in range(1, 5)] + [gamma(5) @ gamma(k) for k in range(1, 5)]
     + [delta(k) for k in range(1, 5)] + [gamma(k) @ gamma(4) for k in (1, 2, 3)]
     + [m for _, m in degeneracy._THETA_NUMERATORS]
-    + [m + m.T for m in [gamma(2)] + [m for _, m in degeneracy._THETA_NUMERATORS]]
     + list(degeneracy._COND_MATRICES))
 
 
