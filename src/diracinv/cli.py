@@ -71,8 +71,6 @@ def _task_mass(sc: Scenario, state: dict, checks: CheckSet) -> dict:
         return {"error": "MassInconsistent"}
     out = {"kappa": estimate.kappa, "spread": estimate.spread,
            "points": estimate.count, "max_imag": estimate.max_imag}
-    if estimate.crosscheck_gap is not None:
-        out["gauge_fixed_crosscheck_gap"] = estimate.crosscheck_gap
     checks.add("pointwise mass is consistent", True, value=estimate.spread)
     checks.add("recovered mass matches scenario kappa",
                abs(estimate.kappa - sc.kappa) < sc.tolerances["mass"],

@@ -21,10 +21,6 @@ class EvaluationError(DiracinvError):
     """Expression evaluation failed: unbound name, domain error, or non-finite result."""
 
 
-class QuadratureError(EvaluationError):
-    """Adaptive quadrature along the path failed to converge."""
-
-
 class GuardViolated(DiracinvError):
     """A pointwise denominator bilinear fell below its guard threshold."""
 

@@ -24,13 +24,6 @@ powers and functions after they apply (negation keeps finite values
 finite).  Those checks replace numpy's floating-point warnings, which are
 off (one ``np.errstate``) for the whole walk.  A constant leaf is a
 zero-stride read-only view of one value.
-
-`path_integral` integrates an expression along the x0 axis, from a fixed
-lower limit to each point's x0, at all points at once by a composite
-Gauss-Legendre rule: 7 against 15 nodes on each of 1, 2, 4, ... 64 equal
-panels, until the per-panel differences summed over a point's panels are
-at most ``QUADRATURE_TOL`` * max(1, |integral|).  A point still open at 64
-panels, or an evaluation error of the integrand, raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -43,13 +36,11 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, QuadratureError
+from .errors import EvaluationError, ParseError
 
 VARIABLES = ("x0", "x1", "x2", "x3")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 BUILTIN_CONSTANTS = {"i": 1j, "pi": complex(math.pi), "e": complex(math.e)}
-
-QUADRATURE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -438,13 +429,6 @@ _NPFUNCS = {
 }
 _ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
-# Path quadrature: composite Gauss-Legendre, 7 against 15 nodes per panel.
-# Both counts are odd, so each panel midpoint is a node of both rules.
-_GL_LOW = np.polynomial.legendre.leggauss(7)
-_GL_HIGH = np.polynomial.legendre.leggauss(15)
-_GL_NODES = np.concatenate([_GL_LOW[0], _GL_HIGH[0]])
-_MAX_PANELS = 64
-
 
 def _non_finite(e: Expr, op: str) -> EvaluationError:
     return EvaluationError(f"{op} produced a non-finite value in {to_text(e)!r}")
@@ -505,49 +489,6 @@ def _eval_array(e: Expr, cols, params) -> np.ndarray:
         value = _NPFUNCS[e.func](arg)
         return _check_finite(value, e, e.func)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def path_integral(integrand: Expr, lower: float, points: np.ndarray,
-                  params: Mapping[str, complex] | None = None) -> np.ndarray:
-    """The (N,) integrals of `integrand` along x0 from `lower` to each (N, 4) point.
-
-    The other coordinates stay at the point's.  All points are integrated at
-    once, doubling the panels of those still open.  A point converges when
-    the per-panel differences between the 7- and the 15-node rules sum to at
-    most QUADRATURE_TOL * max(1, |integral|); the 15-node sums are returned.
-    Points still open after _MAX_PANELS panels, and any evaluation error of
-    the integrand, raise QuadratureError.
-    """
-    cols = _columns(np.asarray(points, dtype=float))
-    upper = cols[0].real
-    out = np.empty(upper.shape, dtype=complex)
-    todo = np.arange(upper.size)
-    panels = 1
-    while todo.size:
-        if panels > _MAX_PANELS:
-            raise QuadratureError(
-                f"path quadrature failed: no convergence to {QUADRATURE_TOL:.0e} with "
-                f"{_MAX_PANELS} panels at {todo.size} of {upper.size} points")
-        half = (upper[todo] - lower) / (2 * panels)                   # (m,)
-        mids = lower + half[:, None] * (2 * np.arange(panels) + 1)    # (m, panels)
-        nodes = mids[..., None] + half[:, None, None] * _GL_NODES     # (m, panels, 22)
-        per_point = panels * _GL_NODES.size
-        sub = (nodes.reshape(-1).astype(complex),
-               *(np.repeat(c[todo], per_point) for c in cols[1:]))
-        try:
-            with np.errstate(all="ignore"):
-                f = _eval_array(integrand, sub, params).reshape(nodes.shape)
-        except EvaluationError as exc:
-            raise QuadratureError(f"path quadrature failed: {exc}") from exc
-        low = (f[..., :_GL_LOW[1].size] * _GL_LOW[1]).sum(axis=-1)
-        high = (f[..., _GL_LOW[1].size:] * _GL_HIGH[1]).sum(axis=-1)
-        total = high.sum(axis=-1) * half
-        error = np.abs(high - low).sum(axis=-1) * np.abs(half)
-        done = error <= QUADRATURE_TOL * np.maximum(1.0, np.abs(total))
-        out[todo[done]] = total[done]
-        todo = todo[~done]
-        panels *= 2
-    return out
 
 
 def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None) -> np.ndarray:

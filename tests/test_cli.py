@@ -62,29 +62,25 @@ class TestRun:
         report = json.loads(out)
         tasks = {t["task"]: t for t in report["tasks"]}
         assert tasks["classify"]["verdict"] == "degenerate"
-        # Mass is extracted against the family member's temporal component,
-        # which engages the quadrature cross-check route.
+        # Mass is extracted against the family member's temporal component.
         assert tasks["mass"]["kappa"] == pytest.approx(1.0, abs=1e-9)
-        assert tasks["mass"]["gauge_fixed_crosscheck_gap"] < 1e-8
         assert tasks["verify"]["residual_max"] < 1e-9
 
-    def test_mass_crosscheck_integrates_inside_a_box_that_excludes_x0_zero(self, tmp_path,
-                                                                           capsys):
-        # a0 is smooth on the box but singular at x0 = 3, between 0 and the box:
-        # integrated from x0 = 0, the gauge-fixed route cannot converge.
+    def test_a0_pole_inside_the_box_at_no_sampled_point_passes(self, tmp_path, capsys):
+        # psi solves the equation with a0 = 1/(x0 - 0.5)^2, whose pole lies in
+        # the default box but at none of the sampled points.
         scenario = {
-            "kappa": 1.3,
-            "spinor": {"exprs": ["exp(-i*(kappa*x0 + 0.5*(x0-3)^(-1)))", "0", "0", "0"],
-                       "params": {"kappa": 1.3}},
-            "potential": {"exprs": ["-0.5*(x0-3)^(-2)", "0", "0", "0"]},
-            "domain": {"box": [[4, 5], [-1, 1], [-1, 1], [-1, 1]], "count": 80, "seed": 11},
+            "kappa": 1.0,
+            "spinor": {"exprs": ["exp(-i*(kappa*x0 - 1/(x0 - 0.5)))", "0", "0", "0"],
+                       "params": {"kappa": 1.0}},
+            "potential": {"exprs": ["1/(x0 - 0.5)^2", "0", "0", "0"]},
+            "domain": {"count": 80, "seed": 11},
             "tasks": ["classify", "mass", "invert", "verify"],
         }
         code, out = _run(capsys, ["run", _write(tmp_path, scenario)])
         assert code == 0
         mass = [t for t in json.loads(out)["tasks"] if t["task"] == "mass"][0]
-        assert mass["kappa"] == pytest.approx(1.3, abs=1e-9)
-        assert mass["gauge_fixed_crosscheck_gap"] < 1e-12
+        assert mass["kappa"] == pytest.approx(1.0, abs=1e-9)
 
     def test_inconsistent_mass_scenario_fails(self, tmp_path, capsys):
         scenario = {
@@ -461,10 +457,10 @@ _SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.mark.parametrize("scenario_name, kernel_calls", [
-    # classify 2; the mass 5 and its gauge-fixed cross-check 5; two route
-    # tables of 2, the combined route's and, on the rows it recovers, the one
-    # the other two routes share.  The parent made 133 single-matrix calls.
-    ("gauge_round_trip", 16),
+    # classify 2; the mass 5; two route tables of 2, the combined route's
+    # and, on the rows it recovers, the one the other two routes share.  The
+    # parent made 133 single-matrix calls.
+    ("gauge_round_trip", 11),
     # The catalog's construction check 2; classify 2; the mass 5; the
     # combined route's table 2, whose guard passes nowhere, so the other
     # routes do not run; theta's direction 2, once for the three family
@@ -509,17 +505,19 @@ def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_pat
     assert len(calls) == 2
 
 
-def test_gauge_fixed_mass_crosscheck_sees_every_support_row(tmp_path, monkeypatch):
-    from diracinv import inversion
+def test_mass_reads_the_scenario_a0_once_at_every_support_row(tmp_path, monkeypatch):
+    from diracinv import fields, inversion
     seen = _count_calls(monkeypatch, inversion, "extract_mass_at",
-                        lambda fr, a0, *args: (fr.points, a0 is None))
+                        lambda fr, a0, *args: (fr.points, a0))
+    path = _SHIPPED / "gauge_round_trip.json"
     out = tmp_path / "report.json"
-    assert cli.main(["run", str(_SHIPPED / "gauge_round_trip.json"), "--out", str(out)]) == 0
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
     mass = [t for t in json.loads(out.read_text())["tasks"] if t["task"] == "mass"][0]
-    assert mass["gauge_fixed_crosscheck_gap"] < 1e-8
-    (direct, direct_a0_none), (fixed, fixed_a0_none) = seen
-    assert not direct_a0_none and fixed_a0_none
-    assert len(fixed) == mass["points"] > 3 and np.array_equal(fixed, direct)
+    sc = scenario.load_scenario(path)
+    support = fields.sample_support(sc.spinor, sc.domain, sc.tolerances["support"]).support
+    [(points, a0)] = seen
+    assert a0 == sc.potential.components[0]
+    assert len(points) == mass["points"] > 3 and np.array_equal(points, support)
 
 
 @pytest.mark.parametrize("command", [
@@ -580,10 +578,13 @@ def test_a_later_route_fails_at_its_own_row_of_the_recovered_ones(tmp_path, caps
 def test_cli_import_does_not_load_scipy():
     import subprocess
     import sys
-    probe = "import sys, diracinv.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, diracinv.cli; "
+             "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    scipy_loaded, polynomial_loaded = out.split()
+    assert scipy_loaded == "False"
+    assert polynomial_loaded == "False"
 
 
 def test_reports_reject_non_finite_numbers():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracinv import exprlang, selftest
-from diracinv.errors import EvaluationError, ParseError, QuadratureError
+from diracinv.errors import EvaluationError, ParseError
 from diracinv.exprlang import (differentiate, evaluate, evaluate_many, parse,
                                to_text)
 
@@ -112,6 +112,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"points must have shape \(N, 4\), got \(4,\)"):
             evaluate(parse("x0"), (0, 0, 0, 0))
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0, 0.0, 0.0)], r"points must have shape \(N, 4\), got \(1, 3\)"),
+        ([(math.nan, 0, 0, 0)], "point coordinates must be finite"),
+    ])
+    def test_rejects_bad_points(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(parse("x0"), points)
+
     def test_vectorized_surfaces_nonfinite(self):
         pts = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(EvaluationError):
@@ -135,16 +143,6 @@ class TestEvaluatorFloatingPointState:
             with pytest.raises(EvaluationError) as info:
                 evaluate(parse(text), self.POINTS)
         assert str(info.value) == message
-        assert np.geterr() == before
-
-    def test_a_pole_on_the_path_raises_without_warnings(self):
-        before = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(QuadratureError) as info:
-                exprlang.path_integral(parse("1/(x0-0.5)"), 0.0, self.POINTS)
-        assert str(info.value) == ("path quadrature failed: division produced a "
-                                   "non-finite value in '1/(x0-0.5)'")
         assert np.geterr() == before
 
     @pytest.mark.parametrize("text", ["2.5", "pi", "k1"])
@@ -209,62 +207,6 @@ class TestDifferentiate:
                 lo[1] -= h
                 fd = (evaluate(e, [hi])[0] - evaluate(e, [lo])[0]) / (2 * h)
                 assert evaluate(d, [p])[0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-class TestPathIntegral:
-    def test_zero_integrand_gives_zeros(self, rng):
-        pts = rng.uniform(-1, 1, (5, 4))
-        assert np.array_equal(exprlang.path_integral(exprlang.ZERO, 0.0, pts), np.zeros(5))
-
-    def test_constant_integrand(self):
-        values = exprlang.path_integral(parse("0.7"), 0.0, [(0.4, 0, 0, 0)])
-        assert values.shape == (1,)
-        assert values[0] == pytest.approx(0.28, rel=1e-10)
-
-    def test_parameters_bind_in_the_integrand(self):
-        values = exprlang.path_integral(parse("k*x1"), 0.0, [(0.5, 2.0, 0, 0)], {"k": 3.0})
-        assert values[0] == pytest.approx(3.0, rel=1e-12)
-
-    def test_lower_limit_and_reversed_paths(self):
-        pts = [(0.2, 0, 0, 0), (-0.6, 0, 0, 0), (0.5, 0, 0, 0)]
-        values = exprlang.path_integral(parse("2*x0"), 0.5, pts)
-        assert np.abs(values - np.array([0.04 - 0.25, 0.36 - 0.25, 0.0])).max() <= 1e-15
-
-    def test_partials_of_the_integral(self, rng):
-        # d/dx0 gives the integrand back; d/dx1 is the integral of its x1 partial.
-        e = parse("sin(x0)*x1^2")
-        p = rng.uniform(-1, 1, 4)
-        h = 1e-5
-        shifted = np.repeat(p[None, :], 4, axis=0)
-        shifted[:, :2] += [[h, 0], [-h, 0], [0, h], [0, -h]]
-        f = exprlang.path_integral(e, 0.0, shifted)
-        spatial = exprlang.path_integral(differentiate(e, 1), 0.0, [p])[0]
-        assert (f[0] - f[1]) / (2 * h) == pytest.approx(evaluate(e, [p])[0], rel=1e-7, abs=1e-9)
-        assert (f[2] - f[3]) / (2 * h) == pytest.approx(spatial, rel=1e-7, abs=1e-9)
-
-    @pytest.mark.parametrize("text, closed_form", [
-        ("sin(x0)", lambda p: 1 - np.cos(p[:, 0])),
-        ("exp(0.3*x0)*x1", lambda p: (np.exp(0.3 * p[:, 0]) - 1) / 0.3 * p[:, 1]),
-        ("1/(x0+3)", lambda p: np.log((p[:, 0] + 3) / 3)),
-    ])
-    def test_closed_forms_at_fifty_points(self, rng, text, closed_form):
-        pts = rng.uniform(-1, 1, (50, 4))
-        values = exprlang.path_integral(parse(text), 0.0, pts)
-        assert np.abs(values - closed_form(pts)).max() <= 1e-12
-
-    def test_unresolved_integrand_fails_at_the_panel_cap(self):
-        # A peak of width 1e-6 on the path is beyond 64 panels of 15 nodes.
-        with pytest.raises(QuadratureError, match="no convergence"):
-            exprlang.path_integral(parse("1/((x0 - 0.3)^2 + 1e-12)"), 0.0, [(1.0, 0, 0, 0)])
-
-    def test_integrand_evaluation_error_is_a_quadrature_error(self):
-        with pytest.raises(QuadratureError, match="path quadrature failed: division"):
-            exprlang.path_integral(parse("1/x1"), 0.0, [(1.0, 0, 0, 0)])
-
-    @pytest.mark.parametrize("points", [[(0.0, 0.0, 0.0)], [(math.nan, 0, 0, 0)]])
-    def test_rejects_bad_points(self, points):
-        with pytest.raises(ValueError):
-            exprlang.path_integral(parse("x0"), 0.0, points)
 
 
 def test_one_row_batch_has_the_bits_of_its_row_in_a_larger_batch():

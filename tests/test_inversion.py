@@ -6,12 +6,10 @@ import solutions
 
 from diracinv import catalog, exprlang, verify
 from diracinv.clifford import IDENTITY, delta, gamma
-from diracinv.errors import (EvaluationError, MassInconsistent, NonRealPotential,
-                             QuadratureError, ZeroNorm)
+from diracinv.errors import MassInconsistent, NonRealPotential, ZeroNorm
 from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
-from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at,
-                                gauge_fix_temporal, gauge_transform, invert_combined,
-                                invert_gamma4, invert_gamma5gamma4)
+from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at, gauge_transform,
+                                invert_combined, invert_gamma4, invert_gamma5gamma4)
 
 POINT = (0.13, -0.42, 0.78, 0.31)
 AT_POINT = [POINT]
@@ -294,29 +292,17 @@ class TestExtractMass:
                                     a0_params=pot.params)
             assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
-    def test_crosscheck_route_engages_for_temporal_potentials(self, rest_wave, rng):
-        f, params = solutions.random_gauge_function(rng)
-        spinor, shift = gauge_transform(rest_wave.spinor, f, params)
-        pot = FourPotential.zero().plus(shift)
-        estimate = extract_mass(sample_support(spinor, SampleDomain(count=10, seed=6)),
-                                pot.components[0], a0_params=pot.params)
-        assert estimate.crosscheck_gap is not None
-        assert estimate.crosscheck_gap < 1e-8
-
-    def test_crosscheck_covers_every_support_point(self):
+    def test_a0_pole_between_support_points_leaves_the_mass_defined(self):
         # psi = exp(-i (kappa x0 - 1/(x0 - 0.5))) e1 solves the equation with
-        # a0 = 1/(x0 - 0.5)^2.  At seed 2 the first three support points have
-        # x0 < 0.5, and the path to a later one crosses the pole.
+        # a0 = 1/(x0 - 0.5)^2, which has a pole inside the box at no sampled
+        # point: at seed 2 support points lie on both sides of x0 = 0.5.
         field = SpinorField.from_strings(["exp(-i*(kappa*x0 - 1/(x0 - 0.5)))", "0", "0", "0"],
                                          {"kappa": 1.0})
         sample = sample_support(field, SampleDomain(count=10, seed=2))
         assert (sample.support[:3, 0] < 0.5).all() and (sample.support[3:, 0] > 0.5).any()
-        a0 = exprlang.parse("1/(x0 - 0.5)^2")
-        with pytest.raises(QuadratureError, match="no convergence"):
-            extract_mass(sample, a0)
-        first = sample_support(field, SampleDomain(count=3, seed=2))
-        assert np.array_equal(first.support, sample.support[:3])
-        assert extract_mass(first, a0).crosscheck_gap < 1e-8
+        estimate = extract_mass(sample, exprlang.parse("1/(x0 - 0.5)^2"))
+        assert estimate.count == 10
+        assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFourPotentialValues:
@@ -365,54 +351,3 @@ class TestGaugeTransform:
             assert back.values([p])[0] == pytest.approx(rest_wave.spinor.values([p])[0],
                                                         rel=1e-12, abs=1e-12)
             assert np.abs(total.values([p])[0]).max() < 1e-12
-
-
-class TestGaugeFixTemporal:
-    def test_zero_component_is_identity(self, rest_wave):
-        fr = frame(rest_wave.spinor, AT_POINT)
-        fixed = gauge_fix_temporal(fr, exprlang.ZERO, 0.0)
-        assert np.array_equal(fixed.value, fr.value)
-        assert np.array_equal(fixed.derivs, fr.derivs)
-        assert np.array_equal(fixed.points, fr.points) and fixed.params == fr.params
-
-    def test_constant_component_closed_form(self, rest_wave):
-        fixed = gauge_fix_temporal(frame(rest_wave.spinor, AT_POINT), exprlang.parse("0.7"), 0.0)
-        expected = np.exp(1j * 0.7 * POINT[0]) * rest_wave.spinor.values(AT_POINT)[0]
-        assert fixed.value[0] == pytest.approx(expected, rel=1e-10)
-
-    def test_matches_the_closed_form_frame_at_fifty_points(self, rest_wave, rng):
-        # a0 = sin(x0) x1 integrates from 0 to (1 - cos x0) x1, so the fixed
-        # spinor is exp(i (1 - cos x0) x1) psi_rest, values and all 16 partials.
-        pts = rng.uniform(-1, 1, (50, 4))
-        fixed = gauge_fix_temporal(frame(rest_wave.spinor, pts), exprlang.parse("sin(x0)*x1"),
-                                   0.0)
-        closed = frame(rest_wave.spinor.scaled_by(exprlang.parse("exp(i*(1 - cos(x0))*x1)")),
-                       pts)
-        assert np.abs(fixed.value - closed.value).max() <= 1e-14
-        assert np.abs(fixed.derivs - closed.derivs).max() <= 1e-14
-
-    def test_parameters_merge_and_conflicts_raise(self, rest_wave):
-        fr = frame(rest_wave.spinor, AT_POINT)
-        fixed = gauge_fix_temporal(fr, exprlang.parse("w"), 0.0, {"w": 0.5})
-        assert fixed.params == {"kappa": 1.0, "w": 0.5}
-        assert fixed.value[0, 0] == pytest.approx(np.exp(1j * (0.5 - 1.0) * POINT[0]))
-        with pytest.raises(ValueError, match="conflicting"):
-            gauge_fix_temporal(fr, exprlang.parse("kappa"), 0.0, {"kappa": 2.0})
-
-    def test_family_member_reproduces_mass_after_fixing(self, degenerate_default):
-        # The degenerate spinor with the constant family member has a0 = 1;
-        # removing it gives a spinor whose zero-potential mass is kappa.
-        fixed = gauge_fix_temporal(frame(degenerate_default.spinor, AT_POINT), exprlang.ONE,
-                                   0.0)
-        assert extract_mass_at(fixed, None).kappa[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_singular_path_surfaces_quadrature_failure(self, rest_wave):
-        fr = frame(rest_wave.spinor, [(1.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(QuadratureError):
-            gauge_fix_temporal(fr, exprlang.parse("1/(x0 - 0.5)"), 0.0)
-
-    def test_non_finite_phase_raises(self, rest_wave):
-        # exp(i * integral of -800 i) = exp(800 x0) overflows at x0 = 1.
-        fr = frame(rest_wave.spinor, [(1.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(EvaluationError, match="non-finite"):
-            gauge_fix_temporal(fr, exprlang.parse("-800*i"), 0.0)
