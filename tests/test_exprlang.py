@@ -155,6 +155,17 @@ class TestEvaluatorFloatingPointState:
 
 
 class TestDifferentiate:
+    @pytest.mark.parametrize("text, axis, closed_form", [
+        ("sin(x0)", 0, lambda p: np.cos(p[:, 0])),
+        ("exp(0.3*x0)*x1", 0, lambda p: 0.3 * np.exp(0.3 * p[:, 0]) * p[:, 1]),
+        ("exp(0.3*x0)*x1", 1, lambda p: np.exp(0.3 * p[:, 0])),
+        ("log(x0 + 3)", 0, lambda p: 1 / (p[:, 0] + 3)),
+    ])
+    def test_closed_forms_at_fifty_points(self, rng, text, axis, closed_form):
+        pts = rng.uniform(-1, 1, (50, 4))
+        values = evaluate(differentiate(parse(text), axis), pts)
+        assert np.abs(values - closed_form(pts)).max() <= 1e-14
+
     def test_exponential_phase(self):
         d = differentiate(parse("exp(i*x0)"), 0)
         assert evaluate(d, [ORIGIN])[0] == pytest.approx(1j)

@@ -6,7 +6,7 @@ import solutions
 
 from diracinv import catalog, exprlang, verify
 from diracinv.clifford import IDENTITY, delta, gamma
-from diracinv.errors import MassInconsistent, NonRealPotential, ZeroNorm
+from diracinv.errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at, gauge_transform,
                                 invert_combined, invert_gamma4, invert_gamma5gamma4)
@@ -303,6 +303,105 @@ class TestExtractMass:
         estimate = extract_mass(sample, exprlang.parse("1/(x0 - 0.5)^2"))
         assert estimate.count == 10
         assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_a0_gives_the_no_potential_mass(self, rest_wave, rng):
+        fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
+        assert np.array_equal(extract_mass_at(fr, exprlang.ZERO).kappa,
+                              extract_mass_at(fr, None).kappa)
+
+    def test_a0_parameters_bind(self, rest_wave, rng):
+        fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
+        bound = extract_mass_at(fr, exprlang.parse("w*x1"), {"w": 0.5})
+        assert np.array_equal(bound.kappa, extract_mass_at(fr, exprlang.parse("0.5*x1")).kappa)
+        with pytest.raises(EvaluationError, match="unbound name 'w'"):
+            extract_mass_at(fr, exprlang.parse("w*x1"))
+
+    def test_degenerate_spinor_has_one_mass_for_every_a0(self, degenerate_default, rng):
+        # psi* g4 psi vanishes on the degenerate spinor, so a0 drops out of
+        # the temporal relation: every member of the family has mass kappa.
+        fr = frame(degenerate_default.spinor, rng.uniform(-1, 1, (50, 4)))
+        for text in ("1", "-3.5", "sin(x0)*x1 + x2^2"):
+            kappa = extract_mass_at(fr, exprlang.parse(text)).kappa
+            assert np.abs(kappa - 1.0).max() < 1e-9
+
+    def test_a0_pole_at_a_sampled_point_raises(self, rest_wave):
+        fr = frame(rest_wave.spinor, [(0.2, 0.0, 0.0, 0.0), (0.5, 0.1, 0.0, 0.0)])
+        with pytest.raises(EvaluationError,
+                           match=r"division produced a non-finite value in '1/\(x0-0.5\)'"):
+            extract_mass_at(fr, exprlang.parse("1/(x0 - 0.5)"))
+
+    def test_non_finite_a0_raises(self, rest_wave):
+        fr = frame(rest_wave.spinor, [(1.0, 0.0, 0.0, 0.0)])
+        with pytest.raises(EvaluationError, match="exp produced a non-finite value"):
+            extract_mass_at(fr, exprlang.parse("exp(800*x0)"))
+
+    def test_non_real_a0_raises_before_the_spread(self, unit_domain):
+        # The spinor's pointwise mass is x1 (see above), which fails the
+        # spread; the non-real a0 is reported first.
+        field = SpinorField.from_strings(["exp(-i*x0*x1)", "0", "0", "0"])
+        with pytest.raises(NonRealPotential, match="potential has imaginary residue"):
+            extract_mass(sample_support(field, unit_domain), exprlang.parse("x1 + i*x2"))
+
+
+_CLIFFORD_BASIS = ([IDENTITY] + [gamma(k) for k in range(1, 6)]
+                   + [gamma(5) @ gamma(k) for k in range(1, 5)]
+                   + [gamma(j) @ gamma(k) for j in range(1, 5) for k in range(j + 1, 5)])
+
+
+@pytest.fixture(scope="module", params=[
+    ("rest", "(1 - cos(x0))*x1"),
+    ("degenerate", "0.4*x0*x1 + sin(x2) - 0.3*x3"),
+    ("generic", "exp(0.3*x0)*x2 - x1*x3")], ids=["rest", "degenerate", "generic"])
+def gauge_pair(request):
+    """Frames of psi and exp(-i f) psi at 400 points, and the gradient of f there."""
+    name, phase = request.param
+    if name == "rest":
+        field = catalog.build("rest_plane_wave", {"kappa": 1.3}).spinor
+    elif name == "degenerate":
+        field = catalog.build("degenerate_example").spinor
+    else:
+        field = SpinorField.from_strings(_GENERIC)
+    f = exprlang.parse(phase)
+    transformed, _ = gauge_transform(field, f)
+    pts = np.random.default_rng(20240918).uniform(-1, 1, (400, 4))
+    grad = np.stack([exprlang.evaluate_many(exprlang.differentiate(f, a), pts)
+                     for a in range(4)])
+    return frame(field, pts), frame(transformed, pts), f, grad
+
+
+class TestMassGaugeIdentity:
+    """Why no gauge-fixed route can check the mass: the identity, for any spinor.
+
+    exp(-i f) psi has the bilinears and product-rule sums of psi, and each
+    bidirectional term moves by -2i (d_a f) psi* M psi.  So its mass with
+    a0 + d0 f equals the mass of psi with a0 at every point.
+    """
+
+    def test_every_bilinear_is_unchanged(self, gauge_pair):
+        fr, moved, _, _ = gauge_pair
+        for m in _CLIFFORD_BASIS:
+            assert np.abs(_bil(moved, m) - _bil(fr, m)).max() < 1e-12
+
+    def test_every_product_rule_sum_is_unchanged(self, gauge_pair):
+        fr, moved, _, _ = gauge_pair
+        for m in _CLIFFORD_BASIS:
+            for axis in range(4):
+                assert np.abs(_dbil(moved, m, axis) - _dbil(fr, m, axis)).max() < 1e-12
+
+    def test_bidirectional_terms_move_by_the_gradient(self, gauge_pair):
+        fr, moved, _, grad = gauge_pair
+        for m in _CLIFFORD_BASIS:
+            for axis in range(4):
+                shift = -2j * grad[axis] * _bil(fr, m)
+                assert np.abs(_bidir(moved, m, axis) - _bidir(fr, m, axis) - shift).max() < 1e-12
+
+    def test_mass_with_the_shifted_a0_is_the_mass_with_a0(self, gauge_pair):
+        fr, moved, f, _ = gauge_pair
+        a0 = exprlang.parse(_A0)
+        before = extract_mass_at(fr, a0)
+        after = extract_mass_at(moved, exprlang.add(a0, exprlang.differentiate(f, 0)))
+        assert np.abs(after.kappa - before.kappa).max() < 1e-12
+        assert np.abs(after.imag_residue - before.imag_residue).max() < 1e-12
 
 
 class TestFourPotentialValues:
