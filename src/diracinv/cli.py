@@ -83,23 +83,17 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     pts = fr.points
     guard = sc.tolerances["guard"]
     real_tol = sc.tolerances["real"]
+    # The three routes run on this one row frame and read the one table it holds.
     combined = inversion.invert_combined(fr, sc.kappa, guard=guard)
+    others = [inversion.invert_gamma4(fr, sc.kappa, guard=guard),
+              inversion.invert_gamma5gamma4(fr, sc.kappa, guard=guard)]
     ok = combined.ok
-    # The other routes are read only where the combined one passes its guard,
-    # so they run on one frame of those rows, if there are any.
-    at_ok = np.flatnonzero(ok)
-    others = []
-    if at_ok.size:
-        recovered_fr = fr.rows(at_ok)
-        others = [route(recovered_fr, sc.kappa, guard=guard)
-                  for route in (inversion.invert_gamma4, inversion.invert_gamma5gamma4)]
 
     # Fail as a point-by-point walk would: at the lowest failing point, and
-    # there in the order combined route, known potential, other routes.
-    non_real = np.zeros((3, len(pts)), dtype=bool)
-    non_real[0] = combined.non_real(real_tol)
-    for row, route in zip(non_real[1:], others):
-        row[at_ok] = route.non_real(real_tol)
+    # there in the order combined route, known potential, other routes.  The
+    # other routes are read only where the combined one passes its guard.
+    non_real = np.stack([combined.non_real(real_tol)]
+                        + [route.non_real(real_tol) & ok for route in others])
     failed = np.flatnonzero(non_real.any(axis=0))
     stop = int(failed[0]) if failed.size else len(pts)
     known = None
@@ -107,10 +101,7 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
         upto = stop if failed.size and non_real[0, stop] else stop + 1
         known = sc.potential.values(pts[:upto][ok[:upto]], real_tol=real_tol)
     if failed.size:
-        which = int(np.argmax(non_real[:, stop]))
-        if which == 0:
-            raise combined.non_real_error(stop)
-        raise others[which - 1].non_real_error(int(np.searchsorted(at_ok, stop)))
+        raise (combined, *others)[int(np.argmax(non_real[:, stop]))].non_real_error(stop)
 
     rows = [{"point": p, "status": "ok", "a": a, "imag_residue": residue} if passed
             else {"point": p, "status": "degenerate-locus"}
@@ -125,8 +116,8 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     if recovered:
         a = combined.a[ok]
         worst_oracle = float(verify.residual_norm_at(fr.rows(ok), a, sc.kappa).max())
-        gaps = [np.abs(a - route.a)[route.ok] for route in others]
-        worst_agreement = float(max((g.max() for g in gaps if g.size), default=0.0))
+        worst_agreement = max(float(np.abs(combined.a - route.a)[ok & route.ok].max(initial=0.0))
+                              for route in others)
         checks.add("recovered potential passes the residual oracle",
                    worst_oracle < sc.tolerances["residual"], value=worst_oracle)
         checks.add("inversion routes agree where guards pass",
@@ -181,8 +172,6 @@ def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     out["gauge_criterion"] = "field-tensor equality on the sampled simply-connected box"
     out["tensor_gap_f_1"] = gap_const
     out["tensor_gap_f_x0"] = gap_linear
-    checks.add("constant member shares the base field tensor",
-               gap_const < sc.tolerances["tensor"], value=gap_const)
     checks.add("a gauge-inequivalent member exists (f=x0)",
                gap_linear >= 10 * sc.tolerances["tensor"], value=gap_linear)
     return out
@@ -199,20 +188,12 @@ def _task_verify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
             "argmax_point": list(report.argmax_point), "points": report.count}
 
 
-def _task_selftest(sc: Scenario, state: dict, checks: CheckSet) -> dict:
-    # The one runner with its own check block: its totals count checks it does not list.
-    sections, total, failed = selftest.run_selftest(sc.domain.seed, sc.domain.count)
-    return {"sections": sections,
-            "checks": {"name": "selftest", "total": total, "failed": failed, "checks": []}}
-
-
 _TASK_RUNNERS = {
     "classify": _task_classify,
     "mass": _task_mass,
     "invert": _task_invert,
     "family": _task_family,
     "verify": _task_verify,
-    "selftest": _task_selftest,
 }
 
 
@@ -230,11 +211,10 @@ def execute_scenario(sc: Scenario, command: str) -> tuple[dict, int]:
             checks = CheckSet(name)
             checks.add(f"{name} completed", False, detail=str(exc))
             result = {"error": type(exc).__name__}
-        if "checks" not in result:
-            result["checks"] = checks.as_dict()
-        total += result["checks"]["total"]
-        failed += result["checks"]["failed"]
-        task_reports.append({"task": name, **result})
+        block = checks.as_dict()
+        total += block["total"]
+        failed += block["failed"]
+        task_reports.append({"task": name, **result, "checks": block})
     return _report(command, sc.domain.seed, sc.domain.count,
                    {"scenario": sc.raw, "tasks": task_reports}, total, failed)
 

@@ -204,14 +204,11 @@ class SampleDomain:
 
 @dataclass
 class SupportSample:
-    """Sampled points partitioned by spinor magnitude, with psi on the support."""
+    """The sampled points where the spinor is resolved nonzero, with psi there."""
 
     field: SpinorField
     support: np.ndarray      # (n, 4) points where the spinor is resolved nonzero
     values: np.ndarray       # (n, 4) spinor values at the support points
-    null: np.ndarray         # (m, 4) remaining points
-    norms: np.ndarray        # (count,) spinor norms in sampling order
-    threshold: float
 
     @cached_property
     def frame(self) -> Frame:
@@ -227,8 +224,7 @@ def sample_support(field: SpinorField, domain: SampleDomain,
     pts = domain.points()
     values = field.values(pts)
     norms = np.linalg.norm(values, axis=1)
-    threshold = tol * (1.0 + float(norms.max()))
-    mask = norms > threshold
+    mask = norms > tol * (1.0 + float(norms.max()))
     if not mask.any():
         raise NoSupportPoints("no sampled point carries a nonzero spinor value")
-    return SupportSample(field, pts[mask], values[mask], pts[~mask], norms, threshold)
+    return SupportSample(field, pts[mask], values[mask])

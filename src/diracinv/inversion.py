@@ -1,26 +1,28 @@
 """Recover the 4-potential and the mass from a spinor; gauge machinery.
 
-The paper's pointwise relation is written once, in `_route`, over two
+The paper's pointwise relation is written once, in `_relation`, over two
 matrix sets: A_mu fills its temporal and bidirectional slots, B_l its curl
-slots.  The three routes are its instances, each divided by its own
-denominator psi* A4 psi: `invert_gamma4` (A = g, B = g5 g, massive),
-`invert_gamma5gamma4` (A = g5 g, B = g, mass-free) and `invert_combined`
-(A = B = d).  As d_mu = g_mu + g5 g_mu, the combined relation is the sum of
-the other two, and its denominator psi* d4 psi vanishes exactly on the
-degenerate locus.  `extract_mass_at` solves the temporal relation of the g
-set for the mass at each point; `extract_mass` requires one mass over the
-whole support.  No gauge-fixed route can check it further: exp(i Phi) psi
-has the bilinears and product-rule sums of psi, and its x0 bidirectional
-term moves by 2i a0 psi* M psi, so its temporal relation without a0 is the
-direct relation with a0, term for term, whatever Phi is.
+slots.  It gives the numerators of a0..a3 and the denominator psi* A4 psi,
+and `_recover` divides them.  `invert_gamma4` is the relation of (A = g,
+B = g5 g, massive) and `invert_gamma5gamma4` that of (A = g5 g, B = g,
+mass-free).  As d_mu = g_mu + g5 g_mu, the paper's combined relation, over
+d, is their sum term for term, and `invert_combined` divides the summed
+numerators by psi* d4 psi = psi* g4 psi + psi* g5 g4 psi, which vanishes
+exactly on the degenerate locus.  `extract_mass_at` solves the temporal
+relation of the g set for the mass at each point; `extract_mass` requires
+one mass over the whole support.  No gauge-fixed route can check it
+further: exp(i Phi) psi has the bilinears and product-rule sums of psi,
+and its x0 bidirectional term moves by 2i a0 psi* M psi, so its temporal
+relation without a0 is the direct relation with a0, term for term,
+whatever Phi is.
 
 The routes read a `fields.Frame` and evaluate no spinor.  Every bilinear
-they read comes from a table of the frame (`_Covariants`): psi* M psi, and
-(d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of the
-routes' sets, from two stacked `fields.bilinear` calls.  The table is built
-on a frame's first route and held by the frame (`Frame.held`), so the two
-gamma routes share one; the mass builds its own with only the pieces its
-relation reads.  A point whose denominator falls below the guard,
+they read comes from one table of the frame (`_Covariants`): psi* M psi,
+and (d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of
+the g and g5 g sets, from two stacked `fields.bilinear` calls.  The table
+is built on a frame's first route and held by the frame (`Frame.held`), so
+the three routes share one; the mass builds its own with only the pieces
+its relation reads.  A point whose denominator falls below the guard,
 relative to |psi|^2 there, is marked in the route's `ok` mask rather than
 raised; every recovered component carries its imaginary residue, and
 `RecoveredPotential.non_real` flags the points where it is beyond tolerance.
@@ -37,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exprlang
-from .clifford import IDENTITY, delta, gamma
+from .clifford import IDENTITY, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
@@ -121,10 +123,9 @@ class MassEstimate:
     max_imag: float
 
 
-# The matrix sets, indexed 1..4; delta(k) = gamma(k) + gamma(5) gamma(k).
+# The matrix sets, indexed 1..4.
 _GAMMA = {k: gamma(k) for k in range(1, 5)}
 _G5GAMMA = {k: gamma(5) @ gamma(k) for k in range(1, 5)}
-_DELTA = {k: delta(k) for k in range(1, 5)}
 _Gk4 = {k: gamma(k) @ gamma(4) for k in (1, 2, 3)}
 
 # -0.0 + x is x for every x, signed zeros included; +0.0 or 0 * kappa is not.
@@ -172,9 +173,9 @@ def _temporal(t: _Covariants, A: Mapping[int, np.ndarray]) -> np.ndarray:
     return -sum(t.dbil(A[k], k) for k in (1, 2, 3)) + 1j * t.bidir(A[4], 0)
 
 
-def _route(fr: Frame, t: _Covariants, kappa: float, guard: float, A: Mapping[int, np.ndarray],
-           B: Mapping[int, np.ndarray], massive: bool) -> RecoveredPotential:
-    """The pointwise relation for matrix sets A and B, over denominator psi* A4 psi.
+def _relation(t: _Covariants, kappa: float, A: Mapping[int, np.ndarray],
+              B: Mapping[int, np.ndarray], massive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators (N, 4) of the pointwise relation for matrix sets A and B, and psi* A4 psi.
 
     Spatial component j sums, over the axes k = 1, 2, 3 in order, the A4
     bidirectional term at k = j and -eps_jkl d_k (psi* B_l psi) at the other
@@ -194,42 +195,45 @@ def _route(fr: Frame, t: _Covariants, kappa: float, guard: float, A: Mapping[int
             else:
                 aj = aj + t.dbil(B[6 - j - k], k)
         spatial.append(aj + 1j * t.dbil(A[j], 0))
-    # a0 is divided by 2 den, ak by 2i den, wherever den passes the guard.
-    den = t.value(A[4])
-    ok = np.abs(den) > guard * t.value(IDENTITY).real
+    return np.stack([a0, *spatial], axis=1), t.value(A[4])
+
+
+def _recover(fr: Frame, num: np.ndarray, den: np.ndarray, guard: float) -> RecoveredPotential:
+    """a0 = n0 / 2 den and ak = nk / 2i den wherever den passes the guard, relative to |psi|^2."""
+    ok = np.abs(den) > guard * fr.held(_gamma_table).value(IDENTITY).real
     den = np.where(ok, den, 1.0)
-    raw = np.stack([a0 / (2.0 * den)] + [num / (2j * den) for num in spatial], axis=1)
+    raw = np.stack([num[:, 0] / (2.0 * den)] + [num[:, k] / (2j * den) for k in (1, 2, 3)],
+                   axis=1)
     residue = np.abs(raw.imag).max(axis=1) / (1.0 + np.abs(raw.real).max(axis=1))
     return RecoveredPotential(fr.points, np.where(ok[:, None], raw.real, np.nan), ok,
                               np.where(ok, residue, np.nan))
 
 
-# Each route table holds what its routes read, at every axis: the combined
-# route's, and the one the two gamma routes share.
-def _delta_table(fr: Frame) -> _Covariants:
-    return _Covariants(fr, (IDENTITY, *_Gk4.values(), _DELTA[4]),
-                       ((range(4), tuple(_DELTA.values())),))
-
-
 def _gamma_table(fr: Frame) -> _Covariants:
+    """What the three routes read, at every axis, held by their frame."""
     return _Covariants(fr, (IDENTITY, *_Gk4.values(), _GAMMA[4], _G5GAMMA[4]),
                        ((range(4), (*_GAMMA.values(), *_G5GAMMA.values())),))
 
 
 def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
-    return _route(fr, fr.held(_delta_table), kappa, guard, _DELTA, _DELTA, massive=True)
+    t = fr.held(_gamma_table)
+    num, den = _relation(t, kappa, _GAMMA, _G5GAMMA, massive=True)
+    num5, den5 = _relation(t, kappa, _G5GAMMA, _GAMMA, massive=False)
+    return _recover(fr, num + num5, den + den5, guard)
 
 
 def invert_gamma4(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    return _route(fr, fr.held(_gamma_table), kappa, guard, _GAMMA, _G5GAMMA, massive=True)
+    num, den = _relation(fr.held(_gamma_table), kappa, _GAMMA, _G5GAMMA, massive=True)
+    return _recover(fr, num, den, guard)
 
 
 def invert_gamma5gamma4(fr: Frame, kappa: float,
                         guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    return _route(fr, fr.held(_gamma_table), kappa, guard, _G5GAMMA, _GAMMA, massive=False)
+    num, den = _relation(fr.held(_gamma_table), kappa, _G5GAMMA, _GAMMA, massive=False)
+    return _recover(fr, num, den, guard)
 
 
 # ---------------------------------------------------------------------------

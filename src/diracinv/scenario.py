@@ -14,7 +14,7 @@ A scenario is a JSON object::
       "f": "expression",                       # family direction, optional
       "domain": {"box": [[lo, hi] x4], "count": 100, "seed": 0},
       "tolerances": {...},                     # overrides, see DEFAULT_TOLERANCES
-      "tasks": ["classify", "mass", "invert", "family", "verify", "selftest"]
+      "tasks": ["classify", "mass", "invert", "family", "verify"]
     }
 
 Parameter values are numbers or [re, im] pairs, named neither x0..x3 nor
@@ -45,7 +45,7 @@ from .exprlang import Expr
 from .fields import DEFAULT_SUPPORT_TOL, SampleDomain, SpinorField
 from .inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, DEFAULT_SPREAD_TOL, FourPotential
 
-TASKS = ("classify", "mass", "invert", "family", "verify", "selftest")
+TASKS = ("classify", "mass", "invert", "family", "verify")
 
 # Every sampled point is evaluated, so a larger domain.count (or --samples)
 # is rejected as absurd before anything is allocated.

@@ -104,7 +104,7 @@ class ResidualReport:
 def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualReport:
     """Max, relative max and argmax of the residual norms over the sampled support."""
     norms = residual_norm_at(sample.frame, potential, kappa)
-    rel = norms / ((abs(kappa) + 1.0) * sample.norms[sample.norms > sample.threshold])
+    rel = norms / ((abs(kappa) + 1.0) * np.linalg.norm(sample.values, axis=1))
     worst = int(np.argmax(norms))
     return ResidualReport(float(norms[worst]), tuple(sample.support[worst].tolist()),
                           float(rel.max()), len(norms))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from diracinv import catalog, degeneracy, exprlang
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
-from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame, sample_support,
-                             squared_norm)
+from diracinv.fields import (DEFAULT_SUPPORT_TOL, SampleDomain, SpinorField, bilinear, frame,
+                             sample_support, squared_norm)
 from diracinv.inversion import FourPotential, _Covariants
 
 KAPPA = 1.0
@@ -329,11 +329,22 @@ class TestBidirectional:
         assert _bidir(fr, gamma(4), 0)[0] == 0
 
 
+def _partition(field, domain, tol):
+    """The sampled points split as sample_support splits them, and the threshold."""
+    pts = domain.points()
+    norms = np.linalg.norm(field.values(pts), axis=1)
+    threshold = tol * (1.0 + float(norms.max()))
+    return pts[norms > threshold], pts[norms <= threshold], threshold
+
+
 class TestSampleSupport:
     def test_rest_wave_fully_supported(self, rest_wave):
-        sample = sample_support(rest_wave.spinor, SampleDomain(count=50, seed=1))
+        domain = SampleDomain(count=50, seed=1)
+        sample = sample_support(rest_wave.spinor, domain)
+        support, null, _ = _partition(rest_wave.spinor, domain, DEFAULT_SUPPORT_TOL)
+        assert np.array_equal(sample.support, support)
         assert len(sample.support) == 50
-        assert len(sample.null) == 0
+        assert len(null) == 0
 
     def test_keeps_support_values_and_builds_one_frame(self, degenerate_default):
         sample = sample_support(degenerate_default.spinor, SampleDomain(count=40, seed=2))
@@ -353,10 +364,12 @@ class TestSampleSupport:
     def test_linear_component_splits_near_its_zero_set(self):
         field = SpinorField.from_strings(["x1", "0", "0", "0"])
         # A loose threshold classifies small |x1| as null.
-        sample = sample_support(field, SampleDomain(count=400, seed=3), tol=0.05)
-        assert len(sample.null) > 0 and len(sample.support) > 0
-        threshold = sample.threshold
-        for p in sample.null:
+        domain = SampleDomain(count=400, seed=3)
+        sample = sample_support(field, domain, tol=0.05)
+        support, null, threshold = _partition(field, domain, 0.05)
+        assert np.array_equal(sample.support, support)
+        assert len(null) > 0 and len(sample.support) > 0
+        for p in null:
             assert abs(p[1]) <= threshold
         for p in sample.support:
             assert abs(p[1]) > threshold

@@ -21,8 +21,10 @@ def edge_wave():
         ["exp(kappa*x2)", "0", "0", "exp(kappa*x2)"], {"kappa": 1.0})
 
 
-# Reference: the three routes and the mass formula written out term by term,
-# each relation on its own.  The library derives all of them from one relation.
+# Reference: the two relations and the mass formula written out term by term,
+# each relation on its own, and the paper's combined relation over delta.
+# The library derives all of them from one relation; its combined route sums
+# the other two, so its bits are those of the summed references.
 _G = {k: gamma(k) for k in range(1, 6)}
 _D = {k: delta(k) for k in range(1, 5)}
 _G54 = _G[5] @ _G[4]
@@ -54,7 +56,7 @@ def reference_recover(fr, den, guard, a0_num, spatial_nums):
     return (np.where(ok[:, None], raw.real, np.nan), ok, np.where(ok, residue, np.nan))
 
 
-def reference_combined(fr, kappa, guard):
+def reference_delta(fr, kappa, guard):
     a0 = (-sum(_dbil(fr, _D[k], k) for k in (1, 2, 3))
           + 1j * _bidir(fr, _D[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _D[4], 1)
@@ -69,7 +71,7 @@ def reference_combined(fr, kappa, guard):
     return reference_recover(fr, _bil(fr, _D[4]), guard, a0, (a1, a2, a3))
 
 
-def reference_gamma4(fr, kappa, guard):
+def relation_gamma4(fr, kappa):
     a0 = (-sum(_dbil(fr, _G[k], k) for k in (1, 2, 3))
           + 1j * _bidir(fr, _G[4], 0) - 2.0 * kappa * _bil(fr, IDENTITY))
     a1 = (-2.0 * kappa * _bil(fr, _Gk4[1]) + _bidir(fr, _G[4], 1)
@@ -81,10 +83,10 @@ def reference_gamma4(fr, kappa, guard):
     a3 = (-2.0 * kappa * _bil(fr, _Gk4[3]) - _dbil(fr, _G5k[2], 1)
           + _dbil(fr, _G5k[1], 2) + _bidir(fr, _G[4], 3)
           + 1j * _dbil(fr, _G[3], 0))
-    return reference_recover(fr, _bil(fr, _G[4]), guard, a0, (a1, a2, a3))
+    return _bil(fr, _G[4]), (a0, a1, a2, a3)
 
 
-def reference_gamma5gamma4(fr, kappa, guard):
+def relation_gamma5gamma4(fr, kappa):
     a0 = (1j * _bidir(fr, _G54, 0)
           - sum(_dbil(fr, _G5k[k], k) for k in (1, 2, 3)))
     a1 = (_bidir(fr, _G54, 1) - _dbil(fr, _G[3], 2) + _dbil(fr, _G[2], 3)
@@ -93,7 +95,23 @@ def reference_gamma5gamma4(fr, kappa, guard):
           + 1j * _dbil(fr, _G5k[2], 0))
     a3 = (-_dbil(fr, _G[2], 1) + _dbil(fr, _G[1], 2) + _bidir(fr, _G54, 3)
           + 1j * _dbil(fr, _G5k[3], 0))
-    return reference_recover(fr, _bil(fr, _G54), guard, a0, (a1, a2, a3))
+    return _bil(fr, _G54), (a0, a1, a2, a3)
+
+
+def reference_gamma4(fr, kappa, guard):
+    den, (a0, *spatial) = relation_gamma4(fr, kappa)
+    return reference_recover(fr, den, guard, a0, spatial)
+
+
+def reference_gamma5gamma4(fr, kappa, guard):
+    den, (a0, *spatial) = relation_gamma5gamma4(fr, kappa)
+    return reference_recover(fr, den, guard, a0, spatial)
+
+
+def reference_combined(fr, kappa, guard):
+    (den, nums), (den5, nums5) = relation_gamma4(fr, kappa), relation_gamma5gamma4(fr, kappa)
+    a0, *spatial = (n + n5 for n, n5 in zip(nums, nums5))
+    return reference_recover(fr, den + den5, guard, a0, spatial)
 
 
 def reference_mass(fr, a0_value):
@@ -143,6 +161,19 @@ class TestOneRelation:
             assert np.array_equal(got.ok, ok)
             assert np.array_equal(_bits(got.a), _bits(a))
             assert np.array_equal(_bits(got.imag_residue), _bits(imag_residue))
+
+    def test_combined_route_matches_the_relation_over_delta(self, relation_case):
+        # The summed relations are the delta relation term for term; they
+        # differ from it only in rounding.
+        fr, kappa = relation_case
+        for guard in (1e-10, 0.5):
+            got = invert_combined(fr, kappa, guard)
+            a, ok, imag_residue = reference_delta(fr, kappa, guard)
+            assert np.array_equal(got.ok, ok)
+            scale = 1.0 + np.abs(a[ok]).max(initial=0.0)
+            assert np.abs(got.a[ok] - a[ok]).max(initial=0.0) <= 1e-12 * scale
+            assert np.abs(got.imag_residue[ok] - imag_residue[ok]).max(initial=0.0) <= 1e-12
+            assert np.isnan(got.a[~ok]).all() and np.isnan(imag_residue[~ok]).all()
 
     def test_mass_matches_its_reference_bit_for_bit(self, relation_case):
         fr, _ = relation_case

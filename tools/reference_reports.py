@@ -5,8 +5,8 @@ Usage, from the root of a source checkout::
     python3 tools/reference_reports.py > after.txt
     python3 tools/reference_reports.py "demo degenerate_example --samples 10000"
 
-Each output line is ``exit md5(stdout) md5(stderr) command``.  The 66
-reference commands are ``run`` on both shipped scenarios, ``demo`` of the
+Each output line is ``exit md5(stdout) md5(stderr) command``.  The 67
+reference commands are ``run`` on the three shipped scenarios, ``demo`` of the
 three catalog entries, ``selftest --seed 42``, and operations 0-19 of each
 benchmark workload at seed 1, as ``bench/workloads.py`` generates them.
 Each argument adds one command, split like a shell line.  Every command
@@ -36,7 +36,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from diracinv import cli  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
-SHIPPED = ("degenerate_family", "gauge_round_trip")
+SHIPPED = ("degenerate_family", "gauge_round_trip", "superposition")
 DEMOS = ("degenerate_example", "lset", "rest_plane_wave")
 WORKLOAD_SEED = 1
 WORKLOAD_OPERATIONS = 20
