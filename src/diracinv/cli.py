@@ -205,7 +205,10 @@ def execute_scenario(sc: Scenario, command: str) -> tuple[dict, int]:
     for name in (t for t in TASKS if t in sc.tasks):
         checks = CheckSet(name)
         try:
-            result = _TASK_RUNNERS[name](sc, state, checks)
+            # An overflow (a kappa near the float limit) leaves an inf or a NaN,
+            # which render_report rejects: exit 2, not a numpy warning.
+            with np.errstate(all="ignore"):
+                result = _TASK_RUNNERS[name](sc, state, checks)
         except (NoSupportPoints, NonRealPotential) as exc:
             # A task that cannot complete reports that alone, not what it checked before.
             checks = CheckSet(name)

@@ -628,6 +628,25 @@ def test_a_non_finite_report_value_exits_2_with_nothing_on_stdout(tmp_path, caps
     assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
 
 
+@pytest.mark.parametrize("kappa, message", [
+    # |kappa psi|^2 overflows inside the residual norm: the residual is inf.
+    (1.3407807929942597e+154, "inf"),
+    # kappa psi overflows in the inversion routes, and inf - inf is NaN.
+    (1.7e308, "nan"),
+])
+def test_a_kappa_that_overflows_exits_2_without_a_numpy_warning(tmp_path, capsys, kappa,
+                                                                  message):
+    # Warnings are errors under the test configuration, so a numpy overflow
+    # warning would surface here as an exception, not as exit 2.
+    payload = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+                          / "superposition.json").read_text())
+    code = cli.main(["run", _write(tmp_path, {**payload, "kappa": kappa})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: Out of range float values are not JSON compliant: {message}\n"
+
+
 def test_the_parser_is_built_once_and_carries_no_option_between_calls(tmp_path, capsys):
     scenario_path = _write(tmp_path, GOOD_SCENARIO)
     calls = [["--seed", "5", "run", scenario_path, "--samples", "30"],
