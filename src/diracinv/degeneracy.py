@@ -156,26 +156,16 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
 # ---------------------------------------------------------------------------
 # The canonical null form
 
-_UNZETA = np.array([[1, 1, 0, 0],
-                    [0, 0, 1, 1],
-                    [1, -1, 0, 0],
-                    [0, 0, 1, -1]], dtype=complex)
-_ZETA = 0.5 * np.array([[1, 0, 1, 0],
-                        [1, 0, -1, 0],
-                        [0, 1, 0, 1],
-                        [0, 1, 0, -1]], dtype=complex)
-_UNZETA.flags.writeable = False
-_ZETA.flags.writeable = False
+def zeta(x: np.ndarray) -> np.ndarray:
+    """Half-sum/half-difference coordinates of spinor values (..., 4)."""
+    x0, x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=complex), -1, 0)
+    return 0.5 * np.stack([x0 + x2, x0 - x2, x1 + x3, x1 - x3], axis=-1)
 
 
-def zeta(x: CVector4) -> CVector4:
-    """Half-sum/half-difference coordinates of a pointwise spinor value."""
-    return _ZETA @ np.asarray(x, dtype=complex)
-
-
-def unzeta(z: CVector4) -> CVector4:
-    """Inverse of the half-sum/half-difference map; the matrix product is exactly I."""
-    return _UNZETA @ np.asarray(z, dtype=complex)
+def unzeta(z: np.ndarray) -> np.ndarray:
+    """Inverse of the half-sum/half-difference map, exact where zeta's halves are."""
+    z0, z1, z2, z3 = np.moveaxis(np.asarray(z, dtype=complex), -1, 0)
+    return np.stack([z0 + z1, z2 + z3, z0 - z1, z2 - z3], axis=-1)
 
 
 def compose_values(u: complex, v: complex, w: complex) -> CVector4:

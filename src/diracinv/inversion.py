@@ -21,11 +21,12 @@ they read comes from one table of the frame (`_Covariants`): psi* M psi,
 and (d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of
 the g and g5 g sets, from two stacked `fields.bilinear` calls.  The table
 is built on a frame's first route and held by the frame (`Frame.held`), so
-the three routes share one; the mass builds its own with only the pieces
-its relation reads.  A point whose denominator falls below the guard,
-relative to |psi|^2 there, is marked in the route's `ok` mask rather than
-raised; every recovered component carries its imaginary residue, and
-`RecoveredPotential.non_real` flags the points where it is beyond tolerance.
+the three routes share one and each of its two relations, once per kappa;
+the mass builds its own with only the pieces its relation reads.  A point
+whose denominator falls below the guard, relative to |psi|^2 there, is
+marked in the route's `ok` mask rather than raised; every recovered
+component carries its imaginary residue, and `RecoveredPotential.non_real`
+flags the points where it is beyond tolerance.
 
 The temporal-slot matrices in the spatial-component relations are pinned by
 the residual oracle on manufactured solutions and hard-asserted in tests.
@@ -143,6 +144,7 @@ class _Covariants:
     """
 
     def __init__(self, fr: Frame, values: tuple, partials: tuple):
+        self.relations: dict = {}
         v, vc = fr.value, fr.value.conj()
         self._value = {m.tobytes(): b for m, b in zip(values, bilinear(vc, np.stack(values), v))}
         self._pieces = {}
@@ -215,25 +217,32 @@ def _gamma_table(fr: Frame) -> _Covariants:
                        ((range(4), (*_GAMMA.values(), *_G5GAMMA.values())),))
 
 
+def _held_relation(fr: Frame, kappa: float, massive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The g relation (massive) or the g5 g relation of the frame's held table, once per kappa."""
+    t = fr.held(_gamma_table)
+    key = (massive, float(kappa).hex())  # hex tells -0.0 from 0.0
+    if key not in t.relations:
+        A, B = (_GAMMA, _G5GAMMA) if massive else (_G5GAMMA, _GAMMA)
+        t.relations[key] = _relation(t, kappa, A, B, massive)
+    return t.relations[key]
+
+
 def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
-    t = fr.held(_gamma_table)
-    num, den = _relation(t, kappa, _GAMMA, _G5GAMMA, massive=True)
-    num5, den5 = _relation(t, kappa, _G5GAMMA, _GAMMA, massive=False)
+    num, den = _held_relation(fr, kappa, massive=True)
+    num5, den5 = _held_relation(fr, kappa, massive=False)
     return _recover(fr, num + num5, den + den5, guard)
 
 
 def invert_gamma4(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the first relation family, denominator psi* g4 psi."""
-    num, den = _relation(fr.held(_gamma_table), kappa, _GAMMA, _G5GAMMA, massive=True)
-    return _recover(fr, num, den, guard)
+    return _recover(fr, *_held_relation(fr, kappa, massive=True), guard)
 
 
 def invert_gamma5gamma4(fr: Frame, kappa: float,
                         guard: float = DEFAULT_GUARD) -> RecoveredPotential:
     """Solve the second relation family, denominator psi* g5 g4 psi (mass-free)."""
-    num, den = _relation(fr.held(_gamma_table), kappa, _G5GAMMA, _GAMMA, massive=False)
-    return _recover(fr, num, den, guard)
+    return _recover(fr, *_held_relation(fr, kappa, massive=False), guard)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 Each suite returns a CheckSet; `run_selftest` turns them into the report
 sections and their totals.  All randomness is seeded, so verdicts and
 values are reproducible for a fixed (seed, sample count) pair.  The fuzz
-suites draw in blocks from that same stream: the identity suite takes each
-check's normals in one call, and the expression generator picks options by
-the integer draw `Generator.choice` makes, so every number is the one the
-per-trial draws gave.
+suites draw in blocks from that same stream, so every number is the one the
+per-trial `Generator` draws gave: the identity suite takes each check's
+numbers in one call, and the derivative suite reads its scalar draws from
+raw blocks of the bit generator through `_RawDraws`, which repeats
+`Generator`'s arithmetic for `random`, `uniform` and `integers`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,32 +29,88 @@ _EPS = float(np.finfo(float).eps)
 _PARAM_NAMES = ("k1", "k2")
 
 
-def _pick(rng: np.random.Generator, options: tuple):
+def _pick(rng, options: tuple):
     """rng.choice(options) as Generator.choice draws it, without its array conversion."""
     return options[rng.integers(0, len(options))]
 
 
-def _random_expr(rng: np.random.Generator, depth: int) -> Expr:
+def _random_expr(rng, depth: int, variables: set[str] | None = None) -> Expr:
+    """A random tree; `rng` is a Generator or a `_RawDraws`, which draw the same numbers.
+
+    The names x0..x3 the tree reads are added to `variables` when it is given.
+    """
     if depth <= 0 or rng.random() < 0.28:
         kind = _pick(rng, ("number", "variable", "variable", "constant", "parameter"))
         if kind == "number":
             return exprlang.Num(complex(round(rng.uniform(-3, 3), 3)))
         if kind == "variable":
-            return exprlang.Name(f"x{rng.integers(0, 4)}")
+            name = f"x{rng.integers(0, 4)}"
+            if variables is not None:
+                variables.add(name)
+            return exprlang.Name(name)
         if kind == "constant":
             return exprlang.Name(_pick(rng, ("pi", "e", "i")))
         return exprlang.Name(_pick(rng, _PARAM_NAMES))
 
     kind = _pick(rng, ("negate", "add", "sub", "mul", "div", "pow", "call"))
     if kind == "negate":
-        return exprlang.Neg(_random_expr(rng, depth - 1))
+        return exprlang.Neg(_random_expr(rng, depth - 1, variables))
     if kind in ("add", "sub", "mul", "div"):
         node_cls = {"add": exprlang.Add, "sub": exprlang.Sub,
                     "mul": exprlang.Mul, "div": exprlang.Div}[kind]
-        return node_cls(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return node_cls(_random_expr(rng, depth - 1, variables),
+                        _random_expr(rng, depth - 1, variables))
     if kind == "pow":
-        return exprlang.Pow(_random_expr(rng, depth - 1), _pick(rng, (-2, -1, 2, 3)))
-    return exprlang.Call(_pick(rng, exprlang.FUNCTIONS), _random_expr(rng, depth - 1))
+        return exprlang.Pow(_random_expr(rng, depth - 1, variables), _pick(rng, (-2, -1, 2, 3)))
+    return exprlang.Call(_pick(rng, exprlang.FUNCTIONS), _random_expr(rng, depth - 1, variables))
+
+
+class _RawDraws:
+    """Generator's scalar random, uniform and integers, read from raw PCG64 blocks.
+
+    Each method repeats the arithmetic of `np.random.default_rng(seed)`'s
+    own, so a sequence of calls returns the same numbers bit for bit,
+    without a Generator call per number.  A double is the top 53 bits of a
+    u64.  A bounded integer takes a u32 as PCG64's next_uint32 does (the low
+    half of a fresh u64, keeping the high half for the next u32) and applies
+    Lemire's method with its rejection loop, for ranges of at most 2**32
+    values; a one-value range draws nothing.
+    """
+
+    _BLOCK = 1024
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._block = iter(())
+        self._half: int | None = None
+
+    def _u64(self) -> int:
+        u = next(self._block, None)
+        if u is None:
+            self._block = iter(self._bits.random_raw(self._BLOCK).tolist())
+            u = next(self._block)
+        return u
+
+    def random(self) -> float:
+        return (self._u64() >> 11) * 2.0 ** -53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if n == 1:
+            return lo
+        threshold = (2 ** 32 - n) % n
+        while True:
+            if self._half is None:
+                u = self._u64()
+                u32, self._half = u & 0xFFFFFFFF, u >> 32
+            else:
+                u32, self._half = self._half, None
+            m = u32 * n
+            if m & 0xFFFFFFFF >= threshold:
+                return lo + (m >> 32)
 
 
 def _productions_of(e: Expr) -> set[str]:
@@ -117,6 +176,13 @@ def _fd_values(e: Expr, point: np.ndarray, axis: int,
             complex((hi_half - lo_half) / (2 * (_FD_STEP / 2))))
 
 
+@functools.cache
+def _coverage_trees() -> tuple[tuple[Expr, frozenset[str]], ...]:
+    """The coverage templates parsed, each with its productions, once per process."""
+    trees = map(exprlang.parse, _COVERAGE_TEMPLATES.values())
+    return tuple((e, frozenset(_productions_of(e))) for e in trees)
+
+
 def derivative_fd_pairs(seed: int):
     """Accepted (expr, point, axis, params, sym, fd), and the productions covered and missing.
 
@@ -125,23 +191,29 @@ def derivative_fd_pairs(seed: int):
     values, magnitude window, step-halving consistency), never the symbolic
     value, so the comparison stays an honest cross-check.
     """
-    rng = np.random.default_rng(seed)
-    pending_templates = [exprlang.parse(t) for t in _COVERAGE_TEMPLATES.values()]
+    rng = _RawDraws(seed)
+    pending_templates = list(_coverage_trees())
     accepted = []
     covered: set[str] = set()
     attempts = 0
     while len(accepted) < _FD_PAIRS and attempts < _FD_PAIRS * 300:
         attempts += 1
         from_template = bool(pending_templates)
-        e = pending_templates[0] if from_template else _random_expr(
-            rng, depth=int(rng.integers(2, 4)))
-        point = rng.uniform(-0.8, 0.8, size=4)
-        axis = int(rng.integers(0, 4))
-        params = {name: complex(rng.uniform(0.5, 1.5)) for name in _PARAM_NAMES}
-        # Without the axis variable fd is exactly 0, which the window below rejects.
-        productions = _productions_of(e)
-        if exprlang.VARIABLES[axis] not in productions:
+        if from_template:
+            e, variables = pending_templates[0]
+        else:
+            variables = set()
+            e = _random_expr(rng, int(rng.integers(2, 4)), variables)
+        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
+        axis = rng.integers(0, 4)
+        ks = [rng.uniform(0.5, 1.5) for _ in _PARAM_NAMES]
+        # Every draw of the attempt is made above, so a skip leaves the stream
+        # where an evaluated attempt would.  Without the axis variable fd is
+        # exactly 0, which the window below rejects.
+        if exprlang.VARIABLES[axis] not in variables:
             continue
+        point = np.array(coords)
+        params = {name: complex(k) for name, k in zip(_PARAM_NAMES, ks)}
         try:
             value, fd, fd_half = _fd_values(e, point, axis, params)
         except exprlang.EvaluationError:
@@ -162,7 +234,7 @@ def derivative_fd_pairs(seed: int):
             pending_templates.pop(0)
         sym = exprlang.evaluate(exprlang.differentiate(e, axis), point[None], params)[0]
         accepted.append((e, point, axis, params, sym, fd_half))
-        covered |= productions
+        covered |= _productions_of(e)
     missing = set(_COVERAGE_TEMPLATES) - covered
     return accepted, covered, missing
 
@@ -210,6 +282,12 @@ def _symmetry_vectors(rng: np.random.Generator) -> np.ndarray:
     return np.stack(turns, axis=1).reshape(-1, 4)
 
 
+def _scales(psi1: np.ndarray, psi2: np.ndarray) -> list[float]:
+    """max(hypot(|p1|, |p2|), 1e-9) ** 4 per pair, from Python scalars."""
+    return [max(abs(complex(abs(p1), abs(p2))), 1e-9) ** 4
+            for p1, p2 in zip(psi1.tolist(), psi2.tolist())]
+
+
 def identity_suite(seed: int) -> CheckSet:
     """Fuzzed algebraic identities behind the classification machinery.
 
@@ -229,10 +307,11 @@ def identity_suite(seed: int) -> CheckSet:
               detail=f"borderline excluded: {np.count_nonzero(borderline)}")
 
     # The scale stays a per-pair scalar expression: numpy's array abs, hypot
-    # and power may differ from the scalar ones in the last bit.
+    # and power may differ from the scalar ones in the last bit.  Python's
+    # complex abs is libm's hypot and its ** libm's pow, as for numpy scalars.
     psi1, psi2 = _complex_normals(rng.standard_normal((1000, 4))).T
     dets = degeneracy.zero_mass_system_det(psi1, psi2)
-    scales = [max(np.hypot(abs(p1), abs(p2)), 1e-9) ** 4 for p1, p2 in zip(psi1, psi2)]
+    scales = _scales(psi1, psi2)
     worst_det = float((dets / scales).max())
     suite.add("zero-mass system determinant vanishes (1000 pairs)",
               worst_det < 1e-12, value=worst_det)
@@ -255,15 +334,12 @@ def identity_suite(seed: int) -> CheckSet:
     suite.add("all six null shapes annihilate the transpose bilinear",
               worst_shape == 0.0, value=worst_shape)
 
-    # Dyadic rationals keep the half-sum arithmetic exact.
-    exact = True
-    for _ in range(100):
-        x = (rng.integers(-2 ** 20, 2 ** 20, size=4)
-             + 1j * rng.integers(-2 ** 20, 2 ** 20, size=4)) / 256.0
-        exact = exact and np.array_equal(degeneracy.unzeta(degeneracy.zeta(x)), x)
-        z = (rng.integers(-2 ** 20, 2 ** 20, size=4)
-             + 1j * rng.integers(-2 ** 20, 2 ** 20, size=4)) / 256.0
-        exact = exact and np.array_equal(degeneracy.zeta(degeneracy.unzeta(z)), z)
+    # Dyadic rationals keep the half-sum arithmetic exact.  The four bounded
+    # draws per turn share one range, so one block call draws the same numbers.
+    ints = rng.integers(-2 ** 20, 2 ** 20, size=(100, 2, 2, 4))
+    x, z = np.moveaxis((ints[:, :, 0] + 1j * ints[:, :, 1]) / 256.0, 1, 0)
+    exact = (np.array_equal(degeneracy.unzeta(degeneracy.zeta(x)), x)
+             and np.array_equal(degeneracy.zeta(degeneracy.unzeta(z)), z))
     suite.add("zeta round-trip exact on dyadic vectors (100 each way)", exact)
     return suite
 

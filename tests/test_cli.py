@@ -509,6 +509,17 @@ def test_every_route_runs_once_on_the_invert_row_frame(tmp_path, monkeypatch, sc
                                           if scenario_name == "gauge_round_trip" else 0)
 
 
+@pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "superposition"])
+def test_each_relation_is_evaluated_once_per_invert_task(tmp_path, monkeypatch, scenario_name):
+    # The combined route sums the g and g5 g relations; the other two routes
+    # read the same two from the table their frame holds.
+    from diracinv import inversion
+    massive = _count_calls(monkeypatch, inversion, "_relation", lambda t, kappa, A, B, m: m)
+    path = _SHIPPED / f"{scenario_name}.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert sorted(massive) == [False, True]
+
+
 def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_path,
                                                                       monkeypatch):
     from diracinv import degeneracy

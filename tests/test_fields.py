@@ -397,8 +397,8 @@ def test_no_covariant_bypasses_the_bilinear_kernel():
     # Every spinor covariant goes through fields.bilinear; a vdot or an
     # einsum in the package would be a second, differently rounded kernel.
     # No function of the per-point modules takes a matrix product either:
-    # its bits, and its time, would depend on BLAS threads.  zeta and unzeta
-    # act on one (4,) vector; module-level constants are built once.
+    # its bits, and its time, would depend on BLAS threads.  Module-level
+    # constants are built once.
     import ast
     import pathlib
 
@@ -424,8 +424,7 @@ def test_no_covariant_bypasses_the_bilinear_kernel():
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 products += [(name, getattr(function, "name", "<lambda>"), node.lineno)
                              for node in ast.walk(function) if is_product(node)]
-    assert {(name, function) for name, function, _ in products} == {
-        ("degeneracy", "zeta"), ("degeneracy", "unzeta")}, products
+    assert products == []
 
 
 def test_no_claim_is_checked_on_a_fixed_prefix_of_the_points():

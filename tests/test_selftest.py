@@ -119,3 +119,75 @@ def test_the_coverage_templates_use_every_node_and_print_back_to_themselves():
     assert set().union(*map(_node_types, trees)) == set(typing.get_args(exprlang.Expr))
     for tree in trees:
         assert exprlang.parse(exprlang.to_text(tree)) == tree
+
+
+# Ranges of `integers`: one value (no draw), small ones, and 3 * 2**30 and
+# 2**31 + 1, where Lemire's method rejects about one u32 in four and in two.
+_RANGES = [(0, 1), (5, 6), (0, 2), (0, 4), (2, 4), (0, 7), (-2 ** 20, 2 ** 20),
+           (0, 3 * 2 ** 30), (-1, 3 * 2 ** 30 + 2), (0, 2 ** 31 + 1)]
+
+
+def _draw(rng, op: int):
+    """One call, picked by `op`: random, a uniform over one of three intervals, or integers."""
+    if op == 0:
+        return rng.random().hex()
+    if op <= 3:
+        lo, hi = ((-3, 3), (-0.8, 0.8), (0.5, 1.5))[op - 1]
+        return rng.uniform(lo, hi).hex()
+    return int(rng.integers(*_RANGES[op - 4]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 109300515])
+def test_the_raw_reader_draws_what_the_generator_draws(seed):
+    # 3 000 interleaved calls take more than one 1 024-draw block.
+    ops = np.random.default_rng([seed, 1]).integers(0, 4 + len(_RANGES), size=3000).tolist()
+    reader, generator = selftest._RawDraws(seed), np.random.default_rng(seed)
+    assert [_draw(reader, op) for op in ops] == [_draw(generator, op) for op in ops]
+    # Then the next 64 draws of each kind.
+    for op in [0] * 64 + [2] * 64 + [7] * 64 + [11] * 64:
+        assert _draw(reader, op) == _draw(generator, op)
+
+
+class _CountingDraws(selftest._RawDraws):
+    u64s = 0
+
+    def _u64(self) -> int:
+        self.u64s += 1
+        return super()._u64()
+
+
+def test_the_wide_range_takes_lemire_rejections_and_still_matches():
+    # With n = 3 * 2**30, a u32 is rejected when the low word of u32 * n is
+    # below 2**30, about one time in four.
+    reader, generator = _CountingDraws(3), np.random.default_rng(3)
+    values = [reader.integers(0, 3 * 2 ** 30) for _ in range(2000)]
+    assert values == [int(generator.integers(0, 3 * 2 ** 30)) for _ in range(2000)]
+    u32s = 2 * reader.u64s - (reader._half is not None)
+    assert 2500 < u32s < 2850
+
+
+@pytest.mark.parametrize("seed", [0, 42, 109300515])
+def test_selftest_sections_equal_with_the_generator_in_place_of_the_reader(seed,
+                                                                           monkeypatch):
+    with_reader = selftest.run_selftest(seed, 100)
+    monkeypatch.setattr(selftest, "_RawDraws", np.random.default_rng)
+    assert selftest.run_selftest(seed, 100) == with_reader
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_zeta_integers_drawn_in_one_block_equal_the_per_iteration_draws(seed):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = new.integers(-2 ** 20, 2 ** 20, size=(100, 2, 2, 4))
+    turns = [[[old.integers(-2 ** 20, 2 ** 20, size=4) for _ in "ri"] for _ in "xz"]
+             for _ in range(100)]
+    assert np.array_equal(block, np.array(turns))
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_scales_from_python_scalars_have_the_bits_of_the_numpy_scalar_ones(seed):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((250, 22))  # the symmetry check's block comes first
+    psi1, psi2 = selftest._complex_normals(rng.standard_normal((1000, 4))).T
+    old = [max(np.hypot(abs(p1), abs(p2)), 1e-9) ** 4 for p1, p2 in zip(psi1, psi2)]
+    assert np.array_equal(_bits(selftest._scales(psi1, psi2)), _bits(np.array(old)))
