@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except DiracinvError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
+    except RecursionError:
+        sys.stderr.write("error: an expression is nested too deeply to parse or evaluate\n")
+        return 2
     try:
         _emit(report, args.out)
     except ValueError as exc:  # a non-finite number reached the report, or --out failed

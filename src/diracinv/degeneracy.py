@@ -144,9 +144,9 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
     params = merge_params(base.params, fr.params)
     u, du = fr.held(_direction)
     pts = fr.points
-    fv = exprlang.evaluate_many(f, pts, params)
-    df = np.stack([exprlang.evaluate_many(exprlang.differentiate(f, mu), pts, params)
-                   for mu in range(4)])
+    f_rows = exprlang.evaluate_many([f, *(exprlang.differentiate(f, mu) for mu in range(4))],
+                                    pts, params)
+    fv, df = f_rows[0], f_rows[1:]
     partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
     partials += df[:, :, None] * u
     partials += base.derivs

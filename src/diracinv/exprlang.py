@@ -13,10 +13,11 @@ Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 parameter bound at evaluation time.  Functions: sin cos tan exp log sqrt
 sinh cosh (principal branches).
 
-Differentiation is exact on the AST.  There is one evaluator, `evaluate`:
-it walks the tree once for an (N, 4) batch of points in IEEE double complex
-numpy arithmetic and gives an (N,) array; a row's bits do not depend on
-the other rows.  One point is evaluated as a batch of one.
+Differentiation is exact on the AST, and a derivative reuses its operand's
+nodes.  There is one evaluator, `evaluate`: it walks one tree, or a sequence
+of K trees, for an (N, 4) batch of points in IEEE double complex numpy
+arithmetic, evaluates each node object once per call, and gives an (N,) or
+(K, N) array whose row bits do not depend on the other rows or trees.
 A node whose value is non-finite at any point raises ``EvaluationError``
 with the message "<op> produced a non-finite value in '<expr>'": literals,
 constants and parameters are checked when resolved, arithmetic, division,
@@ -32,7 +33,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -383,16 +384,16 @@ def differentiate(e: Expr, axis: int) -> Expr:
     return _diff(e, axis)
 
 
-# The derivative of each function at its argument a.
+# The derivative of each function at its call c; exp and sqrt reuse c itself.
 _DERIVATIVES = {
-    "sin": lambda a: Call("cos", a),
-    "cos": lambda a: neg(Call("sin", a)),
-    "tan": lambda a: div(ONE, powi(Call("cos", a), 2)),
-    "exp": lambda a: Call("exp", a),
-    "log": lambda a: div(ONE, a),
-    "sqrt": lambda a: div(ONE, mul(Num(2 + 0j), Call("sqrt", a))),
-    "sinh": lambda a: Call("cosh", a),
-    "cosh": lambda a: Call("sinh", a),
+    "sin": lambda c: Call("cos", c.arg),
+    "cos": lambda c: neg(Call("sin", c.arg)),
+    "tan": lambda c: div(ONE, powi(Call("cos", c.arg), 2)),
+    "exp": lambda c: c,
+    "log": lambda c: div(ONE, c.arg),
+    "sqrt": lambda c: div(ONE, mul(Num(2 + 0j), c)),
+    "sinh": lambda c: Call("cosh", c.arg),
+    "cosh": lambda c: Call("sinh", c.arg),
 }
 
 
@@ -416,16 +417,18 @@ def _diff(e: Expr, axis: int) -> Expr:
         inner = _diff(e.base, axis)
         return mul(mul(Num(complex(e.exponent)), powi(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        return mul(_DERIVATIVES[e.func](e.arg), _diff(e.arg, axis))
+        return mul(_DERIVATIVES[e.func](e), _diff(e.arg, axis))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
+# + 0.0 maps the imaginary -0.0 negation leaves to +0.0: the principal branch.
 _NPFUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh,
+    "log": lambda a: np.log(a + 0.0), "sqrt": lambda a: np.sqrt(a + 0.0),
+    "sinh": np.sinh, "cosh": np.cosh,
 }
 _ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
@@ -466,43 +469,46 @@ def _columns(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(pts[:, k].astype(complex) for k in range(4))
 
 
-def _eval_array(e: Expr, cols, params) -> np.ndarray:
-    """The (N,) value of e; callers hold np.errstate(all="ignore") around the whole walk."""
+def _eval_array(e: Expr, cols, params, memo: dict) -> np.ndarray:
+    """The (N,) value of e, memoized by node identity; callers hold np.errstate."""
+    value = memo.get(id(e))
+    if value is not None:
+        return value
     if isinstance(e, Num):
-        return _leaf(e.value, e, "number", cols[0].shape)
-    if isinstance(e, Name):
-        return _resolve(e, cols, params)
-    # Negation of finite values is finite.
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, cols, params)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        lhs = _eval_array(e.lhs, cols, params)
-        rhs = _eval_array(e.rhs, cols, params)
-        value = _ARITHMETIC[type(e)](lhs, rhs)
-        return _check_finite(value, e, "division" if isinstance(e, Div) else "arithmetic")
-    if isinstance(e, Pow):
-        base = _eval_array(e.base, cols, params)
-        value = base ** e.exponent
-        return _check_finite(value, e, "power")
-    if isinstance(e, Call):
-        arg = _eval_array(e.arg, cols, params)
-        value = _NPFUNCS[e.func](arg)
-        return _check_finite(value, e, e.func)
-    raise TypeError(f"not an expression node: {e!r}")
+        value = _leaf(e.value, e, "number", cols[0].shape)
+    elif isinstance(e, Name):
+        value = _resolve(e, cols, params)
+    elif isinstance(e, Neg):  # negation of finite values is finite
+        value = -_eval_array(e.arg, cols, params, memo)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        value = _ARITHMETIC[type(e)](_eval_array(e.lhs, cols, params, memo),
+                                     _eval_array(e.rhs, cols, params, memo))
+        value = _check_finite(value, e, "division" if isinstance(e, Div) else "arithmetic")
+    elif isinstance(e, Pow):
+        value = _check_finite(_eval_array(e.base, cols, params, memo) ** e.exponent, e, "power")
+    elif isinstance(e, Call):
+        value = _check_finite(_NPFUNCS[e.func](_eval_array(e.arg, cols, params, memo)), e, e.func)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = value
+    return value
 
 
-def evaluate(e: Expr, points, params: Mapping[str, complex] | None = None) -> np.ndarray:
-    """Evaluate at N points (N, 4) to an (N,) complex array.
+def evaluate(e: Expr | Sequence[Expr], points,
+             params: Mapping[str, complex] | None = None) -> np.ndarray:
+    """One tree at N points (N, 4) to an (N,) complex array, or K trees to (K, N).
 
-    Coordinates must be finite.  Any node whose value is non-finite at some
-    point raises EvaluationError.
+    Coordinates must be finite.  Trees are walked in order, depth first; the
+    first node whose value is non-finite at some point raises EvaluationError.
     """
     cols = _columns(np.asarray(points, dtype=float))
-    with np.errstate(all="ignore"):
-        return _eval_array(e, cols, params).astype(complex)
+    trees, memo = (e if isinstance(e, (list, tuple)) else [e]), {}
+    with np.errstate(all="ignore"):  # np.array copies each row out of the memo
+        out = np.array([_eval_array(tree, cols, params, memo) for tree in trees], dtype=complex)
+    return out if trees is e else out[0]
 
 
-def evaluate_many(e: Expr, points: np.ndarray,
+def evaluate_many(e: Expr | Sequence[Expr], points: np.ndarray,
                   params: Mapping[str, complex] | None = None) -> np.ndarray:
-    """Vectorized evaluation over an (N, 4) array of points."""
+    """Vectorized evaluation of one tree or a sequence of trees over an (N, 4) array of points."""
     return evaluate(e, points, params)

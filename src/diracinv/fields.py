@@ -2,9 +2,9 @@
 
 An `ExpressionField`, the base of `SpinorField` and `inversion.FourPotential`,
 holds four closed-form complex components over (x0, x1, x2, x3) plus shared
-parameter bindings.  Component partials are differentiated symbolically once
-and cached per (component, axis); caching is semantically invisible.  Points
-are checked only in `exprlang`, by the `_columns` that `evaluate` calls.
+parameter bindings.  Its 16 partials are differentiated once, into the
+tuple `partials`; the components, and the partials, take one `evaluate` call
+each.  Points are checked only in `exprlang`, by its `_columns`.
 
 Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
@@ -43,9 +43,7 @@ DEFAULT_SUPPORT_TOL = 1e-12
 
 def merge_params(*maps: Mapping[str, complex] | None) -> dict[str, complex]:
     merged: dict[str, complex] = {}
-    for m in maps:
-        if not m:
-            continue
+    for m in filter(None, maps):
         for k, v in m.items():
             v = complex(v)
             if k in merged and merged[k] != v:
@@ -63,22 +61,19 @@ class ExpressionField:
             raise ValueError(f"{self.NOUN} has exactly 4 components, got {len(components)}")
         self.components = components
         self.params = dict(params) if params else {}
-        self._derivatives: dict[tuple[int, int], Expr] = {}
 
     @classmethod
     def from_strings(cls, texts: Sequence[str], params: Mapping[str, complex] | None = None):
         return cls([exprlang.parse(t) for t in texts], params)
 
-    def component_derivative(self, idx: int, axis: int) -> Expr:
-        key = (idx, axis)
-        if key not in self._derivatives:
-            self._derivatives[key] = exprlang.differentiate(self.components[idx], axis)
-        return self._derivatives[key]
+    @cached_property
+    def partials(self) -> tuple[Expr, ...]:
+        """The 16 trees d_axis component_k, at index 4 * axis + k."""
+        return tuple(exprlang.differentiate(c, axis) for axis in range(4) for c in self.components)
 
     def values(self, points) -> np.ndarray:
         """Componentwise evaluation over (N, 4) finite points; returns (N, 4) complex."""
-        cols = [exprlang.evaluate_many(c, points, self.params) for c in self.components]
-        return np.stack(cols, axis=1)
+        return np.ascontiguousarray(exprlang.evaluate_many(self.components, points, self.params).T)
 
 
 class SpinorField(ExpressionField):
@@ -169,12 +164,8 @@ def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Fr
     """Spinor or potential frame at (N, 4) finite points; `value` is the field there, if held."""
     pts = np.asarray(points, dtype=float)
     value = field.values(pts) if value is None else value
-    derivs = np.empty((4,) + value.shape, dtype=complex)
-    for axis in range(4):
-        for k in range(4):
-            derivs[axis, :, k] = exprlang.evaluate_many(
-                field.component_derivative(k, axis), pts, field.params)
-    return Frame(pts, value, derivs, field.params)
+    derivs = exprlang.evaluate_many(field.partials, pts, field.params).reshape(4, 4, len(pts))
+    return Frame(pts, value, np.ascontiguousarray(derivs.transpose(0, 2, 1)), field.params)
 
 
 @dataclass(frozen=True)

@@ -658,6 +658,35 @@ def test_a_kappa_that_overflows_exits_2_without_a_numpy_warning(tmp_path, capsys
     assert captured.err == f"error: Out of range float values are not JSON compliant: {message}\n"
 
 
+def _nested(depth: int) -> str:
+    return "sin(" * depth + "x1" + ")" * depth
+
+
+def _first_component(tmp_path, expr: str) -> str:
+    return _write(tmp_path, {"kappa": 1.0, "spinor": {"exprs": [expr, "0", "0", "0"]},
+                             "domain": {"count": 20, "seed": 1},
+                             "tasks": ["classify", "mass", "invert", "verify"]})
+
+
+@pytest.mark.parametrize("expr", [_nested(300), "+".join(["x1"] * 1500)])
+def test_an_expression_nested_too_deeply_exits_2(tmp_path, capsys, expr):
+    code = cli.main(["run", _first_component(tmp_path, expr)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: an expression is nested too deeply to parse or evaluate\n"
+
+
+@pytest.mark.parametrize("expr", [_nested(150), "+".join(["x1"] * 900),
+                                  "*".join(["x1"] * 450)])
+def test_a_deep_expression_within_the_limit_gives_a_report(tmp_path, capsys, expr):
+    # The evaluator's memo adds no recursion, so these depths stay within
+    # Python's default recursion limit.
+    code, out = _run(capsys, ["run", _first_component(tmp_path, expr)])
+    assert code in (0, 1)
+    assert json.loads(out)["tasks"]
+
+
 def test_the_parser_is_built_once_and_carries_no_option_between_calls(tmp_path, capsys):
     scenario_path = _write(tmp_path, GOOD_SCENARIO)
     calls = [["--seed", "5", "run", scenario_path, "--samples", "30"],

@@ -96,6 +96,16 @@ class TestEvaluate:
         assert evaluate(parse("sqrt(0-4)"), [ORIGIN])[0] == pytest.approx(2j)
         assert evaluate(parse("log(0-1)"), [ORIGIN])[0] == pytest.approx(1j * math.pi)
 
+    def test_principal_branches_of_negated_literals_and_variables(self):
+        # Negation leaves an imaginary -0.0, which must not pick the other branch.
+        assert evaluate(parse("sqrt(-4)"), [ORIGIN])[0] == 2j
+        assert evaluate(parse("log(-1)"), [ORIGIN])[0] == 1j * math.pi
+        assert evaluate(parse(to_text(parse("sqrt(-4)"))), [ORIGIN])[0] == 2j
+        pts = [(0.0, 0.5, 0.0, 0.0)]
+        negated = evaluate(parse("sqrt(-x1)"), pts)
+        assert negated.tobytes() == evaluate(parse("sqrt(0-x1)"), pts).tobytes()
+        assert negated[0].imag > 0
+
     def test_overflow_is_an_error(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("exp(x1)^3"), [(0, 500.0, 0, 0)])
@@ -148,10 +158,61 @@ class TestEvaluatorFloatingPointState:
     @pytest.mark.parametrize("text", ["2.5", "pi", "k1"])
     def test_constant_leaves_are_read_only_zero_stride_views(self, text):
         cols = exprlang._columns(np.zeros((100_000, 4)))
-        leaf = exprlang._eval_array(parse(text), cols, {"k1": 0.5 + 1j})
+        leaf = exprlang._eval_array(parse(text), cols, {"k1": 0.5 + 1j}, {})
         assert leaf.shape == (100_000,) and leaf.strides == (0,)
         assert not leaf.flags.writeable
         assert leaf[0] == leaf[-1] == evaluate(parse(text), [ORIGIN], {"k1": 0.5 + 1j})[0]
+
+
+class TestOneWalk:
+    # A sequence of trees is one walk with one memo: each row has the bits of
+    # its tree walked alone, and the first non-finite node is the same one.
+    PARAMS = {"k1": 0.7 + 0.2j, "k2": 1.3 - 0.4j}
+
+    @staticmethod
+    def _alone(trees, pts, params):
+        """Each tree walked alone, or the message of the first that fails."""
+        try:
+            return np.stack([evaluate(t, pts, params) for t in trees]), None
+        except EvaluationError as exc:
+            return None, str(exc)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_a_tree_and_its_partials_have_the_bits_of_separate_walks(self, seed):
+        rng = np.random.default_rng(seed)
+        e = selftest._random_expr(rng, int(rng.integers(1, 5)))
+        trees = [e, *(differentiate(e, axis) for axis in range(4))]
+        pts = rng.uniform(-0.8, 0.8, (6, 4))
+        want, message = self._alone(trees, pts, self.PARAMS)
+        if message is not None:
+            with pytest.raises(EvaluationError) as info:
+                evaluate(trees, pts, self.PARAMS)
+            assert str(info.value) == message
+            return
+        got = evaluate(trees, pts, self.PARAMS)
+        assert got.shape == (5, 6) and got.flags.writeable
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("text", ["exp(1/x1)", "sqrt(x1)", "log(x1)*x1"])
+    def test_a_pole_shared_by_a_value_and_a_partial_raises_as_separate_walks(self, text):
+        e = parse(text)
+        trees = [e, differentiate(e, 1)]
+        pts = np.array([[0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        for order in (trees, trees[::-1]):
+            _, message = self._alone(order, pts, None)
+            assert message is not None
+            with pytest.raises(EvaluationError) as info:
+                evaluate(order, pts)
+            assert str(info.value) == message
+
+    def test_rows_are_fresh_arrays_not_the_memo(self):
+        x1 = parse("x1")
+        pts = np.array([[0.0, 0.5, 0.0, 0.0]])
+        rows = evaluate([x1, x1, parse("2")], pts)
+        rows[0] = 7.0
+        assert rows[1] == 0.5 and rows[2] == 2
+        assert evaluate(x1, pts).flags.writeable
 
 
 class TestDifferentiate:

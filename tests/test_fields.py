@@ -5,7 +5,7 @@ import pytest
 import solutions
 from hypothesis import given, settings, strategies as st
 
-from diracinv import catalog, degeneracy, exprlang
+from diracinv import catalog, degeneracy, exprlang, scenario
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
 from diracinv.fields import (DEFAULT_SUPPORT_TOL, SampleDomain, SpinorField, bilinear, frame,
@@ -112,6 +112,16 @@ class TestFrame:
         assert fr.derivs[0, :, 0] == pytest.approx([2.0, 2.0])
         assert fr.derivs[2, :, 1] == pytest.approx(pts[:, 1])
         assert fr.params == {"a": 2.0} and fr.rows(slice(1)).params == {"a": 2.0}
+
+    def test_support_frame_of_the_demo_evaluates_each_exp_once(self, monkeypatch):
+        # Three components carry an exp; each of their four partials reuses
+        # that exp node, so one walk evaluates it once, not once per axis.
+        sc = scenario.build_scenario(scenario.demo_scenario("degenerate_example"))
+        sample = sample_support(sc.spinor, sc.domain)
+        calls = []
+        monkeypatch.setitem(exprlang._NPFUNCS, "exp", lambda a: calls.append(1) or np.exp(a))
+        assert sample.frame.derivs.shape == (4, len(sample.support), 4)
+        assert len(calls) == 3
 
     def test_points_must_be_finite_rows_of_four(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])

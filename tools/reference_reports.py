@@ -5,10 +5,12 @@ Usage, from the root of a source checkout::
     python3 tools/reference_reports.py > after.txt
     python3 tools/reference_reports.py "demo degenerate_example --samples 10000"
 
-Each output line is ``exit md5(stdout) md5(stderr) command``.  The 67
+Each output line is ``exit md5(stdout) md5(stderr) command``.  The 71
 reference commands are ``run`` on the three shipped scenarios, ``demo`` of the
-three catalog entries, ``selftest --seed 42``, and operations 0-19 of each
-benchmark workload at seed 1, as ``bench/workloads.py`` generates them.
+three catalog entries, ``selftest --seed 42``, ``demo degenerate_example``
+and the three shipped scenarios again at ``--samples 10000``, and operations
+0-19 of each benchmark workload at seed 1, as ``bench/workloads.py``
+generates them.
 Each argument adds one command, split like a shell line.  Every command
 runs in this one process through ``diracinv.cli.main`` from this
 checkout's ``src``.  Run it on two checkouts and diff the outputs: a
@@ -40,6 +42,7 @@ SHIPPED = ("degenerate_family", "gauge_round_trip", "superposition")
 DEMOS = ("degenerate_example", "lset", "rest_plane_wave")
 WORKLOAD_SEED = 1
 WORKLOAD_OPERATIONS = 20
+LARGE_SAMPLES = "10000"
 
 
 def reference_commands(directory: Path) -> list[list[str]]:
@@ -47,6 +50,9 @@ def reference_commands(directory: Path) -> list[list[str]]:
     commands = [["run", str(ROOT / "scenarios" / f"{name}.json")] for name in SHIPPED]
     commands += [["demo", name] for name in DEMOS]
     commands.append(["selftest", "--seed", "42"])
+    commands.append(["demo", "degenerate_example", "--samples", LARGE_SAMPLES])
+    commands += [["run", str(ROOT / "scenarios" / f"{name}.json"), "--samples", LARGE_SAMPLES]
+                 for name in SHIPPED]
     for workload in WORKLOADS:
         ops = generate(workload, WORKLOAD_SEED, WORKLOAD_OPERATIONS, directory / workload)
         commands += [list(op.argv) for op in ops]
