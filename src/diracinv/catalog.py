@@ -120,9 +120,11 @@ def degenerate_example(kappa: float, alpha: float, phi1: float,
         "p2": kappa * (1 + e1 ** 2 * c ** 2 + e2 ** 2 * s ** 2) / den,
         "p3": 1j * kappa * e2 * s / math.cos(phi2),
     }
-    carrier = "exp(p0*x0 + p1*x1 + p2*x2 + p3*x3)"
-    spinor = SpinorField.from_strings(
-        [f"c1*{carrier}", f"c2*{carrier}", "0", carrier], params)
+    # One carrier tree shared by three components, so a frame evaluates it once.
+    carrier = exprlang.parse("exp(p0*x0 + p1*x1 + p2*x2 + p3*x3)")
+    spinor = SpinorField([exprlang.mul(exprlang.Name("c1"), carrier),
+                          exprlang.mul(exprlang.Name("c2"), carrier),
+                          exprlang.ZERO, carrier], params)
     instance = CatalogInstance(
         name="degenerate_example",
         spinor=spinor,

@@ -9,12 +9,13 @@ and build: byte-identical output, stable field order, no non-finite numbers.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import sys
 
 import numpy as np
 
-from . import __version__, degeneracy, exprlang, fields, inversion, selftest, verify
+from . import __version__, degeneracy, exprlang, fields, inversion, verify
 from .degeneracy import Classification
 from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPotential,
                      NotDegenerate, ParseError, ScenarioError)
@@ -286,7 +287,34 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed heap pages mapped, so a later run does not fault them in again.
+
+    Blocks under 32 MiB (glibc's cap on its dynamic mmap threshold) come from
+    the heap, and up to 256 MiB of free heap top stays mapped.  Setting either
+    turns the dynamic threshold off, so the mmap threshold must stay above a
+    run's largest array (26 MB at 100 000 samples).  Only `main` calls this;
+    importing the package leaves the allocator alone.  Off Linux nothing is
+    set.
+    """
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     try:
         overrides = {"seed": args.seed, "samples": args.samples, "tol": args.tol}
@@ -304,7 +332,8 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"--seed: {seed} is negative")
             if args.tol is not None:
                 raise ScenarioError("--tol: applies to run and demo only")
-            sections, total, failed = selftest.run_selftest(seed, samples)
+            from .selftest import run_selftest  # only this command needs the suites
+            sections, total, failed = run_selftest(seed, samples)
             report, code = _report("selftest", seed, samples, {"sections": sections},
                                    total, failed)
     except (ScenarioError, ParseError, EvaluationError, ValueError) as exc:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import platform
 import re
 
 import numpy as np
@@ -605,12 +606,32 @@ def test_cli_import_does_not_load_scipy():
     import subprocess
     import sys
     probe = ("import sys, diracinv.cli; "
-             "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)")
+             "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules, "
+             "'diracinv.selftest' in sys.modules, "
+             "diracinv.cli._keep_freed_memory.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
-    scipy_loaded, polynomial_loaded = out.split()
+    scipy_loaded, polynomial_loaded, selftest_loaded, allocator_set = out.split()
     assert scipy_loaded == "False"
     assert polynomial_loaded == "False"
+    assert selftest_loaded == "False"
+    # Only main sets the allocator; importing the package leaves it alone.
+    assert allocator_set == "0"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+def test_repeated_runs_take_no_fresh_heap_pages(capsys):
+    import resource
+    # The shipped degenerate_example scenario, all five tasks: a 1 000-sample
+    # run frees 256 KB frames, and they stay mapped for the next run.
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "degenerate_family.json"
+    argv = ["run", str(path), "--samples", "1000"]
+    assert _run(capsys, argv)[0] == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(2):
+        assert _run(capsys, argv)[0] == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 2 * 20
 
 
 def test_reports_reject_non_finite_numbers():

@@ -114,14 +114,14 @@ class TestFrame:
         assert fr.params == {"a": 2.0} and fr.rows(slice(1)).params == {"a": 2.0}
 
     def test_support_frame_of_the_demo_evaluates_each_exp_once(self, monkeypatch):
-        # Three components carry an exp; each of their four partials reuses
-        # that exp node, so one walk evaluates it once, not once per axis.
+        # Three components share one carrier exp node, and each of their four
+        # partials reuses it, so one walk evaluates it once.
         sc = scenario.build_scenario(scenario.demo_scenario("degenerate_example"))
         sample = sample_support(sc.spinor, sc.domain)
         calls = []
         monkeypatch.setitem(exprlang._NPFUNCS, "exp", lambda a: calls.append(1) or np.exp(a))
         assert sample.frame.derivs.shape == (4, len(sample.support), 4)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_points_must_be_finite_rows_of_four(self):
         field = SpinorField.from_strings(["1", "0", "0", "0"])
