@@ -27,7 +27,7 @@ from . import exprlang
 from .clifford import IDENTITY, delta, gamma
 from .errors import NotDegenerate
 from .exprlang import Expr
-from .fields import CVector4, Frame, SupportSample, bilinear, merge_params, squared_norm
+from .fields import Frame, SupportSample, bilinear, merge_params, squared_norm
 from .inversion import DEFAULT_REAL_TOL, real_part
 
 _D4 = delta(4)
@@ -168,10 +168,22 @@ def unzeta(z: np.ndarray) -> np.ndarray:
     return np.stack([z0 + z1, z2 + z3, z0 - z1, z2 - z3], axis=-1)
 
 
-def compose_values(u: complex, v: complex, w: complex) -> CVector4:
-    """u*[conj(w), 1, conj(w), 1] + v*[1, -w, -1, w]; indicator-null by construction."""
-    wbar = np.conj(w)
-    return np.array([u * wbar + v, u - v * w, u * wbar - v, u + v * w], dtype=complex)
+def compose_values(u, v, w) -> np.ndarray:
+    """u*[conj(w), 1, conj(w), 1] + v*[1, -w, -1, w]; indicator-null by construction.
+
+    u, v and w are complex scalars or arrays that broadcast together; scalars
+    give (4,) and arrays (..., 4).  The products u*conj(w) and v*w are
+    written out in real arithmetic as numpy's complex scalar product forms
+    them, so each element has the bits of a call on its own scalars.
+    """
+    u, v, w = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in (u, v, w)))
+    ur, ui, vr, vi, wr, wi = u.real, u.imag, v.real, v.imag, w.real, w.imag
+    ar, ai = ur * wr + ui * wi, ui * wr - ur * wi  # u * conj(w)
+    br, bi = vr * wr - vi * wi, vr * wi + vi * wr  # v * w
+    x = np.empty(ur.shape + (4,), dtype=complex)
+    x.real = np.stack([ar + vr, ur - br, ar - vr, ur + br], axis=-1)
+    x.imag = np.stack([ai + vi, ui - bi, ai - vi, ui + bi], axis=-1)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ from .clifford import IDENTITY
 from .errors import NoSupportPoints
 from .exprlang import Expr
 
-CVector4 = np.ndarray  # shape (4,), complex128
-
 DEFAULT_SUPPORT_TOL = 1e-12
 
 

@@ -8,6 +8,13 @@ per-trial `Generator` draws gave: the identity suite takes each check's
 numbers in one call, and the derivative suite reads its scalar draws from
 raw blocks of the bit generator through `_RawDraws`, which repeats
 `Generator`'s arithmetic for `random`, `uniform` and `integers`.
+
+The suites pay per check, not per draw.  A derivative attempt draws its
+tree as a recipe of nested tuples and builds the nodes only once the axis
+check passes; it then evaluates the tree and its partial in one
+`exprlang.evaluate` call over the point and its four offsets, and reads the
+symbolic partial from row 0.  The identity suite composes each batch of
+null vectors in one elementwise `degeneracy.compose_values` call.
 """
 
 from __future__ import annotations
@@ -34,35 +41,47 @@ def _pick(rng, options: tuple):
     return options[rng.integers(0, len(options))]
 
 
-def _random_expr(rng, depth: int, variables: set[str] | None = None) -> Expr:
-    """A random tree; `rng` is a Generator or a `_RawDraws`, which draw the same numbers.
+def _draw_recipe(rng, depth: int, variables: set[str] | None = None) -> tuple:
+    """The draws of a random tree, as nested (node class, *fields) tuples.
 
-    The names x0..x3 the tree reads are added to `variables` when it is given.
+    `rng` is a Generator or a `_RawDraws`, which draw the same numbers.  The
+    names x0..x3 the tree reads are added to `variables` when it is given.
     """
     if depth <= 0 or rng.random() < 0.28:
         kind = _pick(rng, ("number", "variable", "variable", "constant", "parameter"))
         if kind == "number":
-            return exprlang.Num(complex(round(rng.uniform(-3, 3), 3)))
+            return exprlang.Num, complex(round(rng.uniform(-3, 3), 3))
         if kind == "variable":
             name = f"x{rng.integers(0, 4)}"
             if variables is not None:
                 variables.add(name)
-            return exprlang.Name(name)
+            return exprlang.Name, name
         if kind == "constant":
-            return exprlang.Name(_pick(rng, ("pi", "e", "i")))
-        return exprlang.Name(_pick(rng, _PARAM_NAMES))
+            return exprlang.Name, _pick(rng, ("pi", "e", "i"))
+        return exprlang.Name, _pick(rng, _PARAM_NAMES)
 
     kind = _pick(rng, ("negate", "add", "sub", "mul", "div", "pow", "call"))
     if kind == "negate":
-        return exprlang.Neg(_random_expr(rng, depth - 1, variables))
+        return exprlang.Neg, _draw_recipe(rng, depth - 1, variables)
     if kind in ("add", "sub", "mul", "div"):
         node_cls = {"add": exprlang.Add, "sub": exprlang.Sub,
                     "mul": exprlang.Mul, "div": exprlang.Div}[kind]
-        return node_cls(_random_expr(rng, depth - 1, variables),
-                        _random_expr(rng, depth - 1, variables))
+        return (node_cls, _draw_recipe(rng, depth - 1, variables),
+                _draw_recipe(rng, depth - 1, variables))
     if kind == "pow":
-        return exprlang.Pow(_random_expr(rng, depth - 1, variables), _pick(rng, (-2, -1, 2, 3)))
-    return exprlang.Call(_pick(rng, exprlang.FUNCTIONS), _random_expr(rng, depth - 1, variables))
+        return exprlang.Pow, _draw_recipe(rng, depth - 1, variables), _pick(rng, (-2, -1, 2, 3))
+    return exprlang.Call, _pick(rng, exprlang.FUNCTIONS), _draw_recipe(rng, depth - 1, variables)
+
+
+def _build(recipe: tuple) -> Expr:
+    """The tree of a recipe, one node per tuple."""
+    node_cls, *fields = recipe
+    return node_cls(*(_build(f) if isinstance(f, tuple) else f for f in fields))
+
+
+def _random_expr(rng, depth: int, variables: set[str] | None = None) -> Expr:
+    """A random tree: `_draw_recipe`'s draws, built."""
+    return _build(_draw_recipe(rng, depth, variables))
 
 
 class _RawDraws:
@@ -166,16 +185,6 @@ _COVERAGE_TEMPLATES: dict[str, str] = {
 _FD_OFFSETS = np.array([0.0, _FD_STEP, -_FD_STEP, _FD_STEP / 2, -_FD_STEP / 2])
 
 
-def _fd_values(e: Expr, point: np.ndarray, axis: int,
-               params) -> tuple[complex, complex, complex]:
-    """The value and the central differences with step and step/2, from one batch."""
-    pts = np.repeat(point[None, :], len(_FD_OFFSETS), axis=0)
-    pts[:, axis] += _FD_OFFSETS
-    value, hi, lo, hi_half, lo_half = exprlang.evaluate(e, pts, params)
-    return (complex(value), complex((hi - lo) / (2 * _FD_STEP)),
-            complex((hi_half - lo_half) / (2 * (_FD_STEP / 2))))
-
-
 @functools.cache
 def _coverage_trees() -> tuple[tuple[Expr, frozenset[str]], ...]:
     """The coverage templates parsed, each with its productions, once per process."""
@@ -189,7 +198,8 @@ def derivative_fd_pairs(seed: int):
     The generator covers every grammar production over the accepted pairs.
     Suitability gating uses only finite-difference-side information (finite
     values, magnitude window, step-halving consistency), never the symbolic
-    value, so the comparison stays an honest cross-check.
+    value, so the comparison stays an honest cross-check.  An attempt whose
+    partial is non-finite at any of its five points is skipped.
     """
     rng = _RawDraws(seed)
     pending_templates = list(_coverage_trees())
@@ -203,7 +213,7 @@ def derivative_fd_pairs(seed: int):
             e, variables = pending_templates[0]
         else:
             variables = set()
-            e = _random_expr(rng, int(rng.integers(2, 4)), variables)
+            recipe = _draw_recipe(rng, int(rng.integers(2, 4)), variables)
         coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
         axis = rng.integers(0, 4)
         ks = [rng.uniform(0.5, 1.5) for _ in _PARAM_NAMES]
@@ -212,12 +222,21 @@ def derivative_fd_pairs(seed: int):
         # exactly 0, which the window below rejects.
         if exprlang.VARIABLES[axis] not in variables:
             continue
+        if not from_template:
+            e = _build(recipe)
         point = np.array(coords)
+        pts = np.repeat(point[None, :], len(_FD_OFFSETS), axis=0)
+        pts[:, axis] += _FD_OFFSETS
         params = {name: complex(k) for name, k in zip(_PARAM_NAMES, ks)}
+        # One walk: the partial shares e's nodes, so the memo evaluates each once.
         try:
-            value, fd, fd_half = _fd_values(e, point, axis, params)
+            rows = exprlang.evaluate([e, exprlang.differentiate(e, axis)], pts, params)
         except exprlang.EvaluationError:
             continue
+        value, hi, lo, hi_half, lo_half = rows[0]
+        value = complex(value)
+        fd = complex((hi - lo) / (2 * _FD_STEP))
+        fd_half = complex((hi_half - lo_half) / (2 * (_FD_STEP / 2)))
         if not (1e-3 <= abs(fd) <= 1e4 and abs(value) <= 1e6):
             continue
         # Step-halving error estimate for the difference quotient itself: its
@@ -232,8 +251,7 @@ def derivative_fd_pairs(seed: int):
             continue
         if from_template:
             pending_templates.pop(0)
-        sym = exprlang.evaluate(exprlang.differentiate(e, axis), point[None], params)[0]
-        accepted.append((e, point, axis, params, sym, fd_half))
+        accepted.append((e, point, axis, params, rows[1, 0], fd_half))
         covered |= _productions_of(e)
     missing = set(_COVERAGE_TEMPLATES) - covered
     return accepted, covered, missing
@@ -247,7 +265,8 @@ def derivative_suite(seed: int) -> CheckSet:
               detail=("missing: " + ", ".join(sorted(missing))) if missing else "")
     worst = 0.0
     for _, _, _, _, sym, fd in pairs:
-        worst = max(worst, abs(sym - fd) / abs(sym))
+        # A zero partial takes fd's scale; the gate keeps |fd| >= 1e-3.
+        worst = max(worst, abs(sym - fd) / (abs(sym) or abs(fd)))
     suite.add("symbolic matches central differences", worst < _FD_REL_TOL, value=worst)
     return suite
 
@@ -277,7 +296,7 @@ def _symmetry_vectors(rng: np.random.Generator) -> np.ndarray:
     """
     free, uvw, same, flip = (_complex_normals(b) for b in
                              np.split(rng.standard_normal((250, 22)), [8, 14, 18], axis=1))
-    composed = np.array([degeneracy.compose_values(*t) for t in uvw])
+    composed = degeneracy.compose_values(*uvw.T)
     turns = (free, composed, np.hstack([same, same]), np.hstack([flip, -flip]))
     return np.stack(turns, axis=1).reshape(-1, 4)
 
@@ -317,7 +336,7 @@ def identity_suite(seed: int) -> CheckSet:
               worst_det < 1e-12, value=worst_det)
 
     triples = _complex_normals(rng.standard_normal((100, 6)))
-    x = np.array([degeneracy.compose_values(*uvw) for uvw in triples])
+    x = degeneracy.compose_values(*triples.T)
     scale = np.maximum(fields.squared_norm(x), 1.0)
     worst_ind = float((np.abs(degeneracy.indicator(x)) / scale).max())
     suite.add("composed null form has zero indicator (100 triples)",

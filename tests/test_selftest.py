@@ -1,13 +1,16 @@
 """The fuzz suites draw in blocks the numbers the per-trial draws gave; the
-coverage templates span the grammar."""
+coverage templates span the grammar; the derivative suite evaluates once per
+attempt that passes the axis check, and builds trees only for those."""
 
 import dataclasses
+import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
 
-from diracinv import degeneracy, exprlang, selftest
+from diracinv import cli, degeneracy, exprlang, selftest
 
 
 def _old_random_expr(rng, depth):
@@ -53,7 +56,7 @@ def _old_symmetry_vectors(rng):
 
 
 def _bits(x) -> np.ndarray:
-    return np.asarray(x).view(np.uint64)
+    return np.atleast_1d(x).view(np.uint64)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -191,3 +194,165 @@ def test_scales_from_python_scalars_have_the_bits_of_the_numpy_scalar_ones(seed)
     psi1, psi2 = selftest._complex_normals(rng.standard_normal((1000, 4))).T
     old = [max(np.hypot(abs(p1), abs(p2)), 1e-9) ** 4 for p1, p2 in zip(psi1, psi2)]
     assert np.array_equal(_bits(selftest._scales(psi1, psi2)), _bits(np.array(old)))
+
+
+def _old_fd_values(e, point, axis, params):
+    """The value and the central differences with step and step/2, from one batch."""
+    pts = np.repeat(point[None, :], len(selftest._FD_OFFSETS), axis=0)
+    pts[:, axis] += selftest._FD_OFFSETS
+    value, hi, lo, hi_half, lo_half = exprlang.evaluate(e, pts, params)
+    return (complex(value), complex((hi - lo) / (2 * selftest._FD_STEP)),
+            complex((hi_half - lo_half) / (2 * (selftest._FD_STEP / 2))))
+
+
+def _old_derivative_fd_pairs(seed):
+    """The pairs as the two-call path drew them, kept as the reference.
+
+    Every attempt builds its tree; one that passes the axis check evaluates
+    the tree at its five points, and an accepted one then its partial at the
+    point alone.
+    """
+    rng = selftest._RawDraws(seed)
+    pending = list(selftest._coverage_trees())
+    accepted, covered, attempts = [], set(), 0
+    while len(accepted) < selftest._FD_PAIRS and attempts < selftest._FD_PAIRS * 300:
+        attempts += 1
+        from_template = bool(pending)
+        if from_template:
+            e, variables = pending[0]
+        else:
+            variables = set()
+            e = selftest._random_expr(rng, int(rng.integers(2, 4)), variables)
+        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
+        axis = rng.integers(0, 4)
+        ks = [rng.uniform(0.5, 1.5) for _ in selftest._PARAM_NAMES]
+        if exprlang.VARIABLES[axis] not in variables:
+            continue
+        point = np.array(coords)
+        params = {name: complex(k) for name, k in zip(selftest._PARAM_NAMES, ks)}
+        try:
+            value, fd, fd_half = _old_fd_values(e, point, axis, params)
+        except exprlang.EvaluationError:
+            continue
+        if not (1e-3 <= abs(fd) <= 1e4 and abs(value) <= 1e6):
+            continue
+        if abs(fd - fd_half) > 3e-7 * abs(fd_half):
+            continue
+        if 16 * selftest._EPS * abs(value) / (selftest._FD_STEP / 2) > 1e-7 * abs(fd_half):
+            continue
+        if from_template:
+            pending.pop(0)
+        sym = exprlang.evaluate(exprlang.differentiate(e, axis), point[None], params)[0]
+        accepted.append((e, point, axis, params, sym, fd_half))
+        covered |= selftest._productions_of(e)
+    return accepted, covered, set(selftest._COVERAGE_TEMPLATES) - covered
+
+
+def _pair_bits(pair):
+    e, point, axis, params, sym, fd = pair
+    return (e, _bits(point).tolist(), int(axis), params, _bits(sym).tolist(),
+            _bits(fd).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 369, 109300515, 1161092498, 1510276717])
+def test_one_walk_per_attempt_gives_the_pairs_of_the_two_call_path(seed):
+    new_pairs, new_covered, new_missing = selftest.derivative_fd_pairs(seed)
+    old_pairs, old_covered, old_missing = _old_derivative_fd_pairs(seed)
+    assert [_pair_bits(p) for p in new_pairs] == [_pair_bits(p) for p in old_pairs]
+    assert (new_covered, new_missing) == (old_covered, old_missing)
+
+
+def _node_count(e) -> int:
+    children = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    return 1 + sum(_node_count(c) for c in children
+                   if isinstance(c, typing.get_args(exprlang.Expr)))
+
+
+def test_evaluate_runs_and_trees_are_built_only_past_the_axis_check(monkeypatch):
+    trees, built = [], [0]
+    evaluate, build = exprlang.evaluate, selftest._build
+
+    def counting_evaluate(e, *args, **kwargs):
+        trees.append(e)
+        return evaluate(e, *args, **kwargs)
+
+    def counting_build(recipe):
+        built[0] += 1
+        return build(recipe)
+
+    monkeypatch.setattr(exprlang, "evaluate", counting_evaluate)
+    monkeypatch.setattr(selftest, "_build", counting_build)
+    old_pairs, _, _ = _old_derivative_fd_pairs(42)
+    old_calls, old_nodes = len(trees), built[0]
+    trees.clear()
+    built[0] = 0
+    pairs, _, _ = selftest.derivative_fd_pairs(42)
+    # One call per attempt past the axis check, each on the tree and its partial;
+    # the two-call path made those and one more per accepted pair.
+    assert all(isinstance(e, list) and len(e) == 2 for e in trees)
+    assert len(trees) == old_calls - len(old_pairs) == 103
+    assert old_calls == 203
+    # The random trees built are exactly the ones evaluated; templates are parsed.
+    templates = [t for t, _ in selftest._coverage_trees()]
+    evaluated = [e for e, _ in trees if not any(e is t for t in templates)]
+    assert built[0] == sum(map(_node_count, evaluated)) == 458
+    assert old_nodes == 1796
+
+
+def _old_compose_values(u, v, w):
+    wbar = np.conj(w)
+    return np.array([u * wbar + v, u - v * w, u * wbar - v, u + v * w], dtype=complex)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 9)])
+def test_compose_values_on_arrays_has_the_bits_of_each_scalar_call(shape):
+    normals = np.random.default_rng(11).standard_normal(shape + (6,))
+    u, v, w = np.moveaxis(selftest._complex_normals(normals), -1, 0)
+    x = degeneracy.compose_values(u, v, w)
+    assert x.shape == shape + (4,)
+    singles = [_old_compose_values(*t) for t in zip(u.ravel(), v.ravel(), w.ravel())]
+    assert np.array_equal(_bits(x), _bits(np.reshape(singles, shape + (4,))))
+
+
+def test_an_attempt_whose_partial_is_non_finite_off_the_point_is_skipped(monkeypatch):
+    # One pair more than the suite takes, so the stream past the skip shows.
+    monkeypatch.setattr(selftest, "_FD_PAIRS", selftest._FD_PAIRS + 1)
+    baseline, _, _ = selftest.derivative_fd_pairs(42)
+    monkeypatch.setattr(selftest, "_FD_PAIRS", selftest._FD_PAIRS - 1)
+    k = len(selftest._COVERAGE_TEMPLATES) + 10  # an accepted random tree
+    target_e, target_point, target_axis, target_params, _, _ = baseline[k]
+    pole = exprlang.Num(complex(target_point[target_axis] + selftest._FD_STEP))
+    differentiate = exprlang.differentiate
+
+    def with_pole(e, axis):
+        # The partial plus 1/(x - pole) - 1/(x - pole): exactly 0 off the pole,
+        # which only the target's +step point sits on.
+        r = exprlang.Div(exprlang.ONE, exprlang.Sub(exprlang.Name(exprlang.VARIABLES[axis]), pole))
+        return exprlang.Add(differentiate(e, axis), exprlang.Sub(r, r))
+
+    # At the point itself the partial is finite, so the two-call path kept the pair.
+    at_point = exprlang.evaluate(with_pole(target_e, target_axis), target_point[None],
+                                 target_params)
+    assert np.isfinite(at_point).all()
+    monkeypatch.setattr(exprlang, "differentiate", with_pole)
+    pairs, _, missing = selftest.derivative_fd_pairs(42)
+    assert not missing
+    expected = baseline[:k] + baseline[k + 1:]
+    assert [_pair_bits(p)[:4] + _pair_bits(p)[5:] for p in pairs] == \
+        [_pair_bits(p)[:4] + _pair_bits(p)[5:] for p in expected]
+    assert [p[4] for p in pairs] == [p[4] for p in expected]
+
+
+def test_a_zero_partial_fails_the_comparison_with_a_finite_value(monkeypatch, capsys):
+    monkeypatch.setattr(exprlang, "differentiate", lambda e, axis: exprlang.ZERO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        suite = selftest.derivative_suite(3)
+    assert len(suite.checks) == 3
+    comparison = suite.checks[2]
+    assert comparison.name == "symbolic matches central differences"
+    assert not comparison.passed and math.isfinite(comparison.value)
+    assert [c.passed for c in suite.checks[:2]] == [True, True]
+    # The CLI reports the failed check (exit 1) instead of a rendering error (exit 2).
+    assert cli.main(["selftest", "--seed", "3"]) == 1
+    assert "not JSON compliant" not in capsys.readouterr().err
