@@ -220,6 +220,19 @@ class TestRun:
         _, second = _run(capsys, ["run", path])
         assert first == second
 
+    @pytest.mark.parametrize("domain", [
+        {"count": 1, "seed": 11},
+        {"box": [[-1, 1], [0.5, 0.5], [-1, 1], [-1, 1]], "count": 40, "seed": 11},
+        {"box": [[0.25, 0.25]] * 4, "count": 40, "seed": 11},
+    ])
+    def test_a_single_point_or_a_flat_box_is_a_valid_domain(self, tmp_path, capsys, domain):
+        code, out = _run(capsys, ["run", _write(tmp_path, {**GOOD_SCENARIO, "domain": domain})])
+        assert code == 0
+        rows = {t["task"]: t for t in json.loads(out)["tasks"]}["invert"]["rows"]
+        assert len(rows) == domain["count"]
+        for axis, (lo, hi) in enumerate(domain.get("box", [[-1, 1]] * 4)):
+            assert all(lo <= row["point"][axis] <= hi for row in rows)
+
     def test_seed_override_changes_points_not_verdicts(self, tmp_path, capsys):
         path = _write(tmp_path, GOOD_SCENARIO)
         code1, out1 = _run(capsys, ["run", path])
@@ -346,6 +359,11 @@ class TestSelftest:
         _, first = _run(capsys, ["--seed", "42", "selftest"])
         _, second = _run(capsys, ["--seed", "42", "selftest"])
         assert first == second
+
+    def test_seed_zero_is_accepted(self, capsys):
+        code, out = _run(capsys, ["selftest", "--seed", "0"])
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
 
     def test_seed_changes_values_not_verdicts(self, capsys):
         code1, out1 = _run(capsys, ["--seed", "42", "selftest"])
@@ -475,6 +493,31 @@ def _count_calls(monkeypatch, module, name, record=lambda *args: None):
 
 
 _SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _tasks(capsys, scenario_name) -> tuple[dict, dict]:
+    code, out = _run(capsys, ["run", str(_SHIPPED / f"{scenario_name}.json")])
+    assert code == 0
+    report = json.loads(out)
+    return report, {task["task"]: task for task in report["tasks"]}
+
+
+@pytest.mark.parametrize("scenario_name, on_locus", [
+    ("gauge_round_trip", False), ("degenerate_family", True)])
+def test_invert_counts_the_rows_on_the_degenerate_locus(capsys, scenario_name, on_locus):
+    invert = _tasks(capsys, scenario_name)[1]["invert"]
+    rows = invert["rows"]
+    locus = sum(row["status"] == "degenerate-locus" for row in rows)
+    assert invert["degenerate_locus_points"] == len(rows) - invert["recovered_points"] == locus
+    assert locus == (len(rows) if on_locus else 0)
+
+
+def test_the_mass_check_reports_the_gap_to_the_scenario_kappa(capsys):
+    report, tasks = _tasks(capsys, "gauge_round_trip")
+    mass = tasks["mass"]
+    (check,) = [c for c in mass["checks"]["checks"]
+                if c["name"] == "recovered mass matches scenario kappa"]
+    assert check["value"] == abs(mass["kappa"] - report["scenario"]["kappa"])
 
 
 @pytest.mark.parametrize("scenario_name, kernel_calls", [
