@@ -54,8 +54,9 @@ def _certify(instance: CatalogInstance) -> None:
             f"{_SELFTEST_REL_TOL:.0e} (relative); the constructed pair does not "
             f"solve the coupled system")
     if instance.expected_verdict == "degenerate":
-        ind = np.abs(degeneracy.indicator(sample.values))
-        if np.any(ind > 1e-10 * squared_norm(sample.values)):
+        live = instance.spinor.live
+        ind = np.abs(degeneracy.indicator(sample.values, live))
+        if np.any(ind > 1e-10 * squared_norm(sample.values, live)):
             raise CatalogSelfTestError(
                 f"{instance.name}: indicator bilinear is not null on the sample "
                 f"(max {float(ind.max()):.3e})")

@@ -84,11 +84,13 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     pts = fr.points
     guard = sc.tolerances["guard"]
     real_tol = sc.tolerances["real"]
-    # The three routes run on this one row frame and read the one table it holds.
+    # The routes run on this one row frame and read the one table it holds.
+    # The other two are read only where the combined one passes its guard,
+    # so they run only if some point passes it.
     combined = inversion.invert_combined(fr, sc.kappa, guard=guard)
-    others = [inversion.invert_gamma4(fr, sc.kappa, guard=guard),
-              inversion.invert_gamma5gamma4(fr, sc.kappa, guard=guard)]
     ok = combined.ok
+    others = [inversion.invert_gamma4(fr, sc.kappa, guard=guard),
+              inversion.invert_gamma5gamma4(fr, sc.kappa, guard=guard)] if ok.any() else []
 
     # Fail as a point-by-point walk would: at the lowest failing point, and
     # there in the order combined route, known potential, other routes.  The

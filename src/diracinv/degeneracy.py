@@ -37,9 +37,9 @@ DEFAULT_CLASSIFY_TOL = 1e-10
 ALGEBRA_TOL = 1e-10  # relative zero of the pointwise symmetry test
 
 
-def indicator(values: np.ndarray) -> np.ndarray:
+def indicator(values: np.ndarray, live: tuple[bool, ...] | None = None) -> np.ndarray:
     """psi* d4 psi for spinor values (..., 4); zero exactly on the degenerate locus."""
-    return bilinear(values.conj(), _D4, values)
+    return bilinear(values.conj(), _D4, values, live)
 
 
 @dataclass
@@ -62,8 +62,8 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
     """Partition sampled support points by |psi* d4 psi| <= tol * |psi|^2."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    support, values = sample.support, sample.values
-    nonzero = np.abs(indicator(values)) > tol * squared_norm(values)
+    support, values, live = sample.support, sample.values, sample.field.live
+    nonzero = np.abs(indicator(values, live)) > tol * squared_norm(values, live)
     s_points = support[nonzero]
     degenerate_points = support[~nonzero]
     if len(s_points) == 0:
@@ -92,8 +92,8 @@ def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
     per frame, through `Frame.held`, and is read-only.
     """
     v = fr.value
-    n, *w = bilinear(v.conj(), _CURRENT, v)
-    d_n, *d_w = bilinear(fr.derivs.conj(), _CURRENT, v)
+    n, *w = bilinear(v.conj(), _CURRENT, v, fr.live)
+    d_n, *d_w = bilinear(fr.derivs.conj(), _CURRENT, v, fr.live)
     n, d_n = n.real, 2 * d_n.real
     u, du = np.ones(v.shape), np.zeros(fr.derivs.shape)
     for k in (1, 2, 3):

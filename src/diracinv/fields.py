@@ -12,7 +12,9 @@ every bilinear covariant, adjoint or transpose, including the bidirectional
 derivative and the current whose partials give theta's, is a call of
 `bilinear` on values held.
 One call takes a stack of matrices and forms each product of components
-once for all of them.  What several kernels read of one frame, such as the
+once for all of them, and none with a component that the field's trees
+make a literal zero (`ExpressionField.live`, carried by every `Frame`).
+What several kernels read of one frame, such as the
 inversion routes' covariants or theta's direction, is computed once and
 kept on that frame by `Frame.held`, for as long as the frame lives.
 
@@ -65,6 +67,11 @@ class ExpressionField:
         return cls([exprlang.parse(t) for t in texts], params)
 
     @cached_property
+    def live(self) -> tuple[bool, ...]:
+        """False for each component that is a literal zero, whose values and partials are zeros."""
+        return tuple(c != exprlang.ZERO for c in self.components)
+
+    @cached_property
     def partials(self) -> tuple[Expr, ...]:
         """The 16 trees d_axis component_k, at index 4 * axis + k."""
         return tuple(exprlang.differentiate(c, axis) for axis in range(4) for c in self.components)
@@ -85,7 +92,8 @@ class SpinorField(ExpressionField):
         return SpinorField([exprlang.mul(factor, c) for c in self.components], params)
 
 
-def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
+def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray,
+             live: tuple[bool, ...] | None = None) -> np.ndarray:
     """sum over r, c of left[..., r] * matrix[k, r, c] * right[..., c], for every k.
 
     `matrix` is one (4, 4) matrix, giving the leading shape of `left` and
@@ -102,6 +110,14 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndar
     multiplying by those is exact, fused or not, so a matrix's result has
     the same bits whichever matrices share the call.  Pass `psi.conj()` as
     `left` for the adjoint bilinear and `psi` for the transpose one.
+
+    `live`, a field's mask (`ExpressionField.live`), leaves out every entry
+    whose row or column is a dead component, which is exact zeros of either
+    sign in both operands.  That moves no bit: the product there has real
+    and imaginary parts of exact +-0, since the other factor is finite (the
+    evaluator raises on non-finite values), and the accumulator, which
+    starts at +0.0 and so is never -0.0, is unchanged by adding +-0 or
+    m * (+-0) for m in {+-1, +-i}.
     """
     single = np.ndim(matrix) == 2
     stack = np.asarray(matrix, dtype=complex).reshape(-1, 16)
@@ -109,7 +125,7 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndar
     shape = np.broadcast(left, right).shape[:-1]
     total = np.zeros((len(stack),) + shape, dtype=complex)
     p = np.empty(shape, dtype=complex)
-    for r, c, users in _entry_users(stack.tobytes()):
+    for r, c, users in _entry_users(stack.tobytes(), live):
         np.multiply(lr[..., r], rr[..., c], out=p.real)
         p.real -= li[..., r] * ri[..., c]
         np.multiply(lr[..., r], ri[..., c], out=p.imag)
@@ -125,31 +141,42 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndar
 
 
 @lru_cache(maxsize=64)
-def _entry_users(stack: bytes) -> tuple[tuple[int, int, tuple[tuple[int, complex], ...]], ...]:
-    """(r, c, ((k, m_k[r, c]), ...)) for each entry of the (K, 16) `stack` some matrix uses."""
+def _entry_users(stack: bytes, live: tuple[bool, ...] | None
+                 ) -> tuple[tuple[int, int, tuple[tuple[int, complex], ...]], ...]:
+    """(r, c, ((k, m_k[r, c]), ...)) for each entry of the (K, 16) `stack` some matrix uses.
+
+    An entry whose row or column is a dead component of `live` is left out.
+    """
     entries = np.frombuffer(stack, dtype=complex).reshape(-1, 16)
     return tuple((flat // 4, flat % 4, tuple((k, complex(m)) for k, m in enumerate(column) if m))
-                 for flat, column in enumerate(entries.T) if column.any())
+                 for flat, column in enumerate(entries.T)
+                 if column.any() and (live is None or live[flat // 4] and live[flat % 4]))
 
 
-def squared_norm(values: np.ndarray) -> np.ndarray:
+def squared_norm(values: np.ndarray, live: tuple[bool, ...] | None = None) -> np.ndarray:
     """|psi|^2 at each point of an (..., 4) array of spinor values."""
-    return bilinear(values.conj(), IDENTITY, values).real
+    return bilinear(values.conj(), IDENTITY, values, live).real
 
 
 @dataclass
 class Frame:
-    """Field values (N, 4), partials (4, N, 4) and parameter bindings at N points."""
+    """Field values (N, 4), partials (4, N, 4) and parameter bindings at N points.
+
+    `live` is the field's: False for a component that is zero, with its
+    partials, at every point.
+    """
 
     points: np.ndarray
     value: np.ndarray
     derivs: np.ndarray
     params: Mapping[str, complex]
+    live: tuple[bool, ...] = (True,) * 4
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self, index) -> "Frame":
         """The frame at points[index]: a slice, a boolean mask or row numbers."""
-        return Frame(self.points[index], self.value[index], self.derivs[:, index], self.params)
+        return Frame(self.points[index], self.value[index], self.derivs[:, index], self.params,
+                     self.live)
 
     def held(self, build):
         """build(self), computed on first use and kept as long as this frame."""
@@ -163,7 +190,8 @@ def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Fr
     pts = np.asarray(points, dtype=float)
     value = field.values(pts) if value is None else value
     derivs = exprlang.evaluate_many(field.partials, pts, field.params).reshape(4, 4, len(pts))
-    return Frame(pts, value, np.ascontiguousarray(derivs.transpose(0, 2, 1)), field.params)
+    return Frame(pts, value, np.ascontiguousarray(derivs.transpose(0, 2, 1)), field.params,
+                 field.live)
 
 
 @dataclass(frozen=True)

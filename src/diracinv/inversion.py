@@ -19,14 +19,16 @@ whatever Phi is.
 The routes read a `fields.Frame` and evaluate no spinor.  Every bilinear
 they read comes from one table of the frame (`_Covariants`): psi* M psi,
 and (d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of
-the g and g5 g sets, from two stacked `fields.bilinear` calls.  The table
-is built on a frame's first route and held by the frame (`Frame.held`), so
-the three routes share one and each of its two relations, once per kappa;
-the mass builds its own with only the pieces its relation reads.  A point
-whose denominator falls below the guard, relative to |psi|^2 there, is
-marked in the route's `ok` mask rather than raised; every recovered
-component carries its imaginary residue, and `RecoveredPotential.non_real`
-flags the points where it is beyond tolerance.
+the g and g5 g sets, from two stacked `fields.bilinear` calls, the second
+made on the first read of a partial.  The table is built on a frame's
+first route and held by the frame (`Frame.held`), so the three routes share
+one and each of its two relations, once per kappa; the mass builds its own
+with only the pieces its relation reads.  `invert_combined` reads its guard
+from the table's values first, and forms nothing more if no point passes
+it.  A point whose denominator falls below the guard, relative to |psi|^2
+there, is marked in the route's `ok` mask rather than raised; every
+recovered component carries its imaginary residue, and
+`RecoveredPotential.non_real` flags the points where it is beyond tolerance.
 
 The temporal-slot matrices in the spatial-component relations are pinned by
 the residual oracle on manufactured solutions and hard-asserted in tests.
@@ -35,6 +37,7 @@ the residual oracle on manufactured solutions and hard-asserted in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -140,21 +143,28 @@ class _Covariants:
     matrices) pair of `partials`, and each a of the axes and M of the
     matrices, the table keeps (d_a psi)* M psi and psi* M (d_a psi), which
     `dbil` and `bidir` combine.  The values take one stacked `bilinear` call
-    and each pair one more.
+    and each pair one more; the pairs' calls are made on the first `dbil`
+    or `bidir` read, so a table that only guards builds none.
     """
 
     def __init__(self, fr: Frame, values: tuple, partials: tuple):
         self.relations: dict = {}
-        v, vc = fr.value, fr.value.conj()
-        self._value = {m.tobytes(): b for m, b in zip(values, bilinear(vc, np.stack(values), v))}
-        self._pieces = {}
-        for axes, matrices in partials:
-            d = fr.derivs[list(axes)]
+        self._v, self._vc = fr.value, fr.value.conj()
+        self._derivs, self._live, self._partials = fr.derivs, fr.live, partials
+        self._value = {m.tobytes(): b for m, b in
+                       zip(values, bilinear(self._vc, np.stack(values), self._v, self._live))}
+
+    @cached_property
+    def _pieces(self) -> dict:
+        v, vc, pieces = self._v, self._vc, {}
+        for axes, matrices in self._partials:
+            d = self._derivs[list(axes)]
             left = np.concatenate([d.conj(), np.broadcast_to(vc, d.shape)])
             right = np.concatenate([np.broadcast_to(v, d.shape), d])
-            for m, pieces in zip(matrices, bilinear(left, np.stack(matrices), right)):
-                for axis, lhs, rhs in zip(axes, pieces, pieces[len(axes):]):
-                    self._pieces[m.tobytes(), axis] = (lhs, rhs)
+            for m, products in zip(matrices, bilinear(left, np.stack(matrices), right, self._live)):
+                for axis, lhs, rhs in zip(axes, products, products[len(axes):]):
+                    pieces[m.tobytes(), axis] = (lhs, rhs)
+        return pieces
 
     def value(self, m: np.ndarray) -> np.ndarray:
         return self._value[m.tobytes()]
@@ -200,9 +210,14 @@ def _relation(t: _Covariants, kappa: float, A: Mapping[int, np.ndarray],
     return np.stack([a0, *spatial], axis=1), t.value(A[4])
 
 
+def _passes(fr: Frame, den: np.ndarray, guard: float) -> np.ndarray:
+    """Where |den| > guard |psi|^2, from the values of the frame's held table."""
+    return np.abs(den) > guard * fr.held(_gamma_table).value(IDENTITY).real
+
+
 def _recover(fr: Frame, num: np.ndarray, den: np.ndarray, guard: float) -> RecoveredPotential:
     """a0 = n0 / 2 den and ak = nk / 2i den wherever den passes the guard, relative to |psi|^2."""
-    ok = np.abs(den) > guard * fr.held(_gamma_table).value(IDENTITY).real
+    ok = _passes(fr, den, guard)
     den = np.where(ok, den, 1.0)
     raw = np.stack([num[:, 0] / (2.0 * den)] + [num[:, k] / (2j * den) for k in (1, 2, 3)],
                    axis=1)
@@ -228,7 +243,16 @@ def _held_relation(fr: Frame, kappa: float, massive: bool) -> tuple[np.ndarray, 
 
 
 def invert_combined(fr: Frame, kappa: float, guard: float = DEFAULT_GUARD) -> RecoveredPotential:
-    """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus)."""
+    """Solve the summed relations, denominator psi* d4 psi (zero on the degenerate locus).
+
+    The guard is read first, from the held values with the bits `_recover`
+    reads: if no point passes it, no relation and no partial piece is formed.
+    """
+    t = fr.held(_gamma_table)
+    if not _passes(fr, t.value(_GAMMA[4]) + t.value(_G5GAMMA[4]), guard).any():
+        n = len(fr.points)
+        return RecoveredPotential(fr.points, np.full((n, 4), np.nan), np.zeros(n, dtype=bool),
+                                  np.full(n, np.nan))
     num, den = _held_relation(fr, kappa, massive=True)
     num5, den5 = _held_relation(fr, kappa, massive=False)
     return _recover(fr, num + num5, den + den5, guard)
@@ -259,11 +283,13 @@ def extract_mass_at(fr: Frame, a0: Expr | None,
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
+    # Before a0's walk, so that the pieces' temporaries are freed by then.
+    temporal = _temporal(t, _GAMMA)
     a0_value = 0j
     if a0 is not None:
         a0_value = exprlang.evaluate_many(a0, fr.points, a0_params)
         real_part(a0_value[:, None], fr.points, real_tol)
-    value = (_temporal(t, _GAMMA) - 2.0 * a0_value * t.value(_GAMMA[4])) / (2.0 * norm_sq)
+    value = (temporal - 2.0 * a0_value * t.value(_GAMMA[4])) / (2.0 * norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 

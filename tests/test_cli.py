@@ -525,9 +525,10 @@ def test_the_mass_check_reports_the_gap_to_the_scenario_kappa(capsys):
     # share.  The parent made 133 single-matrix calls.
     ("gauge_round_trip", 9),
     # The catalog's construction check 2; classify 2; the mass 5; the route
-    # table 2; theta's direction 2, once for the three family members.  The
-    # parent made 149.
-    ("degenerate_family", 13),
+    # table's values 1, whose combined guard no row passes, so its partial
+    # call is never made; theta's direction 2, once for the three family
+    # members.  The parent made 149.
+    ("degenerate_family", 12),
 ])
 def test_bilinear_kernel_calls_per_run(tmp_path, monkeypatch, scenario_name, kernel_calls):
     from diracinv import fields
@@ -539,18 +540,23 @@ def test_bilinear_kernel_calls_per_run(tmp_path, monkeypatch, scenario_name, ker
 
 @pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "degenerate_family"])
 def test_every_route_runs_once_on_the_invert_row_frame(tmp_path, monkeypatch, scenario_name):
-    # On a degenerate spinor too: the combined route recovers no row there,
-    # and the other two run on the same frame all the same.
+    # On a degenerate spinor the combined route passes its guard at no row,
+    # so it stops at the guard and the other two do not run.
     from diracinv import inversion
     frames = {name: _count_calls(monkeypatch, inversion, name, lambda fr, *args: fr)
               for name in ("invert_combined", "invert_gamma4", "invert_gamma5gamma4")}
+    relations = _count_calls(monkeypatch, inversion, "_relation")
     out = tmp_path / "report.json"
     assert cli.main(["run", str(_SHIPPED / f"{scenario_name}.json"), "--out", str(out)]) == 0
     invert = [t for t in json.loads(out.read_text())["tasks"] if t["task"] == "invert"][0]
-    [[fr], [fr4], [fr54]] = frames.values()
-    assert fr is fr4 is fr54 and len(fr.points) == len(invert["rows"])
-    assert invert["recovered_points"] == (len(invert["rows"])
-                                          if scenario_name == "gauge_round_trip" else 0)
+    [fr], others = frames["invert_combined"], frames["invert_gamma4"] + frames["invert_gamma5gamma4"]
+    assert len(fr.points) == len(invert["rows"])
+    if scenario_name == "gauge_round_trip":
+        assert [other is fr for other in others] == [True, True]
+        assert invert["recovered_points"] == len(invert["rows"])
+    else:
+        assert others == [] and relations == []
+        assert invert["recovered_points"] == 0
 
 
 @pytest.mark.parametrize("scenario_name", ["gauge_round_trip", "superposition"])

@@ -5,7 +5,7 @@ import pytest
 import solutions
 from hypothesis import given, settings, strategies as st
 
-from diracinv import catalog, degeneracy, exprlang, scenario
+from diracinv import catalog, degeneracy, exprlang, fields, scenario
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import NoSupportPoints
 from diracinv.fields import (DEFAULT_SUPPORT_TOL, SampleDomain, SpinorField, bilinear, frame,
@@ -102,6 +102,26 @@ class TestFrame:
             part, direct = whole.rows(index), frame(field, pts[index])
             for name in ("points", "value", "derivs"):
                 assert getattr(part, name).tobytes() == getattr(direct, name).tobytes()
+
+    def test_live_is_false_exactly_for_zero_literals(self):
+        # parse folds each of the last four to one zero literal.
+        field = SpinorField.from_strings(["0", "-0", "0.0", "0*x1"])
+        assert field.live == (False,) * 4
+        field = SpinorField.from_strings(["x1 - x1", "0 + x2", "0*x1 + 1", "exp(i*x0)"])
+        assert field.live == (True,) * 4
+        field = SpinorField.from_strings(["x0*x1", "0", "exp(i*x2)", "-0.0*x3"])
+        assert field.live == (True, False, True, False)
+        fr = frame(field, np.random.default_rng(0).uniform(-1, 1, (7, 4)))
+        for k in (1, 3):
+            assert not np.any(fr.value[:, k]) and not np.any(fr.derivs[..., k])
+
+    def test_live_goes_with_the_frame_and_its_rows(self, rng):
+        field, _, _ = solutions.gauge_rest_pair(1.2, rng)
+        assert field.live == (True, False, False, False)
+        fr = frame(field, rng.uniform(-1, 1, (30, 4)))
+        assert fr.live == field.live
+        assert fr.rows(slice(5)).live == fr.rows(fr.points[:, 0] > 0).live == field.live
+        assert fields.Frame(fr.points, fr.value, fr.derivs, {}).live == (True,) * 4
 
     def test_frame_of_a_potential_carries_real_values_and_parameters(self):
         pot = FourPotential.from_strings(["a*x0", "x1*x2", "0", "sin(x3)"], {"a": 2.0})
@@ -214,14 +234,14 @@ def _bits(x: np.ndarray) -> bytes:
 class TestStackedKernelBits:
     """The stacked kernel gives every matrix the reference's bits, alone or in a stack."""
 
-    def _check(self, left, right):
-        stacked = bilinear(left, np.stack(SRC_MATRICES), right)
+    def _check(self, left, right, live=None):
+        stacked = bilinear(left, np.stack(SRC_MATRICES), right, live)
         assert stacked.shape == (len(SRC_MATRICES),) + np.broadcast_shapes(
             left.shape[:-1], right.shape[:-1])
         for m, got in zip(SRC_MATRICES, stacked):
             ref = single_matrix_bilinear(left, m, right)
             assert _bits(got) == _bits(ref)
-            assert _bits(bilinear(left, m, right)) == _bits(ref)
+            assert _bits(bilinear(left, m, right, live)) == _bits(ref)
 
     def test_every_src_matrix_at_random_values(self, rng):
         x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
@@ -243,6 +263,28 @@ class TestStackedKernelBits:
         self._check(x.conj(), x[::-1])
         zero = np.zeros((4, 24, 4), dtype=complex)
         self._check(zero, x)
+
+    @pytest.mark.parametrize("mask", range(16))
+    def test_dead_components_move_no_bit(self, rng, mask):
+        # A dead component is exact zeros in both operands; the zeros' signs
+        # are random in the left operand, the right one or both, and +0.0 in
+        # the other.
+        live = tuple(bool(mask >> k & 1) for k in range(4))
+        dead = [k for k in range(4) if not live[k]]
+        signed = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)])
+
+        def values(shape, signs):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x[..., dead] = signed[rng.integers(0, 4, x[..., dead].shape)] if signs else 0j
+            return x
+
+        for left_signs, right_signs in ((True, False), (False, True), (True, True)):
+            x, y = values((30, 4), left_signs), values((30, 4), right_signs)
+            d = values((4, 30, 4), left_signs)
+            self._check(x, y, live)
+            self._check(x.conj(), y, live)
+            self._check(d.conj(), y, live)
+            self._check(d, y, live)
 
     def test_null_shapes_stay_exactly_zero(self, rng):
         shapes = _null_shape_values(rng, 10)

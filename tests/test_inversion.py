@@ -1,16 +1,19 @@
 """Potential and mass recovery, gauge machinery, route agreement."""
 
+import pathlib
+
 import numpy as np
 import pytest
 import solutions
 
-from diracinv import catalog, exprlang, verify
+from diracinv import catalog, exprlang, fields, inversion, scenario, verify
 from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at, gauge_transform,
                                 invert_combined, invert_gamma4, invert_gamma5gamma4)
 
+_SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 POINT = (0.13, -0.42, 0.78, 0.31)
 AT_POINT = [POINT]
 
@@ -208,6 +211,16 @@ class TestInvertCombined:
         assert not sample.ok.any()
         assert np.isnan(sample.a).all() and np.isnan(sample.imag_residue).all()
 
+    def test_stops_at_the_guard_where_no_point_passes(self, degenerate_default, rng):
+        fr = frame(degenerate_default.spinor, rng.uniform(-1, 1, (20, 4)))
+        sample = invert_combined(fr, 1.0)
+        assert not sample.ok.any() and np.isnan(sample.a).all()
+        table = fr.held(inversion._gamma_table)
+        assert table.relations == {} and "_pieces" not in vars(table)
+        # Another route on the same frame forms the partial pieces it reads.
+        assert not invert_gamma4(fr, 1.0).ok.any()
+        assert list(table.relations) == [(True, (1.0).hex())] and "_pieces" in vars(table)
+
     def test_non_solution_yields_nonreal_potential(self):
         # Constant spinor with both denominator bilinears nonzero: the solved
         # components come out genuinely complex.
@@ -215,6 +228,30 @@ class TestInvertCombined:
         sample = invert_combined(frame(field, AT_POINT), 1.0)
         assert sample.ok.all() and sample.non_real().all()
         assert "imaginary residue" in str(sample.non_real_error(0))
+
+
+@pytest.mark.parametrize("scenario_name, entries", [
+    # exp(-i Phi) (1, 0, 0, 0): only the entry (0, 0) has two live components.
+    ("gauge_round_trip", 1),
+    # The degenerate example's second component is a zero literal.
+    ("degenerate_family", 9)])
+def test_route_table_forms_products_of_live_components_only(monkeypatch, scenario_name,
+                                                            entries):
+    sc = scenario.load_scenario(_SHIPPED / f"{scenario_name}.json")
+    fr = sample_support(sc.spinor, sc.domain).frame.rows(slice(200))
+    visits = []
+    users = fields._entry_users
+
+    def counted(stack, live):
+        result = users(stack, live)
+        visits.append((stack, len(result)))
+        return result
+
+    monkeypatch.setattr(fields, "_entry_users", counted)
+    invert_gamma4(fr, sc.kappa)
+    partial_stack = np.stack([*inversion._GAMMA.values(), *inversion._G5GAMMA.values()])
+    assert [n for stack, n in visits if stack == partial_stack.tobytes()] == [entries]
+    assert len(users(partial_stack.tobytes(), None)) == 16
 
 
 class TestInvertGamma4:
