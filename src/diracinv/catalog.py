@@ -68,23 +68,6 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def rest_plane_wave(kappa: float) -> CatalogInstance:
-    """Constant-direction wave oscillating along x0 only; zero potential."""
-    _require_finite(kappa=kappa)
-    spinor = SpinorField.from_strings(
-        ["exp(-i*kappa*x0)", "0", "0", "0"], {"kappa": kappa})
-    instance = CatalogInstance(
-        name="rest_plane_wave",
-        spinor=spinor,
-        kappa=float(kappa),
-        base_potential=FourPotential.zero(),
-        expected_verdict="non-degenerate",
-        params={"kappa": float(kappa)},
-    )
-    _certify(instance)
-    return instance
-
-
 def _check_margins(alpha: float, phi2: float) -> None:
     if abs(math.cos(alpha)) <= SINGULAR_MARGIN or abs(math.cos(phi2)) <= SINGULAR_MARGIN:
         raise ParameterOnSingularLocus(
@@ -101,43 +84,6 @@ def example_thetas(alpha: float, phi1: float, phi2: float) -> tuple[float, float
     return (math.cos(alpha) * math.cos(phi2 - phi1),
             math.cos(alpha) * math.sin(phi2 - phi1),
             -math.sin(alpha))
-
-
-def degenerate_example(kappa: float, alpha: float, phi1: float,
-                       phi2: float) -> CatalogInstance:
-    """Exponential spinor that solves the force-free system yet is degenerate."""
-    _require_finite(kappa=kappa, alpha=alpha, phi1=phi1, phi2=phi2)
-    _check_margins(alpha, phi2)
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    e1 = complex(math.cos(phi1), math.sin(phi1))
-    e2 = complex(math.cos(phi2), math.sin(phi2))
-    den = 2.0 * e1 * c * math.cos(phi2)
-    params = {
-        "c1": e1 / e2 * c,
-        "c2": complex(s),
-        "p0": complex(-kappa * math.tan(phi2)),
-        "p1": 1j * kappa * (1 + e2 ** 2 * s ** 2 - e1 ** 2 * c ** 2) / den,
-        "p2": kappa * (1 + e1 ** 2 * c ** 2 + e2 ** 2 * s ** 2) / den,
-        "p3": 1j * kappa * e2 * s / math.cos(phi2),
-    }
-    # One carrier tree shared by three components, so a frame evaluates it once.
-    carrier = exprlang.parse("exp(p0*x0 + p1*x1 + p2*x2 + p3*x3)")
-    spinor = SpinorField([exprlang.mul(exprlang.Name("c1"), carrier),
-                          exprlang.mul(exprlang.Name("c2"), carrier),
-                          exprlang.ZERO, carrier], params)
-    instance = CatalogInstance(
-        name="degenerate_example",
-        spinor=spinor,
-        kappa=float(kappa),
-        base_potential=FourPotential.zero(),
-        expected_verdict="degenerate",
-        thetas=example_thetas(alpha, phi1, phi2),
-        params={"kappa": float(kappa), "alpha": float(alpha),
-                "phi1": float(phi1), "phi2": float(phi2)},
-    )
-    _certify(instance)
-    return instance
 
 
 def example_family(alpha: float, phi1: float, phi2: float, f: Expr,
@@ -190,16 +136,60 @@ def _number(params: dict, key: str, default: float, integer: bool = False):
 
 
 def _build_rest(params: dict) -> CatalogInstance:
-    return rest_plane_wave(kappa=_number(params, "kappa", 1.0))
+    """Constant-direction wave oscillating along x0 only; zero potential."""
+    kappa = _number(params, "kappa", 1.0)
+    _require_finite(kappa=kappa)
+    spinor = SpinorField.from_strings(
+        ["exp(-i*kappa*x0)", "0", "0", "0"], {"kappa": kappa})
+    instance = CatalogInstance(
+        name="rest_plane_wave",
+        spinor=spinor,
+        kappa=kappa,
+        base_potential=FourPotential.zero(),
+        expected_verdict="non-degenerate",
+        params={"kappa": kappa},
+    )
+    _certify(instance)
+    return instance
 
 
 def _build_degenerate(params: dict) -> CatalogInstance:
-    return degenerate_example(
-        kappa=_number(params, "kappa", 1.0),
-        alpha=_number(params, "alpha", 0.3),
-        phi1=_number(params, "phi1", 0.2),
-        phi2=_number(params, "phi2", -0.1),
+    """Exponential spinor that solves the force-free system yet is degenerate."""
+    kappa = _number(params, "kappa", 1.0)
+    alpha = _number(params, "alpha", 0.3)
+    phi1 = _number(params, "phi1", 0.2)
+    phi2 = _number(params, "phi2", -0.1)
+    _require_finite(kappa=kappa, alpha=alpha, phi1=phi1, phi2=phi2)
+    _check_margins(alpha, phi2)
+    c = math.cos(alpha)
+    s = math.sin(alpha)
+    e1 = complex(math.cos(phi1), math.sin(phi1))
+    e2 = complex(math.cos(phi2), math.sin(phi2))
+    den = 2.0 * e1 * c * math.cos(phi2)
+    spinor_params = {
+        "c1": e1 / e2 * c,
+        "c2": complex(s),
+        "p0": complex(-kappa * math.tan(phi2)),
+        "p1": 1j * kappa * (1 + e2 ** 2 * s ** 2 - e1 ** 2 * c ** 2) / den,
+        "p2": kappa * (1 + e1 ** 2 * c ** 2 + e2 ** 2 * s ** 2) / den,
+        "p3": 1j * kappa * e2 * s / math.cos(phi2),
+    }
+    # One carrier tree shared by three components, so a frame evaluates it once.
+    carrier = exprlang.parse("exp(p0*x0 + p1*x1 + p2*x2 + p3*x3)")
+    spinor = SpinorField([exprlang.mul(exprlang.Name("c1"), carrier),
+                          exprlang.mul(exprlang.Name("c2"), carrier),
+                          exprlang.ZERO, carrier], spinor_params)
+    instance = CatalogInstance(
+        name="degenerate_example",
+        spinor=spinor,
+        kappa=kappa,
+        base_potential=FourPotential.zero(),
+        expected_verdict="degenerate",
+        thetas=example_thetas(alpha, phi1, phi2),
+        params={"kappa": kappa, "alpha": alpha, "phi1": phi1, "phi2": phi2},
     )
+    _certify(instance)
+    return instance
 
 
 def _build_lset(params: dict) -> CatalogInstance:

@@ -2,11 +2,16 @@
 
 Grammar (conventional precedence climbing)::
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?          # right-associative, tighter than unary minus
+    expr   := unary (BINOP unary)*       # '+' '-' (1) below '*' '/' (2), left-associative
+    unary  := '-' unary | atom ('^' unary)?   # '^' is right-associative, tighter than '-'
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+
+The front end makes one regex pass over the text into ``(kind, text,
+offset)`` tuples, then one precedence loop folds the binary operators.  One
+table, ``_BINARY``, holds each binary operator's precedence, node class,
+smart constructor and numpy ufunc; the parser, the printer (`to_text`) and
+the evaluator all read it.  A literal or folded constant that is not finite
+is a ``ParseError`` at its token.
 
 Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 ``i``, ``pi`` and ``e`` are built-in constants; any other name is a user
@@ -172,156 +177,120 @@ def powi(base: Expr, exponent: int) -> Expr:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Each binary operator's precedence, node class, smart constructor and ufunc;
+# all four are left-associative.
+_BINARY = {
+    "+": (1, Add, add, np.add),
+    "-": (1, Sub, sub, np.subtract),
+    "*": (2, Mul, mul, np.multiply),
+    "/": (2, Div, div, np.divide),
+}
+_SYMBOL = {row[1]: symbol for symbol, row in _BINARY.items()}
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | one of "+-*/^(),", or "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, kind "num", "name" or the operator itself, then "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", offset,
+    for match in _TOKEN_RE.finditer(text):  # whitespace matches nothing and is skipped
+        kind, token, offset = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", offset,
                              ("number", "name", "operator"))
-        if match.lastgroup == "op":
-            tokens.append(_Token(match.group("op"), match.group("op"), match.start("op")))
-        elif match.lastgroup == "num":
-            tokens.append(_Token("num", match.group("num"), match.start("num")))
-        else:
-            tokens.append(_Token("name", match.group("name"), match.start("name")))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append((token if kind == "op" else kind, token, offset))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
+def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
+    kind, text, offset = token
+    found = "end of input" if kind == "end" else f"token {text!r}"
+    return ParseError(f"unexpected {found}", offset, expected)
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.idx]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            raise ParseError(f"unexpected {self._describe(self.current)}",
-                             self.current.pos, (kind,))
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
-
-    def parse(self) -> Expr:
-        expr = self.expr()
-        if self.current.kind != "end":
-            raise ParseError(f"unexpected {self._describe(self.current)}",
-                             self.current.pos, ("operator", "end of input"))
-        return expr
-
-    @staticmethod
-    def _finite(node: Expr, pos: int) -> Expr:  # to_text prints inf as a parameter name
-        if isinstance(node, Num) and not cmath.isfinite(node.value):
-            raise ParseError("number is not finite", pos, ("finite number",))
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.current.kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = self._finite(add(node, rhs) if op.kind == "+" else sub(node, rhs), op.pos)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.current.kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            node = self._finite(mul(node, rhs) if op.kind == "*" else div(node, rhs), op.pos)
-        return node
-
-    def unary(self) -> Expr:
-        if self.current.kind == "-":
-            self.advance()
-            return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.current.kind == "^":
-            caret = self.advance()
-            exponent = self.unary()
-            if not isinstance(exponent, Num) or exponent.value.imag != 0 \
-                    or exponent.value.real != int(exponent.value.real):
-                raise ParseError("exponent must be an integer constant", caret.pos,
-                                 ("integer",))
-            try:
-                return self._finite(powi(base, int(exponent.value.real)), caret.pos)
-            except (OverflowError, ZeroDivisionError):
-                raise ParseError("number is not finite", caret.pos, ("finite number",)) from None
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            return self._finite(Num(complex(float(tok.text))), tok.pos)
-        if tok.kind == "name":
-            self.advance()
-            if self.current.kind == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.pos, FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Call(tok.text, arg)
-            return Name(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected {self._describe(tok)}", tok.pos,
-                         ("number", "name", "(", "-"))
+def _finite(node: Expr, offset: int) -> Expr:  # to_text prints inf as a parameter name
+    if isinstance(node, Num) and not cmath.isfinite(node.value):
+        raise ParseError("number is not finite", offset, ("finite number",))
+    return node
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ParseError with offset."""
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    node, i = _binary(tokens, 0, 1)
+    if tokens[i][0] != "end":
+        raise _unexpected(tokens[i], ("operator", "end of input"))
+    return node
+
+
+def _binary(tokens: list, i: int, min_prec: int) -> tuple[Expr, int]:
+    """Operands from tokens[i] joined by operators of precedence >= min_prec, folded left."""
+    node, i = _unary(tokens, i)
+    while (row := _BINARY.get(tokens[i][0])) is not None and row[0] >= min_prec:
+        offset = tokens[i][2]
+        rhs, i = _binary(tokens, i + 1, row[0] + 1)
+        node = _finite(row[2](node, rhs), offset)
+    return node, i
+
+
+def _unary(tokens: list, i: int) -> tuple[Expr, int]:
+    """'-' unary | atom ('^' unary)?: '^' is right-associative and tighter than minus."""
+    if tokens[i][0] == "-":
+        node, i = _unary(tokens, i + 1)
+        return neg(node), i
+    base, i = _atom(tokens, i)
+    if tokens[i][0] != "^":
+        return base, i
+    offset = tokens[i][2]
+    exponent, i = _unary(tokens, i + 1)
+    if not isinstance(exponent, Num) or exponent.value.imag != 0 \
+            or exponent.value.real != int(exponent.value.real):
+        raise ParseError("exponent must be an integer constant", offset, ("integer",))
+    try:
+        return _finite(powi(base, int(exponent.value.real)), offset), i
+    except (OverflowError, ZeroDivisionError):
+        raise ParseError("number is not finite", offset, ("finite number",)) from None
+
+
+def _atom(tokens: list, i: int) -> tuple[Expr, int]:
+    kind, text, offset = tokens[i]
+    if kind == "num":
+        return _finite(Num(complex(float(text))), offset), i + 1
+    if kind == "name":
+        if tokens[i + 1][0] != "(":
+            return Name(text), i + 1
+        if text not in FUNCTIONS:
+            raise ParseError(f"unknown function {text!r}", offset, FUNCTIONS)
+        arg, i = _group(tokens, i + 2)
+        return Call(text, arg), i
+    if kind == "(":
+        return _group(tokens, i + 1)
+    raise _unexpected(tokens[i], ("number", "name", "(", "-"))
+
+
+def _group(tokens: list, i: int) -> tuple[Expr, int]:
+    """The expression after an opening parenthesis, and the index past its ')'."""
+    node, i = _binary(tokens, i, 1)
+    if tokens[i][0] != ")":
+        raise _unexpected(tokens[i], (")",))
+    return node, i + 1
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-_ATOM_PREC = 5
-
-
 def _prec(e: Expr) -> int:
-    return _PREC.get(type(e), _ATOM_PREC)
+    """Binary operators as in `_BINARY`, then Neg 3, Pow 4 and atoms 5."""
+    symbol = _SYMBOL.get(type(e))
+    if symbol is not None:
+        return _BINARY[symbol][0]
+    return 3 if isinstance(e, Neg) else 4 if isinstance(e, Pow) else 5
 
 
 def _num_text(value: complex) -> str:
@@ -349,11 +318,11 @@ def to_text(e: Expr) -> str:
         return e.ident
     if isinstance(e, Neg):
         inner = to_text(e.arg)
-        if _prec(e.arg) < _PREC[Neg]:
+        if _prec(e.arg) < _prec(e):
             inner = f"({inner})"
         return f"-{inner}"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+    op = _SYMBOL.get(type(e))
+    if op is not None:
         my = _prec(e)
         lhs = to_text(e.lhs)
         if _prec(e.lhs) < my:
@@ -365,7 +334,7 @@ def to_text(e: Expr) -> str:
         return f"{lhs}{op}{rhs}"
     if isinstance(e, Pow):
         base = to_text(e.base)
-        if _prec(e.base) <= _PREC[Pow]:
+        if _prec(e.base) <= _prec(e):
             base = f"({base})"
         exp = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
         return f"{base}^{exp}"
@@ -430,7 +399,6 @@ _NPFUNCS = {
     "log": lambda a: np.log(a + 0.0), "sqrt": lambda a: np.sqrt(a + 0.0),
     "sinh": np.sinh, "cosh": np.cosh,
 }
-_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
 def _non_finite(e: Expr, op: str) -> EvaluationError:
@@ -480,9 +448,9 @@ def _eval_array(e: Expr, cols, params, memo: dict) -> np.ndarray:
         value = _resolve(e, cols, params)
     elif isinstance(e, Neg):  # negation of finite values is finite
         value = -_eval_array(e.arg, cols, params, memo)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        value = _ARITHMETIC[type(e)](_eval_array(e.lhs, cols, params, memo),
-                                     _eval_array(e.rhs, cols, params, memo))
+    elif type(e) in _SYMBOL:
+        value = _BINARY[_SYMBOL[type(e)]][3](_eval_array(e.lhs, cols, params, memo),
+                                             _eval_array(e.rhs, cols, params, memo))
         value = _check_finite(value, e, "division" if isinstance(e, Div) else "arithmetic")
     elif isinstance(e, Pow):
         value = _check_finite(_eval_array(e.base, cols, params, memo) ** e.exponent, e, "power")

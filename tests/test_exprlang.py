@@ -1,7 +1,10 @@
 """Parser, differentiator and evaluator contracts."""
 
+import cmath
 import math
+import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from diracinv import exprlang, selftest
 from diracinv.errors import EvaluationError, ParseError
-from diracinv.exprlang import (differentiate, evaluate, evaluate_many, parse,
-                               to_text)
+from diracinv.exprlang import (FUNCTIONS, Call, Expr, Name, Num, add, differentiate, div,
+                               evaluate, evaluate_many, mul, neg, parse, powi, sub, to_text)
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
@@ -370,3 +373,208 @@ def test_print_parse_roundtrip_evaluates_identically(rng):
 def test_number_literals_roundtrip(re, im):
     text = exprlang.to_text(exprlang.Num(complex(re, im)))
     assert evaluate(parse(text), [ORIGIN])[0] == complex(re, im)
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser that the one-pass parser replaced, kept verbatim
+# as the reference: the same text must give the same tree or the same error.
+
+_OLD_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),]))"
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "num" | "name" | one of "+-*/^(),", or "end"
+    text: str
+    pos: int
+
+
+def _old_tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _OLD_TOKEN_RE.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            offset = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", offset,
+                             ("number", "name", "operator"))
+        if match.lastgroup == "op":
+            tokens.append(_Token(match.group("op"), match.group("op"), match.start("op")))
+        elif match.lastgroup == "num":
+            tokens.append(_Token("num", match.group("num"), match.start("num")))
+        else:
+            tokens.append(_Token("name", match.group("name"), match.start("name")))
+        pos = match.end()
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
+
+
+class _OldParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _old_tokenize(text)
+        self.idx = 0
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.idx]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        if self.current.kind != kind:
+            raise ParseError(f"unexpected {self._describe(self.current)}",
+                             self.current.pos, (kind,))
+        return self.advance()
+
+    @staticmethod
+    def _describe(tok: _Token) -> str:
+        return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
+
+    def parse(self) -> Expr:
+        expr = self.expr()
+        if self.current.kind != "end":
+            raise ParseError(f"unexpected {self._describe(self.current)}",
+                             self.current.pos, ("operator", "end of input"))
+        return expr
+
+    @staticmethod
+    def _finite(node: Expr, pos: int) -> Expr:  # to_text prints inf as a parameter name
+        if isinstance(node, Num) and not cmath.isfinite(node.value):
+            raise ParseError("number is not finite", pos, ("finite number",))
+        return node
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.current.kind in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            node = self._finite(add(node, rhs) if op.kind == "+" else sub(node, rhs), op.pos)
+        return node
+
+    def term(self) -> Expr:
+        node = self.unary()
+        while self.current.kind in ("*", "/"):
+            op = self.advance()
+            rhs = self.unary()
+            node = self._finite(mul(node, rhs) if op.kind == "*" else div(node, rhs), op.pos)
+        return node
+
+    def unary(self) -> Expr:
+        if self.current.kind == "-":
+            self.advance()
+            return neg(self.unary())
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        if self.current.kind == "^":
+            caret = self.advance()
+            exponent = self.unary()
+            if not isinstance(exponent, Num) or exponent.value.imag != 0 \
+                    or exponent.value.real != int(exponent.value.real):
+                raise ParseError("exponent must be an integer constant", caret.pos,
+                                 ("integer",))
+            try:
+                return self._finite(powi(base, int(exponent.value.real)), caret.pos)
+            except (OverflowError, ZeroDivisionError):
+                raise ParseError("number is not finite", caret.pos, ("finite number",)) from None
+        return base
+
+    def atom(self) -> Expr:
+        tok = self.current
+        if tok.kind == "num":
+            self.advance()
+            return self._finite(Num(complex(float(tok.text))), tok.pos)
+        if tok.kind == "name":
+            self.advance()
+            if self.current.kind == "(":
+                if tok.text not in FUNCTIONS:
+                    raise ParseError(f"unknown function {tok.text!r}", tok.pos, FUNCTIONS)
+                self.advance()
+                arg = self.expr()
+                self.expect(")")
+                return Call(tok.text, arg)
+            return Name(tok.text)
+        if tok.kind == "(":
+            self.advance()
+            node = self.expr()
+            self.expect(")")
+            return node
+        raise ParseError(f"unexpected {self._describe(tok)}", tok.pos,
+                         ("number", "name", "(", "-"))
+
+
+def _outcome(parser, text):
+    """The tree's repr (signed zeros count), the ParseError's parts, or another error's type."""
+    try:
+        return "tree", repr(parser(text))
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.offset, exc.expected
+    except Exception as exc:  # the type is what is compared
+        return "raised", type(exc)
+
+
+def _assert_parsed_as_before(text):
+    assert _outcome(parse, text) == _outcome(lambda t: _OldParser(t).parse(), text), text
+
+
+_SPACE = st.sampled_from(["", "", " ", "\t", "\n"])
+_LEAVES = st.sampled_from([
+    "0", "-0", "0.0", "2", ".5", "3.", "1.5e3", "1e200", "1e-200", "1e308", "1e-320", "1e999",
+    "x0", "x1", "x2", "x3", "i", "pi", "e", "kappa", "_k2"])
+_EXPONENTS = st.sampled_from(["2", "0", "-2", "(-2)", "-1", "3^2", "0.5", "x1", "(1/3)", "400",
+                              "i", "(2*i)"])
+_FUNCTION_NAMES = st.sampled_from(FUNCTIONS + ("frob",))
+
+
+def _spaced(*parts):
+    """Text of the parts, with drawn whitespace between them."""
+    return st.tuples(*(part if isinstance(part, st.SearchStrategy) else st.just(part)
+                       for part in parts), *(_SPACE for _ in parts)).map(
+        lambda drawn: "".join(a + b for a, b in zip(drawn[:len(parts)], drawn[len(parts):])))
+
+
+_GRAMMAR_TEXT = st.recursive(_LEAVES, lambda inner: st.one_of(
+    _spaced(inner, st.sampled_from("+-*/"), inner),
+    _spaced("-", inner),
+    _spaced(inner, "^", _EXPONENTS),
+    _spaced(_FUNCTION_NAMES, "(", inner, ")"),
+    _spaced("(", inner, ")"),
+), max_leaves=10)
+
+_SOUP_TOKENS = st.sampled_from([
+    "+", "-", "*", "/", "^", "(", ")", ",", "x1", "kappa", "2", "0", "1e200", "1e999", "1e-320",
+    ".", "1.", "1e", "1.2.3", "x1x2", "sin(", "frob(", "^0.5", "^-2", "$", "#", "=", "[", "\u00e9",
+    "\u0663", "\u00b2", "'", "\\"])
+_SOUP_SEPARATORS = st.sampled_from(["", "", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\u00a0",
+                                    "\u2028", "\u200b"])
+_TOKEN_SOUP = st.lists(st.tuples(_SOUP_TOKENS, _SOUP_SEPARATORS), max_size=10).map(
+    lambda pairs: "".join(a + b for a, b in pairs))
+
+
+class TestOnePassParserMatchesRecursiveDescent:
+    @pytest.mark.parametrize("text", [
+        "1e200*1e200", "1e-200^(-2)", "1e308+1e308", "1e200^2", "1e999", "x0*1e999",
+        "1/1e-320", "x1 $ 2", "x1 + * 2", "sin(", "sin(x1,)", "x1,", "sin(x1),",
+        "x1\t+\nsin(\tx2 )", "\n-x1 ^\t2\n", "", "   ", "-0", "- -0", "2^3^2", "x1^-2",
+        "-x1^2", "x1^-2^2", "frob(x1)", "x1 x2", "x1^0.5", "x1^x2", "0^-1", "(x1", "x1)",
+        "sin x1", "2*-3", "x1 - x2 - x3", "x1/x2/x3", "1 - 2*3/4 + 5", "\u0663*x1",
+    ])
+    def test_pinned_inputs(self, text):
+        _assert_parsed_as_before(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_GRAMMAR_TEXT, _TOKEN_SOUP))
+    def test_drawn_grammar_text_and_token_soup(self, text):
+        _assert_parsed_as_before(text)

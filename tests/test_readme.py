@@ -63,3 +63,11 @@ def test_every_task_field_is_named_in_the_report_format(capsys, argv):
     for task in json.loads(capsys.readouterr().out)["tasks"]:
         unnamed = set(task) - named[task["task"]] - named["*"]
         assert not unnamed, f"{task['task']} emits {sorted(unnamed)}, not named in README"
+
+
+def test_the_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+    assert len(blocks) == 1, "README should hold one python block, the library example"
+    namespace = {}
+    exec(compile(blocks[0], str(README_PATH), "exec"), namespace)  # its asserts must hold
+    assert namespace["cls"].verdict == "degenerate"

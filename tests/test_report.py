@@ -1,8 +1,12 @@
 """render_report writes exactly the bytes json.dumps(indent=2, allow_nan=False) gives."""
 
+import contextlib
 import enum
+import hashlib
+import io
 import json
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -11,7 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from diracinv import cli, report
 from diracinv.report import render_report
 
-SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+# The first 7 lines of `python3 tools/reference_reports.py`, in its format.
+DIGESTS = (pathlib.Path(__file__).parent / "report_digests.txt").read_text().splitlines()
 
 
 def _json(value) -> str:
@@ -159,3 +166,19 @@ def test_command_reports_render_as_json_does(argv, monkeypatch, capsys):
     assert cli.main(argv) == 0
     (report,) = reports
     assert capsys.readouterr().out == _json(report)
+
+
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("line", DIGESTS, ids=[line.split(" ", 3)[3] for line in DIGESTS])
+def test_reports_of_the_shipped_scenarios_demos_and_selftest_keep_their_bytes(line):
+    # A change that moves report bytes on purpose regenerates the file (README).
+    command = line.split(" ", 3)[3]
+    argv = [str(ROOT / arg) if arg.startswith("scenarios/") else arg
+            for arg in shlex.split(command)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert f"{code} {_md5(out.getvalue())} {_md5(err.getvalue())} {command}" == line
