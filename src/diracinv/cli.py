@@ -169,7 +169,7 @@ def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
         checks.add(f"family member f={label} is light-like separated from base",
                    gap < sc.tolerances["lightlike"], value=gap)
         if label in ("1", "x0"):
-            gaps[label] = tensor_gap(member, base)
+            gaps[label] = tensor_gap(member, base, real_tol)
 
     gap_const, gap_linear = gaps["1"], gaps["x0"]
     out["gauge_criterion"] = "field-tensor equality on the sampled simply-connected box"

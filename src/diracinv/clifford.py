@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import Check
-
 CMatrix4 = np.ndarray  # 4x4 complex128, read-only
 
 
@@ -86,37 +84,37 @@ def _is_antihermitian(m: CMatrix4) -> bool:
     return np.array_equal(m.conj().T, -m)
 
 
-def structure_selftest() -> list[Check]:
-    """Exact structural checks on the matrix family.
+def structure_selftest() -> list[tuple[str, bool]]:
+    """Exact structural checks on the matrix family, as (name, passed) pairs.
 
     Ten Hermiticity/definition checks (g1..g5 Hermitian, the four delta
     definitions, g5 against its independently derived constant), ten
     anti-Hermiticity checks (unordered pairs l < m), the full 25-entry
     anticommutation table over indices 1..5, and g5^2 = I.
     """
-    checks: list[Check] = []
+    checks: list[tuple[str, bool]] = []
     for mu in range(1, 6):
-        checks.append(Check(f"hermitian gamma{mu}", _is_hermitian(gamma(mu))))
+        checks.append((f"hermitian gamma{mu}", _is_hermitian(gamma(mu))))
     for mu in range(1, 5):
         ok = np.array_equal(delta(mu), gamma(mu) + gamma(5) @ gamma(mu))
-        checks.append(Check(f"delta{mu} definition", ok))
+        checks.append((f"delta{mu} definition", ok))
     # Hand-derived value of g1 g2 g3 g4; guards the hard-coded base matrices.
     g5_expected = np.array([[0, 0, -1, 0],
                             [0, 0, 0, -1],
                             [-1, 0, 0, 0],
                             [0, -1, 0, 0]], dtype=complex)
-    checks.append(Check("gamma5 matches derived constant", np.array_equal(gamma(5), g5_expected)))
+    checks.append(("gamma5 matches derived constant", np.array_equal(gamma(5), g5_expected)))
 
     for lam in range(1, 6):
         for mu in range(lam + 1, 6):
             ok = _is_antihermitian(gamma(lam) @ gamma(mu))
-            checks.append(Check(f"antihermitian gamma{lam}*gamma{mu}", ok))
+            checks.append((f"antihermitian gamma{lam}*gamma{mu}", ok))
 
     for mu in range(1, 6):
         for nu in range(1, 6):
             expected = 2.0 * IDENTITY if mu == nu else np.zeros((4, 4))
             ok = np.array_equal(anticommutator(gamma(mu), gamma(nu)), expected)
-            checks.append(Check(f"anticommutator gamma{mu},gamma{nu}", ok))
+            checks.append((f"anticommutator gamma{mu},gamma{nu}", ok))
 
-    checks.append(Check("gamma5 squared is identity", np.array_equal(gamma(5) @ gamma(5), IDENTITY)))
+    checks.append(("gamma5 squared is identity", np.array_equal(gamma(5) @ gamma(5), IDENTITY)))
     return checks

@@ -7,11 +7,17 @@ Grammar (conventional precedence climbing)::
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 The front end makes one regex pass over the text into ``(kind, text,
-offset)`` tuples, then one precedence loop folds the binary operators.  One
-table, ``_BINARY``, holds each binary operator's precedence, node class,
-smart constructor and numpy ufunc; the parser, the printer (`to_text`) and
-the evaluator all read it.  A literal or folded constant that is not finite
-is a ``ParseError`` at its token.
+offset)`` tuples, then one precedence loop folds the binary operators.  A
+literal or folded constant that is not finite is a ``ParseError`` at its
+token.
+
+One node, ``Binary(op, lhs, rhs)``, stands for all four binary operators;
+``Neg``, ``Pow`` and ``Call`` are the other inner nodes.  One ``_BINARY``
+row per operator holds its precedence, smart constructor, numpy ufunc and
+derivative rule, and one ``_FUNCTIONS`` row per function its ufunc and
+derivative; the parser, the printer (`to_text`), the differentiator and the
+evaluator read those rows, with one branch for every binary node and one
+lookup for every call.
 
 Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 ``i``, ``pi`` and ``e`` are built-in constants; any other name is a user
@@ -45,7 +51,6 @@ import numpy as np
 from .errors import EvaluationError, ParseError
 
 VARIABLES = ("x0", "x1", "x2", "x3")
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 BUILTIN_CONSTANTS = {"i": 1j, "pi": complex(math.pi), "e": complex(math.e)}
 
 
@@ -65,25 +70,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class Binary:
+    op: str  # a key of _BINARY
     lhs: "Expr"
     rhs: "Expr"
 
@@ -100,7 +88,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow, Call]
+Expr = Union[Num, Name, Neg, Binary, Pow, Call]
 
 ZERO = Num(0j)
 ONE = Num(1 + 0j)
@@ -121,7 +109,7 @@ def add(lhs: Expr, rhs: Expr) -> Expr:
         return rhs
     if _is_num(rhs, 0j):
         return lhs
-    return Add(lhs, rhs)
+    return Binary("+", lhs, rhs)
 
 
 def sub(lhs: Expr, rhs: Expr) -> Expr:
@@ -131,7 +119,7 @@ def sub(lhs: Expr, rhs: Expr) -> Expr:
         return lhs
     if _is_num(lhs, 0j):
         return neg(rhs)
-    return Sub(lhs, rhs)
+    return Binary("-", lhs, rhs)
 
 
 def neg(arg: Expr) -> Expr:
@@ -151,7 +139,7 @@ def mul(lhs: Expr, rhs: Expr) -> Expr:
         return rhs
     if _is_num(rhs, 1 + 0j):
         return lhs
-    return Mul(lhs, rhs)
+    return Binary("*", lhs, rhs)
 
 
 def div(lhs: Expr, rhs: Expr) -> Expr:
@@ -161,7 +149,7 @@ def div(lhs: Expr, rhs: Expr) -> Expr:
         return ZERO
     if _is_num(rhs, 1 + 0j):
         return lhs
-    return Div(lhs, rhs)
+    return Binary("/", lhs, rhs)
 
 
 def powi(base: Expr, exponent: int) -> Expr:
@@ -175,17 +163,37 @@ def powi(base: Expr, exponent: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Operators and functions
 
-# Each binary operator's precedence, node class, smart constructor and ufunc;
-# all four are left-associative.
+# Each binary operator's precedence, smart constructor, ufunc and derivative
+# rule, which maps (lhs, rhs, d lhs, d rhs) to a tree; all four are
+# left-associative.
 _BINARY = {
-    "+": (1, Add, add, np.add),
-    "-": (1, Sub, sub, np.subtract),
-    "*": (2, Mul, mul, np.multiply),
-    "/": (2, Div, div, np.divide),
+    "+": (1, add, np.add, lambda l, r, dl, dr: add(dl, dr)),
+    "-": (1, sub, np.subtract, lambda l, r, dl, dr: sub(dl, dr)),
+    "*": (2, mul, np.multiply, lambda l, r, dl, dr: add(mul(dl, r), mul(l, dr))),
+    "/": (2, div, np.divide,
+          lambda l, r, dl, dr: div(sub(mul(dl, r), mul(l, dr)), powi(r, 2))),
 }
-_SYMBOL = {row[1]: symbol for symbol, row in _BINARY.items()}
+
+# Each function's ufunc and its derivative at its call c; exp and sqrt reuse
+# c itself.  + 0.0 maps the imaginary -0.0 negation leaves to +0.0: the
+# principal branch.
+_FUNCTIONS = {
+    "sin": (np.sin, lambda c: Call("cos", c.arg)),
+    "cos": (np.cos, lambda c: neg(Call("sin", c.arg))),
+    "tan": (np.tan, lambda c: div(ONE, powi(Call("cos", c.arg), 2))),
+    "exp": (np.exp, lambda c: c),
+    "log": (lambda a: np.log(a + 0.0), lambda c: div(ONE, c.arg)),
+    "sqrt": (lambda a: np.sqrt(a + 0.0), lambda c: div(ONE, mul(Num(2 + 0j), c))),
+    "sinh": (np.sinh, lambda c: Call("cosh", c.arg)),
+    "cosh": (np.cosh, lambda c: Call("sinh", c.arg)),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
+
+
+# ---------------------------------------------------------------------------
+# Parsing
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -235,7 +243,7 @@ def _binary(tokens: list, i: int, min_prec: int) -> tuple[Expr, int]:
     while (row := _BINARY.get(tokens[i][0])) is not None and row[0] >= min_prec:
         offset = tokens[i][2]
         rhs, i = _binary(tokens, i + 1, row[0] + 1)
-        node = _finite(row[2](node, rhs), offset)
+        node = _finite(row[1](node, rhs), offset)
     return node, i
 
 
@@ -287,9 +295,8 @@ def _group(tokens: list, i: int) -> tuple[Expr, int]:
 
 def _prec(e: Expr) -> int:
     """Binary operators as in `_BINARY`, then Neg 3, Pow 4 and atoms 5."""
-    symbol = _SYMBOL.get(type(e))
-    if symbol is not None:
-        return _BINARY[symbol][0]
+    if isinstance(e, Binary):
+        return _BINARY[e.op][0]
     return 3 if isinstance(e, Neg) else 4 if isinstance(e, Pow) else 5
 
 
@@ -321,17 +328,16 @@ def to_text(e: Expr) -> str:
         if _prec(e.arg) < _prec(e):
             inner = f"({inner})"
         return f"-{inner}"
-    op = _SYMBOL.get(type(e))
-    if op is not None:
+    if isinstance(e, Binary):
         my = _prec(e)
         lhs = to_text(e.lhs)
         if _prec(e.lhs) < my:
             lhs = f"({lhs})"
         rhs = to_text(e.rhs)
         # -, / are left-associative: parenthesize an equal-precedence rhs.
-        if _prec(e.rhs) < my or (_prec(e.rhs) == my and op in ("-", "/")):
+        if _prec(e.rhs) < my or (_prec(e.rhs) == my and e.op in ("-", "/")):
             rhs = f"({rhs})"
-        return f"{lhs}{op}{rhs}"
+        return f"{lhs}{e.op}{rhs}"
     if isinstance(e, Pow):
         base = to_text(e.base)
         if _prec(e.base) <= _prec(e):
@@ -353,19 +359,6 @@ def differentiate(e: Expr, axis: int) -> Expr:
     return _diff(e, axis)
 
 
-# The derivative of each function at its call c; exp and sqrt reuse c itself.
-_DERIVATIVES = {
-    "sin": lambda c: Call("cos", c.arg),
-    "cos": lambda c: neg(Call("sin", c.arg)),
-    "tan": lambda c: div(ONE, powi(Call("cos", c.arg), 2)),
-    "exp": lambda c: c,
-    "log": lambda c: div(ONE, c.arg),
-    "sqrt": lambda c: div(ONE, mul(Num(2 + 0j), c)),
-    "sinh": lambda c: Call("cosh", c.arg),
-    "cosh": lambda c: Call("sinh", c.arg),
-}
-
-
 def _diff(e: Expr, axis: int) -> Expr:
     if isinstance(e, Num):
         return ZERO
@@ -373,33 +366,18 @@ def _diff(e: Expr, axis: int) -> Expr:
         return ONE if e.ident == VARIABLES[axis] else ZERO
     if isinstance(e, Neg):
         return neg(_diff(e.arg, axis))
-    if isinstance(e, Add):
-        return add(_diff(e.lhs, axis), _diff(e.rhs, axis))
-    if isinstance(e, Sub):
-        return sub(_diff(e.lhs, axis), _diff(e.rhs, axis))
-    if isinstance(e, Mul):
-        return add(mul(_diff(e.lhs, axis), e.rhs), mul(e.lhs, _diff(e.rhs, axis)))
-    if isinstance(e, Div):
-        num = sub(mul(_diff(e.lhs, axis), e.rhs), mul(e.lhs, _diff(e.rhs, axis)))
-        return div(num, powi(e.rhs, 2))
+    if isinstance(e, Binary):
+        return _BINARY[e.op][3](e.lhs, e.rhs, _diff(e.lhs, axis), _diff(e.rhs, axis))
     if isinstance(e, Pow):
         inner = _diff(e.base, axis)
         return mul(mul(Num(complex(e.exponent)), powi(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        return mul(_DERIVATIVES[e.func](e), _diff(e.arg, axis))
+        return mul(_FUNCTIONS[e.func][1](e), _diff(e.arg, axis))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-# + 0.0 maps the imaginary -0.0 negation leaves to +0.0: the principal branch.
-_NPFUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": lambda a: np.log(a + 0.0), "sqrt": lambda a: np.sqrt(a + 0.0),
-    "sinh": np.sinh, "cosh": np.cosh,
-}
-
 
 def _non_finite(e: Expr, op: str) -> EvaluationError:
     return EvaluationError(f"{op} produced a non-finite value in {to_text(e)!r}")
@@ -448,14 +426,15 @@ def _eval_array(e: Expr, cols, params, memo: dict) -> np.ndarray:
         value = _resolve(e, cols, params)
     elif isinstance(e, Neg):  # negation of finite values is finite
         value = -_eval_array(e.arg, cols, params, memo)
-    elif type(e) in _SYMBOL:
-        value = _BINARY[_SYMBOL[type(e)]][3](_eval_array(e.lhs, cols, params, memo),
-                                             _eval_array(e.rhs, cols, params, memo))
-        value = _check_finite(value, e, "division" if isinstance(e, Div) else "arithmetic")
+    elif isinstance(e, Binary):
+        value = _BINARY[e.op][2](_eval_array(e.lhs, cols, params, memo),
+                                 _eval_array(e.rhs, cols, params, memo))
+        value = _check_finite(value, e, "division" if e.op == "/" else "arithmetic")
     elif isinstance(e, Pow):
         value = _check_finite(_eval_array(e.base, cols, params, memo) ** e.exponent, e, "power")
     elif isinstance(e, Call):
-        value = _check_finite(_NPFUNCS[e.func](_eval_array(e.arg, cols, params, memo)), e, e.func)
+        value = _check_finite(_FUNCTIONS[e.func][0](_eval_array(e.arg, cols, params, memo)),
+                              e, e.func)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[id(e)] = value

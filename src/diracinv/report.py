@@ -19,45 +19,34 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class Check:
-    """One named pass/fail verification with an optional measured value."""
-
-    name: str
-    passed: bool
-    value: float | None = None
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        out: dict = {"name": self.name, "passed": self.passed}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-@dataclass
 class CheckSet:
-    """A named group of checks, e.g. one task or one self-test section."""
+    """A named group of checks, e.g. one task or one self-test section.
+
+    Each check is held as the dict the report writes: its name and verdict,
+    its measured value when it has one and its detail when that is not empty.
+    """
 
     name: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[dict] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, value: float | None = None, detail: str = "") -> Check:
-        check = Check(name, bool(passed), value, detail)
+    def add(self, name: str, passed: bool, value: float | None = None, detail: str = "") -> None:
+        check: dict = {"name": name, "passed": bool(passed)}
+        if value is not None:
+            check["value"] = value
+        if detail:
+            check["detail"] = detail
         self.checks.append(check)
-        return check
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+        return sum(1 for c in self.checks if not c["passed"])
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "total": len(self.checks),
             "failed": self.n_failed,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": self.checks,
         }
 
 

@@ -41,6 +41,10 @@ def _pick(rng, options: tuple):
     return options[rng.integers(0, len(options))]
 
 
+# The production name of each binary operator.
+_PRODUCTIONS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 def _draw_recipe(rng, depth: int, variables: set[str] | None = None) -> tuple:
     """The draws of a random tree, as nested (node class, *fields) tuples.
 
@@ -60,13 +64,11 @@ def _draw_recipe(rng, depth: int, variables: set[str] | None = None) -> tuple:
             return exprlang.Name, _pick(rng, ("pi", "e", "i"))
         return exprlang.Name, _pick(rng, _PARAM_NAMES)
 
-    kind = _pick(rng, ("negate", "add", "sub", "mul", "div", "pow", "call"))
+    kind = _pick(rng, ("negate", "+", "-", "*", "/", "pow", "call"))
     if kind == "negate":
         return exprlang.Neg, _draw_recipe(rng, depth - 1, variables)
-    if kind in ("add", "sub", "mul", "div"):
-        node_cls = {"add": exprlang.Add, "sub": exprlang.Sub,
-                    "mul": exprlang.Mul, "div": exprlang.Div}[kind]
-        return (node_cls, _draw_recipe(rng, depth - 1, variables),
+    if kind in _PRODUCTIONS:
+        return (exprlang.Binary, kind, _draw_recipe(rng, depth - 1, variables),
                 _draw_recipe(rng, depth - 1, variables))
     if kind == "pow":
         return exprlang.Pow, _draw_recipe(rng, depth - 1, variables), _pick(rng, (-2, -1, 2, 3))
@@ -77,11 +79,6 @@ def _build(recipe: tuple) -> Expr:
     """The tree of a recipe, one node per tuple."""
     node_cls, *fields = recipe
     return node_cls(*(_build(f) if isinstance(f, tuple) else f for f in fields))
-
-
-def _random_expr(rng, depth: int, variables: set[str] | None = None) -> Expr:
-    """A random tree: `_draw_recipe`'s draws, built."""
-    return _build(_draw_recipe(rng, depth, variables))
 
 
 class _RawDraws:
@@ -144,10 +141,8 @@ def _productions_of(e: Expr) -> set[str]:
         return {"parameter"}
     if isinstance(e, exprlang.Neg):
         return {"negate"} | _productions_of(e.arg)
-    if isinstance(e, (exprlang.Add, exprlang.Sub, exprlang.Mul, exprlang.Div)):
-        tag = {exprlang.Add: "add", exprlang.Sub: "sub",
-               exprlang.Mul: "mul", exprlang.Div: "div"}[type(e)]
-        return {tag} | _productions_of(e.lhs) | _productions_of(e.rhs)
+    if isinstance(e, exprlang.Binary):
+        return {_PRODUCTIONS[e.op]} | _productions_of(e.lhs) | _productions_of(e.rhs)
     if isinstance(e, exprlang.Pow):
         tag = "pow_pos" if e.exponent > 0 else "pow_neg"
         return {tag} | _productions_of(e.base)
@@ -273,7 +268,8 @@ def derivative_suite(seed: int) -> CheckSet:
 
 def gamma_structure_suite() -> CheckSet:
     suite = CheckSet("gamma-structure")
-    suite.checks.extend(clifford.structure_selftest())
+    for name, passed in clifford.structure_selftest():
+        suite.add(name, passed)
     return suite
 
 

@@ -27,7 +27,7 @@ from .clifford import signed_permutation
 from .errors import NonRealPotential
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
 from .fields import Frame, SupportSample, frame
-from .inversion import FourPotential
+from .inversion import DEFAULT_REAL_TOL, FourPotential
 
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualRep
 _TENSOR_ENTRIES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def field_tensor(pf: Frame) -> np.ndarray:
+def field_tensor(pf: Frame, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
     """Gauge-invariant antisymmetrized derivative (N, 6) from a potential's frame.
 
     Columns are f01, f02, f03, f12, f13, f23, read off the frame's partials.
@@ -123,13 +123,14 @@ def field_tensor(pf: Frame) -> np.ndarray:
     -dk f).  The quantity annihilated by every such shift is the curl of
     (-a0, a1, a2, a3): entries f_0i = d0 ai + di a0 and f_ij = di aj - dj ai.
     Up to overall sign the f_0i match the physical electric-field components.
-    An entry with a non-negligible imaginary part raises NonRealPotential, at
-    the first such point and there at the first such entry.
+    An entry whose imaginary part exceeds real_tol * (1 + |real part|)
+    raises NonRealPotential, at the first such point and there at the first
+    such entry.
     """
     d = pf.derivs  # d[mu][:, nu] is d_mu a_nu at every point
     entries = np.stack([d[0][:, nu] + d[nu][:, 0] if mu == 0 else d[mu][:, nu] - d[nu][:, mu]
                         for mu, nu in _TENSOR_ENTRIES], axis=1)
-    bad = np.abs(entries.imag) > 1e-8 * (1.0 + np.abs(entries.real))
+    bad = np.abs(entries.imag) > real_tol * (1.0 + np.abs(entries.real))
     if bad.any():
         i, j = divmod(int(np.flatnonzero(bad)[0]), len(_TENSOR_ENTRIES))
         mu, nu = _TENSOR_ENTRIES[j]
@@ -138,9 +139,9 @@ def field_tensor(pf: Frame) -> np.ndarray:
     return entries.real.copy()
 
 
-def tensor_gap(a: Frame, b: Frame) -> float:
+def tensor_gap(a: Frame, b: Frame, real_tol: float = DEFAULT_REAL_TOL) -> float:
     """Max componentwise field-tensor difference of two potential frames at the same points."""
-    return float(np.abs(field_tensor(a) - field_tensor(b)).max(initial=0.0))
+    return float(np.abs(field_tensor(a, real_tol) - field_tensor(b, real_tol)).max(initial=0.0))
 
 
 def lightlike_gap(a: Frame, b: Frame) -> np.ndarray:

@@ -427,7 +427,7 @@ class TestSelftest:
         # round-off from a large |value|, so these seeds let through a pair
         # whose difference quotient was worse than the relative check allows.
         suite = selftest.derivative_suite(seed)
-        assert [c.passed for c in suite.checks] == [True, True, True]
+        assert [c["passed"] for c in suite.checks] == [True, True, True]
 
     def test_corrupted_gamma_constant_fails_structure_suite(self, capsys, monkeypatch):
         # Flip one entry of the second matrix: the anticommutation table and
@@ -975,16 +975,20 @@ class TestTaskFailureReports:
         (detail,) = details
         assert detail.startswith("potential has imaginary residue 5.000e-01 at (")
 
-    @pytest.mark.parametrize("spinor, tasks", [
-        ({"exprs": ["exp(-i*x0)", "0", "0", "0"]}, ["invert", "verify"]),
-        ({"catalog": "degenerate_example"}, ["family", "verify"]),
+    @pytest.mark.parametrize("spinor, potential, tasks, residue", [
+        ({"exprs": ["exp(-i*x0)", "0", "0", "0"]}, ["0", "0", "0", "1e-7*i"],
+         ["invert", "verify"], "1.000e-07"),
+        ({"catalog": "degenerate_example"}, ["0", "0", "0", "1e-7*i"],
+         ["family", "verify"], "1.000e-07"),
+        # Field tensor entry (1,2) is -1e-7*i everywhere; at 1e-8 the values fail first.
+        ({"catalog": "degenerate_example"}, ["0", "1e-7*i*x2", "0", "0"],
+         ["family"], "7.117e-08"),
     ])
     def test_the_scenarios_real_tolerance_reaches_every_task(self, tmp_path, capsys, spinor,
-                                                             tasks):
+                                                             potential, tasks, residue):
         # An imaginary part of 1e-7 passes the default real tolerance, 1e-6,
         # and fails the scenario's 1e-8 in every task that reads the potential.
-        payload = {"kappa": 1.0, "spinor": spinor,
-                   "potential": {"exprs": ["0", "0", "0", "1e-7*i"]},
+        payload = {"kappa": 1.0, "spinor": spinor, "potential": {"exprs": potential},
                    "domain": {"count": 20, "seed": 1}, "tasks": tasks}
         assert cli.main(["run", _write(tmp_path, payload)]) == 0
         capsys.readouterr()
@@ -997,7 +1001,7 @@ class TestTaskFailureReports:
             assert task["error"] == "NonRealPotential"
             assert _check_names(task) == [(f"{task['task']} completed", False)]
             assert task["checks"]["checks"][0]["detail"].startswith(
-                "potential has imaginary residue 1.000e-07 at (")
+                f"potential has imaginary residue {residue} at (")
 
     def test_a_library_error_in_a_task_exits_2(self, tmp_path, capsys, monkeypatch):
         def raise_guard(sc, state, checks):

@@ -184,7 +184,7 @@ class TestOneWalk:
     @given(st.integers(0, 2**32 - 1))
     def test_a_tree_and_its_partials_have_the_bits_of_separate_walks(self, seed):
         rng = np.random.default_rng(seed)
-        e = selftest._random_expr(rng, int(rng.integers(1, 5)))
+        e = selftest._build(selftest._draw_recipe(rng, int(rng.integers(1, 5))))
         trees = [e, *(differentiate(e, axis) for axis in range(4))]
         pts = rng.uniform(-0.8, 0.8, (6, 4))
         want, message = self._alone(trees, pts, self.PARAMS)
@@ -288,7 +288,7 @@ def test_one_row_batch_has_the_bits_of_its_row_in_a_larger_batch():
     rng = np.random.default_rng(5)
     compared = failed = 0
     for _ in range(800):
-        e = selftest._random_expr(rng, depth=int(rng.integers(2, 5)))
+        e = selftest._build(selftest._draw_recipe(rng, depth=int(rng.integers(2, 5))))
         pts = rng.uniform(-0.8, 0.8, (5, 4))
         params = {"k1": complex(rng.uniform(0.5, 1.5)), "k2": complex(rng.uniform(0.5, 1.5))}
         singles = []
@@ -341,8 +341,8 @@ def _random_ast(rng, depth):
     if kind == 0:
         return exprlang.Neg(_random_ast(rng, depth - 1))
     if kind <= 4:
-        cls = (exprlang.Add, exprlang.Sub, exprlang.Mul, exprlang.Div)[kind - 1]
-        return cls(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        op = "+-*/"[kind - 1]
+        return exprlang.Binary(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
     if kind == 5:
         return exprlang.Pow(_random_ast(rng, depth - 1), int(rng.choice([-2, 2, 3])))
     fn = str(rng.choice(exprlang.FUNCTIONS))

@@ -139,7 +139,8 @@ class TestFrame:
         sc = scenario.build_scenario(scenario.demo_scenario("degenerate_example"))
         sample = sample_support(sc.spinor, sc.domain)
         calls = []
-        monkeypatch.setitem(exprlang._NPFUNCS, "exp", lambda a: calls.append(1) or np.exp(a))
+        monkeypatch.setitem(exprlang._FUNCTIONS, "exp", (lambda a: calls.append(1) or np.exp(a),
+                                                         exprlang._FUNCTIONS["exp"][1]))
         assert sample.frame.derivs.shape == (4, len(sample.support), 4)
         assert len(calls) == 1
 

@@ -17,7 +17,8 @@ from diracinv.report import render_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
-# The first 7 lines of `python3 tools/reference_reports.py`, in its format.
+# Lines of `python3 tools/reference_reports.py`, in its format: its first 7, then
+# `selftest` at seeds 0-9 and 31337, which pin the self-test's draw stream (README).
 DIGESTS = (pathlib.Path(__file__).parent / "report_digests.txt").read_text().splitlines()
 
 

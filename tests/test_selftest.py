@@ -29,9 +29,9 @@ def _old_random_expr(rng, depth):
     if kind == "negate":
         return exprlang.Neg(_old_random_expr(rng, depth - 1))
     if kind in ("add", "sub", "mul", "div"):
-        node_cls = {"add": exprlang.Add, "sub": exprlang.Sub,
-                    "mul": exprlang.Mul, "div": exprlang.Div}[kind]
-        return node_cls(_old_random_expr(rng, depth - 1), _old_random_expr(rng, depth - 1))
+        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+        return exprlang.Binary(op, _old_random_expr(rng, depth - 1),
+                               _old_random_expr(rng, depth - 1))
     if kind == "pow":
         return exprlang.Pow(_old_random_expr(rng, depth - 1), int(rng.choice((-2, -1, 2, 3))))
     return exprlang.Call(str(rng.choice(exprlang.FUNCTIONS)), _old_random_expr(rng, depth - 1))
@@ -63,7 +63,7 @@ def _bits(x) -> np.ndarray:
 def test_random_expressions_follow_the_choice_stream(seed):
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(500):
-        a = selftest._random_expr(new, depth=int(new.integers(2, 4)))
+        a = selftest._build(selftest._draw_recipe(new, depth=int(new.integers(2, 4))))
         b = _old_random_expr(old, depth=int(old.integers(2, 4)))
         assert exprlang.to_text(a) == exprlang.to_text(b)
         assert a == b
@@ -222,7 +222,7 @@ def _old_derivative_fd_pairs(seed):
             e, variables = pending[0]
         else:
             variables = set()
-            e = selftest._random_expr(rng, int(rng.integers(2, 4)), variables)
+            e = selftest._build(selftest._draw_recipe(rng, int(rng.integers(2, 4)), variables))
         coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
         axis = rng.integers(0, 4)
         ks = [rng.uniform(0.5, 1.5) for _ in selftest._PARAM_NAMES]
@@ -327,8 +327,9 @@ def test_an_attempt_whose_partial_is_non_finite_off_the_point_is_skipped(monkeyp
     def with_pole(e, axis):
         # The partial plus 1/(x - pole) - 1/(x - pole): exactly 0 off the pole,
         # which only the target's +step point sits on.
-        r = exprlang.Div(exprlang.ONE, exprlang.Sub(exprlang.Name(exprlang.VARIABLES[axis]), pole))
-        return exprlang.Add(differentiate(e, axis), exprlang.Sub(r, r))
+        x = exprlang.Name(exprlang.VARIABLES[axis])
+        r = exprlang.Binary("/", exprlang.ONE, exprlang.Binary("-", x, pole))
+        return exprlang.Binary("+", differentiate(e, axis), exprlang.Binary("-", r, r))
 
     # At the point itself the partial is finite, so the two-call path kept the pair.
     at_point = exprlang.evaluate(with_pole(target_e, target_axis), target_point[None],
@@ -350,9 +351,9 @@ def test_a_zero_partial_fails_the_comparison_with_a_finite_value(monkeypatch, ca
         suite = selftest.derivative_suite(3)
     assert len(suite.checks) == 3
     comparison = suite.checks[2]
-    assert comparison.name == "symbolic matches central differences"
-    assert not comparison.passed and math.isfinite(comparison.value)
-    assert [c.passed for c in suite.checks[:2]] == [True, True]
+    assert comparison["name"] == "symbolic matches central differences"
+    assert not comparison["passed"] and math.isfinite(comparison["value"])
+    assert [c["passed"] for c in suite.checks[:2]] == [True, True]
     # The CLI reports the failed check (exit 1) instead of a rendering error (exit 2).
     assert cli.main(["selftest", "--seed", "3"]) == 1
     assert "not JSON compliant" not in capsys.readouterr().err
