@@ -10,11 +10,13 @@ raw blocks of the bit generator through `_RawDraws`, which repeats
 `Generator`'s arithmetic for `random`, `uniform` and `integers`.
 
 The suites pay per check, not per draw.  A derivative attempt draws its
-tree as a recipe of nested tuples and builds the nodes only once the axis
-check passes; it then evaluates the tree and its partial in one
-`exprlang.evaluate` call over the point and its four offsets, and reads the
-symbolic partial from row 0.  The identity suite composes each batch of
-null vectors in one elementwise `degeneracy.compose_values` call.
+tree as a recipe of nested tuples that gathers the tree's productions and
+variables; a tree that reads no variable draws nothing more.  Otherwise the
+attempt draws its axis among those variables, builds the nodes, evaluates
+the tree and its partial in one `exprlang.evaluate` call over the point and
+its four offsets, and reads the symbolic partial from row 0.  The identity
+suite composes each batch of null vectors in one elementwise
+`degeneracy.compose_values` call.
 """
 
 from __future__ import annotations
@@ -45,20 +47,22 @@ def _pick(rng, options: tuple):
 _PRODUCTIONS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-def _draw_recipe(rng, depth: int, variables: set[str] | None = None) -> tuple:
+def _draw_recipe(rng, depth: int, seen: set[str] | None = None) -> tuple:
     """The draws of a random tree, as nested (node class, *fields) tuples.
 
     `rng` is a Generator or a `_RawDraws`, which draw the same numbers.  The
-    names x0..x3 the tree reads are added to `variables` when it is given.
+    tree's productions and the variables x0..x3 it reads, named as
+    `_productions_of` names them, are added to `seen` when it is given.
     """
+    seen = set() if seen is None else seen
     if depth <= 0 or rng.random() < 0.28:
         kind = _pick(rng, ("number", "variable", "variable", "constant", "parameter"))
+        seen.add(kind)
         if kind == "number":
             return exprlang.Num, complex(round(rng.uniform(-3, 3), 3))
         if kind == "variable":
             name = f"x{rng.integers(0, 4)}"
-            if variables is not None:
-                variables.add(name)
+            seen.add(name)
             return exprlang.Name, name
         if kind == "constant":
             return exprlang.Name, _pick(rng, ("pi", "e", "i"))
@@ -66,13 +70,19 @@ def _draw_recipe(rng, depth: int, variables: set[str] | None = None) -> tuple:
 
     kind = _pick(rng, ("negate", "+", "-", "*", "/", "pow", "call"))
     if kind == "negate":
-        return exprlang.Neg, _draw_recipe(rng, depth - 1, variables)
+        seen.add(kind)
+        return exprlang.Neg, _draw_recipe(rng, depth - 1, seen)
     if kind in _PRODUCTIONS:
-        return (exprlang.Binary, kind, _draw_recipe(rng, depth - 1, variables),
-                _draw_recipe(rng, depth - 1, variables))
+        seen.add(_PRODUCTIONS[kind])
+        return (exprlang.Binary, kind, _draw_recipe(rng, depth - 1, seen),
+                _draw_recipe(rng, depth - 1, seen))
     if kind == "pow":
-        return exprlang.Pow, _draw_recipe(rng, depth - 1, variables), _pick(rng, (-2, -1, 2, 3))
-    return exprlang.Call, _pick(rng, exprlang.FUNCTIONS), _draw_recipe(rng, depth - 1, variables)
+        base, exponent = _draw_recipe(rng, depth - 1, seen), _pick(rng, (-2, -1, 2, 3))
+        seen.add("pow_pos" if exponent > 0 else "pow_neg")
+        return exprlang.Pow, base, exponent
+    func = _pick(rng, exprlang.FUNCTIONS)
+    seen.add(func)
+    return exprlang.Call, func, _draw_recipe(rng, depth - 1, seen)
 
 
 def _build(recipe: tuple) -> Expr:
@@ -176,8 +186,10 @@ _COVERAGE_TEMPLATES: dict[str, str] = {
 
 
 # Offsets along the differentiation axis of the five points one attempt
-# evaluates: the point itself, then +-step and +-step/2.
+# evaluates: the point itself, then +-step and +-step/2.  _FD_SHIFTS[axis]
+# adds them to that axis's column of five copies of the point.
 _FD_OFFSETS = np.array([0.0, _FD_STEP, -_FD_STEP, _FD_STEP / 2, -_FD_STEP / 2])
+_FD_SHIFTS = np.eye(4)[:, None, :] * _FD_OFFSETS[:, None]
 
 
 @functools.cache
@@ -190,10 +202,13 @@ def _coverage_trees() -> tuple[tuple[Expr, frozenset[str]], ...]:
 def derivative_fd_pairs(seed: int):
     """Accepted (expr, point, axis, params, sym, fd), and the productions covered and missing.
 
-    The generator covers every grammar production over the accepted pairs.
-    Suitability gating uses only finite-difference-side information (finite
-    values, magnitude window, step-halving consistency), never the symbolic
-    value, so the comparison stays an honest cross-check.  An attempt whose
+    The generator covers every grammar production over the accepted pairs,
+    as their recipes (or the templates' parses) gathered them.  The axis is
+    drawn among the variables the tree reads; a tree that reads none is
+    skipped before its point, axis and parameters are drawn.  Suitability
+    gating uses only finite-difference-side information (finite values,
+    magnitude window, step-halving consistency), never the symbolic value,
+    so the comparison stays an honest cross-check.  An attempt whose
     partial is non-finite at any of its five points is skipped.
     """
     rng = _RawDraws(seed)
@@ -205,23 +220,22 @@ def derivative_fd_pairs(seed: int):
         attempts += 1
         from_template = bool(pending_templates)
         if from_template:
-            e, variables = pending_templates[0]
+            e, seen = pending_templates[0]
         else:
-            variables = set()
-            recipe = _draw_recipe(rng, int(rng.integers(2, 4)), variables)
-        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
-        axis = rng.integers(0, 4)
-        ks = [rng.uniform(0.5, 1.5) for _ in _PARAM_NAMES]
-        # Every draw of the attempt is made above, so a skip leaves the stream
-        # where an evaluated attempt would.  Without the axis variable fd is
-        # exactly 0, which the window below rejects.
-        if exprlang.VARIABLES[axis] not in variables:
+            seen = set()
+            recipe = _draw_recipe(rng, int(rng.integers(2, 4)), seen)
+        # Along an axis the tree does not read, fd is exactly 0, which the
+        # window below rejects; so a tree that reads none draws nothing more.
+        read = [k for k, x in enumerate(exprlang.VARIABLES) if x in seen]
+        if not read:
             continue
+        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
+        axis = read[rng.integers(0, len(read))]
+        ks = [rng.uniform(0.5, 1.5) for _ in _PARAM_NAMES]
         if not from_template:
             e = _build(recipe)
         point = np.array(coords)
-        pts = np.repeat(point[None, :], len(_FD_OFFSETS), axis=0)
-        pts[:, axis] += _FD_OFFSETS
+        pts = point + _FD_SHIFTS[axis]
         params = {name: complex(k) for name, k in zip(_PARAM_NAMES, ks)}
         # One walk: the partial shares e's nodes, so the memo evaluates each once.
         try:
@@ -247,7 +261,7 @@ def derivative_fd_pairs(seed: int):
         if from_template:
             pending_templates.pop(0)
         accepted.append((e, point, axis, params, rows[1, 0], fd_half))
-        covered |= _productions_of(e)
+        covered |= seen
     missing = set(_COVERAGE_TEMPLATES) - covered
     return accepted, covered, missing
 

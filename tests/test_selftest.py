@@ -1,6 +1,7 @@
 """The fuzz suites draw in blocks the numbers the per-trial draws gave; the
-coverage templates span the grammar; the derivative suite evaluates once per
-attempt that passes the axis check, and builds trees only for those."""
+coverage templates span the grammar; the derivative suite draws each axis
+among the variables its tree reads, evaluates and builds trees only for the
+trees that read one, and fails a wrong derivative rule."""
 
 import dataclasses
 import math
@@ -208,8 +209,9 @@ def _old_fd_values(e, point, axis, params):
 def _old_derivative_fd_pairs(seed):
     """The pairs as the two-call path drew them, kept as the reference.
 
-    Every attempt builds its tree; one that passes the axis check evaluates
-    the tree at its five points, and an accepted one then its partial at the
+    Every attempt builds its tree; one that reads a variable draws its point,
+    an axis among the variables it reads and its parameters, evaluates the
+    tree at its five points, and an accepted one then its partial at the
     point alone.
     """
     rng = selftest._RawDraws(seed)
@@ -223,11 +225,12 @@ def _old_derivative_fd_pairs(seed):
         else:
             variables = set()
             e = selftest._build(selftest._draw_recipe(rng, int(rng.integers(2, 4)), variables))
-        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
-        axis = rng.integers(0, 4)
-        ks = [rng.uniform(0.5, 1.5) for _ in selftest._PARAM_NAMES]
-        if exprlang.VARIABLES[axis] not in variables:
+        read = [k for k in range(4) if exprlang.VARIABLES[k] in variables]
+        if not read:
             continue
+        coords = [rng.uniform(-0.8, 0.8) for _ in range(4)]
+        axis = read[rng.integers(0, len(read))]
+        ks = [rng.uniform(0.5, 1.5) for _ in selftest._PARAM_NAMES]
         point = np.array(coords)
         params = {name: complex(k) for name, k in zip(selftest._PARAM_NAMES, ks)}
         try:
@@ -287,16 +290,16 @@ def test_evaluate_runs_and_trees_are_built_only_past_the_axis_check(monkeypatch)
     trees.clear()
     built[0] = 0
     pairs, _, _ = selftest.derivative_fd_pairs(42)
-    # One call per attempt past the axis check, each on the tree and its partial;
+    # One call per attempt whose tree reads a variable, on the tree and its partial;
     # the two-call path made those and one more per accepted pair.
     assert all(isinstance(e, list) and len(e) == 2 for e in trees)
-    assert len(trees) == old_calls - len(old_pairs) == 103
-    assert old_calls == 203
+    assert len(trees) == old_calls - len(old_pairs) == 104
+    assert old_calls == 204
     # The random trees built are exactly the ones evaluated; templates are parsed.
     templates = [t for t, _ in selftest._coverage_trees()]
     evaluated = [e for e, _ in trees if not any(e is t for t in templates)]
-    assert built[0] == sum(map(_node_count, evaluated)) == 458
-    assert old_nodes == 1796
+    assert built[0] == sum(map(_node_count, evaluated)) == 442
+    assert old_nodes == 637
 
 
 def _old_compose_values(u, v, w):
@@ -357,3 +360,116 @@ def test_a_zero_partial_fails_the_comparison_with_a_finite_value(monkeypatch, ca
     # The CLI reports the failed check (exit 1) instead of a rendering error (exit 2).
     assert cli.main(["selftest", "--seed", "3"]) == 1
     assert "not JSON compliant" not in capsys.readouterr().err
+
+
+def test_the_recipe_gathers_the_productions_and_variables_its_tree_holds():
+    # 400 (seed, depth) draws; together they reach every production.
+    union = set()
+    for seed in range(100):
+        for depth in range(4):
+            seen = set()
+            recipe = selftest._draw_recipe(np.random.default_rng([seed, depth]), depth, seen)
+            assert seen == selftest._productions_of(selftest._build(recipe))
+            union |= seen
+    assert union == set(selftest._COVERAGE_TEMPLATES) | set(exprlang.VARIABLES)
+
+
+def test_each_attempt_draws_its_axis_among_the_variables_its_tree_reads(monkeypatch):
+    log, depth, axes = [], [0], []
+
+    class LoggingDraws(selftest._RawDraws):
+        def uniform(self, lo, hi):
+            log.append(("uniform", lo, hi))
+            return super().uniform(lo, hi)
+
+        def integers(self, lo, hi):
+            log.append(("integers", lo, hi))
+            return super().integers(lo, hi)
+
+    draw_recipe, differentiate = selftest._draw_recipe, exprlang.differentiate
+
+    def logging_draw_recipe(rng, d, seen=None):
+        # The recursion comes back through this wrapper; mark the outermost call.
+        if depth[0] == 0:
+            log.append(("start",))
+        depth[0] += 1
+        try:
+            return draw_recipe(rng, d, seen)
+        finally:
+            depth[0] -= 1
+            if depth[0] == 0:
+                log.append(("read", sorted(set(seen) & set(exprlang.VARIABLES))))
+
+    def logging_differentiate(e, axis):
+        axes.append(exprlang.VARIABLES[axis] in selftest._productions_of(e))
+        return differentiate(e, axis)
+
+    monkeypatch.setattr(selftest, "_RawDraws", LoggingDraws)
+    monkeypatch.setattr(selftest, "_draw_recipe", logging_draw_recipe)
+    monkeypatch.setattr(exprlang, "differentiate", logging_differentiate)
+    pairs, _, missing = selftest.derivative_fd_pairs(42)
+    assert len(pairs) == selftest._FD_PAIRS and not missing
+    # Every evaluated attempt is differentiated along a variable its tree reads.
+    assert all(axes)
+
+    # The draws before the first recipe and after each one, up to the next
+    # recipe's depth draw: the templates' attempts, then each recipe's.
+    starts = [k for k, entry in enumerate(log) if entry == ("start",)]
+    assert all(log[k - 1] == ("integers", 2, 4) for k in starts)
+    segments = [(None, log[:starts[0] - 1])]
+    for k, nxt in zip(starts, starts[1:] + [len(log) + 1]):
+        end = next(j for j in range(k, nxt) if log[j][0] == "read")
+        segments.append((log[end][1], log[end + 1:nxt - 1]))
+    assert any(read == [] for read, _ in segments)
+    evaluated = 0
+    for read, scalars in segments:
+        if read == []:
+            assert scalars == []  # a tree that reads no variable draws nothing more
+            continue
+        attempts = len(scalars) // 7
+        assert attempts >= 1 and len(scalars) == 7 * attempts
+        for a in range(attempts):
+            group = scalars[7 * a:7 * a + 7]
+            assert group[:4] == [("uniform", -0.8, 0.8)] * 4
+            assert group[4][:2] == ("integers", 0) and group[5:] == [("uniform", 0.5, 1.5)] * 2
+            if read is not None:
+                assert attempts == 1 and group[4][2] == len(read)
+        evaluated += attempts
+    assert evaluated == len(axes)
+
+
+def _mutant_diff(node_type, rule):
+    """A `_diff` that takes `rule(e, axis, d)` for `node_type` nodes, d the mutant itself."""
+    diff = exprlang._diff
+
+    def mutant(e, axis):
+        return rule(e, axis, mutant) if isinstance(e, node_type) else diff(e, axis)
+    return mutant
+
+
+_MUTANTS = {
+    "cos' = +sin": ("_FUNCTIONS", "cos", lambda c: exprlang.Call("sin", c.arg)),
+    "log' = 1/(2x)": ("_FUNCTIONS", "log", lambda c: exprlang.div(
+        exprlang.ONE, exprlang.mul(exprlang.Num(2 + 0j), c.arg))),
+    "quotient rule with + for -": ("_BINARY", "/", lambda l, r, dl, dr: exprlang.div(
+        exprlang.add(exprlang.mul(dl, r), exprlang.mul(l, dr)), exprlang.powi(r, 2))),
+    "product rule without l*dr": ("_BINARY", "*", lambda l, r, dl, dr: exprlang.mul(dl, r)),
+    "power rule with exponent - 2": ("_diff", exprlang.Pow, lambda e, axis, d: exprlang.mul(
+        exprlang.mul(exprlang.Num(complex(e.exponent)), exprlang.powi(e.base, e.exponent - 2)),
+        d(e.base, axis))),
+    "negation keeps the sign": ("_diff", exprlang.Neg, lambda e, axis, d: d(e.arg, axis)),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_the_derivative_suite_fails_a_wrong_derivative_rule_on_every_seed(mutant, monkeypatch):
+    table, key, rule = _MUTANTS[mutant]
+    if table == "_FUNCTIONS":
+        monkeypatch.setitem(exprlang._FUNCTIONS, key, (exprlang._FUNCTIONS[key][0], rule))
+    elif table == "_BINARY":
+        monkeypatch.setitem(exprlang._BINARY, key, exprlang._BINARY[key][:3] + (rule,))
+    else:
+        monkeypatch.setattr(exprlang, "_diff", _mutant_diff(key, rule))
+    for seed in range(10):
+        checks = selftest.derivative_suite(seed).checks
+        assert [c["passed"] for c in checks] == [True, True, False], (mutant, seed)
