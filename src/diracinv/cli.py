@@ -21,6 +21,7 @@ from .errors import (DiracinvError, MassInconsistent, NoSupportPoints, NonRealPo
                      NotDegenerate, ParseError, ScenarioError)
 from .exprlang import EvaluationError
 from .fields import SupportSample
+from .inversion import real_part
 from .report import CheckSet, render_report
 from .scenario import (MAX_SAMPLES, TASKS, Scenario, build_scenario, demo_scenario,
                        load_scenario)
@@ -44,6 +45,19 @@ def _classification(sc: Scenario, state: dict) -> Classification:
     return state["classification"]
 
 
+def _potential(sc: Scenario, state: dict) -> np.ndarray:
+    """The scenario potential's complex values (N, 4) at every support point.
+
+    The first task that reads them evaluates them, after the support frame,
+    so a spinor partial that cannot be evaluated is reported first.  Each
+    task real-checks the columns and rows it reads.
+    """
+    if "potential" not in state:
+        state["potential"] = fields.ExpressionField.values(
+            sc.potential, _sample(sc, state).frame.points)
+    return state["potential"]
+
+
 def _task_classify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     cls = _classification(sc, state)
     expected = sc.instance.expected_verdict if sc.instance else None
@@ -61,12 +75,11 @@ def _task_classify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
 
 
 def _task_mass(sc: Scenario, state: dict, checks: CheckSet) -> dict:
-    a0 = sc.potential.components[0] if sc.potential is not None else None
-    a0_params = sc.potential.params if sc.potential is not None else None
+    a0 = _potential(sc, state)[:, 0] if sc.potential is not None else None
     try:
-        estimate = inversion.extract_mass(
-            _sample(sc, state), a0, a0_params=a0_params,
-            spread_tol=sc.tolerances["mass_spread"], real_tol=sc.tolerances["real"])
+        estimate = inversion.extract_mass(_sample(sc, state), a0,
+                                          spread_tol=sc.tolerances["mass_spread"],
+                                          real_tol=sc.tolerances["real"])
     except MassInconsistent as exc:
         checks.add("pointwise mass is consistent", False, detail=str(exc))
         return {"error": "MassInconsistent"}
@@ -102,7 +115,8 @@ def _task_invert(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     known = None
     if sc.potential is not None:
         upto = stop if failed.size and non_real[0, stop] else stop + 1
-        known = sc.potential.values(pts[:upto][ok[:upto]], real_tol=real_tol)
+        rows = np.flatnonzero(ok[:upto])
+        known = real_part(_potential(sc, state)[rows], pts[rows], real_tol)
     if failed.size:
         raise (combined, *others)[int(np.argmax(non_real[:, stop]))].non_real_error(stop)
 
@@ -147,13 +161,12 @@ def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     # The family is defined on the whole support; the direction is held on
     # this row frame, not on the run's support frame.
     fr = _sample(sc, state).frame.rows(slice(None))
-    count = len(fr.points)
     real_tol = sc.tolerances["real"]
     if sc.potential is not None:
-        base = fields.frame(sc.potential, fr.points, sc.potential.values(fr.points, real_tol))
-    else:  # the zero potential: values and partials are +0.0, read-only views of one zero
-        base = fields.Frame(fr.points, np.broadcast_to(0.0, (count, 4)),
-                            np.broadcast_to(0j, (4, count, 4)), {})
+        base = fields.frame(sc.potential, fr.points,
+                            real_part(_potential(sc, state), fr.points, real_tol))
+    else:
+        base = fields.zero_frame(fr.points)
     gaps = {}
     for label, f in directions:
         member = degeneracy.potential_family(fr, base, f, cls, real_tol)
@@ -183,7 +196,7 @@ def _task_family(sc: Scenario, state: dict, checks: CheckSet) -> dict:
 def _task_verify(sc: Scenario, state: dict, checks: CheckSet) -> dict:
     sample = _sample(sc, state)
     a = (None if sc.potential is None
-         else sc.potential.values(sample.frame.points, sc.tolerances["real"]))
+         else real_part(_potential(sc, state), sample.frame.points, sc.tolerances["real"]))
     report = verify.residual_norm(sample, a, sc.kappa)
     checks.add("forward residual within tolerance",
                report.max_norm < sc.tolerances["residual"], value=report.max_norm)

@@ -30,12 +30,18 @@ of K trees, for an (N, 4) batch of points in IEEE double complex numpy
 arithmetic, evaluates each node object once per call, and gives an (N,) or
 (K, N) array whose row bits do not depend on the other rows or trees.
 A node whose value is non-finite at any point raises ``EvaluationError``
-with the message "<op> produced a non-finite value in '<expr>'": literals,
-constants and parameters are checked when resolved, arithmetic, division,
-powers and functions after they apply (negation keeps finite values
-finite).  Those checks replace numpy's floating-point warnings, which are
-off (one ``np.errstate``) for the whole walk.  A constant leaf is a
-zero-stride read-only view of one value.
+with the message "<op> produced a non-finite value in '<expr>'", and the
+node it names is the first non-finite one in walk order.  Literals,
+constants and parameters are checked when resolved.  The values of
+arithmetic, division, powers and functions are added into one running sum
+as they apply, and a call checks that sum once, after the walk; a
+non-finite value makes the sum non-finite.  Only when that check fails, or
+the walk raises, does the call scan its memo, which holds the nodes in the
+order the walk finished them, for the first non-finite value (a sum of
+finite values that overflows finds none, and passes).  Negation keeps
+finite values finite.  These checks replace numpy's floating-point
+warnings, which are off (one ``np.errstate``) for the whole walk.  A
+constant leaf is a zero-stride read-only view of one value.
 """
 
 from __future__ import annotations
@@ -383,12 +389,6 @@ def _non_finite(e: Expr, op: str) -> EvaluationError:
     return EvaluationError(f"{op} produced a non-finite value in {to_text(e)!r}")
 
 
-def _check_finite(value: np.ndarray, e: Expr, op: str) -> np.ndarray:
-    if not np.isfinite(value).all():
-        raise _non_finite(e, op)
-    return value
-
-
 def _leaf(value: complex, e: Expr, op: str, shape) -> np.ndarray:
     """The constant as a zero-stride view of one complex128 scalar: read-only, no N copies."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -407,38 +407,56 @@ def _resolve(e: Name, cols, params: Mapping[str, complex] | None) -> np.ndarray:
 
 
 def _columns(pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four complex coordinate columns of finite (N, 4) points."""
+    """The four complex coordinate columns of finite (N, 4) points, converted in one pass."""
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
-    return tuple(pts[:, k].astype(complex) for k in range(4))
+    return tuple(pts.T.astype(complex, order="C"))
 
 
-def _eval_array(e: Expr, cols, params, memo: dict) -> np.ndarray:
-    """The (N,) value of e, memoized by node identity; callers hold np.errstate."""
-    value = memo.get(id(e))
-    if value is not None:
-        return value
-    if isinstance(e, Num):
-        value = _leaf(e.value, e, "number", cols[0].shape)
-    elif isinstance(e, Name):
+def _eval_array(e: Expr, cols, params, memo: dict, total: np.ndarray) -> np.ndarray:
+    """The (N,) value of e, memoized by node identity as (e, value) in walk order.
+
+    The value of every arithmetic, power and call node is added into
+    `total`, whose finiteness `evaluate` checks once; callers hold
+    np.errstate.
+    """
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    kind = type(e)
+    if kind is Binary:
+        value = _BINARY[e.op][2](_eval_array(e.lhs, cols, params, memo, total),
+                                 _eval_array(e.rhs, cols, params, memo, total))
+        total += value
+    elif kind is Name:
         value = _resolve(e, cols, params)
-    elif isinstance(e, Neg):  # negation of finite values is finite
-        value = -_eval_array(e.arg, cols, params, memo)
-    elif isinstance(e, Binary):
-        value = _BINARY[e.op][2](_eval_array(e.lhs, cols, params, memo),
-                                 _eval_array(e.rhs, cols, params, memo))
-        value = _check_finite(value, e, "division" if e.op == "/" else "arithmetic")
-    elif isinstance(e, Pow):
-        value = _check_finite(_eval_array(e.base, cols, params, memo) ** e.exponent, e, "power")
-    elif isinstance(e, Call):
-        value = _check_finite(_FUNCTIONS[e.func][0](_eval_array(e.arg, cols, params, memo)),
-                              e, e.func)
+    elif kind is Num:
+        value = _leaf(e.value, e, "number", cols[0].shape)
+    elif kind is Call:
+        value = _FUNCTIONS[e.func][0](_eval_array(e.arg, cols, params, memo, total))
+        total += value
+    elif kind is Pow:
+        value = _eval_array(e.base, cols, params, memo, total) ** e.exponent
+        total += value
+    elif kind is Neg:  # negation of finite values is finite
+        value = -_eval_array(e.arg, cols, params, memo, total)
     else:
         raise TypeError(f"not an expression node: {e!r}")
-    memo[id(e)] = value
+    memo[id(e)] = e, value
     return value
+
+
+def _first_non_finite(memo: dict) -> EvaluationError | None:
+    """The error of the first arithmetic, power or call node, in memo order, that is not finite."""
+    for e, value in memo.values():
+        kind = type(e)
+        if kind in (Binary, Pow, Call) and not np.isfinite(value).all():
+            op = ("division" if e.op == "/" else "arithmetic") if kind is Binary \
+                else "power" if kind is Pow else e.func
+            return _non_finite(e, op)
+    return None
 
 
 def evaluate(e: Expr | Sequence[Expr], points,
@@ -450,8 +468,19 @@ def evaluate(e: Expr | Sequence[Expr], points,
     """
     cols = _columns(np.asarray(points, dtype=float))
     trees, memo = (e if isinstance(e, (list, tuple)) else [e]), {}
-    with np.errstate(all="ignore"):  # np.array copies each row out of the memo
-        out = np.array([_eval_array(tree, cols, params, memo) for tree in trees], dtype=complex)
+    total = np.zeros(cols[0].shape, dtype=complex)  # a non-finite term makes it non-finite
+    with np.errstate(all="ignore"):
+        try:
+            values = [_eval_array(tree, cols, params, memo, total) for tree in trees]
+        except Exception:  # a node walked before the one that raised may be non-finite
+            error = _first_non_finite(memo)
+            if error is None:
+                raise
+            raise error from None
+        # A finite sum can overflow; then the scan finds no non-finite node.
+        if not np.isfinite(total).all() and (error := _first_non_finite(memo)) is not None:
+            raise error
+        out = np.array(values, dtype=complex)  # copies each row out of the memo
     return out if trees is e else out[0]
 
 

@@ -194,6 +194,17 @@ def frame(field: ExpressionField, points, value: np.ndarray | None = None) -> Fr
                  field.live)
 
 
+def zero_frame(points: np.ndarray) -> Frame:
+    """The zero potential's frame at (N, 4) points, evaluating nothing.
+
+    Its values and partials are +0.0, as the zero potential's trees give,
+    held as read-only views of one zero.
+    """
+    count = len(points)
+    return Frame(points, np.broadcast_to(0.0, (count, 4)), np.broadcast_to(0j, (4, count, 4)),
+                 {}, (False,) * 4)
+
+
 @dataclass(frozen=True)
 class SampleDomain:
     """Axis-aligned box in (x0..x3) sampled at `count` seeded uniform points."""

@@ -161,9 +161,11 @@ class _Covariants:
             d = self._derivs[list(axes)]
             left = np.concatenate([d.conj(), np.broadcast_to(vc, d.shape)])
             right = np.concatenate([np.broadcast_to(v, d.shape), d])
+            del d  # each operand goes as soon as it is read, not at the next pair
             for m, products in zip(matrices, bilinear(left, np.stack(matrices), right, self._live)):
                 for axis, lhs, rhs in zip(axes, products, products[len(axes):]):
                     pieces[m.tobytes(), axis] = (lhs, rhs)
+            del left, right
         return pieces
 
     def value(self, m: np.ndarray) -> np.ndarray:
@@ -272,10 +274,13 @@ def invert_gamma5gamma4(fr: Frame, kappa: float,
 # ---------------------------------------------------------------------------
 # Mass extraction
 
-def extract_mass_at(fr: Frame, a0: Expr | None,
-                    a0_params: Mapping[str, complex] | None = None,
+def extract_mass_at(fr: Frame, a0: np.ndarray | None,
                     real_tol: float = DEFAULT_REAL_TOL) -> MassSample:
-    """Pointwise mass from the temporal relation, with a0 real-checked by `real_part`."""
+    """Pointwise mass from the temporal relation.
+
+    `a0` is the potential's complex a0 at the frame's points, real-checked by
+    `real_part`, or None for a0 = 0.
+    """
     # Only what the temporal relation reads: g_k at axis k and g4 at axis 0.
     t = _Covariants(fr, (IDENTITY, _GAMMA[4]), (((0,), (_GAMMA[4],)), ((1,), (_GAMMA[1],)),
                                                 ((2,), (_GAMMA[2],)), ((3,), (_GAMMA[3],))))
@@ -283,28 +288,27 @@ def extract_mass_at(fr: Frame, a0: Expr | None,
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
-    # Before a0's walk, so that the pieces' temporaries are freed by then.
     temporal = _temporal(t, _GAMMA)
-    a0_value = 0j
-    if a0 is not None:
-        a0_value = exprlang.evaluate_many(a0, fr.points, a0_params)
-        real_part(a0_value[:, None], fr.points, real_tol)
-    value = (temporal - 2.0 * a0_value * t.value(_GAMMA[4])) / (2.0 * norm_sq)
+    if a0 is None:
+        a0 = 0j
+    else:
+        real_part(a0[:, None], fr.points, real_tol)
+    value = (temporal - 2.0 * a0 * t.value(_GAMMA[4])) / (2.0 * norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 
-def extract_mass(sample: SupportSample, a0: Expr | None,
-                 a0_params: Mapping[str, complex] | None = None,
+def extract_mass(sample: SupportSample, a0: np.ndarray | None,
                  spread_tol: float = DEFAULT_SPREAD_TOL,
                  real_tol: float = DEFAULT_REAL_TOL) -> MassEstimate:
     """Mass over all support points: mean, max spread and max imaginary residue.
 
     A spread or an imaginary residue beyond tolerance contradicts mass
-    uniqueness, so the input cannot be a Dirac solution.  A non-real a0
-    raises NonRealPotential before either.
+    uniqueness, so the input cannot be a Dirac solution.  `a0` is as for
+    `extract_mass_at`, at the sample's support points; a non-real a0 raises
+    NonRealPotential before either.
     """
     points = sample.frame.points
-    samples = extract_mass_at(sample.frame, a0, a0_params, real_tol)
+    samples = extract_mass_at(sample.frame, a0, real_tol)
     mean = float(samples.kappa.mean())
     spread = float(np.abs(samples.kappa - mean).max())
     max_imag = float(samples.imag_residue.max())

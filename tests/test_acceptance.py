@@ -177,8 +177,9 @@ def test_criterion_7_mass_uniqueness(degenerate_instances):
         f, params = solutions.random_gauge_function(rng)
         variant, shift = inversion.gauge_transform(inst.spinor, f, params)
         pot = inversion.FourPotential.zero().plus(shift)
-        estimate = inversion.extract_mass(sample_support(variant, domain),
-                                          pot.components[0], a0_params=pot.params)
+        sample = sample_support(variant, domain)
+        estimate = inversion.extract_mass(
+            sample, exprlang.evaluate(pot.components[0], sample.support, pot.params))
         worst_err = max(worst_err, abs(estimate.kappa - inst.kappa))
         worst_spread = max(worst_spread, estimate.spread)
     ok = worst_err < 1e-9 and worst_spread < 1e-9

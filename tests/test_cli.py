@@ -582,19 +582,71 @@ def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_pat
     assert len(calls) == 2
 
 
-def test_mass_reads_the_scenario_a0_once_at_every_support_row(tmp_path, monkeypatch):
-    from diracinv import fields, inversion
-    seen = _count_calls(monkeypatch, inversion, "extract_mass_at",
-                        lambda fr, a0, *args: (fr.points, a0))
+def test_run_evaluates_the_potential_once_at_every_support_point(tmp_path, monkeypatch):
+    # The potential's a3 is the literal zero that the spinor's components
+    # share, so a call reads the potential when it evaluates a0, a1 or a2.
+    from diracinv import exprlang, fields
+    calls = _count_calls(monkeypatch, exprlang, "evaluate", lambda e, points, *args: (e, points))
     path = _SHIPPED / "gauge_round_trip.json"
-    out = tmp_path / "report.json"
-    assert cli.main(["run", str(path), "--out", str(out)]) == 0
-    mass = [t for t in json.loads(out.read_text())["tasks"] if t["task"] == "mass"][0]
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
     sc = scenario.load_scenario(path)
     support = fields.sample_support(sc.spinor, sc.domain, sc.tolerances["support"]).support
+    components = sc.potential.components
+    reads = [(e, points) for e, points in calls
+             if any(c in (e if isinstance(e, (list, tuple)) else [e]) for c in components[:3])]
+    [(trees, points)] = reads
+    assert tuple(trees) == components and np.array_equal(points, support)
+
+
+def test_mass_reads_the_held_a0_at_every_support_row(monkeypatch):
+    from diracinv import exprlang, fields, inversion
+    seen = _count_calls(monkeypatch, inversion, "extract_mass_at",
+                        lambda fr, a0, *args: (fr.points, a0))
+    sc = scenario.load_scenario(str(_SHIPPED / "gauge_round_trip.json"))
+    state: dict = {}
+    mass = cli._TASK_RUNNERS["mass"](sc, state, CheckSet("mass"))
+    support = fields.sample_support(sc.spinor, sc.domain, sc.tolerances["support"]).support
     [(points, a0)] = seen
-    assert a0 == sc.potential.components[0]
     assert len(points) == mass["points"] > 3 and np.array_equal(points, support)
+    held = state["potential"]
+    assert held.shape == (len(support), 4)
+    assert a0.tobytes() == held[:, 0].tobytes()
+    alone = exprlang.evaluate(sc.potential.components[0], support, sc.potential.params)
+    assert a0.tobytes() == alone.tobytes()
+
+
+def _with_a_pole(component: int, at: float, tasks: list[str]) -> dict:
+    """The shipped gauge scenario at 300 samples and `tasks`, with z/(x1 - at), z = 0,
+    added to one potential component: ±0 where x1 != at, and 0/0 where x1 == at."""
+    payload = json.loads((_SHIPPED / "gauge_round_trip.json").read_text())
+    payload["domain"]["count"] = 300
+    payload["tasks"] = tasks
+    exprs = payload["potential"]["exprs"]
+    exprs[component] = f"{exprs[component]} + z/(x1 - {at!r})"
+    payload["potential"]["params"] = {"z": 0}
+    return payload
+
+
+@pytest.mark.parametrize("row, component, tasks", [
+    # Outside the 200 rows of invert's table.
+    (250, 0, ["classify", "invert"]),
+    # In a spatial component, which the mass does not read.
+    (5, 2, ["mass"]),
+])
+def test_a_potential_non_finite_at_one_support_point_exits_2(tmp_path, capsys, row, component,
+                                                             tasks):
+    # The potential is evaluated at every support point, whichever tasks run.
+    from diracinv import exprlang, fields
+    sc = scenario.load_scenario(str(_SHIPPED / "gauge_round_trip.json"), samples=300)
+    support = fields.sample_support(sc.spinor, sc.domain, sc.tolerances["support"]).support
+    assert len(support) == 300
+    away = _with_a_pole(component, 5.0, tasks)  # outside the box
+    assert _run(capsys, ["run", _write(tmp_path, away)])[0] == 0
+    payload = _with_a_pole(component, float(support[row, 1]), tasks)
+    pole = exprlang.to_text(exprlang.parse(payload["potential"]["exprs"][component]).rhs)
+    assert cli.main(["run", _write(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: division produced a non-finite value in {pole!r}\n"
 
 
 @pytest.mark.parametrize("command", [

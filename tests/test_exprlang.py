@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from diracinv import exprlang, selftest
 from diracinv.errors import EvaluationError, ParseError
-from diracinv.exprlang import (FUNCTIONS, Call, Expr, Name, Num, add, differentiate, div,
-                               evaluate, evaluate_many, mul, neg, parse, powi, sub, to_text)
+from diracinv.exprlang import (FUNCTIONS, Binary, Call, Expr, Name, Neg, Num, Pow, add,
+                               differentiate, div, evaluate, evaluate_many, mul, neg, parse,
+                               powi, sub, to_text)
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
@@ -161,7 +162,8 @@ class TestEvaluatorFloatingPointState:
     @pytest.mark.parametrize("text", ["2.5", "pi", "k1"])
     def test_constant_leaves_are_read_only_zero_stride_views(self, text):
         cols = exprlang._columns(np.zeros((100_000, 4)))
-        leaf = exprlang._eval_array(parse(text), cols, {"k1": 0.5 + 1j}, {})
+        total = np.zeros(100_000, dtype=complex)
+        leaf = exprlang._eval_array(parse(text), cols, {"k1": 0.5 + 1j}, {}, total)
         assert leaf.shape == (100_000,) and leaf.strides == (0,)
         assert not leaf.flags.writeable
         assert leaf[0] == leaf[-1] == evaluate(parse(text), [ORIGIN], {"k1": 0.5 + 1j})[0]
@@ -578,3 +580,172 @@ class TestOnePassParserMatchesRecursiveDescent:
     @given(st.one_of(_GRAMMAR_TEXT, _TOKEN_SOUP))
     def test_drawn_grammar_text_and_token_soup(self, text):
         _assert_parsed_as_before(text)
+
+
+# The evaluator before one finiteness check per call, kept as the reference
+# the current one must match: it checks each arithmetic, power and call node
+# as it applies.  `_leaf`, `_resolve`, `_non_finite` and the operator tables
+# are the module's own, unchanged.
+
+def _old_check_finite(value, e, op):
+    if not np.isfinite(value).all():
+        raise exprlang._non_finite(e, op)
+    return value
+
+
+def _old_columns(pts):
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"points must have shape (N, 4), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    return tuple(pts[:, k].astype(complex) for k in range(4))
+
+
+def _old_eval_array(e, cols, params, memo):
+    value = memo.get(id(e))
+    if value is not None:
+        return value
+    if isinstance(e, Num):
+        value = exprlang._leaf(e.value, e, "number", cols[0].shape)
+    elif isinstance(e, Name):
+        value = exprlang._resolve(e, cols, params)
+    elif isinstance(e, Neg):  # negation of finite values is finite
+        value = -_old_eval_array(e.arg, cols, params, memo)
+    elif isinstance(e, Binary):
+        value = exprlang._BINARY[e.op][2](_old_eval_array(e.lhs, cols, params, memo),
+                                          _old_eval_array(e.rhs, cols, params, memo))
+        value = _old_check_finite(value, e, "division" if e.op == "/" else "arithmetic")
+    elif isinstance(e, Pow):
+        value = _old_check_finite(_old_eval_array(e.base, cols, params, memo) ** e.exponent,
+                                  e, "power")
+    elif isinstance(e, Call):
+        value = _old_check_finite(
+            exprlang._FUNCTIONS[e.func][0](_old_eval_array(e.arg, cols, params, memo)), e, e.func)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = value
+    return value
+
+
+def _old_evaluate(e, points, params=None):
+    cols = _old_columns(np.asarray(points, dtype=float))
+    trees, memo = (e if isinstance(e, (list, tuple)) else [e]), {}
+    with np.errstate(all="ignore"):  # np.array copies each row out of the memo
+        out = np.array([_old_eval_array(tree, cols, params, memo) for tree in trees],
+                       dtype=complex)
+    return out if trees is e else out[0]
+
+
+def _evaluated(evaluator, trees, pts, params):
+    """The result's shape and bits, or the exception's type and message."""
+    try:
+        out = evaluator(trees, pts, params)
+        return "value", out.shape, out.tobytes()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_evaluated_as_before(trees, pts, params=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _evaluated(evaluate, trees, pts, params)
+    assert got == _evaluated(_old_evaluate, trees, pts, params)
+    return got
+
+
+def _nested(depth: int, leaf: Expr) -> Expr:
+    """sin(sin(...sin(leaf))), `depth` calls deep, built without recursion."""
+    for _ in range(depth):
+        leaf = Call("sin", leaf)
+    return leaf
+
+
+class TestOneCheckPerCallMatchesCheckPerNode:
+    # The same bits, or the same exception type and message, as the evaluator
+    # that checks every node as it applies.
+    POINTS = np.array([[0.0, 0.0, 0.3, 0.4], [1.0, 1.0, -0.5, 0.0]])
+    POLE = "1/(x1-x1)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/(x1-x1)", "division produced a non-finite value in '1/(x1-x1)'"),
+        ("log(x1-x1)", "log produced a non-finite value in 'log(x1-x1)'"),
+        ("exp(800*x1)", "exp produced a non-finite value in 'exp(800*x1)'"),
+        # An inner non-finite value that the outer node turns finite again.
+        ("1/(1/(x1-x1))", "division produced a non-finite value in '1/(x1-x1)'"),
+        ("exp(-exp(800*x1))", "exp produced a non-finite value in 'exp(800*x1)'"),
+        # The first non-finite node in walk order, not the largest one.
+        ("log(x0-x0) + 1/(x1-x1)", "log produced a non-finite value in 'log(x0-x0)'"),
+    ])
+    def test_pinned_poles_name_the_first_non_finite_node(self, text, message):
+        got = _assert_evaluated_as_before(parse(text), self.POINTS)
+        assert got == (EvaluationError, message)
+
+    @pytest.mark.parametrize("text, params", [
+        (f"{POLE} + k1", {"k1": complex(math.inf)}),
+        (f"{POLE} * k1", {"k1": complex(0, math.nan)}),
+        (f"log(x1-x1) - unbound", None),
+        (f"{POLE} + 1/0", None),
+    ])
+    def test_a_leaf_that_raises_after_an_earlier_pole_reports_the_pole(self, text, params):
+        tree = parse(text)
+        if text.endswith("1/0"):  # the parser keeps 1/0 as a division of literals
+            tree = Binary("+", parse(self.POLE), Num(complex(math.inf)))
+        got = _assert_evaluated_as_before(tree, self.POINTS, params)
+        assert got[0] is EvaluationError and ("'1/(x1-x1)'" in got[1] or "log" in got[1])
+
+    def test_a_leaf_that_raises_with_no_earlier_pole_raises_itself(self):
+        for tree, params in [(parse("x1 + k1"), {"k1": complex(math.inf)}),
+                             (parse("x1 * unbound"), None)]:
+            got = _assert_evaluated_as_before(tree, self.POINTS, params)
+            assert got[0] is EvaluationError and "x1-x1" not in got[1]
+
+    def test_a_tree_nested_past_the_recursion_limit_reports_an_earlier_pole(self):
+        import sys
+        deep = _nested(sys.getrecursionlimit() + 100, Name("x2"))
+        tree = Binary("+", parse(self.POLE), deep)
+        got = _assert_evaluated_as_before(tree, self.POINTS)
+        assert got == (EvaluationError, "division produced a non-finite value in '1/(x1-x1)'")
+        assert _assert_evaluated_as_before(deep, self.POINTS)[0] is RecursionError
+
+    @staticmethod
+    def _count_isfinite(monkeypatch) -> list:
+        """Record each array exprlang passes to np.isfinite."""
+        seen = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def isfinite(x):
+                seen.append(np.shape(x))
+                return np.isfinite(x)
+
+        monkeypatch.setattr(exprlang, "np", CountingNumpy())
+        return seen
+
+    def test_a_finite_walk_checks_the_points_and_then_the_values_once(self, monkeypatch):
+        e = parse("sin(x0*x1)^2 + exp(k1*x2)/(x3 + 2) - log(x1 + 3)")
+        trees = [e, *(differentiate(e, axis) for axis in range(4))]
+        seen = self._count_isfinite(monkeypatch)
+        evaluate(trees, self.POINTS, {"k1": 0.5})
+        assert seen == [(2, 4), (2,)]
+
+    def test_an_overflowing_sum_of_finite_values_is_not_an_error(self, monkeypatch):
+        # Each value is finite, but their running sum overflows: the scan
+        # finds no non-finite node.
+        trees = [parse("1e308 + x1"), parse("9e307 + x1")]
+        seen = self._count_isfinite(monkeypatch)
+        got = _assert_evaluated_as_before(trees, self.POINTS)
+        assert got[0] == "value" and len(seen) > 2
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_drawn_trees_and_their_partials(self, seed):
+        rng = np.random.default_rng(seed)
+        e = selftest._build(selftest._draw_recipe(rng, int(rng.integers(1, 6))))
+        trees = [e, *(differentiate(e, axis) for axis in range(4))][:int(rng.integers(1, 6))]
+        # Coordinates from a small grid hit the poles of log, / and negative powers.
+        pts = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(int(rng.integers(1, 6)), 4))
+        params = [{"k1": 0.7 + 0.2j, "k2": 1.3 - 0.4j}, {"k1": 0.5}, None][rng.integers(0, 3)]
+        _assert_evaluated_as_before(trees if len(trees) > 1 else e, pts, params)

@@ -133,6 +133,19 @@ class TestFrame:
         assert fr.derivs[2, :, 1] == pytest.approx(pts[:, 1])
         assert fr.params == {"a": 2.0} and fr.rows(slice(1)).params == {"a": 2.0}
 
+    def test_zero_frame_has_the_bits_of_the_zero_potentials_frame(self, rng, monkeypatch):
+        pts = rng.uniform(-1, 1, (30, 4))
+        want = frame(FourPotential.zero(), pts)
+        calls = []
+        monkeypatch.setattr(exprlang, "evaluate", lambda *args: calls.append(args))
+        got = fields.zero_frame(pts)
+        assert calls == []
+        assert got.points is pts and got.params == {} and got.live == want.live
+        for name in ("value", "derivs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype and not a.flags.writeable
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
     def test_support_frame_of_the_demo_evaluates_each_exp_once(self, monkeypatch):
         # Three components share one carrier exp node, and each of their four
         # partials reuses it, so one walk evaluates it once.

@@ -181,8 +181,9 @@ class TestOneRelation:
     def test_mass_matches_its_reference_bit_for_bit(self, relation_case):
         fr, _ = relation_case
         a0 = exprlang.parse(_A0)
-        for expr, a0_value in ((None, 0j), (a0, exprlang.evaluate_many(a0, fr.points))):
-            got = extract_mass_at(fr, expr)
+        values = exprlang.evaluate_many(a0, fr.points)
+        for a0_arg, a0_value in ((None, 0j), (values, values)):
+            got = extract_mass_at(fr, a0_arg)
             kappa, imag = reference_mass(fr, a0_value)
             assert np.array_equal(_bits(got.kappa), _bits(kappa))
             assert np.array_equal(_bits(got.imag_residue), _bits(imag))
@@ -356,8 +357,9 @@ class TestExtractMass:
             f, params = solutions.random_gauge_function(rng)
             spinor, shift = gauge_transform(rest_wave.spinor, f, params)
             pot = FourPotential.zero().plus(shift)
-            estimate = extract_mass(sample_support(spinor, domain), pot.components[0],
-                                    a0_params=pot.params)
+            sample = sample_support(spinor, domain)
+            estimate = extract_mass(
+                sample, exprlang.evaluate(pot.components[0], sample.support, pot.params))
             assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
     def test_a0_pole_between_support_points_leaves_the_mass_defined(self):
@@ -368,47 +370,52 @@ class TestExtractMass:
                                          {"kappa": 1.0})
         sample = sample_support(field, SampleDomain(count=10, seed=2))
         assert (sample.support[:3, 0] < 0.5).all() and (sample.support[3:, 0] > 0.5).any()
-        estimate = extract_mass(sample, exprlang.parse("1/(x0 - 0.5)^2"))
+        estimate = extract_mass(
+            sample, exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)^2"), sample.support))
         assert estimate.count == 10
         assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_a0_gives_the_no_potential_mass(self, rest_wave, rng):
         fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
-        assert np.array_equal(extract_mass_at(fr, exprlang.ZERO).kappa,
+        assert np.array_equal(extract_mass_at(fr, exprlang.evaluate(exprlang.ZERO,
+                                                                    fr.points)).kappa,
                               extract_mass_at(fr, None).kappa)
 
     def test_a0_parameters_bind(self, rest_wave, rng):
         fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
-        bound = extract_mass_at(fr, exprlang.parse("w*x1"), {"w": 0.5})
-        assert np.array_equal(bound.kappa, extract_mass_at(fr, exprlang.parse("0.5*x1")).kappa)
+        bound = extract_mass_at(fr, exprlang.evaluate(exprlang.parse("w*x1"), fr.points,
+                                                      {"w": 0.5}))
+        assert np.array_equal(bound.kappa, extract_mass_at(
+            fr, exprlang.evaluate(exprlang.parse("0.5*x1"), fr.points)).kappa)
         with pytest.raises(EvaluationError, match="unbound name 'w'"):
-            extract_mass_at(fr, exprlang.parse("w*x1"))
+            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("w*x1"), fr.points))
 
     def test_degenerate_spinor_has_one_mass_for_every_a0(self, degenerate_default, rng):
         # psi* g4 psi vanishes on the degenerate spinor, so a0 drops out of
         # the temporal relation: every member of the family has mass kappa.
         fr = frame(degenerate_default.spinor, rng.uniform(-1, 1, (50, 4)))
         for text in ("1", "-3.5", "sin(x0)*x1 + x2^2"):
-            kappa = extract_mass_at(fr, exprlang.parse(text)).kappa
+            kappa = extract_mass_at(fr, exprlang.evaluate(exprlang.parse(text), fr.points)).kappa
             assert np.abs(kappa - 1.0).max() < 1e-9
 
     def test_a0_pole_at_a_sampled_point_raises(self, rest_wave):
         fr = frame(rest_wave.spinor, [(0.2, 0.0, 0.0, 0.0), (0.5, 0.1, 0.0, 0.0)])
         with pytest.raises(EvaluationError,
                            match=r"division produced a non-finite value in '1/\(x0-0.5\)'"):
-            extract_mass_at(fr, exprlang.parse("1/(x0 - 0.5)"))
+            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)"), fr.points))
 
     def test_non_finite_a0_raises(self, rest_wave):
         fr = frame(rest_wave.spinor, [(1.0, 0.0, 0.0, 0.0)])
         with pytest.raises(EvaluationError, match="exp produced a non-finite value"):
-            extract_mass_at(fr, exprlang.parse("exp(800*x0)"))
+            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("exp(800*x0)"), fr.points))
 
     def test_non_real_a0_raises_before_the_spread(self, unit_domain):
         # The spinor's pointwise mass is x1 (see above), which fails the
         # spread; the non-real a0 is reported first.
         field = SpinorField.from_strings(["exp(-i*x0*x1)", "0", "0", "0"])
+        sample = sample_support(field, unit_domain)
         with pytest.raises(NonRealPotential, match="potential has imaginary residue"):
-            extract_mass(sample_support(field, unit_domain), exprlang.parse("x1 + i*x2"))
+            extract_mass(sample, exprlang.evaluate(exprlang.parse("x1 + i*x2"), sample.support))
 
 
 _CLIFFORD_BASIS = ([IDENTITY] + [gamma(k) for k in range(1, 6)]
@@ -466,8 +473,9 @@ class TestMassGaugeIdentity:
     def test_mass_with_the_shifted_a0_is_the_mass_with_a0(self, gauge_pair):
         fr, moved, f, _ = gauge_pair
         a0 = exprlang.parse(_A0)
-        before = extract_mass_at(fr, a0)
-        after = extract_mass_at(moved, exprlang.add(a0, exprlang.differentiate(f, 0)))
+        before = extract_mass_at(fr, exprlang.evaluate(a0, fr.points))
+        after = extract_mass_at(moved, exprlang.evaluate(
+            exprlang.add(a0, exprlang.differentiate(f, 0)), moved.points))
         assert np.abs(after.kappa - before.kappa).max() < 1e-12
         assert np.abs(after.imag_residue - before.imag_residue).max() < 1e-12
 
