@@ -14,7 +14,9 @@ A family member is a `fields.Frame` built from the spinor's and the base's
 frames and f, with theta's partials by the quotient rule (`_direction`).
 The direction takes two stacked `fields.bilinear` calls and is computed
 once per frame: `theta` and every member read the read-only copy the frame
-holds (`Frame.held`).
+holds (`Frame.held`).  Both calls read real parts only, of I and of the
+Hermitian -i g_k g4, as Im(psi* g_k g4 psi) = Re(psi* (-i g_k g4) psi), so
+the kernel forms half the products and keeps float totals.
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
 # Theta
 
 # |psi|^2 and the current psi* g_k g4 psi; each g_k g4 is anti-Hermitian, so
-# the current is imaginary and d Im(psi* M psi) = 2 Im((d psi)* M psi).
-_CURRENT = np.stack([IDENTITY] + [gamma(k) @ gamma(4) for k in (1, 2, 3)])
+# the current is imaginary and d Im(psi* M psi) = 2 Im((d psi)* M psi).  As
+# Im(psi* M psi) = Re(psi* (-i M) psi), the stack holds -i g_k g4 and every
+# part the direction reads is a real part.
+_DIRECTION = np.stack([IDENTITY] + [-1j * (gamma(k) @ gamma(4)) for k in (1, 2, 3)])
 
 
 def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -92,13 +96,13 @@ def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
     per frame, through `Frame.held`, and is read-only.
     """
     v = fr.value
-    n, *w = bilinear(v.conj(), _CURRENT, v, fr.live)
-    d_n, *d_w = bilinear(fr.derivs.conj(), _CURRENT, v, fr.live)
-    n, d_n = n.real, 2 * d_n.real
+    n, *w = bilinear(v.conj(), _DIRECTION, v, fr.live, real=True)
+    d_n, *d_w = bilinear(fr.derivs.conj(), _DIRECTION, v, fr.live, real=True)
+    d_n = 2 * d_n
     u, du = np.ones(v.shape), np.zeros(fr.derivs.shape)
     for k in (1, 2, 3):
-        u[:, k] = w[k - 1].imag / n
-        du[..., k] = (2 * d_w[k - 1].imag - u[:, k] * d_n) / n
+        u[:, k] = w[k - 1] / n
+        du[..., k] = (2 * d_w[k - 1] - u[:, k] * d_n) / n
     u.flags.writeable = du.flags.writeable = False
     return u, du
 
@@ -147,10 +151,14 @@ def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classifica
     f_rows = exprlang.evaluate_many([f, *(exprlang.differentiate(f, mu) for mu in range(4))],
                                     pts, params)
     fv, df = f_rows[0], f_rows[1:]
+    u_c = u.astype(complex)  # each product with f would cast u again
     partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
-    partials += df[:, :, None] * u
+    for axis in range(4):
+        partials[axis] += df[axis][:, None] * u_c
     partials += base.derivs
-    return Frame(pts, real_part(base.value + fv[:, None] * u, pts, real_tol), partials, params)
+    value = fv[:, None] * u_c
+    value += base.value
+    return Frame(pts, real_part(value, pts, real_tol), partials, params)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,7 @@ def compose_values(u, v, w) -> np.ndarray:
 _COND_MATRICES = (gamma(1) @ gamma(2) @ gamma(4),
                   gamma(4),
                   gamma(2) @ gamma(3) @ gamma(4))
+_SYMMETRY_STACK = np.stack([_G2, *_COND_MATRICES])
 
 
 @dataclass(frozen=True)
@@ -215,10 +224,9 @@ def bilinear_symmetry_conditions(x: np.ndarray) -> SymmetryConditions:
     x = np.asarray(x, dtype=complex)
     scale = squared_norm(x) ** 2
     threshold = np.where(scale > 0, ALGEBRA_TOL * scale, ALGEBRA_TOL)
-    z = bilinear(x, _G2, x)
+    z, *conditions = bilinear(x, _SYMMETRY_STACK, x)
     lhs_max = np.zeros(x.shape[:-1])
-    for m in _COND_MATRICES:
-        w = bilinear(x, m, x)
+    for w in conditions:
         lhs_max = np.maximum(lhs_max, np.abs(z * np.conj(w) + w * np.conj(z)))
     rhs_value = np.abs(z * indicator(x))
     return SymmetryConditions(lhs_max <= threshold, rhs_value <= threshold,

@@ -17,6 +17,17 @@ make a literal zero (`ExpressionField.live`, carried by every `Frame`).
 What several kernels read of one frame, such as the
 inversion routes' covariants or theta's direction, is computed once and
 kept on that frame by `Frame.held`, for as long as the frame lives.
+A caller that reads only real parts, |psi|^2 and theta's direction, asks
+`bilinear` for them (`real=True`): the same loop then forms only the part
+of each product that the entry's matrices read, into float accumulators,
+with the bits of the complex result's real parts.
+
+Per-point reductions over an (N, k) row, `row_max` and `row_norm`, run
+elementwise ufuncs over the k columns, in the order numpy reduces a short
+row, so their bits are those of `a.max(axis=1)` and `np.linalg.norm(x,
+axis=1)`.  A numpy reduction along a 4-wide axis pays per row: on (1000, 4)
+floats, `max(axis=1)` took 47 us against 4-5 us for three `np.maximum`
+calls (2-core x86-64 host, numpy 2.4).
 
 Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
@@ -93,7 +104,7 @@ class SpinorField(ExpressionField):
 
 
 def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray,
-             live: tuple[bool, ...] | None = None) -> np.ndarray:
+             live: tuple[bool, ...] | None = None, real: bool = False) -> np.ndarray:
     """sum over r, c of left[..., r] * matrix[k, r, c] * right[..., c], for every k.
 
     `matrix` is one (4, 4) matrix, giving the leading shape of `left` and
@@ -111,6 +122,15 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray,
     the same bits whichever matrices share the call.  Pass `psi.conj()` as
     `left` for the adjoint bilinear and `psi` for the transpose one.
 
+    `real=True` gives the real parts alone, as float64, with the bits of
+    `bilinear(...).real` wherever every product is finite.  The loop is the
+    same, but each entry forms only the part of the product p that its
+    users read: Re p for a real entry m, whose term's real part is m Re p,
+    and Im p for an imaginary one, whose term's real part is -Im(m) Im p.
+    An entry with both a real and an imaginary part raises ValueError.  A
+    caller that reads real parts only, such as |psi|^2, or Im(psi* M psi)
+    as Re(psi* (-i M) psi), so forms half the products, into float totals.
+
     `live`, a field's mask (`ExpressionField.live`), leaves out every entry
     whose row or column is a dead component, which is exact zeros of either
     sign in both operands.  That moves no bit: the product there has real
@@ -123,39 +143,82 @@ def bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray,
     stack = np.asarray(matrix, dtype=complex).reshape(-1, 16)
     lr, li, rr, ri = left.real, left.imag, right.real, right.imag
     shape = np.broadcast(left, right).shape[:-1]
-    total = np.zeros((len(stack),) + shape, dtype=complex)
-    p = np.empty(shape, dtype=complex)
-    for r, c, users in _entry_users(stack.tobytes(), live):
-        np.multiply(lr[..., r], rr[..., c], out=p.real)
-        p.real -= li[..., r] * ri[..., c]
-        np.multiply(lr[..., r], ri[..., c], out=p.imag)
-        p.imag += li[..., r] * rr[..., c]
-        for k, m in users:
+    total = np.zeros((len(stack),) + shape, dtype=float if real else complex)
+    if real:
+        p_re, p_im = products = np.empty(shape), np.empty(shape)
+    else:
+        p = np.empty(shape, dtype=complex)
+        p_re, p_im, products = p.real, p.imag, (p,)
+    for r, c, paths in _entry_users(stack.tobytes(), live):
+        if paths[real] is None:
+            raise ValueError("the real path takes entries that are real or imaginary")
+        form_re, form_im, users = paths[real]
+        if form_re:
+            np.multiply(lr[..., r], rr[..., c], out=p_re)
+            p_re -= li[..., r] * ri[..., c]
+        if form_im:
+            np.multiply(lr[..., r], ri[..., c], out=p_im)
+            p_im += li[..., r] * rr[..., c]
+        for k, part, m in users:
             if m == 1:
-                total[k] += p
+                total[k] += products[part]
             elif m == -1:
-                total[k] -= p
+                total[k] -= products[part]
             else:
-                total[k] += m * p
+                total[k] += m * products[part]
     return total[0] if single else total
 
 
 @lru_cache(maxsize=64)
-def _entry_users(stack: bytes, live: tuple[bool, ...] | None
-                 ) -> tuple[tuple[int, int, tuple[tuple[int, complex], ...]], ...]:
-    """(r, c, ((k, m_k[r, c]), ...)) for each entry of the (K, 16) `stack` some matrix uses.
+def _entry_users(stack: bytes, live: tuple[bool, ...] | None) -> tuple[tuple, ...]:
+    """(r, c, (whole, real)) for each entry of the (K, 16) `stack` some matrix uses.
 
-    An entry whose row or column is a dead component of `live` is left out.
+    Each path is (form Re p, form Im p, ((k, part, m), ...)): a user k adds
+    m times products[part].  `whole` adds m_k[r, c] times the complex product
+    p; `real` adds the real part of that term, m_k[r, c] Re p for a real
+    entry and -Im(m_k[r, c]) Im p for an imaginary one, and is None if some
+    entry is neither.  An entry whose row or column is a dead component of
+    `live` is left out.
     """
     entries = np.frombuffer(stack, dtype=complex).reshape(-1, 16)
-    return tuple((flat // 4, flat % 4, tuple((k, complex(m)) for k, m in enumerate(column) if m))
-                 for flat, column in enumerate(entries.T)
-                 if column.any() and (live is None or live[flat // 4] and live[flat % 4]))
+    out = []
+    for flat, column in enumerate(entries.T):
+        r, c = divmod(flat, 4)
+        if not column.any() or live is not None and not (live[r] and live[c]):
+            continue
+        users = [(k, complex(m)) for k, m in enumerate(column) if m]
+        real = None
+        if all(m.imag == 0 or m.real == 0 for _, m in users):
+            parts = tuple((k, 0, m.real) if m.imag == 0 else (k, 1, -m.imag) for k, m in users)
+            real = (any(u[1] == 0 for u in parts), any(u[1] == 1 for u in parts), parts)
+        out.append((r, c, ((True, True, tuple((k, 0, m) for k, m in users)), real)))
+    return tuple(out)
 
 
 def squared_norm(values: np.ndarray, live: tuple[bool, ...] | None = None) -> np.ndarray:
     """|psi|^2 at each point of an (..., 4) array of spinor values."""
-    return bilinear(values.conj(), IDENTITY, values, live).real
+    return bilinear(values.conj(), IDENTITY, values, live, real=True)
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of an (N, k) array, k < 8, bit for bit: np.maximum column by column."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of an (N, k) array, k < 8, bit for bit.
+
+    numpy forms s = (x.conj() * x).real and sums each short row in column
+    order, ((s0 + s1) + s2) + s3; so does this, one column at a time.
+    """
+    s = (x.conj() * x).real
+    out = s[:, 0].copy()
+    for j in range(1, s.shape[1]):
+        out += s[:, j]
+    return np.sqrt(out)  # in place, it raised a 100 000-point run's peak RSS by 1.9 MB
 
 
 @dataclass
@@ -251,7 +314,7 @@ def sample_support(field: SpinorField, domain: SampleDomain,
         raise ValueError("support tolerance must be positive")
     pts = domain.points()
     values = field.values(pts)
-    norms = np.linalg.norm(values, axis=1)
+    norms = row_norm(values)
     mask = norms > tol * (1.0 + float(norms.max()))
     if not mask.any():
         raise NoSupportPoints("no sampled point carries a nonzero spinor value")

@@ -48,7 +48,7 @@ from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
 from .fields import (ExpressionField, Frame, SpinorField, SupportSample,
-                     bilinear, frame, merge_params)
+                     bilinear, frame, merge_params, row_max)
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -58,8 +58,8 @@ DEFAULT_SPREAD_TOL = 1e-8
 def real_part(raw: np.ndarray, points: np.ndarray,
               real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
     """Real parts of potential values (N, 4) at (N, 4) points, checked, not assumed."""
-    worst = np.abs(raw.imag).max(axis=1)
-    bad = np.flatnonzero(worst > real_tol * (1.0 + np.abs(raw.real).max(axis=1)))
+    worst = row_max(np.abs(raw.imag))
+    bad = np.flatnonzero(worst > real_tol * (1.0 + row_max(np.abs(raw.real))))
     if bad.size:
         i = bad[0]
         raise NonRealPotential(
@@ -223,7 +223,7 @@ def _recover(fr: Frame, num: np.ndarray, den: np.ndarray, guard: float) -> Recov
     den = np.where(ok, den, 1.0)
     raw = np.stack([num[:, 0] / (2.0 * den)] + [num[:, k] / (2j * den) for k in (1, 2, 3)],
                    axis=1)
-    residue = np.abs(raw.imag).max(axis=1) / (1.0 + np.abs(raw.real).max(axis=1))
+    residue = row_max(np.abs(raw.imag)) / (1.0 + row_max(np.abs(raw.real)))
     return RecoveredPotential(fr.points, np.where(ok[:, None], raw.real, np.nan), ok,
                               np.where(ok, residue, np.nan))
 

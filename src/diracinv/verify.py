@@ -26,13 +26,17 @@ import numpy as np
 from .clifford import signed_permutation
 from .errors import NonRealPotential
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .fields import Frame, SupportSample, frame
+from .fields import Frame, SupportSample, frame, row_norm
 from .inversion import DEFAULT_REAL_TOL, FourPotential
 
 
 def _potential_values(potential, points: np.ndarray) -> np.ndarray:
-    """(N, 4) real potential values at the points."""
-    if potential is None:
+    """(N, 4) real potential values at the points.
+
+    None, or a FourPotential of four zero literals, is +0.0 everywhere and
+    evaluates nothing.
+    """
+    if potential is None or isinstance(potential, FourPotential) and not any(potential.live):
         return np.zeros((len(points), 4))
     if isinstance(potential, FourPotential):
         return potential.values(points)
@@ -88,7 +92,7 @@ def dirac_residual(fr: Frame, potential, kappa: float) -> np.ndarray:
 
 
 def residual_norm_at(fr: Frame, potential, kappa: float) -> np.ndarray:
-    return np.linalg.norm(dirac_residual(fr, potential, kappa), axis=1)
+    return row_norm(dirac_residual(fr, potential, kappa))
 
 
 @dataclass
@@ -104,7 +108,7 @@ class ResidualReport:
 def residual_norm(sample: SupportSample, potential, kappa: float) -> ResidualReport:
     """Max, relative max and argmax of the residual norms over the sampled support."""
     norms = residual_norm_at(sample.frame, potential, kappa)
-    rel = norms / ((abs(kappa) + 1.0) * np.linalg.norm(sample.values, axis=1))
+    rel = norms / ((abs(kappa) + 1.0) * row_norm(sample.values))
     worst = int(np.argmax(norms))
     return ResidualReport(float(norms[worst]), tuple(sample.support[worst].tolist()),
                           float(rel.max()), len(norms))

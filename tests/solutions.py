@@ -2,14 +2,14 @@
 
 All builders return (spinor, potential, kappa) triples that satisfy the
 coupled system by construction: force-free waves, superpositions of them,
-and gauge transforms with known potential shifts.
+and gauge transforms with known potential shifts, of a degenerate spinor too.
 """
 
 import math
 
 import numpy as np
 
-from diracinv import exprlang
+from diracinv import catalog, exprlang
 from diracinv.fields import SpinorField
 from diracinv.inversion import FourPotential, gauge_transform
 
@@ -61,4 +61,12 @@ def superposition_field(kappa: float) -> SpinorField:
 def gauge_superposition_pair(kappa: float, rng) -> tuple[SpinorField, FourPotential, float]:
     f, params = random_gauge_function(rng)
     spinor, shift = gauge_transform(superposition_field(kappa), f, params)
+    return spinor, FourPotential.zero().plus(shift), kappa
+
+
+def gauge_degenerate_pair(kappa: float, rng) -> tuple[SpinorField, FourPotential, float]:
+    """Gauge transform of the catalog's degenerate example: degenerate, with a real potential."""
+    f, params = random_gauge_function(rng)
+    spinor, shift = gauge_transform(catalog.build("degenerate_example", {"kappa": kappa}).spinor,
+                                    f, params)
     return spinor, FourPotential.zero().plus(shift), kappa

@@ -69,6 +69,21 @@ class TestDegenerateExample:
         for values in degeneracy.theta(frame(inst.spinor, pts)):
             assert values == pytest.approx(expected, abs=1e-9)
 
+    def test_certificate_evaluates_the_spinor_and_its_partials_only(self, monkeypatch):
+        # The zero base potential reads its +0.0 without evaluating its trees.
+        calls = []
+        evaluate = exprlang.evaluate
+
+        def counted(e, *args, **kwargs):
+            calls.append(e)
+            return evaluate(e, *args, **kwargs)
+
+        monkeypatch.setattr(exprlang, "evaluate", counted)
+        inst = catalog.build("degenerate_example")
+        assert len(calls) == 2
+        assert list(calls[0]) == list(inst.spinor.components)
+        assert list(calls[1]) == list(inst.spinor.partials)
+
     def test_construction_selftest_catches_bad_pairs(self, degenerate_default):
         broken = catalog.CatalogInstance(
             name="broken", spinor=degenerate_default.spinor, kappa=2.0,

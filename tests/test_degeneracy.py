@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-
+import solutions
 from test_acceptance import TRIPLES
 
 from diracinv import catalog, degeneracy, exprlang, verify
-from diracinv.clifford import delta, gamma
+from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.degeneracy import (bilinear_symmetry_conditions, classify, compose_values,
                                  indicator, potential_family, theta, transpose_theta, unzeta,
                                  zero_mass_system_det, zeta)
@@ -14,7 +14,7 @@ from diracinv.errors import NoSupportPoints, NonRealPotential, NotDegenerate
 from diracinv.exprlang import Expr
 from diracinv.fields import (SampleDomain, SpinorField, bilinear, frame, merge_params,
                              sample_support, squared_norm)
-from diracinv.inversion import DEFAULT_GUARD, FourPotential
+from diracinv.inversion import DEFAULT_GUARD, DEFAULT_REAL_TOL, FourPotential, real_part
 
 POINT = (0.21, -0.33, 0.54, -0.18)
 AT_POINT = [POINT]
@@ -267,6 +267,70 @@ class TestPotentialFamily:
                                                          field.params) for e in exprs], axis=1)
             assert np.abs(partials[mu, :, 1:] - reference).max() <= 1e-12
             assert not partials[mu, :, 0].any()
+
+
+# The direction and member build of earlier versions, kept verbatim as bit
+# references: theta's current from the complex kernel, and a member built
+# with float u broadcast against complex f.
+_CURRENT = np.stack([IDENTITY] + [gamma(k) @ gamma(4) for k in (1, 2, 3)])
+
+
+def _old_direction(fr):
+    v = fr.value
+    n, *w = bilinear(v.conj(), _CURRENT, v, fr.live)
+    d_n, *d_w = bilinear(fr.derivs.conj(), _CURRENT, v, fr.live)
+    n, d_n = n.real, 2 * d_n.real
+    u, du = np.ones(v.shape), np.zeros(fr.derivs.shape)
+    for k in (1, 2, 3):
+        u[:, k] = w[k - 1].imag / n
+        du[..., k] = (2 * d_w[k - 1].imag - u[:, k] * d_n) / n
+    u.flags.writeable = du.flags.writeable = False
+    return u, du
+
+
+def _old_member(fr, base, f, real_tol=DEFAULT_REAL_TOL):
+    params = merge_params(base.params, fr.params)
+    u, du = _old_direction(fr)
+    pts = fr.points
+    f_rows = exprlang.evaluate_many([f, *(exprlang.differentiate(f, mu) for mu in range(4))],
+                                    pts, params)
+    fv, df = f_rows[0], f_rows[1:]
+    partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
+    partials += df[:, :, None] * u
+    partials += base.derivs
+    return real_part(base.value + fv[:, None] * u, pts, real_tol), partials
+
+
+def _reference_case(label: str):
+    """(spinor, base potential, f text) of one bit-reference case."""
+    if label == "degenerate-example":
+        return catalog.build("degenerate_example").spinor, FourPotential.zero(), "sin(x0+x1)"
+    if label == "gauge-degenerate":
+        spinor, potential, _ = solutions.gauge_degenerate_pair(1.3, np.random.default_rng(11))
+        return spinor, potential, "x0*x2"
+    base = FourPotential.from_strings(["0.2*x1", "sin(x0)", "0", "x2*x3"])
+    if label == "real-base":
+        return SpinorField.from_strings(NON_CONSTANT_THETA), base, "cos(x1-x3)"
+    # f's imaginary part, 1e-9 of its real part, is below the real check's 1e-6.
+    return catalog.build("degenerate_example").spinor, base, "exp(0.3*x2)*(1+1e-9*i*x1)"
+
+
+@pytest.mark.parametrize("label", ["degenerate-example", "gauge-degenerate", "real-base",
+                                   "almost-real-f"])
+def test_direction_and_member_keep_the_bits_of_the_earlier_build(label):
+    spinor, base, text = _reference_case(label)
+    sample, base_fr, cls = _family_inputs(spinor, base, SampleDomain(count=200, seed=9))
+    assert cls.verdict == "degenerate"
+    u, du = degeneracy._direction(sample.frame)
+    old_u, old_du = _old_direction(sample.frame)
+    assert u.tobytes() == old_u.tobytes() and du.tobytes() == old_du.tobytes()
+    f = exprlang.parse(text)
+    member = potential_family(sample.frame, base_fr, f, cls)
+    value, partials = _old_member(sample.frame, base_fr, f)
+    assert member.value.dtype == value.dtype and member.value.tobytes() == value.tobytes()
+    assert member.derivs.dtype == partials.dtype and member.derivs.tobytes() == partials.tobytes()
+    if label == "almost-real-f":
+        assert np.abs(partials.imag).max() > 0
 
 
 _MATCH_CASES = [(f"triple-{i}", t) for i, t in enumerate(TRIPLES)] + [

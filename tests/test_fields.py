@@ -232,11 +232,12 @@ def single_matrix_bilinear(left, matrix, right):
 
 
 # Every matrix the package passes to the kernel: the inversion sets and the
-# mass term's, the indicator, the current behind theta, the transpose theta
-# numerators, and the symmetry conditions.
+# mass term's, the indicator, the current g_k g4 and the Hermitian -i g_k g4
+# behind theta, the transpose theta numerators, and the symmetry conditions.
 SRC_MATRICES = (
     [IDENTITY] + [gamma(k) for k in range(1, 5)] + [gamma(5) @ gamma(k) for k in range(1, 5)]
     + [delta(k) for k in range(1, 5)] + [gamma(k) @ gamma(4) for k in (1, 2, 3)]
+    + list(degeneracy._DIRECTION[1:])
     + [m for _, m in degeneracy._THETA_NUMERATORS]
     + list(degeneracy._COND_MATRICES))
 
@@ -249,13 +250,22 @@ class TestStackedKernelBits:
     """The stacked kernel gives every matrix the reference's bits, alone or in a stack."""
 
     def _check(self, left, right, live=None):
+        # The real path as well: every matrix's real parts, alone, in the
+        # stack of all of them, and in the direction's stack.
         stacked = bilinear(left, np.stack(SRC_MATRICES), right, live)
-        assert stacked.shape == (len(SRC_MATRICES),) + np.broadcast_shapes(
+        real = bilinear(left, np.stack(SRC_MATRICES), right, live, real=True)
+        assert stacked.shape == real.shape == (len(SRC_MATRICES),) + np.broadcast_shapes(
             left.shape[:-1], right.shape[:-1])
-        for m, got in zip(SRC_MATRICES, stacked):
+        assert real.dtype == np.float64
+        for m, got, got_real in zip(SRC_MATRICES, stacked, real):
             ref = single_matrix_bilinear(left, m, right)
             assert _bits(got) == _bits(ref)
             assert _bits(bilinear(left, m, right, live)) == _bits(ref)
+            assert _bits(got_real) == _bits(ref.real)
+            assert _bits(bilinear(left, m, right, live, real=True)) == _bits(ref.real)
+        direction = bilinear(left, degeneracy._DIRECTION, right, live, real=True)
+        for m, got_real in zip(degeneracy._DIRECTION, direction):
+            assert _bits(got_real) == _bits(single_matrix_bilinear(left, m, right).real)
 
     def test_every_src_matrix_at_random_values(self, rng):
         x = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
@@ -308,6 +318,55 @@ class TestStackedKernelBits:
         assert np.array_equal(bilinear(shapes, np.stack(SRC_MATRICES), shapes)[g2],
                               np.zeros(len(shapes)))
 
+    def test_real_path_rejects_an_entry_with_both_parts(self, rng):
+        x = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        mixed = np.stack([IDENTITY, (1 + 1j) * IDENTITY])
+        assert bilinear(x.conj(), mixed, x).shape == (2, 5)
+        with pytest.raises(ValueError, match="real or imaginary"):
+            bilinear(x.conj(), mixed, x, real=True)
+
+
+def _magnitudes(rng, shape) -> np.ndarray:
+    """Reals of either sign, with signed zeros at about one in ten.
+
+    Magnitudes run from 1e-300 to 1e300 in the first half of the rows; in the
+    second, a row's entries share one such scale, so that the order of a
+    row's sum can move its last bit.
+    """
+    scale = rng.uniform(-300, 300, shape)
+    scale[shape[0] // 2:] = scale[shape[0] // 2:, :1]
+    x = rng.standard_normal(shape) * 10.0 ** scale
+    zeros = rng.random(shape) < 0.1
+    x[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return x
+
+
+class TestRowReductions:
+    """row_max and row_norm have the bits of numpy's axis=1 reductions."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_row_max_is_max_over_axis_one(self, rng, width):
+        a = _magnitudes(rng, (5000, width))
+        a[:8] = rng.choice([0.0, -0.0], (8, width))  # rows of signed zeros alone
+        a[8:12] = np.inf * rng.choice([-1.0, 1.0], (4, width))
+        got = fields.row_max(a)
+        assert _bits(got) == _bits(a.max(axis=1))
+        assert _bits(fields.row_max(np.abs(a))) == _bits(np.abs(a).max(axis=1))
+        got[:] = 1.0  # a new array, also for one column
+        assert not (a == 1.0).any()
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_row_norm_is_linalg_norm_over_axis_one(self, rng, width):
+        x = _magnitudes(rng, (5000, width)) + 1j * _magnitudes(rng, (5000, width))
+        x[:8] = rng.choice([0.0, -0.0], (8, width)) + 1j * rng.choice([0.0, -0.0], (8, width))
+        with np.errstate(over="ignore"):
+            got, want = fields.row_norm(x), np.linalg.norm(x, axis=1)
+            real_got = fields.row_norm(x.real)
+            real_want = np.linalg.norm(x.real, axis=1)
+        assert np.isinf(want).any() and (want == 0).any() and (want < 1e-250).any()
+        assert _bits(got) == _bits(want)
+        assert _bits(real_got) == _bits(real_want)
+
 
 class TestBilinears:
     def test_constant_unit_spinor_gamma4(self):
@@ -356,7 +415,7 @@ class TestBilinears:
 
     def test_squared_norm_is_the_identity_bilinear(self, rng):
         x = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-        assert np.array_equal(squared_norm(x), bilinear(x.conj(), IDENTITY, x).real)
+        assert _bits(squared_norm(x)) == _bits(bilinear(x.conj(), IDENTITY, x).real)
         assert squared_norm(x) == pytest.approx(np.sum(np.abs(x) ** 2, axis=1),
                                                 rel=1e-14)
 

@@ -1,0 +1,128 @@
+"""Time two diracinv sources against each other in one process, operation by operation.
+
+Usage, from the root of a source checkout::
+
+    python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC --workload family_sweep --ops 40 --rounds 5
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
+``diracinv`` package, such as this checkout's ``src`` and that of a copy of
+its parent commit.  Both packages are copied under two names into a
+temporary directory and imported side by side.  Operations 0..ops-1 of the
+workload at ``--seed`` come from ``bench/workloads.py`` of this checkout,
+which is only read.  Every operation runs once on each side, untimed, to
+warm both up; then each round runs every operation on both sides, the side
+that goes first alternating from one operation to the next.  Each call is
+one ``cli.main(argv + ["--out", path])``, timed from the call to its return.
+
+Two runs in separate processes meet the host's drift at different times;
+two packages alternated per operation in one process meet it together, so
+a few percent shows in a few hundred pairs.  The script prints each side's
+median and quartiles over all timed calls, the change's median ratio and
+its win count over the operation pairs, and whether every pair had the
+same exit code and byte-identical reports.  It exits 1 when some pair
+differed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS, generate  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load_side(src: Path, name: str, directory: Path):
+    """The `cli` module of src/diracinv, copied and imported as package `name`."""
+    package = Path(src) / "diracinv"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"error: {src} holds no diracinv package")
+    shutil.copytree(package, directory / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{name}.cli")
+
+
+def run_once(cli, argv: tuple[str, ...], out: Path) -> tuple[int, bytes, float]:
+    """One operation: (exit code, report bytes, seconds)."""
+    out.unlink(missing_ok=True)
+    start = perf_counter()
+    code = cli.main([*argv, "--out", str(out)])
+    elapsed = perf_counter() - start
+    return code, out.read_bytes() if out.exists() else b"", elapsed
+
+
+def quartiles(times: list[float]) -> tuple[float, float, float]:
+    if len(times) < 2:
+        return (times[0],) * 3
+    q1, q2, q3 = statistics.quantiles(times, n=4)
+    return q1, q2, q3
+
+
+def compare(parent_src: Path, change_src: Path, workload: str, ops: int, rounds: int,
+            seed: int = 1) -> dict:
+    """Timings of both sides and whether every report pair matched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        try:
+            clis = [load_side(src, f"diracinv_ab_{side}", tmp)
+                    for src, side in zip((parent_src, change_src), SIDES)]
+            operations = generate(workload, seed, ops, tmp / "ops")
+            out = tmp / "report.json"
+            for op in operations:
+                for cli in clis:
+                    run_once(cli, op.argv, out)
+            times: dict[str, list[float]] = {side: [] for side in SIDES}
+            wins, identical = 0, True
+            for _ in range(rounds):
+                for op in operations:
+                    order = (0, 1) if op.index % 2 == 0 else (1, 0)
+                    results = {i: run_once(clis[i], op.argv, out) for i in order}
+                    (code_a, report_a, time_a), (code_b, report_b, time_b) = results[0], results[1]
+                    identical &= code_a == code_b and report_a == report_b
+                    wins += time_b < time_a
+                    times["parent"].append(time_a)
+                    times["change"].append(time_b)
+        finally:
+            sys.path.remove(str(tmp))
+            for name in [m for m in sys.modules if m.startswith("diracinv_ab_")]:
+                del sys.modules[name]
+    ratios = [b / a for a, b in zip(times["parent"], times["change"])]
+    return {"times": times, "wins": wins, "pairs": len(ratios),
+            "ratio": statistics.median(ratios), "identical": identical}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--ops", type=int, default=40)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.ops < 1 or args.rounds < 1:
+        parser.error("--ops and --rounds must be at least 1")
+    result = compare(args.parent_src, args.change_src, args.workload, args.ops, args.rounds,
+                     args.seed)
+    for side in SIDES:
+        q1, q2, q3 = quartiles(result["times"][side])
+        print(f"{side:6s}  median {q2 * 1e3:9.3f} ms  quartiles {q1 * 1e3:9.3f} "
+              f"{q3 * 1e3:9.3f} ms")
+    print(f"change/parent median ratio {result['ratio']:.3f}; change faster in "
+          f"{result['wins']} of {result['pairs']} pairs")
+    print("reports: " + ("every pair identical" if result["identical"] else "PAIRS DIFFER"))
+    return 0 if result["identical"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
