@@ -83,8 +83,10 @@ def classify(sample: SupportSample, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
 # |psi|^2 and the current psi* g_k g4 psi; each g_k g4 is anti-Hermitian, so
 # the current is imaginary and d Im(psi* M psi) = 2 Im((d psi)* M psi).  As
 # Im(psi* M psi) = Re(psi* (-i M) psi), the stack holds -i g_k g4 and every
-# part the direction reads is a real part.
+# part the direction reads is a real part: Re((d psi)* M psi) is read as
+# Re((d psi)T conj(M) conj(psi)), which copies no partial.
 _DIRECTION = np.stack([IDENTITY] + [-1j * (gamma(k) @ gamma(4)) for k in (1, 2, 3)])
+_DIRECTION_CONJ = _DIRECTION.conj()
 
 
 def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +97,9 @@ def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
     nonzero.  The partials follow by the quotient rule.  It is taken once
     per frame, through `Frame.held`, and is read-only.
     """
-    v = fr.value
-    n, *w = bilinear(v.conj(), _DIRECTION, v, fr.live, real=True)
-    d_n, *d_w = bilinear(fr.derivs.conj(), _DIRECTION, v, fr.live, real=True)
+    v, vc = fr.value, fr.value.conj()
+    n, *w = bilinear(vc, _DIRECTION, v, fr.live, real=True)
+    d_n, *d_w = bilinear(fr.derivs, _DIRECTION_CONJ, vc, fr.live, real=True)
     d_n = 2 * d_n
     u, du = np.ones(v.shape), np.zeros(fr.derivs.shape)
     for k in (1, 2, 3):

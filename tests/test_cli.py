@@ -720,6 +720,39 @@ def test_cli_import_does_not_load_scipy():
     assert allocator_set == "0"
 
 
+def test_cli_reaches_the_kernels_only_through_the_tasks_module():
+    # cli parses arguments, dispatches to `tasks` and emits the report.  Its
+    # one kernel binding, verify.tensor_gap, is there for the benchmark's
+    # tracer test alone.
+    import ast
+    allowed = {("", "__version__"), ("", "tasks"), ("exprlang", "EvaluationError"),
+               ("verify", "tensor_gap")}
+    whole = {"errors", "report", "scenario"}
+    imported = set()
+    for node in ast.parse(pathlib.Path(cli.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "diracinv"
+                                                 or node.module.startswith("diracinv.")):
+            module = (node.module or "").removeprefix("diracinv").lstrip(".")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("diracinv") for alias in node.names)
+    assert ("", "tasks") in imported
+    assert {(m, n) for m, n in imported if m not in whole} <= allowed
+    assert {name: runner.__module__ for name, runner in cli._TASK_RUNNERS.items()} == {
+        name: "diracinv.tasks" for name in scenario.TASKS}
+
+
+@pytest.mark.parametrize("f", ["x0", "2-1"])
+def test_a_scenario_f_that_prints_as_a_fixed_member_adds_no_member(tmp_path, capsys, f):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "degenerate_family.json"
+    payload = {**json.loads(path.read_text()), "f": f}
+    code, out = _run(capsys, ["run", _write(tmp_path, payload)])
+    assert code == 0
+    family = {t["task"]: t for t in json.loads(out)["tasks"]}["family"]
+    assert [m["f"] for m in family["members"]] == ["1", "x0"]
+    assert family["checks"]["total"] == 5
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
 def test_repeated_runs_take_no_fresh_heap_pages(capsys):
     import resource

@@ -567,4 +567,4 @@ def test_no_claim_is_checked_on_a_fixed_prefix_of_the_points():
     found = [f"{path.name}:{match.group()}"
              for path in sorted(package.glob("*.py"))
              for match in prefix.finditer(path.read_text())]
-    assert found == ["cli.py:slice(_INVERT_TABLE_LIMIT)"]
+    assert found == ["tasks.py:slice(_INVERT_TABLE_LIMIT)"]
