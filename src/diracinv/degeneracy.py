@@ -10,13 +10,16 @@ transpose bilinears (`transpose_theta`) wherever psiT g2 psi is nonzero.
 
 `indicator`, `theta` and `classify` take spinor values or frames already
 held and evaluate nothing; every bilinear here is a `fields.bilinear` call.
-A family member is a `fields.Frame` built from the spinor's and the base's
-frames and f, with theta's partials by the quotient rule (`_direction`).
-The direction takes two stacked `fields.bilinear` calls and is computed
-once per frame: `theta` and every member read the read-only copy the frame
-holds (`Frame.held`).  Both calls read real parts only, of I and of the
-Hermitian -i g_k g4, as Im(psi* g_k g4 psi) = Re(psi* (-i g_k g4) psi), so
-the kernel forms half the products and keeps float totals.
+A family member is built in two steps from the spinor's and the base's
+frames and f: `potential_family` evaluates f alone and gives the member's
+values, which the residual and light-like checks read, and `member_frame`
+evaluates f's partials and gives the member's `fields.Frame`, with theta's
+partials by the quotient rule (`_direction`), which only a field tensor
+reads.  The direction takes two stacked `fields.bilinear` calls and is
+computed once per frame: `theta` and every member read the read-only copy
+the frame holds (`Frame.held`).  Both calls read real parts only, of I and
+of the Hermitian -i g_k g4, as Im(psi* g_k g4 psi) = Re(psi* (-i g_k g4)
+psi), so the kernel forms half the products and keeps float totals.
 """
 
 from __future__ import annotations
@@ -138,29 +141,52 @@ def require_degenerate(classification: Classification) -> None:
             f"{classification.verdict!r}")
 
 
+@dataclass
+class FamilyMember:
+    """The values of the member base + f (1, theta) at a spinor frame's points.
+
+    `f_value` is f there, complex, as `member_frame` reads it and as a
+    mass reads the member's a0 over a zero base.
+    """
+
+    f: Expr
+    f_value: np.ndarray  # (N,) complex
+    value: np.ndarray    # (N, 4) real
+    params: dict
+
+
 def potential_family(fr: Frame, base: Frame, f: Expr, classification: Classification,
-                     real_tol: float = DEFAULT_REAL_TOL) -> Frame:
-    """Frame of the member base + f (1, theta) of a degenerate spinor's family.
+                     real_tol: float = DEFAULT_REAL_TOL) -> FamilyMember:
+    """The member base + f (1, theta) of a degenerate spinor's family, values only.
 
     `fr` and `base` are the spinor's and the base potential's frames at the
     same points, where f is evaluated under the parameters of both.  Values
-    are real-checked to `real_tol`.
+    are real-checked to `real_tol`.  `member_frame` adds the partials.
     """
     require_degenerate(classification)
     params = merge_params(base.params, fr.params)
+    fv = exprlang.evaluate_many(f, fr.points, params)
+    value = fv[:, None] * fr.held(_direction)[0].astype(complex)
+    value += base.value
+    return FamilyMember(f, fv, real_part(value, fr.points, real_tol), params)
+
+
+def member_frame(fr: Frame, base: Frame, member: FamilyMember) -> Frame:
+    """The member's frame: its values, and partials f d(1, theta) + d f (1, theta) + d base.
+
+    `fr` and `base` are the frames the member was built from; f's four
+    partial trees are evaluated here, and only here.
+    """
     u, du = fr.held(_direction)
-    pts = fr.points
-    f_rows = exprlang.evaluate_many([f, *(exprlang.differentiate(f, mu) for mu in range(4))],
-                                    pts, params)
-    fv, df = f_rows[0], f_rows[1:]
+    f = member.f
+    df = exprlang.evaluate_many([exprlang.differentiate(f, mu) for mu in range(4)],
+                                fr.points, member.params)
     u_c = u.astype(complex)  # each product with f would cast u again
-    partials = du * fv[:, None]  # f d(1, theta) + d f (1, theta) + d base
+    partials = du * member.f_value[:, None]
     for axis in range(4):
         partials[axis] += df[axis][:, None] * u_c
     partials += base.derivs
-    value = fv[:, None] * u_c
-    value += base.value
-    return Frame(pts, real_part(value, pts, real_tol), partials, params)
+    return Frame(fr.points, member.value, partials, member.params)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ row per operator holds its precedence, smart constructor, numpy ufunc and
 derivative rule, and one ``_FUNCTIONS`` row per function its ufunc and
 derivative; the parser, the printer (`to_text`), the differentiator and the
 evaluator read those rows, with one branch for every binary node and one
-lookup for every call.
+lookup for every call.  A printed tree parses back to itself, every
+literal's bits included: ``-x`` gives a literal with imaginary part -0.0
+and ``0-x`` one with +0.0, so each prints as the text that gives it, and an
+equal-precedence right operand keeps its parentheses.
 
 Exponents must constant-fold to integers.  Variables are exactly x0..x3;
 ``i``, ``pi`` and ``e`` are built-in constants; any other name is a user
@@ -300,27 +303,49 @@ def _group(tokens: list, i: int) -> tuple[Expr, int]:
 # Printing
 
 def _prec(e: Expr) -> int:
-    """Binary operators as in `_BINARY`, then Neg 3, Pow 4 and atoms 5."""
+    """Binary operators as in `_BINARY`, then Neg 3, Pow 4 and atoms 5.
+
+    A number printed with a leading minus binds as a negation.
+    """
     if isinstance(e, Binary):
         return _BINARY[e.op][0]
+    if isinstance(e, Num):
+        return 3 if _num_text(e.value).startswith("-") else 5
     return 3 if isinstance(e, Neg) else 4 if isinstance(e, Pow) else 5
 
 
-def _num_text(value: complex) -> str:
-    def real_text(x: float) -> str:
-        if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
-            return str(int(x))
-        return repr(x)
+def _real_text(x: float) -> str:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
 
+
+def _signed_text(x: float, zero: float) -> str:
+    """Text that parses to exactly x + zero*j, for zero = +-0.0, signed zeros included.
+
+    The parser gives x + 0j for a literal x, negation flips both signs, and
+    0 - (x + 0j) is -x + 0j; a zero real part of the other sign than the
+    imaginary zero's comes from the folded product 0 * -0 = 0 - 0j.
+    """
+    text = _real_text(abs(x))
+    if math.copysign(1.0, zero) > 0:
+        if math.copysign(1.0, x) > 0:
+            return text
+        return f"(0-{text})" if x else "-(0*-0)"
+    if math.copysign(1.0, x) < 0:
+        return f"-{text}"
+    return f"-(0-{text})" if x else "(0*-0)"
+
+
+def _num_text(value: complex) -> str:
     if value.imag == 0:
-        x = value.real
-        return real_text(x) if x >= 0 else f"(0-{real_text(-x)})"
+        return _signed_text(value.real, value.imag)
     if value.real == 0:
         im = value.imag
-        return f"({real_text(im)}*i)" if im >= 0 else f"(0-{real_text(-im)}*i)"
+        return f"({_real_text(im)}*i)" if im >= 0 else f"(0-{_real_text(-im)}*i)"
     sign = "+" if value.imag >= 0 else "-"
-    return f"({real_text(value.real) if value.real >= 0 else '0-' + real_text(-value.real)}" \
-           f"{sign}{real_text(abs(value.imag))}*i)"
+    real = _real_text(value.real) if value.real >= 0 else "0-" + _real_text(-value.real)
+    return f"({real}{sign}{_real_text(abs(value.imag))}*i)"
 
 
 def to_text(e: Expr) -> str:
@@ -340,8 +365,10 @@ def to_text(e: Expr) -> str:
         if _prec(e.lhs) < my:
             lhs = f"({lhs})"
         rhs = to_text(e.rhs)
-        # -, / are left-associative: parenthesize an equal-precedence rhs.
-        if _prec(e.rhs) < my or (_prec(e.rhs) == my and e.op in ("-", "/")):
+        # All four fold left, and floating point does not reassociate: an
+        # equal-precedence rhs keeps its parentheses, so the text parses back
+        # to this tree.
+        if _prec(e.rhs) <= my:
             rhs = f"({rhs})"
         return f"{lhs}{e.op}{rhs}"
     if isinstance(e, Pow):

@@ -3,8 +3,9 @@
 An `ExpressionField`, the base of `SpinorField` and `inversion.FourPotential`,
 holds four closed-form complex components over (x0, x1, x2, x3) plus shared
 parameter bindings.  Its 16 partials are differentiated once, into the
-tuple `partials`; the components, and the partials, take one `evaluate` call
-each.  Points are checked only in `exprlang`, by its `_columns`.
+tuple `partials`, which `bound` shares with the same trees under other
+bindings; the components, and the partials, take one `evaluate` call each.
+Points are checked only in `exprlang`, by its `_columns`.
 
 Every kernel works on a batch of N points at once: `frame` gives the `Frame`
 of a spinor or a potential, its values (N, 4) and partials (4, N, 4), and
@@ -86,6 +87,16 @@ class ExpressionField:
     def partials(self) -> tuple[Expr, ...]:
         """The 16 trees d_axis component_k, at index 4 * axis + k."""
         return tuple(exprlang.differentiate(c, axis) for axis in range(4) for c in self.components)
+
+    def bound(self, params: Mapping[str, complex] | None):
+        """These trees under other parameter bindings.
+
+        The new field shares this one's components, live flags and partials,
+        which are differentiated once, on this field, however often it binds.
+        """
+        field = type(self)(self.components, params)
+        field.live, field.partials = self.live, self.partials
+        return field
 
     def values(self, points) -> np.ndarray:
         """Componentwise evaluation over (N, 4) finite points; returns (N, 4) complex."""

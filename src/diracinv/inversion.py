@@ -10,7 +10,9 @@ d, is their sum term for term, and `invert_combined` divides the summed
 numerators by psi* d4 psi = psi* g4 psi + psi* g5 g4 psi, which vanishes
 exactly on the degenerate locus.  `extract_mass_at` solves the temporal
 relation of the g set for the mass at each point; `extract_mass` requires
-one mass over the whole support.  No gauge-fixed route can check it
+one mass over the whole support.  Both read a `MassTable`, the psi side of
+that relation, which `mass_table` builds once per frame and its caller
+keeps: each a0 adds only its own term.  No gauge-fixed route can check it
 further: exp(i Phi) psi has the bilinears and product-rule sums of psi,
 and its x0 bidirectional term moves by 2i a0 psi* M psi, so its temporal
 relation without a0 is the direct relation with a0, term for term,
@@ -22,10 +24,10 @@ and (d_a psi)* M psi and psi* M (d_a psi) at each axis, for each matrix of
 the g and g5 g sets, from two stacked `fields.bilinear` calls, the second
 made on the first read of a partial.  The table is built on a frame's
 first route and held by the frame (`Frame.held`), so the three routes share
-one and each of its two relations, once per kappa; the mass builds its own
-with only the pieces its relation reads.  `invert_combined` reads its guard
-from the table's values first, and forms nothing more if no point passes
-it.  A point whose denominator falls below the guard, relative to |psi|^2
+one and each of its two relations, once per kappa; the mass table is its
+own, with only the pieces its relation reads.  `invert_combined` reads its
+guard from the table's values first, and forms nothing more if no point
+passes it.  A point whose denominator falls below the guard, relative to |psi|^2
 there, is marked in the route's `ok` mask rather than raised; every
 recovered component carries its imaginary residue, and
 `RecoveredPotential.non_real` flags the points where it is beyond tolerance.
@@ -47,8 +49,7 @@ from .clifford import IDENTITY, gamma
 from .errors import MassInconsistent, NonRealPotential, ZeroNorm
 from .exprlang import Expr
 # `frame` only for bench/tests/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .fields import (ExpressionField, Frame, SpinorField, SupportSample,
-                     bilinear, frame, merge_params, row_max)
+from .fields import ExpressionField, Frame, SpinorField, bilinear, frame, merge_params, row_max
 
 DEFAULT_GUARD = 1e-10
 DEFAULT_REAL_TOL = 1e-6
@@ -274,13 +275,23 @@ def invert_gamma5gamma4(fr: Frame, kappa: float,
 # ---------------------------------------------------------------------------
 # Mass extraction
 
-def extract_mass_at(fr: Frame, a0: np.ndarray | None,
-                    real_tol: float = DEFAULT_REAL_TOL) -> MassSample:
-    """Pointwise mass from the temporal relation.
+@dataclass
+class MassTable:
+    """The psi side of a frame's temporal relation, which every a0 shares.
 
-    `a0` is the potential's complex a0 at the frame's points, real-checked by
-    `real_part`, or None for a0 = 0.
+    `temporal` is its mass-free part, `gamma4` psi* g4 psi and `norm_sq`
+    |psi|^2, nonzero at every point; an a0 adds only its term
+    -2 a0 psi* g4 psi (`extract_mass_at`).
     """
+
+    points: np.ndarray    # (N, 4)
+    temporal: np.ndarray  # (N,)
+    gamma4: np.ndarray    # (N,)
+    norm_sq: np.ndarray   # (N,)
+
+
+def mass_table(fr: Frame) -> MassTable:
+    """The mass table of a frame; raises ZeroNorm where psi vanishes."""
     # Only what the temporal relation reads: g_k at axis k and g4 at axis 0.
     t = _Covariants(fr, (IDENTITY, _GAMMA[4]), (((0,), (_GAMMA[4],)), ((1,), (_GAMMA[1],)),
                                                 ((2,), (_GAMMA[2],)), ((3,), (_GAMMA[3],))))
@@ -288,27 +299,35 @@ def extract_mass_at(fr: Frame, a0: np.ndarray | None,
     zero = np.flatnonzero(norm_sq == 0.0)
     if zero.size:
         raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
-    temporal = _temporal(t, _GAMMA)
+    return MassTable(fr.points, _temporal(t, _GAMMA), t.value(_GAMMA[4]), norm_sq)
+
+
+def extract_mass_at(table: MassTable, a0: np.ndarray | None,
+                    real_tol: float = DEFAULT_REAL_TOL) -> MassSample:
+    """Pointwise mass from the temporal relation.
+
+    `a0` is the potential's complex a0 at the table's points, real-checked by
+    `real_part`, or None for a0 = 0.
+    """
     if a0 is None:
         a0 = 0j
     else:
-        real_part(a0[:, None], fr.points, real_tol)
-    value = (temporal - 2.0 * a0 * t.value(_GAMMA[4])) / (2.0 * norm_sq)
+        real_part(a0[:, None], table.points, real_tol)
+    value = (table.temporal - 2.0 * a0 * table.gamma4) / (2.0 * table.norm_sq)
     return MassSample(value.real, np.abs(value.imag))
 
 
-def extract_mass(sample: SupportSample, a0: np.ndarray | None,
+def extract_mass(table: MassTable, a0: np.ndarray | None,
                  spread_tol: float = DEFAULT_SPREAD_TOL,
                  real_tol: float = DEFAULT_REAL_TOL) -> MassEstimate:
-    """Mass over all support points: mean, max spread and max imaginary residue.
+    """Mass over all of a table's points: mean, max spread and max imaginary residue.
 
     A spread or an imaginary residue beyond tolerance contradicts mass
     uniqueness, so the input cannot be a Dirac solution.  `a0` is as for
-    `extract_mass_at`, at the sample's support points; a non-real a0 raises
-    NonRealPotential before either.
+    `extract_mass_at`; a non-real a0 raises NonRealPotential before either.
     """
-    points = sample.frame.points
-    samples = extract_mass_at(sample.frame, a0, real_tol)
+    points = table.points
+    samples = extract_mass_at(table, a0, real_tol)
     mean = float(samples.kappa.mean())
     spread = float(np.abs(samples.kappa - mean).max())
     max_imag = float(samples.imag_residue.max())

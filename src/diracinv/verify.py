@@ -7,14 +7,16 @@ claimed correspondence.  The residual kernels take a `fields.Frame`, and
 a sample always has a support point, so its report always names a worst one.
 Potentials enter the residual through their values only, so a potential
 may be given as a FourPotential or as (N, 4) numeric component values, such
-as a family member's frame values.  Each gamma acts as its gather with
+as a family member's values.  Each gamma acts as its gather with
 signs (`clifford.signed_permutation`), with no matrix product.
 
-The potential-side checks read a `fields.Frame` of each potential and
-evaluate nothing: `field_tensor` gives the six gauge-invariant entries
+The potential-side checks read what a potential holds and evaluate
+nothing: `field_tensor` gives the six gauge-invariant entries
 (N, 6) from the frame's partials, and `lightlike_gap` the Minkowski square
-(N,) of the difference of two potentials' values.  `tensor_gap` and
-`lightlike_gap_max` reduce them to the largest magnitude over the points.
+(N,) of the difference of two potentials' values.  `tensor_gap` of two
+field tensors and `lightlike_gap_max` reduce them to the largest magnitude
+over the points; a caller that compares several potentials with one base
+forms the base's field tensor once.
 """
 
 from __future__ import annotations
@@ -143,16 +145,20 @@ def field_tensor(pf: Frame, real_tol: float = DEFAULT_REAL_TOL) -> np.ndarray:
     return entries.real.copy()
 
 
-def tensor_gap(a: Frame, b: Frame, real_tol: float = DEFAULT_REAL_TOL) -> float:
-    """Max componentwise field-tensor difference of two potential frames at the same points."""
-    return float(np.abs(field_tensor(a, real_tol) - field_tensor(b, real_tol)).max(initial=0.0))
+def tensor_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Max componentwise difference of two field tensors (N, 6) at the same points."""
+    return float(np.abs(a - b).max(initial=0.0))
 
 
-def lightlike_gap(a: Frame, b: Frame) -> np.ndarray:
-    """(a0-b0)^2 - sum_k (ak-bk)^2 at each point of two potential frames."""
+def lightlike_gap(a, b) -> np.ndarray:
+    """(a0-b0)^2 - sum_k (ak-bk)^2 at each point of two potentials.
+
+    Each is a frame or a `degeneracy.FamilyMember`: only the values (N, 4)
+    are read.
+    """
     da = a.value - b.value
     return da[:, 0] ** 2 - da[:, 1] ** 2 - da[:, 2] ** 2 - da[:, 3] ** 2
 
 
-def lightlike_gap_max(a: Frame, b: Frame) -> float:
+def lightlike_gap_max(a, b) -> float:
     return float(np.abs(lightlike_gap(a, b)).max(initial=0.0))

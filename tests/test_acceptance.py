@@ -116,13 +116,15 @@ def test_criterion_5_gauge_inequivalent_member_exists(degenerate_instances):
         const = catalog.example_family(alpha, phi1, phi2, exprlang.ONE)
         linear = catalog.example_family(alpha, phi1, phi2, exprlang.Name("x0"))
         base_fr = frame(base, pts)
-        gap_const = verify.tensor_gap(frame(const, pts), base_fr)
-        gap_linear = verify.tensor_gap(frame(linear, pts), base_fr)
+        base_tensor = verify.field_tensor(base_fr)
+        gap_const = verify.tensor_gap(verify.field_tensor(frame(const, pts)), base_tensor)
+        gap_linear = verify.tensor_gap(verify.field_tensor(frame(linear, pts)), base_tensor)
         floor = 0.5 * float(np.abs(np.array(inst.thetas)).min())
         ok &= gap_const < 1e-12
         ok &= gap_linear >= floor
         everywhere = DOMAIN.points()
-        ok &= verify.tensor_gap(frame(linear, everywhere), frame(base, everywhere)) >= TENSOR_TOL
+        ok &= verify.tensor_gap(verify.field_tensor(frame(linear, everywhere)),
+                                verify.field_tensor(frame(base, everywhere))) >= TENSOR_TOL
         details.append(f"{gap_linear:.3f}>={floor:.3f}")
     _verdict("criterion 5: f=1 member shares the base tensor, f=x0 member does not",
              ok, "linear gaps vs floors: " + ", ".join(details))
@@ -170,7 +172,8 @@ def test_criterion_7_mass_uniqueness(degenerate_instances):
     cases = [(catalog.build("rest_plane_wave", {"kappa": k}), None) for k in (1.0, 0.7)]
     cases += [(inst, None) for inst in degenerate_instances]
     for inst, _ in cases:
-        estimate = inversion.extract_mass(sample_support(inst.spinor, domain), None)
+        estimate = inversion.extract_mass(
+            inversion.mass_table(sample_support(inst.spinor, domain).frame), None)
         worst_err = max(worst_err, abs(estimate.kappa - inst.kappa))
         worst_spread = max(worst_spread, estimate.spread)
         # A gauge-transformed variant corresponds to the same mass.
@@ -179,7 +182,8 @@ def test_criterion_7_mass_uniqueness(degenerate_instances):
         pot = inversion.FourPotential.zero().plus(shift)
         sample = sample_support(variant, domain)
         estimate = inversion.extract_mass(
-            sample, exprlang.evaluate(pot.components[0], sample.support, pot.params))
+            inversion.mass_table(sample.frame),
+            exprlang.evaluate(pot.components[0], sample.support, pot.params))
         worst_err = max(worst_err, abs(estimate.kappa - inst.kappa))
         worst_spread = max(worst_spread, estimate.spread)
     ok = worst_err < 1e-9 and worst_spread < 1e-9

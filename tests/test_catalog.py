@@ -7,7 +7,7 @@ from diracinv import catalog, degeneracy, exprlang, inversion, scenario, verify
 from diracinv.catalog import CatalogSelfTestError
 from diracinv.clifford import gamma
 from diracinv.errors import ParameterOnSingularLocus
-from diracinv.fields import SampleDomain, bilinear, frame, sample_support
+from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 
 
 class TestRestPlaneWave:
@@ -21,7 +21,7 @@ class TestRestPlaneWave:
         sample = sample_support(rest_wave.spinor, unit_domain)
         cls = degeneracy.classify(sample)
         assert cls.verdict == "non-degenerate"
-        estimate = inversion.extract_mass(sample, None)
+        estimate = inversion.extract_mass(inversion.mass_table(sample.frame), None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_finite_mass(self):
@@ -119,7 +119,8 @@ class TestExampleFamily:
         base = inversion.FourPotential.zero()
         member = catalog.example_family(0.3, 0.2, -0.1, exprlang.Name("x0"))
         pts = unit_domain.points()
-        gap = verify.tensor_gap(frame(member, pts), frame(base, pts))
+        gap = verify.tensor_gap(verify.field_tensor(frame(member, pts)),
+                                verify.field_tensor(frame(base, pts)))
         assert gap >= scenario.DEFAULT_TOLERANCES["tensor"]
 
 
@@ -172,3 +173,43 @@ def test_integral_float_member_is_accepted():
 def test_unknown_entry_rejected():
     with pytest.raises(KeyError):
         catalog.build("hydrogen")
+
+
+def _freshly_parsed(name: str, params: dict) -> SpinorField:
+    """The entry's spinor from trees parsed and built anew, under the given bindings."""
+    if name == "rest_plane_wave":
+        return SpinorField.from_strings(["exp(-i*kappa*x0)", "0", "0", "0"], params)
+    carrier = exprlang.parse("exp(p0*x0 + p1*x1 + p2*x2 + p3*x3)")
+    return SpinorField([exprlang.mul(exprlang.Name("c1"), carrier),
+                        exprlang.mul(exprlang.Name("c2"), carrier),
+                        exprlang.ZERO, carrier], params)
+
+
+@pytest.mark.parametrize("name, first, second", [
+    ("rest_plane_wave", {"kappa": 1.0}, {"kappa": 0.7}),
+    ("degenerate_example", {}, {"kappa": 1.4, "alpha": -0.2, "phi1": 0.5, "phi2": 0.3}),
+])
+def test_a_second_build_binds_the_trees_and_partials_of_the_first(name, first, second, rng,
+                                                                   monkeypatch):
+    a = catalog.build(name, first)
+    a_params = dict(a.spinor.params)
+    differentiate, calls = exprlang.differentiate, []
+    monkeypatch.setattr(exprlang, "differentiate",
+                        lambda e, axis: calls.append(e) or differentiate(e, axis))
+    b = catalog.build(name, second)  # certified, so its frame took the partials
+    assert calls == []
+    assert b.spinor.components is a.spinor.components
+    assert b.spinor.partials is a.spinor.partials and b.spinor.live == a.spinor.live
+    assert a.spinor.params == a_params and b.spinor.params != a_params
+    fresh = _freshly_parsed(name, b.spinor.params)
+    pts = rng.uniform(-1, 1, (30, 4))
+    got, want = frame(b.spinor, pts), frame(fresh, pts)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.derivs.tobytes() == want.derivs.tobytes() and got.live == want.live
+
+
+def test_certification_points_are_drawn_once_and_read_only():
+    held = catalog._SELFTEST_DOMAIN.points()
+    assert catalog._SELFTEST_DOMAIN.points() is held and not held.flags.writeable
+    drawn = SampleDomain(count=20, seed=catalog._SELFTEST_DOMAIN.seed).points()
+    assert held.tobytes() == drawn.tobytes()

@@ -582,6 +582,64 @@ def test_theta_direction_is_built_once_per_family_task_and_catalog_suite(tmp_pat
     assert len(calls) == 2
 
 
+def test_catalog_suite_reads_its_four_masses_from_two_tables(monkeypatch):
+    from diracinv import inversion
+    tables = _count_calls(monkeypatch, inversion, "mass_table")
+    masses = _count_calls(monkeypatch, inversion, "extract_mass_at",
+                          lambda table, *args: table)
+    assert selftest.catalog_suite(42).n_failed == 0
+    assert len(tables) == 2 and len(masses) == 4
+    assert len({id(table) for table in masses}) == 2
+
+
+def _partials_evaluated(monkeypatch, texts: tuple[str, ...]) -> list[str]:
+    """The texts of `texts` whose four partial trees some evaluate call reads, in a row.
+
+    Filled as the caller runs; a tree is told by its printed text, and its
+    partials by the objects `exprlang.differentiate` returned for it.
+    """
+    from diracinv import exprlang
+    differentiate, evaluate = exprlang.differentiate, exprlang.evaluate
+    partials: dict[str, dict[int, object]] = {}
+    read: list[str] = []
+
+    def spy_differentiate(e, axis):
+        d = differentiate(e, axis)
+        if exprlang.to_text(e) in texts:
+            partials.setdefault(exprlang.to_text(e), {})[axis] = d
+        return d
+
+    def spy_evaluate(e, points, params=None):
+        ids = [id(tree) for tree in (e if isinstance(e, (list, tuple)) else [e])]
+        for text, by_axis in partials.items():
+            run = [id(by_axis.get(axis)) for axis in range(4)]
+            if text not in read and any(ids[k:k + 4] == run for k in range(len(ids))):
+                read.append(text)
+        return evaluate(e, points, params)
+
+    monkeypatch.setattr(exprlang, "differentiate", spy_differentiate)
+    monkeypatch.setattr(exprlang, "evaluate", spy_evaluate)
+    return read
+
+
+def test_family_partials_and_field_tensors_only_where_a_check_reads_them(monkeypatch):
+    # Only the f = 1 and f = x0 members' field tensors are read: their f
+    # partials are evaluated, the scenario f's are not, and the base's field
+    # tensor is formed once, so three field tensors, not four.
+    from diracinv import verify
+    sc = scenario.load_scenario(str(_SHIPPED / "degenerate_family.json"))
+    texts = ("1", "x0", "sin(x0+x1)")
+    read = _partials_evaluated(monkeypatch, texts)
+    tensors = _count_calls(monkeypatch, verify, "field_tensor")
+    checks = CheckSet("family")
+    cli._TASK_RUNNERS["family"](sc, {}, checks)
+    assert checks.n_failed == 0 and sorted(read) == ["1", "x0"] and len(tensors) == 3
+    read.clear()
+    tensors.clear()
+    assert selftest.catalog_suite(42).n_failed == 0
+    assert sorted(read) == ["1", "x0"] and len(tensors) == 3
+
+
 def test_run_evaluates_the_potential_once_at_every_support_point(tmp_path, monkeypatch):
     # The potential's a3 is the literal zero that the spinor's components
     # share, so a call reads the potential when it evaluates a0, a1 or a2.

@@ -582,6 +582,47 @@ class TestOnePassParserMatchesRecursiveDescent:
         _assert_parsed_as_before(text)
 
 
+def _num_bits(e: Expr) -> list:
+    """The uint64 views of every literal's (real, imag) in a tree, in walk order."""
+    if isinstance(e, Num):
+        return np.array([e.value]).view(np.uint64).tolist()
+    return [bits for child in vars(e).values() if isinstance(child, Expr.__args__)
+            for bits in _num_bits(child)]
+
+
+class TestPrintedTreesParseBackBitForBit:
+    @pytest.mark.parametrize("text, printed", [
+        ("-0", "-0"), ("-2", "-2"), ("0-2", "(0-2)"), ("x1*(-1.5)", "x1*-1.5"),
+        ("-(0-2)", "-(0-2)"), ("0*-0", "(0*-0)"), ("-(0*-0)", "-(0*-0)"),
+        ("(-0)^(-1)", "(-0)^(-1)"), ("-2*x1", "-2*x1"),
+    ])
+    def test_pinned_literals_keep_their_signed_zeros(self, text, printed):
+        e = parse(text)
+        assert to_text(e) == printed
+        back = parse(printed)
+        assert _num_bits(back) == _num_bits(e) and repr(back) == repr(e)
+
+    def test_negative_literals_keep_the_sign_of_their_imaginary_zero(self):
+        # -x parses with imaginary part -0.0 and 0 - x with +0.0; each prints
+        # as text that parses back to its own bits.
+        assert math.copysign(1.0, parse("-2").value.imag) < 0
+        assert math.copysign(1.0, parse("0-2").value.imag) > 0
+        assert _num_bits(parse("-0")) == np.array([complex(-0.0, -0.0)]).view(np.uint64).tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_GRAMMAR_TEXT)
+    def test_drawn_grammar_text(self, text):
+        try:
+            e = parse(text)
+        except ParseError:
+            return
+        printed = to_text(e)
+        back = parse(printed)
+        # repr shows each float's shortest round-trip text, signed zeros included.
+        assert repr(back) == repr(e), (text, printed)
+        assert to_text(back) == printed
+
+
 # The evaluator before one finiteness check per call, kept as the reference
 # the current one must match: it checks each arithmetic, power and call node
 # as it applies.  `_leaf`, `_resolve`, `_non_finite` and the operator tables

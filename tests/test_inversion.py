@@ -1,6 +1,7 @@
 """Potential and mass recovery, gauge machinery, route agreement."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from diracinv.clifford import IDENTITY, delta, gamma
 from diracinv.errors import EvaluationError, MassInconsistent, NonRealPotential, ZeroNorm
 from diracinv.fields import SampleDomain, SpinorField, bilinear, frame, sample_support
 from diracinv.inversion import (FourPotential, extract_mass, extract_mass_at, gauge_transform,
-                                invert_combined, invert_gamma4, invert_gamma5gamma4)
+                                invert_combined, invert_gamma4, invert_gamma5gamma4,
+                                mass_table)
 
 _SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 POINT = (0.13, -0.42, 0.78, 0.31)
@@ -183,7 +185,7 @@ class TestOneRelation:
         a0 = exprlang.parse(_A0)
         values = exprlang.evaluate_many(a0, fr.points)
         for a0_arg, a0_value in ((None, 0j), (values, values)):
-            got = extract_mass_at(fr, a0_arg)
+            got = extract_mass_at(mass_table(fr), a0_arg)
             kappa, imag = reference_mass(fr, a0_value)
             assert np.array_equal(_bits(got.kappa), _bits(kappa))
             assert np.array_equal(_bits(got.imag_residue), _bits(imag))
@@ -317,39 +319,102 @@ class TestOracleSupremacy:
             assert np.abs(sample.a - known).max() < 1e-8
 
 
+def _earlier_extract_mass_at(fr, a0, real_tol=inversion.DEFAULT_REAL_TOL):
+    """`extract_mass_at` as it was before the mass table, verbatim, as the bit reference."""
+    from diracinv.inversion import _GAMMA, MassSample, _Covariants, _temporal, real_part
+    # Only what the temporal relation reads: g_k at axis k and g4 at axis 0.
+    t = _Covariants(fr, (IDENTITY, _GAMMA[4]), (((0,), (_GAMMA[4],)), ((1,), (_GAMMA[1],)),
+                                                ((2,), (_GAMMA[2],)), ((3,), (_GAMMA[3],))))
+    norm_sq = t.value(IDENTITY).real
+    zero = np.flatnonzero(norm_sq == 0.0)
+    if zero.size:
+        raise ZeroNorm(f"spinor vanishes at {tuple(fr.points[zero[0]].tolist())}")
+    temporal = _temporal(t, _GAMMA)
+    if a0 is None:
+        a0 = 0j
+    else:
+        real_part(a0[:, None], fr.points, real_tol)
+    value = (temporal - 2.0 * a0 * t.value(_GAMMA[4])) / (2.0 * norm_sq)
+    return MassSample(value.real, np.abs(value.imag))
+
+
+def _mass_case(label: str, rng):
+    """A spinor frame at 40 points and a real a0 there."""
+    pts = rng.uniform(-1, 1, (40, 4))
+    if label == "rest":
+        spinor, a0 = catalog.build("rest_plane_wave", {"kappa": 1.3}).spinor, _A0
+    elif label == "degenerate":
+        spinor, a0 = catalog.build("degenerate_example").spinor, _A0
+    else:
+        pair = solutions.gauge_rest_pair if label == "rest-gauge" \
+            else solutions.gauge_degenerate_pair
+        spinor, potential, _ = pair(0.9, rng)
+        return frame(spinor, pts), potential.values(pts)[:, 0].astype(complex)
+    return frame(spinor, pts), exprlang.evaluate(exprlang.parse(a0), pts)
+
+
+@pytest.mark.parametrize("label", ["rest", "degenerate", "rest-gauge", "degenerate-gauge"])
+def test_the_mass_table_gives_the_bits_of_the_earlier_mass(label, rng):
+    # One table serves every a0: none, zero, real, and non-real, which must
+    # raise as before, with the same message.
+    fr, real = _mass_case(label, rng)
+    table = mass_table(fr)
+    non_real = exprlang.evaluate(exprlang.parse("x1 + i*x2"), fr.points)
+    for a0 in (None, np.zeros(len(fr.points), dtype=complex), real, -real):
+        got, want = extract_mass_at(table, a0), _earlier_extract_mass_at(fr, a0)
+        assert np.array_equal(_bits(got.kappa), _bits(want.kappa))
+        assert np.array_equal(_bits(got.imag_residue), _bits(want.imag_residue))
+    with pytest.raises(NonRealPotential) as err:
+        _earlier_extract_mass_at(fr, non_real)
+    with pytest.raises(NonRealPotential, match=f"^{re.escape(str(err.value))}$"):
+        extract_mass_at(table, non_real)
+
+
+def test_the_mass_table_raises_zero_norm_as_the_earlier_mass():
+    fr = frame(SpinorField.from_strings(["x1", "0", "0", "0"]),
+               [(0.5, 0.2, 0.1, 0.2), (0.5, 0.0, 0.1, 0.2)])
+    with pytest.raises(ZeroNorm) as err:
+        _earlier_extract_mass_at(fr, None)
+    with pytest.raises(ZeroNorm, match=f"^{re.escape(str(err.value))}$"):
+        mass_table(fr)
+
+
 class TestExtractMass:
     def test_rest_wave(self, rest_wave, unit_domain):
-        estimate = extract_mass(sample_support(rest_wave.spinor, unit_domain), None)
+        sample = sample_support(rest_wave.spinor, unit_domain)
+        estimate = extract_mass(mass_table(sample.frame), None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-12)
         assert estimate.spread < 1e-12
 
     def test_edge_wave_survives_on_the_spatial_term(self, edge_wave):
-        sample = extract_mass_at(frame(edge_wave, AT_POINT), None)
+        sample = extract_mass_at(mass_table(frame(edge_wave, AT_POINT)), None)
         assert sample.kappa[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_example_with_zero_potential(self, degenerate_default, unit_domain):
-        estimate = extract_mass(sample_support(degenerate_default.spinor, unit_domain), None)
+        sample = sample_support(degenerate_default.spinor, unit_domain)
+        estimate = extract_mass(mass_table(sample.frame), None)
         assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
         assert estimate.spread < 1e-9
 
     def test_scale_invariance(self, edge_wave):
         doubled = edge_wave.scaled_by(exprlang.Num(2 + 0j))
-        assert extract_mass_at(frame(doubled, AT_POINT), None).kappa[0] == pytest.approx(
-            extract_mass_at(frame(edge_wave, AT_POINT), None).kappa[0], abs=1e-12)
+        kappa = extract_mass_at(mass_table(frame(doubled, AT_POINT)), None).kappa[0]
+        assert kappa == pytest.approx(
+            extract_mass_at(mass_table(frame(edge_wave, AT_POINT)), None).kappa[0], abs=1e-12)
 
     def test_zero_norm_point(self):
         field = SpinorField.from_strings(["x1", "0", "0", "0"])
         with pytest.raises(ZeroNorm):
-            extract_mass_at(frame(field, [(0.5, 0.0, 0.1, 0.2)]), None)
+            extract_mass_at(mass_table(frame(field, [(0.5, 0.0, 0.1, 0.2)])), None)
 
     def test_point_dependent_mass_is_inconsistent(self, unit_domain):
         # With the temporal component forced to zero this spinor's pointwise
         # mass equals x1: correctly rejected as inconsistent over the sample.
         field = SpinorField.from_strings(["exp(-i*x0*x1)", "0", "0", "0"])
-        sample = extract_mass_at(frame(field, AT_POINT), None)
+        sample = extract_mass_at(mass_table(frame(field, AT_POINT)), None)
         assert sample.kappa[0] == pytest.approx(POINT[1], abs=1e-12)
         with pytest.raises(MassInconsistent):
-            extract_mass(sample_support(field, unit_domain), None)
+            extract_mass(mass_table(sample_support(field, unit_domain).frame), None)
 
     def test_gauge_invariance_over_random_functions(self, rest_wave, rng):
         domain = SampleDomain(count=25, seed=5)
@@ -359,7 +424,8 @@ class TestExtractMass:
             pot = FourPotential.zero().plus(shift)
             sample = sample_support(spinor, domain)
             estimate = extract_mass(
-                sample, exprlang.evaluate(pot.components[0], sample.support, pot.params))
+                mass_table(sample.frame),
+                exprlang.evaluate(pot.components[0], sample.support, pot.params))
             assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
     def test_a0_pole_between_support_points_leaves_the_mass_defined(self):
@@ -371,43 +437,50 @@ class TestExtractMass:
         sample = sample_support(field, SampleDomain(count=10, seed=2))
         assert (sample.support[:3, 0] < 0.5).all() and (sample.support[3:, 0] > 0.5).any()
         estimate = extract_mass(
-            sample, exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)^2"), sample.support))
+            mass_table(sample.frame),
+            exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)^2"), sample.support))
         assert estimate.count == 10
         assert estimate.kappa == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_a0_gives_the_no_potential_mass(self, rest_wave, rng):
         fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
-        assert np.array_equal(extract_mass_at(fr, exprlang.evaluate(exprlang.ZERO,
-                                                                    fr.points)).kappa,
-                              extract_mass_at(fr, None).kappa)
+        table = mass_table(fr)
+        assert np.array_equal(extract_mass_at(table, exprlang.evaluate(exprlang.ZERO,
+                                                                       fr.points)).kappa,
+                              extract_mass_at(table, None).kappa)
 
     def test_a0_parameters_bind(self, rest_wave, rng):
         fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
-        bound = extract_mass_at(fr, exprlang.evaluate(exprlang.parse("w*x1"), fr.points,
-                                                      {"w": 0.5}))
+        table = mass_table(fr)
+        bound = extract_mass_at(table, exprlang.evaluate(exprlang.parse("w*x1"), fr.points,
+                                                         {"w": 0.5}))
         assert np.array_equal(bound.kappa, extract_mass_at(
-            fr, exprlang.evaluate(exprlang.parse("0.5*x1"), fr.points)).kappa)
+            table, exprlang.evaluate(exprlang.parse("0.5*x1"), fr.points)).kappa)
         with pytest.raises(EvaluationError, match="unbound name 'w'"):
-            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("w*x1"), fr.points))
+            extract_mass_at(table, exprlang.evaluate(exprlang.parse("w*x1"), fr.points))
 
     def test_degenerate_spinor_has_one_mass_for_every_a0(self, degenerate_default, rng):
         # psi* g4 psi vanishes on the degenerate spinor, so a0 drops out of
         # the temporal relation: every member of the family has mass kappa.
         fr = frame(degenerate_default.spinor, rng.uniform(-1, 1, (50, 4)))
+        table = mass_table(fr)
         for text in ("1", "-3.5", "sin(x0)*x1 + x2^2"):
-            kappa = extract_mass_at(fr, exprlang.evaluate(exprlang.parse(text), fr.points)).kappa
+            a0 = exprlang.evaluate(exprlang.parse(text), fr.points)
+            kappa = extract_mass_at(table, a0).kappa
             assert np.abs(kappa - 1.0).max() < 1e-9
 
     def test_a0_pole_at_a_sampled_point_raises(self, rest_wave):
         fr = frame(rest_wave.spinor, [(0.2, 0.0, 0.0, 0.0), (0.5, 0.1, 0.0, 0.0)])
         with pytest.raises(EvaluationError,
                            match=r"division produced a non-finite value in '1/\(x0-0.5\)'"):
-            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)"), fr.points))
+            extract_mass_at(mass_table(fr),
+                            exprlang.evaluate(exprlang.parse("1/(x0 - 0.5)"), fr.points))
 
     def test_non_finite_a0_raises(self, rest_wave):
         fr = frame(rest_wave.spinor, [(1.0, 0.0, 0.0, 0.0)])
         with pytest.raises(EvaluationError, match="exp produced a non-finite value"):
-            extract_mass_at(fr, exprlang.evaluate(exprlang.parse("exp(800*x0)"), fr.points))
+            extract_mass_at(mass_table(fr),
+                            exprlang.evaluate(exprlang.parse("exp(800*x0)"), fr.points))
 
     def test_non_real_a0_raises_before_the_spread(self, unit_domain):
         # The spinor's pointwise mass is x1 (see above), which fails the
@@ -415,7 +488,8 @@ class TestExtractMass:
         field = SpinorField.from_strings(["exp(-i*x0*x1)", "0", "0", "0"])
         sample = sample_support(field, unit_domain)
         with pytest.raises(NonRealPotential, match="potential has imaginary residue"):
-            extract_mass(sample, exprlang.evaluate(exprlang.parse("x1 + i*x2"), sample.support))
+            extract_mass(mass_table(sample.frame),
+                         exprlang.evaluate(exprlang.parse("x1 + i*x2"), sample.support))
 
 
 _CLIFFORD_BASIS = ([IDENTITY] + [gamma(k) for k in range(1, 6)]
@@ -473,8 +547,8 @@ class TestMassGaugeIdentity:
     def test_mass_with_the_shifted_a0_is_the_mass_with_a0(self, gauge_pair):
         fr, moved, f, _ = gauge_pair
         a0 = exprlang.parse(_A0)
-        before = extract_mass_at(fr, exprlang.evaluate(a0, fr.points))
-        after = extract_mass_at(moved, exprlang.evaluate(
+        before = extract_mass_at(mass_table(fr), exprlang.evaluate(a0, fr.points))
+        after = extract_mass_at(mass_table(moved), exprlang.evaluate(
             exprlang.add(a0, exprlang.differentiate(f, 0)), moved.points))
         assert np.abs(after.kappa - before.kappa).max() < 1e-12
         assert np.abs(after.imag_residue - before.imag_residue).max() < 1e-12

@@ -6,14 +6,45 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_inprocess_ab_of_the_checkout_against_itself_is_identical(capsys):
+def _tool():
     path = ROOT / "tools" / "inprocess_ab.py"
     spec = importlib.util.spec_from_file_location("inprocess_ab", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_inprocess_ab_of_the_checkout_against_itself_is_identical(capsys):
     src = str(ROOT / "src")
-    code = tool.main([src, src, "--workload", "family_sweep", "--ops", "2", "--rounds", "1"])
+    code = _tool().main([src, src, "--workload", "family_sweep", "--ops", "2", "--rounds", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "of 2 pairs" in out
     assert out.splitlines()[-1] == "reports: every pair identical"
+
+
+def test_inprocess_ab_of_all_workloads_prints_one_verdict_line_each(capsys):
+    tool = _tool()
+    src = str(ROOT / "src")
+    code = tool.main([src, src, "--workload", "all", "--ops", "1", "--rounds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if "median ratio" in line]
+    assert code == 0
+    assert [line.split()[0] for line in verdicts] == list(tool.WORKLOADS)
+    assert all(line.endswith(" of 1 pairs; reports identical") for line in verdicts)
+    assert lines[-1] == "reports: every pair identical"
+
+
+def test_inprocess_ab_exits_1_when_a_workload_pair_differs(capsys, monkeypatch):
+    tool = _tool()
+    differ = tool.WORKLOADS[1]
+
+    def compare(parent_src, change_src, workload, ops, rounds, seed=1):
+        return {"times": {"parent": [1.0], "change": [0.5]}, "wins": 1, "pairs": 1,
+                "ratio": 0.5, "identical": workload != differ}
+
+    monkeypatch.setattr(tool, "compare", compare)
+    assert tool.main(["p", "c", "--workload", "all", "--ops", "1", "--rounds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("reports DIFFER")] == [differ]
+    assert lines[-1] == "reports: PAIRS DIFFER"

@@ -3,6 +3,7 @@
 Usage, from the root of a source checkout::
 
     python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC --workload family_sweep --ops 40 --rounds 5
+    python3 tools/inprocess_ab.py PARENT_SRC CHANGE_SRC --workload all --ops 30 --rounds 4
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
 ``diracinv`` package, such as this checkout's ``src`` and that of a copy of
@@ -16,11 +17,12 @@ one ``cli.main(argv + ["--out", path])``, timed from the call to its return.
 
 Two runs in separate processes meet the host's drift at different times;
 two packages alternated per operation in one process meet it together, so
-a few percent shows in a few hundred pairs.  The script prints each side's
-median and quartiles over all timed calls, the change's median ratio and
-its win count over the operation pairs, and whether every pair had the
-same exit code and byte-identical reports.  It exits 1 when some pair
-differed.
+a few percent shows in a few hundred pairs.  For each workload, one or
+``all`` of them in turn, the script prints each side's median and
+quartiles over all timed calls, then one line with the change's median
+ratio, its win count over the operation pairs, and whether every pair had
+the same exit code and byte-identical reports.  A last line sums that up
+over the workloads, and the script exits 1 when some pair differed.
 """
 
 from __future__ import annotations
@@ -105,23 +107,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=(*WORKLOADS, "all"), required=True)
     parser.add_argument("--ops", type=int, default=40)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.ops < 1 or args.rounds < 1:
         parser.error("--ops and --rounds must be at least 1")
-    result = compare(args.parent_src, args.change_src, args.workload, args.ops, args.rounds,
-                     args.seed)
-    for side in SIDES:
-        q1, q2, q3 = quartiles(result["times"][side])
-        print(f"{side:6s}  median {q2 * 1e3:9.3f} ms  quartiles {q1 * 1e3:9.3f} "
-              f"{q3 * 1e3:9.3f} ms")
-    print(f"change/parent median ratio {result['ratio']:.3f}; change faster in "
-          f"{result['wins']} of {result['pairs']} pairs")
-    print("reports: " + ("every pair identical" if result["identical"] else "PAIRS DIFFER"))
-    return 0 if result["identical"] else 1
+    identical = True
+    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
+        result = compare(args.parent_src, args.change_src, workload, args.ops, args.rounds,
+                         args.seed)
+        identical &= result["identical"]
+        for side in SIDES:
+            q1, q2, q3 = quartiles(result["times"][side])
+            print(f"{workload}  {side:6s}  median {q2 * 1e3:9.3f} ms  quartiles "
+                  f"{q1 * 1e3:9.3f} {q3 * 1e3:9.3f} ms")
+        print(f"{workload}  change/parent median ratio {result['ratio']:.3f}; change faster "
+              f"in {result['wins']} of {result['pairs']} pairs; reports "
+              + ("identical" if result["identical"] else "DIFFER"))
+    print("reports: " + ("every pair identical" if identical else "PAIRS DIFFER"))
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
