@@ -27,26 +27,13 @@ import numpy as np
 from . import degeneracy, exprlang, verify
 from .errors import DiracinvError, ParameterOnSingularLocus
 from .exprlang import Expr
-from .fields import SampleDomain, SpinorField, sample_support, squared_norm
+from .fields import HeldDomain, SpinorField, sample_support, squared_norm
 from .inversion import FourPotential
 
 SINGULAR_MARGIN = 1e-6
 
 
-class _HeldDomain(SampleDomain):
-    """A domain whose points are drawn on first use, then kept, read-only."""
-
-    @functools.cached_property
-    def _points(self) -> np.ndarray:
-        points = super().points()
-        points.flags.writeable = False
-        return points
-
-    def points(self) -> np.ndarray:
-        return self._points
-
-
-_SELFTEST_DOMAIN = _HeldDomain(count=20, seed=20240917)
+_SELFTEST_DOMAIN = HeldDomain(count=20, seed=20240917)
 _SELFTEST_REL_TOL = 1e-12
 
 

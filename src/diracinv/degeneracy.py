@@ -15,10 +15,13 @@ frames and f: `potential_family` evaluates f alone and gives the member's
 values, which the residual and light-like checks read, and `member_frame`
 evaluates f's partials and gives the member's `fields.Frame`, with theta's
 partials by the quotient rule (`_direction`), which only a field tensor
-reads.  The direction takes two stacked `fields.bilinear` calls and is
-computed once per frame: `theta` and every member read the read-only copy
-the frame holds (`Frame.held`).  Both calls read real parts only, of I and
-of the Hermitian -i g_k g4, as Im(psi* g_k g4 psi) = Re(psi* (-i g_k g4)
+reads.  For an f with constant partials, such as 1 and x0, `step_frame`
+gives the real frame of the step f (1, theta) alone, whose field tensor is
+the member's less the base's, evaluating no tree.  The direction takes two
+stacked `fields.bilinear` calls and is computed once per frame:
+`direction`, `theta` and every member read the read-only copy the frame
+holds (`Frame.held`).  Both calls read real parts only, of I and of the
+Hermitian -i g_k g4, as Im(psi* g_k g4 psi) = Re(psi* (-i g_k g4)
 psi), so the kernel forms half the products and keeps float totals.
 """
 
@@ -112,9 +115,14 @@ def _direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
     return u, du
 
 
+def direction(fr: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """The frame's held, read-only direction (1, theta) (N, 4) and its partials (4, N, 4)."""
+    return fr.held(_direction)
+
+
 def theta(fr: Frame) -> np.ndarray:
     """The three real direction ratios (N, 3) at the frame's points."""
-    return fr.held(_direction)[0][:, 1:]
+    return direction(fr)[0][:, 1:]
 
 
 # The paper's explicit ratios theta_j = c_j psiT M_j psi / psiT g2 psi, as the
@@ -187,6 +195,30 @@ def member_frame(fr: Frame, base: Frame, member: FamilyMember) -> Frame:
         partials[axis] += df[axis][:, None] * u_c
     partials += base.derivs
     return Frame(fr.points, member.value, partials, member.params)
+
+
+def step_frame(fr: Frame, member: FamilyMember) -> Frame:
+    """The real frame of a member's step f (1, theta) from its base, for f with constant partials.
+
+    A field tensor is linear in the potential, so the member's field tensor
+    less its base's is this frame's.  Its partials are f d(1, theta) + d f
+    (1, theta), summed in `member_frame`'s order, with f's values as the
+    member holds them and d f read off f's differentiated literals, so it
+    evaluates no tree; f = 1 and f = x0 are such members.  On a zero base
+    the tensor has the bits of `member_frame`'s, but for signs of zero.  An
+    f with a partial that is not a real literal raises ValueError.
+    """
+    u, du = direction(fr)
+    f = member.f_value.real[:, None]
+    partials = du * f
+    for axis in range(4):
+        slope = exprlang.differentiate(member.f, axis)
+        if not isinstance(slope, exprlang.Num) or slope.value.imag:
+            raise ValueError(f"f = {exprlang.to_text(member.f)} has a partial along x{axis} "
+                             f"that is not a real literal")
+        if slope.value:
+            partials[axis] += slope.value.real * u
+    return Frame(fr.points, f * u, partials, member.params)
 
 
 # ---------------------------------------------------------------------------

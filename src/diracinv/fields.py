@@ -34,7 +34,9 @@ Only this module samples a spinor: `sample_support` evaluates psi once over
 the seeded domain and keeps its support values, `SupportSample.frame` adds
 the partials on first use, and a kernel that needs part of the support
 takes `Frame.rows` of that frame.  `sample_support` raises NoSupportPoints
-for a sample with no support point, so every `SupportSample` has one.
+for a sample with no support point, so every `SupportSample` has one.  A
+`HeldDomain` draws its points once and keeps them, for a caller that
+samples several spinors on one box.
 """
 
 from __future__ import annotations
@@ -302,6 +304,19 @@ class SampleDomain:
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         return rng.uniform(lo, hi, size=(self.count, 4))
+
+
+class HeldDomain(SampleDomain):
+    """A domain whose points are drawn on first use, then kept, read-only."""
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        points = super().points()
+        points.flags.writeable = False
+        return points
+
+    def points(self) -> np.ndarray:
+        return self._points
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog, clifford, degeneracy, exprlang, fields, inversion, verify
 from .exprlang import Expr
-from .fields import SampleDomain, sample_support
+from .fields import HeldDomain, sample_support
 from .report import CheckSet
 
 _FD_STEP = 1e-5
@@ -386,7 +386,7 @@ _FAMILY_FUNCTIONS = ("1", "x0", "sin(x0+x1)")
 def catalog_suite(seed: int, samples: int = 100) -> CheckSet:
     """Certify the built-in solutions and the degenerate family machinery."""
     suite = CheckSet("catalog")
-    domain = SampleDomain(count=samples, seed=seed)
+    domain = HeldDomain(count=samples, seed=seed)  # both spinors sample the same points
 
     rest = catalog.build("rest_plane_wave", {"kappa": 1.0})
     sample = sample_support(rest.spinor, domain)

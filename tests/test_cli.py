@@ -273,7 +273,7 @@ class TestDemo:
         # Its transpose g2 bilinear vanishes identically, but theta from the
         # current is defined at every support point, and so is the family.
         from diracinv import verify
-        checked = _count_calls(monkeypatch, verify, "residual_norm_at",
+        checked = _count_calls(monkeypatch, verify, "dirac_residual",
                                lambda fr, *args: len(fr.points))
         scenario = {
             "kappa": 0.0,
@@ -290,7 +290,8 @@ class TestDemo:
         members = tasks["family"]["members"]
         assert [m["f"] for m in members] == ["1", "x0"]
         assert all(m["residual_max"] < 1e-9 for m in members)
-        assert checked == [200, 200, 200]  # the two members, then the verify task
+        # One base residual, which the two members and the verify task read.
+        assert checked == [200]
 
     def test_zero_mass_shape_with_a_non_constant_theta_passes(self, tmp_path, capsys):
         # theta varies with the point here, so the f = 1 member moves the
@@ -337,6 +338,7 @@ class TestDemo:
             "family member f=x1 passes the residual oracle": False,
             "family member f=x1 is light-like separated from base": True,
             "a gauge-inequivalent member exists (f=x0)": True,
+            "the residual does not move along (1, theta)": True,
         }
         assert family["tensor_gap_f_1"] == pytest.approx(0.388, abs=1e-3)
 
@@ -623,9 +625,11 @@ def _partials_evaluated(monkeypatch, texts: tuple[str, ...]) -> list[str]:
 
 
 def test_family_partials_and_field_tensors_only_where_a_check_reads_them(monkeypatch):
-    # Only the f = 1 and f = x0 members' field tensors are read: their f
-    # partials are evaluated, the scenario f's are not, and the base's field
-    # tensor is formed once, so three field tensors, not four.
+    # Only the f = 1 and f = x0 members' field tensors are read.  The family
+    # task forms them from the direction's partials, evaluating no f partial,
+    # and forms no tensor of its zero base: two field tensors.  The selftest
+    # builds the two members' frames, evaluating the partials of 1 and x0
+    # alone, and forms the base's tensor once: three.
     from diracinv import verify
     sc = scenario.load_scenario(str(_SHIPPED / "degenerate_family.json"))
     texts = ("1", "x0", "sin(x0+x1)")
@@ -633,11 +637,40 @@ def test_family_partials_and_field_tensors_only_where_a_check_reads_them(monkeyp
     tensors = _count_calls(monkeypatch, verify, "field_tensor")
     checks = CheckSet("family")
     cli._TASK_RUNNERS["family"](sc, {}, checks)
-    assert checks.n_failed == 0 and sorted(read) == ["1", "x0"] and len(tensors) == 3
+    assert checks.n_failed == 0 and read == [] and len(tensors) == 2
     read.clear()
     tensors.clear()
     assert selftest.catalog_suite(42).n_failed == 0
     assert sorted(read) == ["1", "x0"] and len(tensors) == 3
+
+
+@pytest.mark.parametrize("argv, passes", [
+    # The catalog spinor's certification, the base residual that the family
+    # members and the verify task read, and the scenario f's member: 3, not 5.
+    (["demo", "degenerate_example"], 3),
+    (["run", str(_SHIPPED / "degenerate_family.json")], 3),
+    # The invert task's oracle and the verify task's base residual.
+    (["run", str(_SHIPPED / "gauge_round_trip.json")], 2),
+])
+def test_residual_passes_per_run(argv, passes, monkeypatch, capsys):
+    from diracinv import verify
+    calls = _count_calls(monkeypatch, verify, "dirac_residual")
+    assert _run(capsys, argv)[0] == 0
+    assert len(calls) == passes
+
+
+def test_a_family_base_with_a_non_real_field_tensor_is_reported(tmp_path, capsys):
+    # The values are real to 1e-7, within the real tolerance; d1 a0 is not.
+    payload = json.loads((_SHIPPED / "degenerate_family.json").read_text())
+    payload["potential"] = {"exprs": ["1e-7*i*sin(100*x1)", "0", "0", "0"]}
+    payload["tasks"] = ["classify", "family"]
+    code, out = _run(capsys, ["run", _write(tmp_path, payload)])
+    assert code == 1
+    family = {t["task"]: t for t in json.loads(out)["tasks"]}["family"]
+    assert family["error"] == "NonRealPotential"
+    [check] = family["checks"]["checks"]
+    assert check["name"] == "family completed" and not check["passed"]
+    assert check["detail"].startswith("field tensor entry (0,1) has imaginary part")
 
 
 def test_run_evaluates_the_potential_once_at_every_support_point(tmp_path, monkeypatch):
@@ -808,7 +841,7 @@ def test_a_scenario_f_that_prints_as_a_fixed_member_adds_no_member(tmp_path, cap
     assert code == 0
     family = {t["task"]: t for t in json.loads(out)["tasks"]}["family"]
     assert [m["f"] for m in family["members"]] == ["1", "x0"]
-    assert family["checks"]["total"] == 5
+    assert family["checks"]["total"] == 6
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")

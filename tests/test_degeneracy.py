@@ -337,6 +337,40 @@ def test_direction_and_member_keep_the_bits_of_the_earlier_build(label):
         assert np.abs(partials.imag).max() > 0
 
 
+@pytest.mark.parametrize("label", ["degenerate-example", "gauge-degenerate", "real-base",
+                                   "almost-real-f"])
+@pytest.mark.parametrize("zero_base", [True, False], ids=["zero-base", "case-base"])
+def test_fixed_member_steps_give_the_member_frames_tensor_gaps(label, zero_base):
+    # F(base + f (1, theta)) - F(base) = F(f (1, theta)) for f = 1 and f = x0:
+    # bit for bit on a zero base, and to 4 ulp of the largest entry otherwise.
+    spinor, base, _ = _reference_case(label)
+    if zero_base:
+        base = FourPotential.zero()
+    sample, base_fr, cls = _family_inputs(spinor, base, SampleDomain(count=200, seed=9))
+    base_tensor = verify.field_tensor(base_fr)
+    for text in ("1", "x0"):
+        member = potential_family(sample.frame, base_fr, exprlang.parse(text), cls)
+        step = degeneracy.step_frame(sample.frame, member)
+        tensor = verify.field_tensor(member_frame(sample.frame, base_fr, member))
+        old = verify.tensor_gap(tensor, base_tensor)
+        new = verify.tensor_gap(verify.field_tensor(step))
+        assert step.derivs.dtype == float
+        if zero_base or not base_fr.derivs.any():
+            assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        else:
+            largest = max(np.abs(tensor).max(), np.abs(base_tensor).max())
+            assert abs(new - old) <= 4 * np.spacing(largest)
+
+
+@pytest.mark.parametrize("text", ["sin(x0+x1)", "x0*x1", "i*x0"])
+def test_a_step_frame_needs_real_literal_partials(degenerate_default, unit_domain, text):
+    sample, base_fr, cls = _family_inputs(degenerate_default.spinor, FourPotential.zero(),
+                                          unit_domain)
+    member = potential_family(sample.frame, base_fr, exprlang.parse(text), cls, real_tol=2.0)
+    with pytest.raises(ValueError, match="not a real literal"):
+        degeneracy.step_frame(sample.frame, member)
+
+
 _MATCH_CASES = [(f"triple-{i}", t) for i, t in enumerate(TRIPLES)] + [
     ("zero-mass", (0.0, 0.3, 0.2, -0.1)), ("non-constant-theta", None)]
 

@@ -1,13 +1,16 @@
 """The forward residual oracle, field tensors, gauge and light-like checks."""
 
+import pathlib
+
 import numpy as np
 import pytest
 import solutions
 
-from diracinv import catalog, exprlang, scenario
+from diracinv import catalog, degeneracy, exprlang, scenario, verify
 from diracinv.clifford import gamma
 from diracinv.errors import NonRealPotential
-from diracinv.fields import SampleDomain, SpinorField, frame, sample_support
+from diracinv.fields import (Frame, SampleDomain, SpinorField, frame, row_norm, sample_support,
+                             squared_norm)
 from diracinv.inversion import FourPotential, gauge_transform
 from diracinv.verify import (_GAMMA_REALS, dirac_residual, field_tensor, lightlike_gap,
                              lightlike_gap_max, residual_norm, tensor_gap)
@@ -15,6 +18,7 @@ from diracinv.verify import (_GAMMA_REALS, dirac_residual, field_tensor, lightli
 POINT = (0.37, -0.11, 0.62, -0.48)
 AT_POINT = [POINT]
 TENSOR_TOL = scenario.DEFAULT_TOLERANCES["tensor"]  # the family task's equality threshold
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestDiracResidual:
@@ -73,6 +77,84 @@ class TestDiracResidual:
         expected = expected - 1j * ((fr.derivs[0] + 1j * a[:, 0, None] * fr.value)
                                     @ gamma(4).T)
         assert np.array_equal(dirac_residual(fr, a, 1.3), expected)
+
+
+def _shipped_family(base: str):
+    """The shipped degenerate scenario's support frame, and a zero base or one with a field."""
+    sc = scenario.load_scenario(str(SCENARIOS / "degenerate_family.json"))
+    fr = sample_support(sc.spinor, sc.domain).frame
+    if base == "zero":
+        return sc.kappa, fr, None
+    # A family member of the catalog spinor itself, whose field tensor is nonzero.
+    potential = catalog.example_family(0.3, 0.2, -0.1, exprlang.parse("x0*x1 + sin(x2)"))
+    return sc.kappa, fr, potential.values(fr.points).real
+
+
+class _UfuncCalls(np.ndarray):
+    """An array that counts the numpy ufunc calls it enters."""
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_UfuncCalls":
+        out = values.view(cls)
+        out.calls = 0
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls += 1
+        plain = (x.view(np.ndarray) if isinstance(x, _UfuncCalls) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestResidualDirection:
+    @pytest.mark.parametrize("base", ["zero", "catalog_family"])
+    def test_every_member_has_the_base_residual_plus_f_times_k(self, base, rng):
+        kappa, fr, a = _shipped_family(base)
+        u = degeneracy.direction(fr)[0]
+        step = verify.residual_direction(fr, u)
+        base_residual = dirac_residual(fr, a, kappa)
+        values = np.zeros((len(fr.points), 4)) if a is None else a
+        for _ in range(5):
+            f = rng.uniform(-3.0, 3.0, len(fr.points))
+            member = dirac_residual(fr, values + f[:, None] * u, kappa)
+            expected = base_residual + f[:, None] * step
+            assert np.abs(member - expected).max() <= 1e-14 * (1 + np.abs(f).max())
+
+    def test_the_identity_holds_where_k_is_large(self, rest_wave, rng):
+        # On a non-degenerate spinor every direction moves the residual.
+        fr = frame(rest_wave.spinor, rng.uniform(-1, 1, (50, 4)))
+        a = rng.uniform(-1, 1, (50, 4))
+        for _ in range(5):
+            v, f = rng.uniform(-1, 1, (50, 4)), rng.uniform(-3.0, 3.0, 50)
+            step = verify.residual_direction(fr, v)
+            assert row_norm(step).min() > 0.1
+            member = dirac_residual(fr, a + f[:, None] * v, 1.0)
+            expected = dirac_residual(fr, a, 1.0) + f[:, None] * step
+            assert np.abs(member - expected).max() <= 1e-14 * (1 + np.abs(f).max())
+
+    def test_k_over_psi_is_the_indicator_ratio_on_a_generic_spinor(self, rng):
+        field = SpinorField.from_strings(["exp(i*x0)*(1+0.3*x1)", "0.5*x2 + i*x3",
+                                          "cos(x1) - 0.2*i", "sin(x0*x2) + 2*i"])
+        fr = frame(field, rng.uniform(-1, 1, (200, 4)))
+        u = degeneracy.direction(fr)[0]
+        moved = row_norm(verify.residual_direction(fr, u)) / (row_norm(u) * row_norm(fr.value))
+        ratio = (np.abs(degeneracy.indicator(fr.value)) / squared_norm(fr.value)
+                 / row_norm(u))
+        assert ratio.min() > 1e-3  # non-degenerate at every point
+        assert np.abs(moved / ratio - 1).max() <= 1e-13
+
+    def test_a_zero_potential_keeps_the_norm_bits_and_adds_no_potential_term(self):
+        kappa, fr, _ = _shipped_family("zero")
+        zeros = np.zeros((len(fr.points), 4))
+        norms, reads = [], []
+        for potential in (None, FourPotential.zero(), zeros):
+            counted = _UfuncCalls.of(fr.value)
+            residual = dirac_residual(Frame(fr.points, counted, fr.derivs, fr.params),
+                                      potential, kappa)
+            norms.append(row_norm(residual).view(np.uint64))
+            reads.append(counted.calls)
+        assert np.array_equal(norms[0], norms[2]) and np.array_equal(norms[1], norms[2])
+        # psi enters kappa psi, and the general path's four a psi products.
+        assert reads == [1, 1, 5]
 
 
 class TestResidualNorm:

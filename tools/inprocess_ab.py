@@ -21,14 +21,19 @@ a few percent shows in a few hundred pairs.  For each workload, one or
 ``all`` of them in turn, the script prints each side's median and
 quartiles over all timed calls, then one line with the change's median
 ratio, its win count over the operation pairs, and whether every pair had
-the same exit code and byte-identical reports.  A last line sums that up
-over the workloads, and the script exits 1 when some pair differed.
+the same exit code and byte-identical reports.  Where a pair differed, one
+more line names the first such operation and where its pair differs: the
+exit codes, or the first JSON path of the reports whose values differ, such
+as ``tasks[3].checks.checks[0].value``, with both values, so that a planned
+change of report bytes shows where it is.  A last line sums that up over
+the workloads, and the script exits 1 when some pair differed.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import shutil
 import statistics
 import sys
@@ -62,6 +67,41 @@ def run_once(cli, argv: tuple[str, ...], out: Path) -> tuple[int, bytes, float]:
     return code, out.read_bytes() if out.exists() else b"", elapsed
 
 
+def first_difference(a: bytes, b: bytes) -> str | None:
+    """Where two reports first differ, as "path: value != value"; None if they are equal."""
+    if a == b:
+        return None
+    try:
+        left, right = json.loads(a), json.loads(b)
+    except ValueError:  # an empty report, after an input error
+        return f"report bytes: {len(a)} != {len(b)} bytes"
+    return _difference(left, right, "") or "same values, different bytes"
+
+
+def _difference(a, b, path: str) -> str | None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            at = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return (f"{at}: {json.dumps(a[key]) if key in a else '(missing)'} != "
+                        f"{json.dumps(b[key]) if key in b else '(missing)'}")
+            found = _difference(a[key], b[key], at)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        if len(a) != len(b):
+            return f"{path}: {len(a)} != {len(b)} items"
+        return None
+    if json.dumps(a) != json.dumps(b):
+        return f"{path}: {json.dumps(a)} != {json.dumps(b)}"
+    return None
+
+
 def quartiles(times: list[float]) -> tuple[float, float, float]:
     if len(times) < 2:
         return (times[0],) * 3
@@ -84,13 +124,19 @@ def compare(parent_src: Path, change_src: Path, workload: str, ops: int, rounds:
                 for cli in clis:
                     run_once(cli, op.argv, out)
             times: dict[str, list[float]] = {side: [] for side in SIDES}
-            wins, identical = 0, True
+            wins, identical, difference = 0, True, None
             for _ in range(rounds):
                 for op in operations:
                     order = (0, 1) if op.index % 2 == 0 else (1, 0)
                     results = {i: run_once(clis[i], op.argv, out) for i in order}
                     (code_a, report_a, time_a), (code_b, report_b, time_b) = results[0], results[1]
-                    identical &= code_a == code_b and report_a == report_b
+                    same = code_a == code_b and report_a == report_b
+                    if not same and difference is None:
+                        where = first_difference(report_a, report_b)
+                        difference = f"operation {op.index}: " + "; ".join(
+                            ([f"exit {code_a} != {code_b}"] if code_a != code_b else [])
+                            + ([where] if where else []))
+                    identical &= same
                     wins += time_b < time_a
                     times["parent"].append(time_a)
                     times["change"].append(time_b)
@@ -100,7 +146,8 @@ def compare(parent_src: Path, change_src: Path, workload: str, ops: int, rounds:
                 del sys.modules[name]
     ratios = [b / a for a, b in zip(times["parent"], times["change"])]
     return {"times": times, "wins": wins, "pairs": len(ratios),
-            "ratio": statistics.median(ratios), "identical": identical}
+            "ratio": statistics.median(ratios), "identical": identical,
+            "difference": difference}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,6 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{workload}  change/parent median ratio {result['ratio']:.3f}; change faster "
               f"in {result['wins']} of {result['pairs']} pairs; reports "
               + ("identical" if result["identical"] else "DIFFER"))
+        if result.get("difference"):
+            print(f"{workload}  first difference, {result['difference']}")
     print("reports: " + ("every pair identical" if identical else "PAIRS DIFFER"))
     return 0 if identical else 1
 
